@@ -271,7 +271,6 @@ def _variant_from_spec(spec: dict, dim: int) -> LawVariant:
         label=spec["label"],
         c=c,
         dt=spec.get("dt"),
-        scheme=spec.get("scheme"),
     )
 
 
@@ -463,7 +462,8 @@ def main(argv=None) -> int:
 
         if args.config is None:
             raise UsageError(f"{args.subcommand} needs --config")
-        raw = json.loads(open(args.config, "r", encoding="utf-8").read())
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
         raw = apply_set_overrides(raw, args.set)
         cfg = ExperimentConfig.from_dict(raw)
         cfg = cfg.with_overrides(out=args.out, seed=args.seed)

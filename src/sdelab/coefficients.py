@@ -153,10 +153,6 @@ class DiffusionMatrix:
             raise CoefficientError(f"row divergence returned shape {g.shape}")
         return g
 
-    def asymmetry(self, x) -> float:
-        a = self(x)
-        return float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
-
 
 @dataclass(frozen=True)
 class Exponents:

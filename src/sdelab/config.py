@@ -17,7 +17,7 @@ from typing import Any
 from .coefficients import CoefficientSet, builtin_family
 from .grids import BoxGrid
 from .reporting import digest
-from .simulate import SimConfig
+from .simulate import SCHEME, SimConfig
 
 FORMAT_VERSION = 1
 
@@ -30,6 +30,13 @@ def _require_mapping(obj: Any, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(obj).__name__}")
     return obj
+
+
+def _check_scheme(scheme: Any, where: str) -> None:
+    if scheme != SCHEME:
+        raise ConfigError(
+            f"{where}: unknown scheme {scheme!r}; only {SCHEME!r} is provided"
+        )
 
 
 def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
@@ -97,6 +104,7 @@ def _validate_diag(entry: Any, index: int) -> dict:
             vwhere = f"{where}.variants[{j}]"
             var = _require_mapping(var, vwhere)
             _check_keys(var, {"label"}, {"family", "dt", "scheme"}, vwhere)
+            _check_scheme(var.get("scheme", SCHEME), vwhere)
             if "family" in var:
                 fam = _require_mapping(var["family"], f"{vwhere}.family")
                 _check_keys(fam, {"name"}, {"params"}, f"{vwhere}.family")
@@ -162,6 +170,7 @@ class ExperimentConfig:
         }
         _check_keys(sim_raw, {"dt", "t_final", "n_paths", "master_seed"},
                     known_sim, "sim")
+        _check_scheme(sim_raw.pop("scheme", SCHEME), "sim")
         try:
             sim = SimConfig(**sim_raw)
         except ValueError as exc:

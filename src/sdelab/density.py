@@ -39,7 +39,7 @@ from .grids import BoxGrid, GridField, default_bump_dictionary
 from .reporting import DiagnosticReport
 
 
-class DensityError(RuntimeError):
+class DensityError(ValueError):
     """Raised when the discrete density problem is ill-posed or leaves the
     guaranteed regime (sign change, singularity beyond the one-dimensional
     kernel, unsupported coefficient structure)."""
@@ -124,31 +124,28 @@ def psi_weights(c: CoefficientSet, grid: BoxGrid) -> np.ndarray:
     return patch_nonfinite(psi, grid.dim, "the weight")
 
 
-def _axis_weight_vectors(grid: BoxGrid) -> list:
-    out = []
-    for b, m in zip(grid.bounds, grid.n):
-        h = (b[1] - b[0]) / (m - 1)
-        w = np.full(m, h)
-        w[0] = w[-1] = 0.5 * h
-        out.append(w)
-    return out
-
-
 class _FaceScheme:
-    """Per-axis Scharfetter-Gummel face coefficients for a coefficient set.
+    """Face geometry of a box grid with its Scharfetter-Gummel coefficients.
 
-    For the faces along axis k, ``w_left`` and ``w_right`` give the two-point
-    flux ``J = w_right rho_R - w_left rho_L`` per unit dual-face area, and
-    ``area`` the dual-face areas (products of transverse axis weights).
+    The one place that knows the faces: the faces along axis k join the
+    nodes ``sides[k][0]`` (left) and ``sides[k][1]`` (right), index tuples
+    into node arrays.  ``area[k]`` holds the dual-face areas (products of
+    transverse trapezoid weights), ``node_diag`` the node values of
+    ``diag(A)``, and ``w_left``/``w_right`` the two-point flux
+    ``J = w_right rho_R - w_left rho_L`` per unit dual-face area.
     """
+
+    L, R = 0, 1  # the two end nodes of a face, by increasing coordinate
 
     def __init__(self, c: CoefficientSet, grid: BoxGrid):
         self.grid = grid
+        self.sides = []
         self.w_left = []
         self.w_right = []
         self.area = []
-        node_diag = _diagonal_entries(c, grid.points(), grid.dim)
-        axis_w = _axis_weight_vectors(grid)
+        pts = grid.points()
+        self.node_diag = _diagonal_entries(c, pts, grid.dim)
+        axis_w = grid.axis_weights()
         h = grid.spacing
         d = grid.dim
         for k in range(d):
@@ -156,11 +153,13 @@ class _FaceScheme:
             sl_r = [slice(None)] * d
             sl_l[k] = slice(0, -1)
             sl_r[k] = slice(1, None)
-            a_l = 0.5 * node_diag[tuple(sl_l) + (k,)]
-            a_r = 0.5 * node_diag[tuple(sl_r) + (k,)]
+            sl_l, sl_r = tuple(sl_l), tuple(sl_r)
+            self.sides.append((sl_l, sl_r))
+            a_l = 0.5 * self.node_diag[sl_l + (k,)]
+            a_r = 0.5 * self.node_diag[sl_r + (k,)]
             d_face = 2.0 * a_l * a_r / (a_l + a_r)
 
-            mid = grid.points()[tuple(sl_l)].copy()
+            mid = pts[sl_l].copy()
             mid[..., k] += 0.5 * h[k]
             v_face = advective_coefficient(c, mid, d)[..., k]
 
@@ -176,17 +175,10 @@ class _FaceScheme:
 
     def face_fluxes(self, rho: np.ndarray) -> list:
         """Per-axis SG fluxes of a node field, per unit area."""
-        out = []
-        d = self.grid.dim
-        for k in range(d):
-            sl_l = [slice(None)] * d
-            sl_r = [slice(None)] * d
-            sl_l[k] = slice(0, -1)
-            sl_r[k] = slice(1, None)
-            out.append(
-                self.w_right[k] * rho[tuple(sl_r)] - self.w_left[k] * rho[tuple(sl_l)]
-            )
-        return out
+        return [
+            self.w_right[k] * rho[sl_r] - self.w_left[k] * rho[sl_l]
+            for k, (sl_l, sl_r) in enumerate(self.sides)
+        ]
 
     def node_flux_field(self, rho: np.ndarray) -> np.ndarray:
         """Flux vector field at nodes, averaging the adjacent face fluxes.
@@ -194,16 +186,34 @@ class _FaceScheme:
         Outer boundary faces carry zero flux by the boundary condition, so
         boundary nodes average the single interior face with zero.
         """
-        d = self.grid.dim
-        field = np.zeros(self.grid.shape + (d,))
+        field = np.zeros(self.grid.shape + (self.grid.dim,))
         for k, flux in enumerate(self.face_fluxes(rho)):
-            up = [slice(None)] * d
-            lo = [slice(None)] * d
-            up[k] = slice(1, None)
-            lo[k] = slice(0, -1)
-            field[tuple(up) + (k,)] += 0.5 * flux
-            field[tuple(lo) + (k,)] += 0.5 * flux
+            sl_l, sl_r = self.sides[k]
+            field[sl_r + (k,)] += 0.5 * flux
+            field[sl_l + (k,)] += 0.5 * flux
         return field
+
+    def two_point_matrix(self, couplings) -> sp.csr_matrix:
+        """Node matrix from face couplings.
+
+        ``couplings(k)`` lists ``(row, col, values)`` entries for the faces
+        along axis k: ``row`` and ``col`` are :attr:`L` or :attr:`R`, and
+        ``values`` holds one number per face.  Duplicate entries are summed
+        in the order given.
+        """
+        n_nodes = int(np.prod(self.grid.shape))
+        flat = np.arange(n_nodes).reshape(self.grid.shape)
+        rows, cols, data = [], [], []
+        for k, (sl_l, sl_r) in enumerate(self.sides):
+            ends = (flat[sl_l].ravel(), flat[sl_r].ravel())
+            for i, j, values in couplings(k):
+                rows.append(ends[i])
+                cols.append(ends[j])
+                data.append(values)
+        return sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_nodes, n_nodes),
+        ).tocsr()
 
     def assemble(self) -> sp.csr_matrix:
         """Finite-volume matrix with ``(K rho)_i ~ vol_i div(F(rho))_i``.
@@ -211,29 +221,15 @@ class _FaceScheme:
         Exactly zero column sums (discrete conservation) and the sign
         structure of a transposed Markov generator.
         """
-        grid = self.grid
-        d = grid.dim
-        shape = grid.shape
-        n_nodes = int(np.prod(shape))
-        flat = np.arange(n_nodes).reshape(shape)
-        rows, cols, data = [], [], []
-        for k in range(d):
-            sl_l = [slice(None)] * d
-            sl_r = [slice(None)] * d
-            sl_l[k] = slice(0, -1)
-            sl_r[k] = slice(1, None)
-            left = flat[tuple(sl_l)].ravel()
-            right = flat[tuple(sl_r)].ravel()
+        L, R = self.L, self.R
+
+        def couplings(k):
             fr = (self.area[k] * self.w_right[k]).ravel()
             fl = (self.area[k] * self.w_left[k]).ravel()
             # flux J = w_r rho_R - w_l rho_L enters row L with +, row R with -
-            rows += [left, left, right, right]
-            cols += [right, left, left, right]
-            data += [fr, -fl, fl, -fr]
-        return sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_nodes, n_nodes),
-        ).tocsr()
+            return [(L, R, fr), (L, L, -fl), (R, L, fl), (R, R, -fr)]
+
+        return self.two_point_matrix(couplings)
 
 
 @dataclass
@@ -246,7 +242,8 @@ class DensityField:
     is the weak-form defect of the scheme's flux field against the builtin
     test dictionary, scaled by the test gradient norm (a discrete dual norm);
     it is zero to rounding whenever the discrete solution is an exact kernel
-    element (constant and Gaussian cases).
+    element (constant and Gaussian cases).  ``faces`` is the face scheme the
+    density was solved with; the audits and the parabolic solve reuse it.
     """
 
     rho: GridField
@@ -255,6 +252,7 @@ class DensityField:
     normalization: str
     residual_norm: float
     meta: dict
+    faces: _FaceScheme
 
     @property
     def grid(self) -> BoxGrid:
@@ -301,8 +299,9 @@ def solve_density(
     ``normalization="anchor"`` fixes value 1 at the node nearest ``anchor``
     (box center by default); ``"mass"`` rescales to unit weighted mass
     afterwards.  Raises :class:`DensityError` if the anchored system is
-    singular (kernel dimension above one) or the solution changes sign
-    (enlarge the box or refine the grid).
+    singular (kernel dimension above one), the solution changes sign
+    (enlarge the box or refine the grid) or the grid is too coarse for the
+    test dictionary of the residual.
     """
     grid = BoxGrid(bounds, n)
     if grid.dim != c.dim:
@@ -310,8 +309,8 @@ def solve_density(
     if normalization not in ("anchor", "mass"):
         raise DensityError(f"unknown normalization {normalization!r}")
 
-    scheme = _FaceScheme(c, grid)
-    K = scheme.assemble()
+    faces = _FaceScheme(c, grid)
+    K = faces.assemble()
 
     anchor_x = grid.center if anchor is None else np.asarray(anchor, dtype=float)
     anchor_idx = _nearest_node(grid, anchor_x)
@@ -346,10 +345,15 @@ def solve_density(
     rho_field = GridField(grid, rho)
     grad = rho_field.gradient()
 
-    flux = scheme.node_flux_field(rho)
+    flux = faces.node_flux_field(rho)
     defect = 0.0
     for bump in default_bump_dictionary(grid):
         val, grad_l2, _ = weak_defect(grid, flux, bump)
+        if grad_l2 == 0.0:
+            raise DensityError(
+                f"grid {list(grid.n)} cannot resolve the test dictionary: a "
+                "test function has zero gradient at every node; refine the grid"
+            )
         defect = max(defect, abs(val) / grad_l2)
 
     return DensityField(
@@ -364,6 +368,7 @@ def solve_density(
             "family": c.family,
             "anchor_index": list(anchor_idx),
         },
+        faces=faces,
     )
 
 
@@ -393,7 +398,7 @@ def compute_beta(c: CoefficientSet, dens: DensityField) -> DriftDecomposition:
     null = c.inv_weight.null_set_indicator(pts)
     rho = dens.rho.values
     grad_rho = dens.grad_rho.values
-    diag_a = _diagonal_entries(c, pts, grid.dim)
+    diag_a = dens.faces.node_diag
     row_div = c.matrix.row_divergence(pts)
     a_grad = diag_a * grad_rho
 
@@ -434,7 +439,7 @@ def verify_preinvariance(
     grid = dens.grid
     pts = grid.points()
     rho = dens.rho.values
-    diag_a = _diagonal_entries(c, pts, grid.dim)
+    diag_a = dens.faces.node_diag
     with np.errstate(divide="ignore", invalid="ignore"):
         psi_g = c.psi_G(pts)
     psi_g = patch_nonfinite(psi_g, grid.dim, "psi * G")
@@ -489,8 +494,7 @@ def verify_divergence_free(
     if dec is None:
         dec = compute_beta(c, dens)
     grid = dens.grid
-    scheme = _FaceScheme(c, grid)
-    flux = -scheme.node_flux_field(dens.rho.values)
+    flux = -dens.faces.node_flux_field(dens.rho.values)
     bumps = test_functions if test_functions is not None else default_bump_dictionary(grid)
     rep = DiagnosticReport(
         check="divergence_free",

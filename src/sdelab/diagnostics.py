@@ -36,7 +36,7 @@ from .grids import BoxGrid, GridField
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
 from .semigroup import evolve
-from .simulate import PathEnsemble, SimConfig, simulate_ensemble
+from .simulate import SCHEME, PathEnsemble, SimConfig, simulate_ensemble
 
 _PERMUTATIONS = 199
 _ENERGY_SUBSAMPLE = 1024
@@ -257,14 +257,13 @@ class LawVariant:
     """One entry of a variant comparison.
 
     ``c`` overrides the base coefficients (a representative differing on the
-    degeneracy set, say); ``dt`` and ``scheme`` override the base simulation
-    configuration.  Unset fields fall back to the probe's base inputs.
+    degeneracy set, say); ``dt`` overrides the base step size.  Unset fields
+    fall back to the probe's base inputs.
     """
 
     label: str
     c: CoefficientSet | None = None
     dt: float | None = None
-    scheme: str | None = None
 
 
 def uniqueness_probe(
@@ -276,7 +275,7 @@ def uniqueness_probe(
     level: float = 0.01,
     workers: int = 1,
 ) -> DiagnosticReport:
-    """Compare fixed-time marginals across coefficient or scheme variants.
+    """Compare fixed-time marginals across coefficient or step-size variants.
 
     Each variant is simulated with an independent master seed derived from
     the base configuration.  Every pair of variants is compared at every
@@ -303,8 +302,6 @@ def uniqueness_probe(
         overrides = {"master_seed": derive_seed(cfg.master_seed, i)}
         if var.dt is not None:
             overrides["dt"] = float(var.dt)
-        if var.scheme is not None:
-            overrides["scheme"] = var.scheme
         cfg_i = replace(cfg, **overrides)
         ens = simulate_ensemble(c, x0, cfg_i, workers=workers)
         ensembles.append(ens)
@@ -313,7 +310,7 @@ def uniqueness_probe(
                 "label": var.label,
                 "family": c.family.get("name", "custom"),
                 "dt": cfg_i.dt,
-                "scheme": cfg_i.scheme,
+                "scheme": SCHEME,
                 "master_seed": cfg_i.master_seed,
                 "occupation_exact_max": float(np.max(ens.occupation_exact)),
                 "occupation_exact_mean": float(np.mean(ens.occupation_exact)),

@@ -2,13 +2,12 @@
 
 Everything downstream (density solves, parabolic stepping, quadrature audits)
 works on vertex-centered tensor grids over a closed box.  Fields carry their
-grid so that interpolation, gradients and integrals need no extra bookkeeping.
+grid so that interpolation and gradients need no extra bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -99,13 +98,20 @@ class BoxGrid:
     def flat_points(self) -> np.ndarray:
         return self.points().reshape(-1, self.dim)
 
-    def trapezoid_weights(self) -> np.ndarray:
-        """Tensor-product trapezoid quadrature weights, shape ``(*shape,)``."""
-        w = np.ones(())
+    def axis_weights(self) -> list:
+        """Per-axis trapezoid weight vectors (half spacing at the two ends)."""
+        out = []
         for b, m in zip(self.bounds, self.n):
             h = (b[1] - b[0]) / (m - 1)
             wk = np.full(m, h)
             wk[0] = wk[-1] = 0.5 * h
+            out.append(wk)
+        return out
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Tensor-product trapezoid quadrature weights, shape ``(*shape,)``."""
+        w = np.ones(())
+        for wk in self.axis_weights():
             w = np.multiply.outer(w, wk)
         return w
 
@@ -119,20 +125,12 @@ class BoxGrid:
             m[tuple(sl)] = False
         return m
 
-    def refine(self) -> "BoxGrid":
-        """Nested refinement: node count ``n -> 2n - 1`` (halves the spacing)."""
-        return BoxGrid(self.bounds, tuple(2 * m - 1 for m in self.n))
-
     def coarsen(self) -> "BoxGrid":
-        """Inverse of :meth:`refine`; requires every ``n`` odd."""
+        """Nested coarsening: node count ``n -> (n + 1) / 2`` (doubles the
+        spacing); requires every ``n`` odd."""
         if any(m % 2 == 0 for m in self.n):
             raise GridError("coarsen needs odd node counts per axis")
         return BoxGrid(self.bounds, tuple((m + 1) // 2 for m in self.n))
-
-    def contains(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.lo, self.hi
-        return np.all((x >= lo) & (x <= hi), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -177,14 +175,6 @@ class GridField:
             raise GridError("gradient of a vector field is not provided")
         g = np.stack(np.gradient(self.values, *self.grid.axes()), axis=-1)
         return GridField(self.grid, g)
-
-    def integrate(self, weight: np.ndarray | None = None) -> float:
-        """Trapezoid integral over the box, optionally against a node weight."""
-        w = self.grid.trapezoid_weights()
-        v = self.values if weight is None else self.values * weight
-        if self.is_vector:
-            raise GridError("integrate expects a scalar field")
-        return float(np.sum(w * v))
 
 
 # -- smooth compactly supported test functions --------------------------------

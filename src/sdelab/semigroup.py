@@ -13,7 +13,10 @@ first-order upwinding of the face value of ``u`` by the sign of ``B``.  This
 makes the discrete evolution exactly mass-conservative up to Dirichlet
 leakage, exactly sub-Markovian, and an exact weighted-L1 contraction on
 every family, not just where ``B = 0``.  Backward Euler keeps all of this
-unconditional; the M-matrix sign pattern is asserted at assembly.
+unconditional; the M-matrix sign pattern is asserted at assembly.  The
+faces, their areas, the node values of ``diag(A)`` and the stationary face
+fluxes are those of the face scheme kept on the :class:`DensityField`, so
+both solves share one discretization and none of it is rebuilt here.
 
 The per-slice fields feed two audits: a parabolic local-boundedness ratio
 (sup norm on a space-time cylinder against a mixed Lebesgue norm on the
@@ -29,13 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
-from .density import (
-    DensityField,
-    _axis_weight_vectors,
-    _diagonal_entries,
-    _FaceScheme,
-    psi_weights,
-)
+from .density import DensityField, psi_weights
 from .grids import BoxGrid, GridField
 from .reporting import DiagnosticReport
 
@@ -80,17 +77,6 @@ class SpaceTimeField:
         return GridField(self.grid, self.values[self.slice_index(t)])
 
 
-def _interior_flat(grid: BoxGrid) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for k in range(grid.dim):
-        edge = [slice(None)] * grid.dim
-        edge[k] = 0
-        mask[tuple(edge)] = False
-        edge[k] = -1
-        mask[tuple(edge)] = False
-    return np.flatnonzero(mask.ravel())
-
-
 def _assemble_operator(c: CoefficientSet, dens: DensityField) -> tuple:
     """Full-grid matrices (S, m) with ``m du/dt = -S u`` before restriction.
 
@@ -100,60 +86,35 @@ def _assemble_operator(c: CoefficientSet, dens: DensityField) -> tuple:
     is the lumped weight ``rho psi`` times the dual-cell volume.
     """
     grid = dens.grid
-    d = grid.dim
-    shape = grid.shape
+    faces = dens.faces
     h = grid.spacing
-    n_nodes = int(np.prod(shape))
     rho = dens.rho.values
-    diag_a = _diagonal_entries(c, grid.points(), d)
-    coeff = 0.5 * rho[..., None] * diag_a
+    coeff = 0.5 * rho[..., None] * faces.node_diag
     psi = psi_weights(c, grid)
     vol = grid.trapezoid_weights()
     m = (rho * psi * vol).ravel()
-    axis_w = _axis_weight_vectors(grid)
-    adv_fluxes = _FaceScheme(c, grid).face_fluxes(rho)
+    adv_fluxes = faces.face_fluxes(rho)
+    L, R = faces.L, faces.R
 
-    flat = np.arange(n_nodes).reshape(shape)
-    rows, cols, data = [], [], []
-
-    for k in range(d):
-        sl_l = [slice(None)] * d
-        sl_r = [slice(None)] * d
-        sl_l[k] = slice(0, -1)
-        sl_r[k] = slice(1, None)
-        left = flat[tuple(sl_l)].ravel()
-        right = flat[tuple(sl_r)].ravel()
-
-        c_l = coeff[tuple(sl_l) + (k,)]
-        c_r = coeff[tuple(sl_r) + (k,)]
+    def couplings(k):
+        sl_l, sl_r = faces.sides[k]
+        c_l = coeff[sl_l + (k,)]
+        c_r = coeff[sl_r + (k,)]
         d_face = 2.0 * c_l * c_r / (c_l + c_r)
-
-        area = np.ones(())
-        for j in range(d):
-            vec = np.ones(shape[j] - 1) if j == k else axis_w[j]
-            area = np.multiply.outer(area, vec)
-        cond = (area * d_face / h[k]).ravel()
-
-        # diffusion: S gets +cond on both diagonals, -cond on the couplings
-        rows += [left, right, left, right]
-        cols += [left, right, right, left]
-        data += [cond, cond, -cond, -cond]
-
+        cond = (faces.area[k] * d_face / h[k]).ravel()
         # conservative upwind advection with the face values of rho psi B;
         # a positive face value carries state from the right node
-        phi = -(area * adv_fluxes[k]).ravel()
+        phi = -(faces.area[k] * adv_fluxes[k]).ravel()
         phi_pos = np.maximum(phi, 0.0)
         phi_neg = np.minimum(phi, 0.0)
-        # S contribution is minus the divergence of (phi u_upwind)
-        rows += [left, left, right, right]
-        cols += [right, left, left, right]
-        data += [-phi_pos, -phi_neg, phi_neg, phi_pos]
+        return [
+            # diffusion: S gets +cond on both diagonals, -cond on the couplings
+            (L, L, cond), (R, R, cond), (L, R, -cond), (R, L, -cond),
+            # S contribution is minus the divergence of (phi u_upwind)
+            (L, R, -phi_pos), (L, L, -phi_neg), (R, L, phi_neg), (R, R, phi_pos),
+        ]
 
-    S = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-    ).tocsr()
-    return S, m
+    return faces.two_point_matrix(couplings), m
 
 
 def _check_m_matrix(S: sp.csr_matrix) -> None:
@@ -199,7 +160,7 @@ def evolve(
 
     S, m = _assemble_operator(c, dens)
 
-    interior = _interior_flat(grid)
+    interior = np.flatnonzero(grid.interior_mask().ravel())
     S_int = S[interior][:, interior]
     _check_m_matrix(S_int)
     m_int = m[interior]

@@ -28,6 +28,7 @@ from .coefficients import CoefficientSet
 from .rng import block_normals, path_key
 
 _BLOCK = 4096  # fixed path-block size; results must not depend on it
+SCHEME = "euler_maruyama"  # the one time-stepping scheme provided
 
 
 class SimulationError(ValueError):
@@ -40,14 +41,14 @@ class SimConfig:
 
     ``t_final`` must be an integer multiple of ``dt`` (within rounding).
     ``r_exit = None`` disables exit absorption.  ``near_degeneracy_eps`` sets
-    the weight threshold of the near-degeneracy tally.
+    the weight threshold of the near-degeneracy tally.  The step is always
+    Euler-Maruyama (:data:`SCHEME`).
     """
 
     dt: float
     t_final: float
     n_paths: int
     master_seed: int
-    scheme: str = "euler_maruyama"
     r_exit: float | None = None
     near_degeneracy_eps: float = 0.05
 
@@ -56,10 +57,6 @@ class SimConfig:
             raise SimulationError("dt and t_final must be positive")
         if self.n_paths < 1:
             raise SimulationError("need at least one path")
-        if self.scheme != "euler_maruyama":
-            raise SimulationError(
-                f"unknown scheme {self.scheme!r}; only 'euler_maruyama' is provided"
-            )
         if self.r_exit is not None and self.r_exit <= 0:
             raise SimulationError("r_exit must be positive or None")
         if self.near_degeneracy_eps < 0:
@@ -80,7 +77,7 @@ class SimConfig:
             "t_final": self.t_final,
             "n_paths": self.n_paths,
             "master_seed": self.master_seed,
-            "scheme": self.scheme,
+            "scheme": SCHEME,
             "r_exit": self.r_exit,
             "near_degeneracy_eps": self.near_degeneracy_eps,
         }
@@ -96,9 +93,11 @@ class PathEnsemble:
     ``exploded_step`` likewise marks the first non-finite update (``-1`` if
     none), with the path frozen at its last finite state.  ``path_keys`` are
     the per-path substream keys ``(master_seed, path_index)``.
+    ``coefficients`` are the coefficients the paths were generated with.
     """
 
     config: SimConfig
+    coefficients: CoefficientSet
     x0: np.ndarray
     times: np.ndarray
     states: np.ndarray
@@ -242,8 +241,9 @@ def simulate_ensemble(
     for i in range(n):
         keys[i] = path_key(cfg.master_seed, i)
 
-    ens = PathEnsemble(
+    return PathEnsemble(
         config=cfg,
+        coefficients=c,
         x0=x0,
         times=np.arange(n_steps + 1) * cfg.dt,
         states=states,
@@ -253,7 +253,6 @@ def simulate_ensemble(
         occupation_near=occ_near,
         path_keys=keys,
     )
-    return attach_coefficients(ens, c)
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,7 @@ def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
             occ = ens.occupation_exact
         else:
             if w is None:
-                w = _ensemble_weights(ens)
+                w = ens.coefficients.inv_weight(ens.states[:, : ens.config.n_steps, :])
             occ = dt * np.sum(w < eps, axis=1)
         rows.append(
             OccupationRow(
@@ -321,22 +320,6 @@ def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
             )
         )
     return rows
-
-
-def _ensemble_weights(ens: PathEnsemble) -> np.ndarray:
-    c = getattr(ens, "_coefficients", None)
-    if c is None:
-        raise SimulationError(
-            "occupation_profile with eps > 0 needs the ensemble's coefficients; "
-            "attach them via attach_coefficients(ens, c)"
-        )
-    return c.inv_weight(ens.states[:, : ens.config.n_steps, :])
-
-
-def attach_coefficients(ens: PathEnsemble, c: CoefficientSet) -> PathEnsemble:
-    """Record the generating coefficients on the ensemble for later audits."""
-    ens._coefficients = c
-    return ens
 
 
 def weak_error_study(

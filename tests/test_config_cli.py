@@ -1,7 +1,9 @@
 """Config schema and command-line front door."""
 
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +147,25 @@ class TestConfigSchema:
         raw["sim"]["dt"] = 0.03
         with pytest.raises(ConfigError, match="sim:"):
             ExperimentConfig.from_dict(raw)
+
+    def test_unknown_scheme(self):
+        raw = base_config()
+        raw["sim"]["scheme"] = "euler_maruyama"
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.to_dict()["sim"]["scheme"] == "euler_maruyama"
+        assert cfg.digest == ExperimentConfig.from_dict(base_config()).digest
+        raw["sim"]["scheme"] = "milstein"
+        with pytest.raises(ConfigError, match="sim: unknown scheme 'milstein'"):
+            ExperimentConfig.from_dict(raw)
+        uniq = {
+            "kind": "uniqueness",
+            "variants": [{"label": "a", "scheme": "euler_maruyama"},
+                         {"label": "b", "scheme": "milstein"}],
+            "x0": [0.0, 0.0],
+            "t_checks": [0.5],
+        }
+        with pytest.raises(ConfigError, match=r"variants\[1\]: unknown scheme"):
+            ExperimentConfig.from_dict(base_config(diagnostics=[uniq]))
 
     def test_box_error_reported_as_config_error(self):
         raw = base_config()
@@ -301,6 +322,21 @@ class TestCliExitCodes:
     def test_workers_must_be_positive(self, tmp_path):
         path = write_config(tmp_path, base_config())
         assert main(["simulate", "--config", path, "--workers", "0"]) == 2
+
+    def test_unresolvable_density_grid_is_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["density", "--config", path, "--set", "box.n=3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "test dictionary" in err
+        assert err.count("\n") == 1
+
+    def test_config_file_is_closed(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["check", "--config", path]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_density_writes_table(self, tmp_path):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))

@@ -23,6 +23,7 @@ from sdelab.density import (
     verify_preinvariance,
 )
 from sdelab.grids import BoxGrid, GridField, SmoothBump
+from sdelab.semigroup import evolve
 
 BOX2 = ((-2.0, 2.0), (-2.0, 2.0))
 BOX4 = ((-4.0, 4.0), (-4.0, 4.0))
@@ -147,6 +148,12 @@ class TestSolveDensity:
         with pytest.raises(DensityError, match="dimension"):
             solve_density(ou2, ((-1, 1),), 17)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_grid_too_coarse_for_test_dictionary(self, ou2, n):
+        with pytest.raises(DensityError, match="cannot resolve the test dictionary"):
+            solve_density(ou2, BOX4, n)
+        assert issubclass(DensityError, ValueError)
+
     def test_unknown_normalization(self, ou2):
         with pytest.raises(DensityError, match="normalization"):
             solve_density(ou2, BOX4, 33, normalization="sup")
@@ -218,6 +225,23 @@ class TestFluxMatrix:
         assert np.all(K.data[~diag] >= 0.0)
 
 
+class TestFaceSchemeReuse:
+    def test_built_once_per_solve(self, radial2, monkeypatch):
+        built = []
+        init = _FaceScheme.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_FaceScheme, "__init__", counting_init)
+        dens = solve_density(radial2, BOX2, 17)
+        assert len(built) == 1 and dens.faces is built[0]
+        verify_divergence_free(radial2, dens)
+        evolve(radial2, dens, lambda x: np.ones(x.shape[:-1]), 0.02, 1e-2)
+        assert len(built) == 1
+
+
 class TestComputeBeta:
     def test_brownian_trivial(self, brownian2):
         dens = solve_density(brownian2, BOX2, 65)
@@ -254,6 +278,7 @@ class TestComputeBeta:
             normalization="anchor",
             residual_norm=0.0,
             meta={},
+            faces=_FaceScheme(c, grid),
         )
         dec = compute_beta(c, dens)
         pts = grid.points()

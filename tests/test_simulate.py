@@ -60,10 +60,6 @@ class TestSimConfig:
         with pytest.raises(SimulationError, match="integer multiple"):
             SimConfig(dt=0.3, t_final=1.0, n_paths=10, master_seed=0)
 
-    def test_unknown_scheme(self):
-        with pytest.raises(SimulationError, match="unknown scheme"):
-            _cfg(scheme="milstein")
-
     def test_n_steps(self):
         assert _cfg(dt=1e-3, t_final=0.25).n_steps == 250
 
