@@ -21,23 +21,19 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
-from typing import Callable
 
 import numpy as np
 
-from .coefficients import builtin_family
 from .conditions import a4prime_check, min_M_on_grid, occupation_condition_route
-from .config import ConfigError, ExperimentConfig, apply_set_overrides
-from .density import solve_density, verify_divergence_free, verify_preinvariance
-from .diagnostics import (
-    LawVariant,
-    feynman_kac_crosscheck,
-    krylov_audit,
-    uniqueness_probe,
+from .config import (  # the payload builders stay importable from here
+    ExperimentConfig,
+    apply_set_overrides,
+    build_payload,
+    build_spacetime_payload,
 )
-from .grids import SmoothBump
+from .density import solve_density, verify_divergence_free, verify_preinvariance
+from .diagnostics import feynman_kac_crosscheck, krylov_audit, uniqueness_probe
 from .reporting import DiagnosticReport, canonical_json
 from .semigroup import evolve, semigroup_contraction_check
 from .simulate import exit_time_stats, occupation_profile, simulate_ensemble
@@ -49,53 +45,11 @@ class UsageError(ValueError):
     """Raised for invalid invocations that are not config-file problems."""
 
 
-# -- payload registry ---------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    """Bad flags raise :class:`UsageError`: one ``error:`` line and exit 2."""
 
-def build_payload(spec: dict, dim: int) -> Callable:
-    """Spatial payload ``f(x)`` from a validated payload spec."""
-    kind = spec["type"]
-    if kind == "one":
-        return lambda x: np.ones(np.asarray(x, dtype=float).shape[:-1])
-    if kind == "ball_indicator":
-        r = float(spec["radius"])
-        center = np.asarray(spec.get("center", [0.0] * dim), dtype=float)
-
-        def indicator(x):
-            x = np.asarray(x, dtype=float)
-            return (np.linalg.norm(x - center, axis=-1) < r).astype(float)
-
-        return indicator
-    if kind == "bump":
-        bump = SmoothBump(tuple(spec["center"]), float(spec["radius"]))
-        return lambda x: bump(np.asarray(x, dtype=float))
-    if kind == "gaussian":
-        center = np.asarray(spec["center"], dtype=float)
-        var = float(spec["variance"])
-
-        def gaussian(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * var))
-
-        return gaussian
-    if kind == "clipped_coordinate":
-        axis = int(spec["axis"])
-        bound = float(spec["bound"])
-
-        def clipped(x):
-            return np.clip(np.asarray(x, dtype=float)[..., axis], -bound, bound)
-
-        return clipped
-    raise UsageError(f"unknown payload type {kind!r}")
-
-
-def build_spacetime_payload(spec: dict, dim: int, label: str | None = None) -> Callable:
-    f = build_payload(spec, dim)
-
-    def payload(x, t):
-        return f(x)
-
-    payload.__name__ = label or spec["type"]
-    return payload
+    def error(self, message):
+        raise UsageError(message)
 
 
 # -- deterministic artifact writing -------------------------------------------
@@ -118,7 +72,6 @@ class _Emitter:
 
     def __init__(self, out_dir: str | None):
         self.out_dir = out_dir
-        self.written = []
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
         self._t0 = time.monotonic()
@@ -137,7 +90,6 @@ class _Emitter:
             os.path.join(self.out_dir, f"{name}.sidecar.json"),
             json.dumps(sidecar, sort_keys=True) + "\n",
         )
-        self.written.append(path)
 
     def table(self, name: str, header: list, columns: list) -> None:
         if self.out_dir is None:
@@ -148,7 +100,12 @@ class _Emitter:
             lines.append(",".join(f"{v:.17g}" for v in row))
         path = os.path.join(self.out_dir, f"{name}.csv")
         _write_atomic(path, "\n".join(lines) + "\n")
-        self.written.append(path)
+
+
+def _grid_table(emit: _Emitter, name: str, grid, label: str, values) -> None:
+    pts = grid.flat_points()
+    emit.table(name, [f"x{k}" for k in range(grid.dim)] + [label],
+               [pts[:, k] for k in range(grid.dim)] + [values.ravel()])
 
 
 def _finalize(report: DiagnosticReport, cfg: ExperimentConfig) -> dict:
@@ -167,8 +124,7 @@ def _run_check(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     report.meta["min_M"] = min_M_on_grid(c, grid.bounds, resolution)
     report.meta["min_M_resolution"] = resolution
     report.meta["occupation_route"] = occupation_condition_route(c)
-    payload = _finalize(report, cfg)
-    emit.report("check", payload)
+    emit.report("check", _finalize(report, cfg))
     print(report.summary())
     print(f"min_M = {report.meta['min_M']:.12g}  "
           f"route = {report.meta['occupation_route']}")
@@ -185,12 +141,7 @@ def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
         rep.meta["residual_norm"] = dens.residual_norm
         emit.report(name, _finalize(rep, cfg))
         print(rep.summary())
-    pts = grid.flat_points()
-    emit.table(
-        "density",
-        [f"x{k}" for k in range(grid.dim)] + ["rho"],
-        [pts[:, k] for k in range(grid.dim)] + [dens.rho.values.ravel()],
-    )
+    _grid_table(emit, "density", grid, "rho", dens.rho.values)
     return 0 if (pre.passed and div.passed) else 1
 
 
@@ -203,17 +154,11 @@ def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     dens = solve_density(c, grid.bounds, grid.n)
     ok = True
     for i, entry in enumerate(entries):
-        f0 = build_payload(entry["payload"], grid.dim)
-        u = evolve(c, dens, f0, float(entry["t_final"]), float(entry["dt"]))
+        u = evolve(c, dens, **cfg.entry_inputs(entry))
         rep = semigroup_contraction_check(c, u, dens)
         rep.meta["payload"] = entry["payload"]
         emit.report(f"semigroup_{i}", _finalize(rep, cfg))
-        emit.table(
-            f"semigroup_{i}_final",
-            [f"x{k}" for k in range(grid.dim)] + ["u"],
-            [grid.flat_points()[:, k] for k in range(grid.dim)]
-            + [u.values[-1].ravel()],
-        )
+        _grid_table(emit, f"semigroup_{i}_final", grid, "u", u.values[-1])
         print(rep.summary())
         ok &= rep.passed
     return 0 if ok else 1
@@ -221,13 +166,11 @@ def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     c = cfg.build_family()
-    ens = simulate_ensemble(c, cfg.start_point(), cfg.sim, workers=workers)
+    x0 = cfg.start_point()
+    ens = simulate_ensemble(c, x0, cfg.sim, workers=workers)
     report = DiagnosticReport(
         check=f"simulate[{c.family.get('name', 'custom')}]",
-        meta={
-            "x0": list(cfg.start_point()),
-            "config": cfg.sim.to_dict(),
-        },
+        meta={"x0": list(x0), "config": cfg.sim.to_dict()},
     )
     report.add(
         "all_paths_finite",
@@ -260,20 +203,6 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     return 0 if report.passed else 1
 
 
-def _variant_from_spec(spec: dict, dim: int) -> LawVariant:
-    c = None
-    if "family" in spec:
-        fam = spec["family"]
-        params = dict(fam.get("params", {}))
-        params.pop("dim", None)
-        c = builtin_family(fam["name"], dim, **params)
-    return LawVariant(
-        label=spec["label"],
-        c=c,
-        dt=spec.get("dt"),
-    )
-
-
 def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     kinds = {"uniqueness", "krylov", "feynman_kac"}
     entries = [e for e in cfg.diagnostics if e["kind"] in kinds]
@@ -282,85 +211,31 @@ def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
             "config lists no diagnostics of kind uniqueness/krylov/feynman_kac"
         )
     c = cfg.build_family()
-    grid = cfg.build_grid()
     ok = True
     for i, entry in enumerate(entries):
         kind = entry["kind"]
+        inputs = cfg.entry_inputs(entry)
         if kind == "uniqueness":
-            rep = uniqueness_probe(
-                c,
-                [_variant_from_spec(v, grid.dim) for v in entry["variants"]],
-                entry["x0"],
-                entry["t_checks"],
-                cfg.sim,
-                level=float(entry.get("level", 0.01)),
-                workers=workers,
-            )
+            rep = uniqueness_probe(c, workers=workers, **inputs)
         elif kind == "krylov":
-            sim = cfg.sim
-            if "dt" in entry:
-                sim = replace(sim, dt=float(entry["dt"]))
-            payloads = [
-                build_spacetime_payload(s, grid.dim, f"{s['type']}_{j}")
-                for j, s in enumerate(entry["payloads"])
-            ]
-            audits = krylov_audit(
-                c,
-                entry["x0"],
-                float(entry["radius"]),
-                float(entry["t_final"]),
-                payloads,
-                sim,
-                workers=workers,
-                quad_space=int(entry.get("quad_space", 65)),
-                quad_time=int(entry.get("quad_time", 64)),
-            )
-            rep = DiagnosticReport(
-                check=f"krylov_audit[{c.family.get('name', 'custom')}]",
-                meta={"audits": [], "c_hat": 0.0},
-            )
+            audits = krylov_audit(c, workers=workers, **inputs)
+            name = c.family.get("name", "custom")
+            rep = DiagnosticReport(check=f"krylov_audit[{name}]", meta={"audits": []})
             for a in audits:
-                label = a.meta["label"]
-                rep.add(
-                    f"ratio_finite[{label}]",
-                    np.isfinite(a.ratio),
-                    value=a.ratio,
-                )
-                rep.add(
-                    f"homogeneity[{label}]",
-                    a.meta["homogeneity"]["estimate_gap"] <= 1e-12,
-                    value=a.meta["homogeneity"]["estimate_gap"],
-                    threshold=1e-12,
-                )
-                rep.meta["audits"].append(
-                    {
-                        "label": label,
-                        "estimate": a.estimate,
-                        "stderr": a.stderr,
-                        "f_norm": a.f_norm,
-                        "ratio": a.ratio,
-                        "exit_fraction": a.meta["exit_fraction"],
-                        "dt": a.meta["dt"],
-                    }
-                )
-            finite = [a.ratio for a in audits if np.isfinite(a.ratio)]
-            rep.meta["c_hat"] = max(finite) if finite else 0.0
+                label, gap = a.meta["label"], a.meta["homogeneity"]["estimate_gap"]
+                rep.add(f"ratio_finite[{label}]", np.isfinite(a.ratio), value=a.ratio)
+                rep.add(f"homogeneity[{label}]", gap <= 1e-12, value=gap, threshold=1e-12)
+                rep.meta["audits"].append({
+                    "label": label, "estimate": a.estimate, "stderr": a.stderr,
+                    "f_norm": a.f_norm, "ratio": a.ratio, "dt": a.meta["dt"],
+                    "exit_fraction": a.meta["exit_fraction"],
+                })
+            finite = (a.ratio for a in audits if np.isfinite(a.ratio))
+            rep.meta["c_hat"] = max(finite, default=0.0)
         else:
-            grid_n = entry.get("grid_n", cfg.box["n"])
-            dens = solve_density(c, grid.bounds, grid_n)
-            sim = cfg.sim
-            if "mc_dt" in entry:
-                sim = replace(sim, dt=float(entry["mc_dt"]))
-            rep = feynman_kac_crosscheck(
-                c,
-                dens,
-                build_payload(entry["payload"], grid.dim),
-                entry["x0"],
-                float(entry["t_final"]),
-                sim,
-                float(entry["pde_dt"]),
-                workers=workers,
-            )
+            grid = inputs.pop("grid")
+            dens = solve_density(c, grid.bounds, grid.n)
+            rep = feynman_kac_crosscheck(c, dens, workers=workers, **inputs)
         rep.meta["entry"] = dict(entry)
         emit.report(f"diagnose_{i}_{kind}", _finalize(rep, cfg))
         print(rep.summary())
@@ -388,12 +263,10 @@ def _run_report(out_dir: str | None) -> int:
         reports.append({"file": name, "report": payload})
         digests.add(payload.get("meta", {}).get("config_digest"))
     if len(digests) > 1:
-        print(
-            f"error: reports in {out_dir} were produced from different "
-            f"configs (digests {sorted(str(d) for d in digests)})",
-            file=sys.stderr,
+        raise UsageError(
+            f"reports in {out_dir} were produced from different configs "
+            f"(digests {sorted(str(d) for d in digests)})"
         )
-        return 2
     passed = all(r["report"].get("passed", False) for r in reports)
     combined = {
         "check": "combined",
@@ -419,7 +292,7 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdelab",
         description="degenerate-diffusion laboratory batch runner",
     )
@@ -446,13 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-
-    try:
+        args = _build_parser().parse_args(argv)
         if args.subcommand == "report":
             out = args.out
             if out is None and args.config is not None:
@@ -471,13 +339,7 @@ def main(argv=None) -> int:
             raise UsageError("--workers must be at least 1")
         emit = _Emitter(cfg.output_dir)
         return _RUNNERS[args.subcommand](cfg, emit, args.workers)
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # usage, config and input errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .grids import finite_real
+
 
 class CoefficientError(ValueError):
     """Raised for invalid coefficient definitions or parameters."""
@@ -402,8 +404,7 @@ def _brownian(d: int, drift=None) -> CoefficientSet:
 
 
 def _ornstein_uhlenbeck(d: int, rate: float = 1.0) -> CoefficientSet:
-    if rate <= 0:
-        raise CoefficientError("mean-reversion rate must be positive")
+    finite_real(rate, "mean-reversion rate", CoefficientError, positive=True)
 
     def g(x):
         return -rate * x
@@ -436,8 +437,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
 
         return InverseWeight(fn, null_fn, "zero_at_origin", has_zeros=True)
 
-    if gamma <= 0:
-        raise CoefficientError("representative value at the origin must be positive")
+    finite_real(gamma, "gamma", CoefficientError, positive=True)
 
     def fn(x):
         r2 = np.sum(x * x, axis=-1)
@@ -518,8 +518,7 @@ def _piecewise_weight(d: int, cells=None, background: float = 1.0) -> Coefficien
                 "cell value must be positive so the weight stays locally integrable"
             )
         parsed.append((b, v))
-    if background <= 0.0:
-        raise CoefficientError("background value must be positive")
+    finite_real(background, "background value", CoefficientError, positive=True)
 
     def root_fn(x):
         out = np.full(x.shape[:-1], float(background))
@@ -571,8 +570,8 @@ def _hyperplane_jump(
     factor stays the identity (the matrix must remain Sobolev-regular, so the
     discontinuity lives entirely in the weight and drift).
     """
-    if weight_left <= 0 or weight_right <= 0:
-        raise CoefficientError("jump weights must be positive")
+    finite_real(weight_left, "weight_left", CoefficientError, positive=True)
+    finite_real(weight_right, "weight_right", CoefficientError, positive=True)
     gl = np.zeros(d) if drift_left is None else np.asarray(drift_left, dtype=float)
     gr = np.zeros(d) if drift_right is None else np.asarray(drift_right, dtype=float)
     if gl.shape != (d,) or gr.shape != (d,):

@@ -3,19 +3,23 @@
 A config names a coefficient family, a box with a grid resolution, a
 simulation setup and a list of requested diagnostics.  Parsing is strict:
 unknown keys anywhere are errors, so configs stay diffable and typos cannot
-silently change an experiment.  A parsed config serializes back to an
-equivalent dict, and its canonical-JSON digest identifies the experiment in
-every report written for it.
+silently change an experiment.  Every value, diagnostics entries included,
+is checked at load by building what it configures, so its owner checks it.
+Loading never rewrites the raw entries: a parsed config serializes back to an
+equivalent dict, and its canonical-JSON digest identifies the experiment.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Any, Callable
+
+import numpy as np
 
 from .coefficients import CoefficientSet, builtin_family
-from .grids import BoxGrid
+from .diagnostics import LawVariant, feynman_kac_config, krylov_config, uniqueness_configs
+from .grids import BoxGrid, SmoothBump, finite_point, finite_real, integer, step_count
 from .reporting import digest
 from .simulate import SCHEME, SimConfig
 
@@ -49,74 +53,145 @@ def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
 
 
-_PAYLOAD_SCHEMAS = {
-    "one": (set(), set()),
-    "ball_indicator": ({"radius"}, {"center"}),
-    "bump": ({"center", "radius"}, set()),
-    "gaussian": ({"center", "variance"}, set()),
-    "clipped_coordinate": ({"axis", "bound"}, set()),
+def _tagged(spec: Any, tag: str, table: dict, what: str, where: str) -> str:
+    """Check a mapping's keys against ``table[spec[tag]][:2]``; returns the tag."""
+    spec = _require_mapping(spec, where)
+    if tag not in spec:
+        raise ConfigError(f"{where} needs a {tag!r} key")
+    kind = spec[tag]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{where}: unknown {what} {kind!r}; known: {sorted(table)}")
+    required, optional = table[kind][:2]
+    _check_keys(spec, required | {tag}, optional, where)
+    return kind
+
+
+# -- payloads -----------------------------------------------------------------
+
+def _one(spec: dict, dim: int) -> Callable:
+    return lambda x: np.ones(np.asarray(x, dtype=float).shape[:-1])
+
+
+def _ball_indicator(spec: dict, dim: int) -> Callable:
+    r = finite_real(spec["radius"], "radius", positive=True)
+    c = finite_point(spec.get("center", [0.0] * dim), dim, "center")
+    return lambda x: (np.linalg.norm(np.asarray(x, float) - c, axis=-1) < r).astype(float)
+
+
+def _bump(spec: dict, dim: int) -> Callable:
+    center = finite_point(spec["center"], dim, "center")
+    bump = SmoothBump(center, finite_real(spec["radius"], "radius", positive=True))
+    return lambda x: bump(np.asarray(x, dtype=float))
+
+
+def _gaussian(spec: dict, dim: int) -> Callable:
+    c = finite_point(spec["center"], dim, "center")
+    var = finite_real(spec["variance"], "variance", positive=True)
+    return lambda x: np.exp(-np.sum((np.asarray(x, float) - c) ** 2, axis=-1) / (2 * var))
+
+
+def _clipped_coordinate(spec: dict, dim: int) -> Callable:
+    axis = integer(spec["axis"], "axis")
+    if axis >= dim:
+        raise ValueError(f"axis {axis} does not exist in dimension {dim}")
+    bound = finite_real(spec["bound"], "bound", positive=True)
+    return lambda x: np.clip(np.asarray(x, dtype=float)[..., axis], -bound, bound)
+
+
+# type: (required keys, optional keys, builder)
+_PAYLOADS = {
+    "one": (set(), set(), _one),
+    "ball_indicator": ({"radius"}, {"center"}, _ball_indicator),
+    "bump": ({"center", "radius"}, set(), _bump),
+    "gaussian": ({"center", "variance"}, set(), _gaussian),
+    "clipped_coordinate": ({"axis", "bound"}, set(), _clipped_coordinate),
 }
 
 
 def validate_payload_spec(spec: Any, where: str) -> dict:
-    spec = _require_mapping(spec, where)
-    if "type" not in spec:
-        raise ConfigError(f"{where} needs a 'type' key")
-    kind = spec["type"]
-    if kind not in _PAYLOAD_SCHEMAS:
-        raise ConfigError(
-            f"{where}: unknown payload type {kind!r}; "
-            f"known: {sorted(_PAYLOAD_SCHEMAS)}"
-        )
-    required, optional = _PAYLOAD_SCHEMAS[kind]
-    _check_keys(spec, required | {"type"}, optional, where)
+    _tagged(spec, "type", _PAYLOADS, "payload type", where)
     return dict(spec)
 
 
-_DIAG_SCHEMAS = {
+def build_payload(spec: Any, dim: int, where: str = "payload") -> Callable:
+    """Spatial payload ``f(x)`` from a payload spec, checked as it is built."""
+    validate_payload_spec(spec, where)
+    try:
+        return _PAYLOADS[spec["type"]][2](spec, dim)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def build_spacetime_payload(
+    spec: Any, dim: int, label: str | None = None, where: str = "payload"
+) -> Callable:
+    f = build_payload(spec, dim, where)
+
+    def payload(x, t):
+        return f(x)
+
+    payload.__name__ = label or spec["type"]
+    return payload
+
+
+# -- families and grids -------------------------------------------------------
+
+def _family_params(spec: Any, where: str) -> dict:
+    spec = _require_mapping(spec, where)
+    _check_keys(spec, {"name"}, {"params"}, where)
+    return dict(_require_mapping(spec.get("params", {}), f"{where}.params"))
+
+
+def _build_family(spec: Any, dim: int, where: str) -> CoefficientSet:
+    """The one family-spec builder, for the top-level family and variants."""
+    params = _family_params(spec, where)
+    fam_dim = params.pop("dim", dim)
+    if fam_dim != dim:
+        raise ConfigError(
+            f"family dimension {fam_dim} does not match the {dim}-dimensional box"
+        )
+    try:
+        return builtin_family(spec["name"], dim, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _box_grid(bounds, n, where: str) -> BoxGrid:
+    try:
+        return BoxGrid(bounds, n)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# -- diagnostics entries ------------------------------------------------------
+
+_DIAGNOSTICS = {
     "uniqueness": ({"variants", "x0", "t_checks"}, {"level"}),
     "krylov": (
-        {"x0", "radius", "t_final", "payloads"},
-        {"dt", "quad_space", "quad_time"},
+        {"x0", "radius", "t_final", "payloads"}, {"dt", "quad_space", "quad_time"}
     ),
     "feynman_kac": ({"payload", "x0", "t_final", "pde_dt"}, {"grid_n", "mc_dt"}),
     "semigroup": ({"payload", "t_final", "dt"}, set()),
 }
 
 
-def _validate_diag(entry: Any, index: int) -> dict:
-    where = f"diagnostics[{index}]"
-    entry = _require_mapping(entry, where)
-    if "kind" not in entry:
-        raise ConfigError(f"{where} needs a 'kind' key")
-    kind = entry["kind"]
-    if kind not in _DIAG_SCHEMAS:
-        raise ConfigError(
-            f"{where}: unknown kind {kind!r}; known: {sorted(_DIAG_SCHEMAS)}"
-        )
-    required, optional = _DIAG_SCHEMAS[kind]
-    _check_keys(entry, required | {"kind"}, optional, where)
-    if kind == "uniqueness":
-        variants = entry["variants"]
-        if not isinstance(variants, list) or len(variants) < 2:
-            raise ConfigError(f"{where}.variants must list at least two entries")
-        for j, var in enumerate(variants):
-            vwhere = f"{where}.variants[{j}]"
-            var = _require_mapping(var, vwhere)
-            _check_keys(var, {"label"}, {"family", "dt", "scheme"}, vwhere)
-            _check_scheme(var.get("scheme", SCHEME), vwhere)
-            if "family" in var:
-                fam = _require_mapping(var["family"], f"{vwhere}.family")
-                _check_keys(fam, {"name"}, {"params"}, f"{vwhere}.family")
-    elif kind == "krylov":
-        payloads = entry["payloads"]
-        if not isinstance(payloads, list) or not payloads:
-            raise ConfigError(f"{where}.payloads must be a non-empty list")
-        for j, spec in enumerate(payloads):
-            validate_payload_spec(spec, f"{where}.payloads[{j}]")
-    else:
-        validate_payload_spec(entry["payload"], f"{where}.payload")
-    return dict(entry)
+def _given(entry: dict, *keys) -> dict:
+    return {k: entry[k] for k in keys if k in entry}
+
+
+def _listed(entry: dict, key: str) -> list:
+    if not isinstance(entry[key], list):
+        raise ConfigError(f"{key} must be a list")
+    return entry[key]
+
+
+def _variant(spec: Any, dim: int, where: str) -> LawVariant:
+    spec = _require_mapping(spec, where)
+    _check_keys(spec, {"label"}, {"family", "dt", "scheme"}, where)
+    _check_scheme(spec.get("scheme", SCHEME), where)
+    c = (_build_family(spec["family"], dim, f"{where}.family")
+         if "family" in spec else None)
+    return LawVariant(spec["label"], c, spec.get("dt"))
 
 
 @dataclass(frozen=True)
@@ -125,7 +200,8 @@ class ExperimentConfig:
 
     ``x0`` is the common start point of simulated paths (defaults to the box
     center when absent from the ``sim`` section).  ``diagnostics`` entries
-    are kind-tagged parameter dicts consumed by the matching subcommands.
+    are kind-tagged parameter dicts consumed by the matching subcommands
+    through :meth:`entry_inputs`.
     """
 
     format_version: int
@@ -146,30 +222,25 @@ class ExperimentConfig:
             "config",
         )
         version = raw["format_version"]
-        if version != FORMAT_VERSION:
+        if isinstance(version, bool) or version != FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported format_version {version!r}; this build reads "
                 f"{FORMAT_VERSION}"
             )
 
-        family = _require_mapping(raw["family"], "family")
-        _check_keys(family, {"name"}, {"params"}, "family")
-        if "params" in family:
-            _require_mapping(family["params"], "family.params")
+        _family_params(raw["family"], "family")
 
         box = _require_mapping(raw["box"], "box")
         _check_keys(box, {"bounds", "n"}, set(), "box")
+        grid = _box_grid(box["bounds"], box["n"], "box")
 
         sim_raw = dict(_require_mapping(raw["sim"], "sim"))
         x0 = sim_raw.pop("x0", None)
         if x0 is not None:
-            x0 = tuple(float(v) for v in x0)
-        known_sim = {
-            "dt", "t_final", "n_paths", "master_seed", "scheme", "r_exit",
-            "near_degeneracy_eps",
-        }
-        _check_keys(sim_raw, {"dt", "t_final", "n_paths", "master_seed"},
-                    known_sim, "sim")
+            x0 = tuple(finite_point(x0, grid.dim, "sim.x0", ConfigError).tolist())
+        required = {f.name for f in fields(SimConfig) if f.default is MISSING}
+        optional = {f.name for f in fields(SimConfig)} | {"scheme"}
+        _check_keys(sim_raw, required, optional, "sim")
         _check_scheme(sim_raw.pop("scheme", SCHEME), "sim")
         try:
             sim = SimConfig(**sim_raw)
@@ -179,7 +250,6 @@ class ExperimentConfig:
         diags = raw.get("diagnostics", [])
         if not isinstance(diags, list):
             raise ConfigError("diagnostics must be a list")
-        diags = tuple(_validate_diag(e, i) for i, e in enumerate(diags))
 
         out = raw.get("output_dir")
         if out is not None and not isinstance(out, str):
@@ -187,15 +257,16 @@ class ExperimentConfig:
 
         cfg = ExperimentConfig(
             format_version=int(version),
-            family=dict(family),
+            family=dict(raw["family"]),
             box=dict(box),
             sim=sim,
             x0=x0,
-            diagnostics=diags,
+            diagnostics=(),
             output_dir=out,
         )
-        cfg.build_grid()
-        return cfg
+        for i, entry in enumerate(diags):
+            cfg.entry_inputs(entry, f"diagnostics[{i}]")
+        return replace(cfg, diagnostics=tuple(dict(e) for e in diags))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -245,28 +316,63 @@ class ExperimentConfig:
         return digest(payload)
 
     def build_family(self) -> CoefficientSet:
-        params = dict(self.family.get("params", {}))
-        dim = int(params.pop("dim", len(self.box["bounds"])))
-        if dim != len(self.box["bounds"]):
-            raise ConfigError(
-                f"family dimension {dim} does not match the "
-                f"{len(self.box['bounds'])}-dimensional box"
-            )
-        try:
-            return builtin_family(self.family["name"], dim, **params)
-        except ValueError as exc:
-            raise ConfigError(f"family: {exc}") from None
+        return _build_family(self.family, len(self.box["bounds"]), "family")
 
     def build_grid(self) -> BoxGrid:
+        return _box_grid(self.box["bounds"], self.box["n"], "box")
+
+    def entry_inputs(self, entry: Any, where: str = "diagnostics entry") -> dict:
+        """Keyword arguments of the library call a diagnostics entry asks for,
+        checked by that function's input check (faults are :class:`ConfigError`).
+
+        Semigroup entries call :func:`~sdelab.semigroup.evolve`, the others
+        the diagnostics function of their kind; the runner adds coefficients,
+        density and workers.  Absent optional keys are left out, so library
+        defaults apply; Feynman-Kac inputs carry the ``grid`` of their solve.
+        """
+        kind = _tagged(entry, "kind", _DIAGNOSTICS, "kind", where)
+        dim = len(self.box["bounds"])
         try:
-            return BoxGrid(self.box["bounds"], self.box["n"])
+            if kind == "semigroup":
+                step_count(entry["t_final"], entry["dt"])
+                f0 = build_payload(entry["payload"], dim)
+                return {"f0": f0, "t_final": entry["t_final"], "dt": entry["dt"]}
+            if kind == "uniqueness":
+                variants = [_variant(v, dim, f"variants[{j}]")
+                            for j, v in enumerate(_listed(entry, "variants"))]
+                inputs = {"variants": variants, "t_checks": entry["t_checks"],
+                          "cfg": self.sim, **_given(entry, "level")}
+                uniqueness_configs(**inputs)
+            elif kind == "krylov":
+                payloads = [build_spacetime_payload(s, dim, where=f"payloads[{j}]")
+                            for j, s in enumerate(_listed(entry, "payloads"))]
+                for j, f in enumerate(payloads):
+                    f.__name__ = f"{f.__name__}_{j}"  # unique labels in the report
+                inputs = {"radius": entry["radius"], "t_final": entry["t_final"],
+                          "f_dictionary": payloads, "cfg": self._entry_sim(entry, "dt"),
+                          **_given(entry, "quad_space", "quad_time")}
+                krylov_config(**inputs)
+            else:
+                grid_n = entry.get("grid_n", self.box["n"])
+                inputs = {"grid": _box_grid(self.box["bounds"], grid_n, "grid_n"),
+                          "x0": entry["x0"], "t_final": entry["t_final"],
+                          "cfg": self._entry_sim(entry, "mc_dt"),
+                          "pde_dt": entry["pde_dt"]}
+                feynman_kac_config(**inputs)
+                inputs["f0"] = build_payload(entry["payload"], dim)
+            return {**inputs, "x0": finite_point(entry["x0"], dim)}
         except ValueError as exc:
-            raise ConfigError(f"box: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
+
+    def _entry_sim(self, entry: dict, key: str) -> SimConfig:
+        """The sim config an entry runs with: its own step ``key`` if given."""
+        if key not in entry:
+            return self.sim
+        dt = finite_real(entry[key], key)
+        return replace(self.sim, t_final=entry["t_final"], dt=dt)
 
     def start_point(self):
-        if self.x0 is not None:
-            return self.x0
-        return tuple(self.build_grid().center)
+        return self.x0 if self.x0 is not None else tuple(self.build_grid().center)
 
     def with_overrides(self, out=None, seed=None) -> "ExperimentConfig":
         cfg = self

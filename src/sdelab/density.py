@@ -317,13 +317,19 @@ def solve_density(
     anchor_flat = int(np.ravel_multi_index(anchor_idx, grid.shape))
     anchor_point = np.array([grid.axes()[k][anchor_idx[k]] for k in range(grid.dim)])
 
-    n_nodes = K.shape[0]
-    A_sys = K.tolil()
-    A_sys.rows[anchor_flat] = [anchor_flat]
-    A_sys.data[anchor_flat] = [1.0]
-    rhs = np.zeros(n_nodes)
+    # the anchor row of the flux matrix becomes the identity row
+    coo = K.tocoo()
+    keep = coo.row != anchor_flat
+    A_sys = sp.csr_matrix(
+        (
+            np.append(coo.data[keep], 1.0),
+            (np.append(coo.row[keep], anchor_flat), np.append(coo.col[keep], anchor_flat)),
+        ),
+        shape=K.shape,
+    )
+    rhs = np.zeros(K.shape[0])
     rhs[anchor_flat] = 1.0
-    sol = spla.spsolve(A_sys.tocsr(), rhs)
+    sol = spla.spsolve(A_sys, rhs)
     if not np.all(np.isfinite(sol)):
         raise DensityError(
             "anchored system is singular: the flux matrix kernel has dimension "

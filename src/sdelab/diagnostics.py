@@ -32,7 +32,9 @@ from scipy.spatial.distance import cdist
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights, solve_density
-from .grids import BoxGrid, GridField
+from .grids import (
+    BoxGrid, GridField, finite_point, finite_real, grid_values, integer, step_count,
+)
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
 from .semigroup import evolve
@@ -118,6 +120,11 @@ def _energy_perm_stats(
     return 2.0 * s_xy / (n1 * n2) - s_xx / n1**2 - s_yy / n2**2
 
 
+def _check_level(level) -> None:
+    if not 0.0 < finite_real(level, "level", DiagnosticsError) < 1.0:
+        raise DiagnosticsError("level must lie in (0, 1)")
+
+
 def _normalized(raw: float, critical: float) -> float:
     if raw == 0.0:
         return 0.0
@@ -168,8 +175,7 @@ def marginal_two_sample(
         raise DiagnosticsError(
             f"ensembles have different dimensions {e1.dim} and {e2.dim}"
         )
-    if not 0.0 < level < 1.0:
-        raise DiagnosticsError("level must lie in (0, 1)")
+    _check_level(level)
     x = np.asarray(e1.state_at(t), dtype=float)
     y = np.asarray(e2.state_at(t), dtype=float)
     n1, n2 = len(x), len(y)
@@ -266,6 +272,28 @@ class LawVariant:
     dt: float | None = None
 
 
+def uniqueness_configs(
+    variants: Sequence[LawVariant], t_checks, cfg: SimConfig, level: float = 0.01
+) -> list:
+    """Checked inputs of :func:`uniqueness_probe`: one ensemble config per
+    variant.  Every check time lies on every variant's step grid, within its
+    horizon, and ``level`` in ``(0, 1)``."""
+    if len(variants) < 2:
+        raise DiagnosticsError("need at least two variants to compare")
+    if not isinstance(t_checks, (list, tuple, np.ndarray)) or len(t_checks) == 0:
+        raise DiagnosticsError("need at least one check time")
+    _check_level(level)
+    configs = []
+    for i, var in enumerate(variants):
+        name = f"dt of {var.label}"
+        dt = cfg.dt if var.dt is None else finite_real(var.dt, name, DiagnosticsError)
+        configs.append(replace(cfg, master_seed=derive_seed(cfg.master_seed, i), dt=dt))
+        for t in t_checks:
+            if step_count(t, dt, DiagnosticsError, "t", name) > configs[-1].n_steps:
+                raise DiagnosticsError(f"check time {t} is beyond t_final={cfg.t_final}")
+    return configs
+
+
 def uniqueness_probe(
     c_base: CoefficientSet,
     variants: Sequence[LawVariant],
@@ -289,20 +317,13 @@ def uniqueness_probe(
     scope restriction, not as a failure of the probe itself.
     """
     variants = list(variants)
-    if len(variants) < 2:
-        raise DiagnosticsError("need at least two variants to compare")
+    configs = uniqueness_configs(variants, t_checks, cfg, level)
     t_checks = [float(t) for t in t_checks]
-    if not t_checks:
-        raise DiagnosticsError("need at least one check time")
 
     ensembles = []
     variant_meta = []
-    for i, var in enumerate(variants):
+    for var, cfg_i in zip(variants, configs):
         c = var.c if var.c is not None else c_base
-        overrides = {"master_seed": derive_seed(cfg.master_seed, i)}
-        if var.dt is not None:
-            overrides["dt"] = float(var.dt)
-        cfg_i = replace(cfg, **overrides)
         ens = simulate_ensemble(c, x0, cfg_i, workers=workers)
         ensembles.append(ens)
         variant_meta.append(
@@ -404,19 +425,17 @@ def _path_integral_weights(
     return dt * interior + 0.5 * dt * endpoint
 
 
-def _payload_on_paths(f: Callable, ens: PathEnsemble, label: str) -> np.ndarray:
-    vals = np.asarray(
-        f(ens.states, ens.times[None, :]), dtype=float
-    )
-    if vals.shape != ens.states.shape[:2]:
+def _payload_values(f: Callable, x, t, shape: tuple, label: str, where: str) -> np.ndarray:
+    """``f(x, t)``, checked to have ``shape`` and finite values."""
+    vals = np.asarray(f(x, t), dtype=float)
+    if vals.shape != shape:
         raise DiagnosticsError(
-            f"payload {label} returned shape {vals.shape}, expected "
-            f"{ens.states.shape[:2]}"
+            f"payload {label} returned shape {vals.shape} {where}, expected {shape}"
         )
     if not np.all(np.isfinite(vals)):
         raise DiagnosticsError(
-            f"payload {label} is non-finite on simulated paths; the audit "
-            "needs functions bounded on the ball-time window"
+            f"payload {label} is non-finite {where}; the audit needs functions "
+            "bounded on the ball-time window"
         )
     return vals
 
@@ -444,19 +463,28 @@ def _mixed_norm(
     t_axis = (np.arange(n_time) + 0.5) * (t_final / n_time)
     accum = 0.0
     for t in t_axis:
-        vals = np.asarray(f(pts, np.full(len(pts), t)), dtype=float)
-        if vals.shape != (len(pts),):
-            raise DiagnosticsError(
-                f"payload {label} returned shape {vals.shape} on quadrature "
-                f"points, expected ({len(pts)},)"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise DiagnosticsError(
-                f"payload {label} is non-finite on the ball-time window"
-            )
+        vals = _payload_values(
+            f, pts, np.full(len(pts), t), (len(pts),), label, "on quadrature points"
+        )
         space = float(np.sum(np.abs(vals) ** q) * cell)
         accum += space ** (r / q) * (t_final / n_time)
     return accum ** (1.0 / r)
+
+
+def krylov_config(
+    radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig,
+    quad_space: int = 65, quad_time: int = 64,
+) -> SimConfig:
+    """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
+    at ``radius`` and run to ``t_final``.  Quadrature sizes are integers of at
+    least 1."""
+    radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
+    if not f_dictionary:
+        raise DiagnosticsError("payload dictionary is empty")
+    integer(quad_space, "quad_space", DiagnosticsError, minimum=1)
+    integer(quad_time, "quad_time", DiagnosticsError, minimum=1)
+    t_final = finite_real(t_final, "t_final", DiagnosticsError)
+    return replace(cfg, t_final=t_final, r_exit=radius)
 
 
 def krylov_audit(
@@ -480,11 +508,8 @@ def krylov_audit(
     the relative defect of estimate and ratio homogeneity in ``meta``
     (both scale linearly, so the defects sit at rounding level).
     """
-    if radius <= 0:
-        raise DiagnosticsError("radius must be positive")
-    if not f_dictionary:
-        raise DiagnosticsError("payload dictionary is empty")
-    cfg_run = replace(cfg, t_final=float(t_final), r_exit=float(radius))
+    cfg_run = krylov_config(radius, t_final, f_dictionary, cfg, quad_space, quad_time)
+    radius, t_final = cfg_run.r_exit, cfg_run.t_final
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
 
     n_slices = cfg_run.n_steps + 1
@@ -499,7 +524,10 @@ def krylov_audit(
     audits = []
     for i, f in enumerate(f_dictionary):
         label = getattr(f, "__name__", None) or f"f{i}"
-        vals = _payload_on_paths(f, ens, label)
+        vals = _payload_values(
+            f, ens.states, ens.times[None, :], ens.states.shape[:2], label,
+            "on simulated paths",
+        )
         integrals = np.sum(weights * vals, axis=1)
         estimate = float(np.mean(integrals))
         stderr = float(np.std(integrals) / math.sqrt(len(integrals)))
@@ -534,8 +562,8 @@ def krylov_audit(
                     "family": c.family.get("name", "custom"),
                     "n_paths": cfg_run.n_paths,
                     "dt": cfg_run.dt,
-                    "t_final": float(t_final),
-                    "radius": float(radius),
+                    "t_final": t_final,
+                    "radius": radius,
                     "exit_fraction": exit_fraction,
                     "master_seed": cfg_run.master_seed,
                     "quad_space": quad_space,
@@ -553,24 +581,6 @@ def krylov_audit(
 
 # -- Monte-Carlo vs PDE cross-check -------------------------------------------
 
-def _datum_on_grid(f0, grid: BoxGrid):
-    """Split the terminal payload into grid values and a point evaluator."""
-    if isinstance(f0, GridField):
-        if f0.grid.shape != grid.shape or f0.grid.bounds != grid.bounds:
-            raise DiagnosticsError("payload lives on a different grid")
-        if f0.is_vector:
-            raise DiagnosticsError("payload must be scalar")
-        return np.array(f0.values), f0.interpolate
-    if callable(f0):
-        vals = np.asarray(f0(grid.points()), dtype=float)
-        if vals.shape != grid.shape:
-            raise DiagnosticsError(
-                f"payload callable returned shape {vals.shape} on the grid"
-            )
-        return vals, f0
-    raise DiagnosticsError("payload must be a GridField or a callable")
-
-
 def _coarse_values(f0, fine_values: np.ndarray, grid_c: BoxGrid) -> np.ndarray:
     if isinstance(f0, GridField):
         d = grid_c.dim
@@ -580,6 +590,28 @@ def _coarse_values(f0, fine_values: np.ndarray, grid_c: BoxGrid) -> np.ndarray:
 
 def _point_value(grid: BoxGrid, values: np.ndarray, x0: np.ndarray) -> float:
     return float(GridField(grid, values).interpolate(x0[None, :])[0])
+
+
+def feynman_kac_config(
+    grid: BoxGrid, x0, t_final: float, cfg: SimConfig, pde_dt: float
+) -> tuple:
+    """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
+    start point and the Monte-Carlo config."""
+    x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
+    margin = grid.spacing
+    if np.any(x0 < grid.lo + margin) or np.any(x0 > grid.hi - margin):
+        raise DiagnosticsError(
+            "x0 must lie strictly inside the box, at least one spacing from "
+            "every face"
+        )
+    if step_count(t_final, pde_dt, DiagnosticsError, "t_final", "pde_dt") % 2:
+        raise DiagnosticsError(
+            "t_final / pde_dt must be even: the temporal error is estimated "
+            "at the doubled step"
+        )
+    # the comparison is defined for the free dynamics: a configured exit
+    # radius would freeze Monte-Carlo paths the PDE side keeps evolving
+    return x0, replace(cfg, t_final=float(t_final), r_exit=None)
 
 
 def feynman_kac_crosscheck(
@@ -608,29 +640,9 @@ def feynman_kac_crosscheck(
     explicit instruction to enlarge the box.
     """
     grid = dens.grid
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (grid.dim,):
-        raise DiagnosticsError(f"x0 must have shape ({grid.dim},)")
-    margin = grid.spacing
-    if np.any(x0 < grid.lo + margin) or np.any(x0 > grid.hi - margin):
-        raise DiagnosticsError(
-            "x0 must lie strictly inside the box, at least one spacing from "
-            "every face"
-        )
-    n_steps = t_final / pde_dt
-    if pde_dt <= 0 or abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
-        raise DiagnosticsError("t_final must be an integer multiple of pde_dt")
-    if int(round(n_steps)) % 2:
-        raise DiagnosticsError(
-            "t_final / pde_dt must be even: the temporal error is estimated "
-            "at the doubled step"
-        )
-
-    f_vals, f_eval = _datum_on_grid(f0, grid)
-
-    # the comparison is defined for the free dynamics: a configured exit
-    # radius would freeze Monte-Carlo paths the PDE side keeps evolving
-    cfg_run = replace(cfg, t_final=float(t_final), r_exit=None)
+    x0, cfg_run = feynman_kac_config(grid, x0, t_final, cfg, pde_dt)
+    f_vals = grid_values(f0, grid, DiagnosticsError)
+    f_eval = f0.interpolate if isinstance(f0, GridField) else f0
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
     terminal = np.asarray(f_eval(ens.state_at(t_final)), dtype=float)
     mc = float(np.mean(terminal))

@@ -2,12 +2,16 @@
 
 Everything downstream (density solves, parabolic stepping, quadrature audits)
 works on vertex-centered tensor grids over a closed box.  Fields carry their
-grid so that interpolation and gradients need no extra bookkeeping.
+grid so that interpolation and gradients need no extra bookkeeping.  The
+input rules every owner applies to its own arguments live here too; each
+raises the caller's error class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -17,12 +21,48 @@ class GridError(ValueError):
     """Raised for malformed boxes, resolutions or shape mismatches."""
 
 
+def finite_real(value, name: str, error=ValueError, positive: bool = False) -> float:
+    """``float(value)``, checked finite, not a bool, and above 0 if ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise error(f"{name} must be positive, got {value!r}")
+    return float(value)
+
+
+def integer(value, name: str, error=ValueError, minimum: int = 0) -> int:
+    """``value``, checked to be an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise error(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
+def finite_point(x, dim: int, name: str = "x0", error=ValueError) -> np.ndarray:
+    """``x`` as a float vector after checking it lists ``dim`` finite numbers."""
+    values = [finite_real(v, name, error) for v in x] if np.iterable(x) else []
+    if len(values) != dim:
+        raise error(f"{name} must list {dim} finite coordinates, got {x!r}")
+    return np.array(values)
+
+
+def step_count(t, dt, error=ValueError, t_name="t_final", dt_name="dt") -> int:
+    """Number of steps of size ``dt`` in ``t``, the one step-grid rule: both
+    finite and positive, ``t`` a whole multiple of ``dt`` to a relative 1e-9."""
+    n = finite_real(t, t_name, error, True) / finite_real(dt, dt_name, error, True)
+    k = round(n) if math.isfinite(n) else 0
+    if k < 1 or abs(n - k) > 1e-9 * max(1.0, n):
+        raise error(f"{t_name}={t} is off the step grid: "
+                    f"not an integer multiple of {dt_name}={dt}")
+    return k
+
+
 def _as_bounds(bounds) -> np.ndarray:
-    b = np.asarray(bounds, dtype=float)
+    try:
+        b = np.array([[finite_real(v, "bounds", GridError) for v in r] for r in bounds])
+    except TypeError:  # not a nested sequence
+        raise GridError(f"bounds must be a (d, 2) array, got {bounds!r}") from None
     if b.ndim != 2 or b.shape[1] != 2:
         raise GridError(f"bounds must have shape (d, 2), got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise GridError("bounds must be finite")
     if not np.all(b[:, 1] > b[:, 0]):
         raise GridError("upper bounds must exceed lower bounds")
     return b
@@ -50,14 +90,10 @@ class BoxGrid:
     def __init__(self, bounds, n):
         b = _as_bounds(bounds)
         d = b.shape[0]
-        if np.isscalar(n):
-            nn = (int(n),) * d
-        else:
-            nn = tuple(int(v) for v in n)
+        nn = (n,) * d if np.ndim(n) == 0 else tuple(n)
         if len(nn) != d:
             raise GridError(f"n has {len(nn)} entries for a {d}-dimensional box")
-        if any(v < 2 for v in nn):
-            raise GridError("need at least 2 nodes per axis")
+        nn = tuple(integer(v, "n", GridError, minimum=2) for v in nn)
         object.__setattr__(self, "bounds", tuple(map(tuple, b)))
         object.__setattr__(self, "n", nn)
 
@@ -179,6 +215,22 @@ class GridField:
 
 # -- smooth compactly supported test functions --------------------------------
 
+def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
+    """Node values of a scalar datum given as a :class:`GridField` on ``grid``
+    or as a callable evaluated at the nodes."""
+    if isinstance(f0, GridField):
+        if f0.grid.shape != grid.shape or f0.grid.bounds != grid.bounds:
+            raise error("datum lives on a different grid")
+        values = np.array(f0.values, dtype=float)
+    elif callable(f0):
+        values = np.asarray(f0(grid.points()), dtype=float)
+    else:
+        raise error("datum must be a GridField or a callable")
+    if values.shape != grid.shape:
+        raise error(f"datum has shape {values.shape} on a grid of shape {grid.shape}")
+    return values
+
+
 def _classic_profile(u: np.ndarray):
     """C-infinity bump exp(1 - 1/(1-u^2)) on (-1,1), with first two derivatives."""
     u = np.asarray(u, dtype=float)
@@ -298,9 +350,6 @@ class _TensorBump:
         c = np.array(self.center)
         r = np.array(self.radius) * self._cutoff
         return np.stack([c - r, c + r], axis=1)
-
-    def on_grid(self, grid: BoxGrid) -> GridField:
-        return GridField(grid, self(grid.points()))
 
 
 class BumpFunction(_TensorBump):

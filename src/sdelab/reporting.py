@@ -110,9 +110,6 @@ class DiagnosticReport:
             "meta": _jsonable(self.meta),
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
     def summary(self) -> str:
         lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.check}"]
         for c in self.clauses:

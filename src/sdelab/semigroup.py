@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights
-from .grids import BoxGrid, GridField
+from .grids import BoxGrid, GridField, grid_values, step_count
 from .reporting import DiagnosticReport
 
 
@@ -142,21 +142,9 @@ def evolve(
     ``f0`` is a :class:`GridField` on the density's grid or a callable
     evaluated at the nodes.  All time slices are stored.
     """
-    if dt <= 0 or t_final < dt:
-        raise SemigroupError("need dt > 0 and t_final >= dt")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise SemigroupError("t_final must be an integer multiple of dt")
-
+    n_steps = step_count(t_final, dt, SemigroupError)
     grid = dens.grid
-    if isinstance(f0, GridField):
-        if f0.grid.shape != grid.shape:
-            raise SemigroupError("initial datum lives on a different grid")
-        u0 = np.array(f0.values, dtype=float)
-    else:
-        u0 = np.asarray(f0(grid.points()), dtype=float)
-    if u0.shape != grid.shape:
-        raise SemigroupError("initial datum shape does not match the grid")
+    u0 = grid_values(f0, grid, SemigroupError)
 
     S, m = _assemble_operator(c, dens)
 

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
+from .grids import finite_point, finite_real, integer, step_count
 from .rng import block_normals, path_key
 
 _BLOCK = 4096  # fixed path-block size; results must not depend on it
@@ -37,12 +38,12 @@ class SimulationError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Ensemble configuration.
+    """Ensemble configuration, checked on construction.
 
-    ``t_final`` must be an integer multiple of ``dt`` (within rounding).
-    ``r_exit = None`` disables exit absorption.  ``near_degeneracy_eps`` sets
-    the weight threshold of the near-degeneracy tally.  The step is always
-    Euler-Maruyama (:data:`SCHEME`).
+    ``t_final`` must be an integer multiple of ``dt`` (within rounding); the
+    counts are integers.  ``r_exit = None`` disables exit absorption.
+    ``near_degeneracy_eps`` sets the weight threshold of the near-degeneracy
+    tally.  The step is always Euler-Maruyama (:data:`SCHEME`).
     """
 
     dt: float
@@ -53,23 +54,18 @@ class SimConfig:
     near_degeneracy_eps: float = 0.05
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise SimulationError("dt and t_final must be positive")
-        if self.n_paths < 1:
-            raise SimulationError("need at least one path")
-        if self.r_exit is not None and self.r_exit <= 0:
-            raise SimulationError("r_exit must be positive or None")
-        if self.near_degeneracy_eps < 0:
+        step_count(self.t_final, self.dt, SimulationError)
+        integer(self.n_paths, "n_paths", SimulationError, minimum=1)
+        integer(self.master_seed, "master_seed", SimulationError)
+        if self.r_exit is not None:
+            finite_real(self.r_exit, "r_exit", SimulationError, positive=True)
+        eps = finite_real(self.near_degeneracy_eps, "near_degeneracy_eps", SimulationError)
+        if eps < 0:
             raise SimulationError("near_degeneracy_eps must be nonnegative")
-        n = self.t_final / self.dt
-        if abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise SimulationError(
-                f"t_final={self.t_final} is not an integer multiple of dt={self.dt}"
-            )
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return step_count(self.t_final, self.dt, SimulationError)
 
     def to_dict(self) -> dict:
         return {
@@ -121,11 +117,8 @@ class PathEnsemble:
 
     def state_at(self, t: float) -> np.ndarray:
         """Marginal slice at a time on the step grid, shape ``(n_paths, d)``."""
-        k = t / self.config.dt
-        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-            raise SimulationError(f"t={t} is not on the step grid (dt={self.config.dt})")
-        k = int(round(k))
-        if not 0 <= k <= self.config.n_steps:
+        k = 0 if t == 0 else step_count(t, self.config.dt, SimulationError, "t")
+        if k > self.config.n_steps:
             raise SimulationError(f"t={t} outside the simulated horizon")
         return self.states[:, k, :]
 
@@ -151,8 +144,10 @@ def _simulate_block(
     out_states: np.ndarray,
     out_exit: np.ndarray,
     out_exploded: np.ndarray,
+    out_occ_exact: np.ndarray,
+    out_occ_near: np.ndarray,
 ) -> None:
-    """Simulate one path block, writing into preallocated slices."""
+    """Simulate one path block and its per-path tallies into preallocated slices."""
     n_steps, dt = cfg.n_steps, cfg.dt
     b = len(path_indices)
     xi_all = block_normals(cfg.master_seed, path_indices, n_steps, c.noise_dim)
@@ -188,6 +183,9 @@ def _simulate_block(
 
     out_exit[:] = exit_step
     out_exploded[:] = exploded_step
+    w = c.inv_weight(out_states[:, :n_steps, :])
+    out_occ_exact[:] = dt * np.sum(w == 0.0, axis=1)
+    out_occ_near[:] = dt * np.sum(w < cfg.near_degeneracy_eps, axis=1)
 
 
 def simulate_ensemble(
@@ -199,9 +197,7 @@ def simulate_ensemble(
     bitwise identical for any value.  Exploded paths are flagged and frozen,
     never dropped.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (c.dim,):
-        raise SimulationError(f"x0 must have shape ({c.dim},), got {x0.shape}")
+    x0 = finite_point(x0, c.dim, "x0", SimulationError)
     if workers < 1:
         raise SimulationError("workers must be at least 1")
 
@@ -209,6 +205,8 @@ def simulate_ensemble(
     states = np.empty((n, n_steps + 1, d))
     exit_step = np.empty(n, dtype=np.int64)
     exploded_step = np.empty(n, dtype=np.int64)
+    occ_exact = np.empty(n)
+    occ_near = np.empty(n)
 
     blocks = [
         np.arange(s, min(s + _BLOCK, n), dtype=np.int64) for s in range(0, n, _BLOCK)
@@ -217,7 +215,8 @@ def simulate_ensemble(
     def run(idx: np.ndarray) -> None:
         sl = slice(int(idx[0]), int(idx[-1]) + 1)
         _simulate_block(
-            c, x0, cfg, idx, states[sl], exit_step[sl], exploded_step[sl]
+            c, x0, cfg, idx, states[sl], exit_step[sl], exploded_step[sl],
+            occ_exact[sl], occ_near[sl],
         )
 
     if workers == 1 or len(blocks) == 1:
@@ -227,19 +226,10 @@ def simulate_ensemble(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, blocks))
 
-    # occupation tallies: left-endpoint rule over the first n_steps states
-    occ_exact = np.empty(n)
-    occ_near = np.empty(n)
-    eps = cfg.near_degeneracy_eps
-    for idx in blocks:
-        sl = slice(int(idx[0]), int(idx[-1]) + 1)
-        w = c.inv_weight(states[sl, :n_steps, :])
-        occ_exact[sl] = cfg.dt * np.sum(w == 0.0, axis=1)
-        occ_near[sl] = cfg.dt * np.sum(w < eps, axis=1)
-
+    path_key(cfg.master_seed, n - 1)  # every key fits in u64 if the last does
     keys = np.empty((n, 2), dtype=np.uint64)
-    for i in range(n):
-        keys[i] = path_key(cfg.master_seed, i)
+    keys[:, 0] = cfg.master_seed
+    keys[:, 1] = np.arange(n)
 
     return PathEnsemble(
         config=cfg,
@@ -345,20 +335,9 @@ def weak_error_study(
     x0 = np.asarray(x0, dtype=float)
     dts = sorted(set(float(v) for v in dt_list), reverse=True)
     fine = dts[-1]
-    ratios = []
-    for v in dts:
-        r = v / fine
-        if abs(r - round(r)) > 1e-9:
-            raise SimulationError(
-                f"dt={v} is not an integer multiple of the finest dt={fine}"
-            )
-        ratios.append(int(round(r)))
-    n_fine = int(round(t_final / fine))
-    if abs(n_fine * fine - t_final) > 1e-9 * t_final:
-        raise SimulationError("t_final must be an integer multiple of the finest dt")
-    for r in ratios:
-        if n_fine % r:
-            raise SimulationError(f"step ratio {r} does not divide {n_fine} fine steps")
+    ratios = [step_count(v, fine, SimulationError, "dt", "the finest dt") for v in dts]
+    # t_final is a whole number of steps at every level, the finest last
+    n_fine = [step_count(t_final, v, SimulationError) for v in dts][-1]
 
     m = c.noise_dim
     sums = np.zeros(len(dts))

@@ -1,14 +1,18 @@
 """Config schema and command-line front door."""
 
+import copy
 import gc
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdelab.cli import UsageError, build_payload, build_spacetime_payload, main
+from sdelab.cli import build_payload, build_spacetime_payload, main
 from sdelab.config import (
     ConfigError,
     ExperimentConfig,
@@ -33,6 +37,9 @@ def base_config(**updates):
     }
     cfg.update(updates)
     return cfg
+
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "example_config.json"
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -287,7 +294,7 @@ class TestPayloadRegistry:
         assert np.array_equal(f(np.zeros((4, 2)), 0.7), np.ones(4))
 
     def test_unknown_type(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError, match="unknown payload type"):
             build_payload({"type": "cosine"}, 2)
 
 
@@ -408,6 +415,94 @@ class TestCliExitCodes:
     def test_diagnose_without_entries(self, tmp_path):
         path = write_config(tmp_path, base_config())
         assert main(["diagnose", "--config", path]) == 2
+
+
+# Malformed values on the example config: each used to end in a traceback
+# with exit 1, a run at a meaningless setting, or exit 2 only after a report
+# had been written.
+_BAD_VALUES = [
+    ("semigroup", "diagnostics.0.dt=0.03"),
+    ("semigroup", "diagnostics.0.t_final=Infinity"),
+    ("simulate", 'sim.dt="0.01"'),
+    ("simulate", "sim.n_paths=2.5"),
+    ("simulate", "sim.x0=[NaN,0]"),
+    ("diagnose", "diagnostics.1.level=2"),
+    ("diagnose", "diagnostics.2.quad_space=0"),
+    ("diagnose", "diagnostics.2.dt=0.003"),
+    ("diagnose", "diagnostics.2.payloads.2.radius=-1"),
+]
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("subcommand, assignment", _BAD_VALUES)
+    def test_bad_value_is_usage_error_before_any_output(
+        self, tmp_path, capsys, subcommand, assignment
+    ):
+        out = tmp_path / "out"
+        rc = main([subcommand, "--config", str(EXAMPLE_CONFIG), "--set", assignment,
+                   "--out", str(out), "--workers", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists() or not os.listdir(out)
+
+    def test_entry_step_override_only_needs_its_own_horizon(self):
+        # the krylov horizon 0.6 is a multiple of dt 0.3; the sim horizon is not
+        raw = base_config(diagnostics=[{
+            "kind": "krylov", "x0": [0.0, 0.0], "radius": 1.0, "t_final": 0.6,
+            "dt": 0.3, "payloads": [{"type": "one"}],
+        }])
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.entry_inputs(cfg.diagnostics[0])["cfg"].dt == 0.3
+
+    def test_load_keeps_raw_entries(self):
+        raw = json.loads(EXAMPLE_CONFIG.read_text())
+        raw["diagnostics"][0]["dt"] = 1
+        raw["diagnostics"][0]["t_final"] = 2
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.to_dict()["diagnostics"] == raw["diagnostics"]
+        assert type(cfg.diagnostics[0]["dt"]) is int
+
+
+def _value_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _value_paths(child, prefix + (key,))
+
+
+_EXAMPLE = json.loads(EXAMPLE_CONFIG.read_text())
+_PATHS = list(_value_paths(_EXAMPLE))[1:]
+_MUTANTS = [
+    True, False, None, "x", "0.5", float("nan"), float("inf"), float("-inf"),
+    0, 0.0, -1, -0.5, 2.5, 1e300, [], {}, [0.0], [[]],
+]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_PATHS), st.sampled_from(_MUTANTS)),
+                    min_size=1, max_size=3))
+    def test_mutated_example_loads_or_raises_config_error(self, mutations):
+        raw = copy.deepcopy(_EXAMPLE)
+        for path, value in mutations:
+            node = raw
+            try:
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = copy.deepcopy(value)
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier mutation replaced a parent of this path
+        try:
+            ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            pass
 
 
 class TestCliArtifacts:

@@ -224,6 +224,19 @@ class TestUniquenessProbe:
         with pytest.raises(DiagnosticsError, match="two variants"):
             uniqueness_probe(brownian2, [LawVariant("only")], (0.0, 0.0), [0.5], cfg)
 
+    def test_familywise_level_outside_unit_interval(self, brownian2):
+        # 3 pairs x 2 times: the per-comparison level 2/6 alone looks valid
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        variants = [LawVariant("a"), LawVariant("b"), LawVariant("c")]
+        with pytest.raises(DiagnosticsError, match="level"):
+            uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.2, 0.5], cfg, level=2)
+
+    def test_check_time_off_a_variant_step_grid(self, brownian2):
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        variants = [LawVariant("a"), LawVariant("coarse", dt=0.25)]
+        with pytest.raises(DiagnosticsError, match="integer multiple of dt of coarse"):
+            uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.3], cfg)
+
     def test_common_seed_null_set_variants_bitwise_identical(self):
         # representatives differing only on the (never-visited) degeneracy
         # set produce bitwise identical chains under a common master seed
@@ -312,6 +325,15 @@ class TestKrylovAudit:
         cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
         with pytest.raises(DiagnosticsError, match="empty"):
             krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, [], cfg)
+
+    @pytest.mark.parametrize(
+        "quad", [{"quad_space": 0}, {"quad_time": 0}, {"quad_space": 8.0}]
+    )
+    def test_quadrature_sizes_are_positive_integers(self, brownian2, quad):
+        cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
+        payloads = [lambda x, t: x[..., 0]]
+        with pytest.raises(DiagnosticsError, match="quad_"):
+            krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, payloads, cfg, **quad)
 
 
 def _gauss_quarter(x):

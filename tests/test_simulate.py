@@ -63,6 +63,21 @@ class TestSimConfig:
     def test_n_steps(self):
         assert _cfg(dt=1e-3, t_final=0.25).n_steps == 250
 
+    @pytest.mark.parametrize("field", ["dt", "t_final"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_times_name_the_field(self, field, value):
+        with pytest.raises(SimulationError, match=f"{field} must be a finite number"):
+            _cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dt", "0.01"), ("dt", True), ("n_paths", 2.5), ("n_paths", True),
+         ("master_seed", 1.0), ("r_exit", math.nan), ("near_degeneracy_eps", math.nan)],
+    )
+    def test_wrong_types_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            _cfg(**{field: value})
+
 
 class TestEnsembleBasics:
     def test_initial_states(self, brownian2):
@@ -273,4 +288,11 @@ class TestWeakOrder:
             weak_error_study(
                 brownian2, [0.0, 0.0], lambda x: x[:, 0], 1.0,
                 [3e-3, 1e-3, 7e-4], 100, master_seed=0,
+            )
+
+    def test_horizon_must_be_whole_at_every_level(self, brownian2):
+        # 0.3 is three fine steps, but 1.0 is not a whole number of 0.3 steps
+        with pytest.raises(SimulationError, match="t_final=1.0 is off the step grid"):
+            weak_error_study(
+                brownian2, [0.0, 0.0], lambda x: x[:, 0], 1.0, [0.3, 0.1], 10, master_seed=0
             )
