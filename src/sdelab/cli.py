@@ -74,18 +74,20 @@ class _Emitter:
         self.out_dir = out_dir
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-        self._t0 = time.monotonic()
+        self._last = time.monotonic()
 
     def report(self, name: str, payload: dict) -> None:
         if self.out_dir is None:
             return
         path = os.path.join(self.out_dir, f"{name}.json")
         _write_atomic(path, canonical_json(payload) + "\n")
+        now = time.monotonic()
         sidecar = {
             "written_at": datetime.now(timezone.utc).isoformat(),
-            "elapsed_seconds": time.monotonic() - self._t0,
+            "elapsed_seconds": now - self._last,  # since the previous report
             "for": f"{name}.json",
         }
+        self._last = now
         _write_atomic(
             os.path.join(self.out_dir, f"{name}.sidecar.json"),
             json.dumps(sidecar, sort_keys=True) + "\n",

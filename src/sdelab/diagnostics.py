@@ -414,12 +414,10 @@ class KrylovAudit:
     meta: dict = field(default_factory=dict)
 
 
-def _path_integral_weights(
-    stop_index: np.ndarray, n_slices: int, dt: float
-) -> np.ndarray:
-    """Trapezoid weights per path over ``[0, stop_index * dt]``."""
-    k = np.arange(n_slices)[None, :]
-    stop = stop_index[:, None]
+def _path_integral_weights(ens: PathEnsemble) -> np.ndarray:
+    """Trapezoid weights per path over ``[0, stop_step * dt]``."""
+    k = np.arange(len(ens.times))[None, :]
+    stop, dt = ens.stop_step[:, None], ens.config.dt
     interior = (k > 0) & (k < stop)
     endpoint = (stop > 0) & ((k == 0) | (k == stop))
     return dt * interior + 0.5 * dt * endpoint
@@ -512,12 +510,7 @@ def krylov_audit(
     radius, t_final = cfg_run.r_exit, cfg_run.t_final
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
 
-    n_slices = cfg_run.n_steps + 1
-    stop = np.where(ens.exit_step >= 0, ens.exit_step, cfg_run.n_steps)
-    stop = np.where(
-        ens.exploded_step >= 0, np.minimum(stop, ens.exploded_step), stop
-    )
-    weights = _path_integral_weights(stop, n_slices, cfg_run.dt)
+    weights = _path_integral_weights(ens)
     exit_fraction = float(np.mean(ens.exit_step >= 0))
 
     lam = float(homogeneity_scale)

@@ -12,15 +12,16 @@ Per-path tallies track discrete occupation of the degeneracy set
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
 function of the master seed and the block's path indices, so any worker count
-produces bitwise identical ensembles.
+produces bitwise identical ensembles.  The weak-order study steps its levels
+through the same chain.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,6 +116,13 @@ class PathEnsemble:
     def exploded(self) -> np.ndarray:
         return self.exploded_step >= 0
 
+    @property
+    def stop_step(self) -> np.ndarray:
+        """First exit or explosion step of each path, ``n_steps`` if neither
+        (a stopped path has exactly one of the two)."""
+        stopped = np.maximum(self.exit_step, self.exploded_step)
+        return np.where(stopped >= 0, stopped, self.config.n_steps)
+
     def state_at(self, t: float) -> np.ndarray:
         """Marginal slice at a time on the step grid, shape ``(n_paths, d)``."""
         k = 0 if t == 0 else step_count(t, self.config.dt, SimulationError, "t")
@@ -123,69 +131,54 @@ class PathEnsemble:
         return self.states[:, k, :]
 
 
-def _step_block(
-    c: CoefficientSet,
-    x: np.ndarray,
-    xi: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """One Euler-Maruyama update for a batch of states (no bookkeeping)."""
-    root_dt = math.sqrt(dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        noise = np.einsum("bij,bj->bi", c.sigma_hat(x), xi)
-        return x + root_dt * noise + c.G(x) * dt
+def _blocks(n_paths: int) -> list:
+    """The one path-block partition: consecutive runs of ``_BLOCK`` indices."""
+    return np.split(np.arange(n_paths, dtype=np.int64), range(_BLOCK, n_paths, _BLOCK))
 
 
-def _simulate_block(
+def _euler_maruyama(
     c: CoefficientSet,
     x0: np.ndarray,
+    xi: np.ndarray,
     cfg: SimConfig,
-    path_indices: np.ndarray,
-    out_states: np.ndarray,
-    out_exit: np.ndarray,
-    out_exploded: np.ndarray,
-    out_occ_exact: np.ndarray,
-    out_occ_near: np.ndarray,
-) -> None:
-    """Simulate one path block and its per-path tallies into preallocated slices."""
-    n_steps, dt = cfg.n_steps, cfg.dt
-    b = len(path_indices)
-    xi_all = block_normals(cfg.master_seed, path_indices, n_steps, c.noise_dim)
+    exit_step: np.ndarray,
+    exploded_step: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Yield a block's states along the chain, state 0 first.
 
+    ``xi`` holds the block's normals, shape ``(b, n_steps, m)``, for steps of
+    ``cfg.dt``.  A path is absorbed once ``|X| >= cfg.r_exit`` and frozen at
+    its last finite state on a non-finite update; the first such state index
+    is written into ``exit_step`` / ``exploded_step`` (``-1`` if never).
+    The same array is yielded again once no path moves.
+    """
+    b, n_steps = xi.shape[:2]
+    root_dt = math.sqrt(cfg.dt)
     x = np.tile(x0, (b, 1))
-    out_states[:, 0] = x
-    exit_step = np.full(b, -1, dtype=np.int64)
-    exploded_step = np.full(b, -1, dtype=np.int64)
+    exit_step[:] = -1
+    exploded_step[:] = -1
     active = np.ones(b, dtype=bool)
     if cfg.r_exit is not None:
         out_now = np.linalg.norm(x, axis=1) >= cfg.r_exit
         exit_step[out_now] = 0
         active &= ~out_now
+    yield x
 
     for k in range(n_steps):
-        if not np.any(active):
-            out_states[:, k + 1] = x
-            continue
-        xn = _step_block(c, x, xi_all[:, k, :], dt)
-        bad = active & ~np.all(np.isfinite(xn), axis=1)
-        if np.any(bad):
+        if np.any(active):
+            with np.errstate(over="ignore", invalid="ignore"):
+                noise = np.einsum("bij,bj->bi", c.sigma_hat(x), xi[:, k, :])
+                xn = x + root_dt * noise + c.G(x) * cfg.dt
+            bad = active & ~np.all(np.isfinite(xn), axis=1)
             exploded_step[bad] = k + 1
             active &= ~bad
-        moved = active
-        x = np.where(moved[:, None], xn, x)
-        if cfg.r_exit is not None:
-            with np.errstate(over="ignore"):
-                crossed = moved & (np.linalg.norm(x, axis=1) >= cfg.r_exit)
-            if np.any(crossed):
+            x = np.where(active[:, None], xn, x)
+            if cfg.r_exit is not None:
+                with np.errstate(over="ignore"):
+                    crossed = active & (np.linalg.norm(x, axis=1) >= cfg.r_exit)
                 exit_step[crossed] = k + 1
                 active &= ~crossed
-        out_states[:, k + 1] = x
-
-    out_exit[:] = exit_step
-    out_exploded[:] = exploded_step
-    w = c.inv_weight(out_states[:, :n_steps, :])
-    out_occ_exact[:] = dt * np.sum(w == 0.0, axis=1)
-    out_occ_near[:] = dt * np.sum(w < cfg.near_degeneracy_eps, axis=1)
+        yield x
 
 
 def simulate_ensemble(
@@ -202,23 +195,29 @@ def simulate_ensemble(
         raise SimulationError("workers must be at least 1")
 
     n, n_steps, d = cfg.n_paths, cfg.n_steps, c.dim
-    states = np.empty((n, n_steps + 1, d))
-    exit_step = np.empty(n, dtype=np.int64)
-    exploded_step = np.empty(n, dtype=np.int64)
-    occ_exact = np.empty(n)
-    occ_near = np.empty(n)
-
-    blocks = [
-        np.arange(s, min(s + _BLOCK, n), dtype=np.int64) for s in range(0, n, _BLOCK)
-    ]
+    try:
+        states = np.empty((n, n_steps + 1, d))
+        exit_step = np.empty(n, dtype=np.int64)
+        exploded_step = np.empty(n, dtype=np.int64)
+        occ_exact = np.empty(n)
+        occ_near = np.empty(n)
+        keys = np.empty((n, 2), dtype=np.uint64)
+    except MemoryError:
+        gib = n * (n_steps + 1) * d * 8 / 2**30
+        raise SimulationError(f"states of shape {(n, n_steps + 1, d)} need {gib:.4g} GiB, "
+                              "more than can be allocated") from None
 
     def run(idx: np.ndarray) -> None:
         sl = slice(int(idx[0]), int(idx[-1]) + 1)
-        _simulate_block(
-            c, x0, cfg, idx, states[sl], exit_step[sl], exploded_step[sl],
-            occ_exact[sl], occ_near[sl],
-        )
+        xi = block_normals(cfg.master_seed, idx, n_steps, c.noise_dim)
+        chain = _euler_maruyama(c, x0, xi, cfg, exit_step[sl], exploded_step[sl])
+        for k, x in enumerate(chain):
+            states[sl, k] = x
+        w = c.inv_weight(states[sl, :n_steps, :])
+        occ_exact[sl] = cfg.dt * np.sum(w == 0.0, axis=1)
+        occ_near[sl] = cfg.dt * np.sum(w < cfg.near_degeneracy_eps, axis=1)
 
+    blocks = _blocks(n)
     if workers == 1 or len(blocks) == 1:
         for idx in blocks:
             run(idx)
@@ -227,7 +226,6 @@ def simulate_ensemble(
             list(pool.map(run, blocks))
 
     path_key(cfg.master_seed, n - 1)  # every key fits in u64 if the last does
-    keys = np.empty((n, 2), dtype=np.uint64)
     keys[:, 0] = cfg.master_seed
     keys[:, 1] = np.arange(n)
 
@@ -328,32 +326,38 @@ def weak_error_study(
     ``sqrt(r)``) for coarser levels, so successive differences of the
     estimates expose the scheme's order with the Monte Carlo noise largely
     cancelled.  Every ``dt`` must be an integer multiple of the finest one.
+    Each level is checked as a :class:`SimConfig` and steps the ensembles'
+    chain; a path that explodes at any level is an error.
 
     Returns a dict with ``dt`` (descending), ``estimates``, ``stderr`` and
     ``successive_diffs``.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = finite_point(x0, c.dim, "x0", SimulationError)
     dts = sorted(set(float(v) for v in dt_list), reverse=True)
-    fine = dts[-1]
-    ratios = [step_count(v, fine, SimulationError, "dt", "the finest dt") for v in dts]
-    # t_final is a whole number of steps at every level, the finest last
-    n_fine = [step_count(t_final, v, SimulationError) for v in dts][-1]
+    if not dts:
+        raise SimulationError("dt_list is empty")
+    fine = SimConfig(dt=dts[-1], t_final=t_final, n_paths=n_paths, master_seed=master_seed)
+    ratios = [step_count(v, fine.dt, SimulationError, "dt", "the finest dt") for v in dts]
+    levels = [replace(fine, dt=v) for v in dts]
 
     m = c.noise_dim
-    sums = np.zeros(len(dts))
-    sq_sums = np.zeros(len(dts))
-    for s in range(0, n_paths, _BLOCK):
-        idx = np.arange(s, min(s + _BLOCK, n_paths), dtype=np.int64)
+    sums, sq_sums = np.zeros((2, len(dts)))
+    for idx in _blocks(n_paths):
         b = len(idx)
-        xi_fine = block_normals(master_seed, idx, n_fine, m)
-        for li, (dv, r) in enumerate(zip(dts, ratios)):
+        xi_fine = block_normals(master_seed, idx, fine.n_steps, m)
+        exit_step, exploded_step = np.empty((2, b), dtype=np.int64)
+        for li, (level, r) in enumerate(zip(levels, ratios)):
             if r == 1:
                 xi = xi_fine
             else:
-                xi = xi_fine.reshape(b, n_fine // r, r, m).sum(axis=2) / math.sqrt(r)
-            x = np.tile(x0, (b, 1))
-            for k in range(n_fine // r):
-                x = _step_block(c, x, xi[:, k, :], dv)
+                xi = xi_fine.reshape(b, level.n_steps, r, m).sum(axis=2) / math.sqrt(r)
+            for x in _euler_maruyama(c, x0, xi, level, exit_step, exploded_step):
+                pass  # only the terminal state is needed
+            if np.any(exploded_step >= 0):
+                raise SimulationError(
+                    f"{np.sum(exploded_step >= 0)} paths of block {idx[0]}..{idx[-1]} "
+                    f"exploded (non-finite update) at dt={level.dt}"
+                )
             vals = np.asarray(payoff(x), dtype=float)
             sums[li] += vals.sum()
             sq_sums[li] += np.sum(vals * vals)

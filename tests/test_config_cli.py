@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab.cli import build_payload, build_spacetime_payload, main
+from sdelab.cli import _Emitter, build_payload, build_spacetime_payload, main
 from sdelab.config import (
     ConfigError,
     ExperimentConfig,
@@ -430,6 +430,7 @@ _BAD_VALUES = [
     ("diagnose", "diagnostics.2.quad_space=0"),
     ("diagnose", "diagnostics.2.dt=0.003"),
     ("diagnose", "diagnostics.2.payloads.2.radius=-1"),
+    ("simulate", "sim.n_paths=1000000000000"),
 ]
 
 
@@ -523,6 +524,17 @@ class TestCliArtifacts:
         sidecar = json.loads((tmp_path / "out" / "check.sidecar.json").read_text())
         assert sidecar["for"] == "check.json"
         assert "written_at" in sidecar
+
+    def test_sidecar_elapsed_time_covers_its_own_report(self, tmp_path, monkeypatch):
+        ticks = iter([10.0, 13.0, 20.0])
+        monkeypatch.setattr("sdelab.cli.time.monotonic", lambda: next(ticks))
+        emit = _Emitter(str(tmp_path))
+        emit.report("first", {})
+        emit.report("second", {})
+        monkeypatch.undo()
+        elapsed = [json.loads((tmp_path / f"{name}.sidecar.json").read_text())
+                   ["elapsed_seconds"] for name in ("first", "second")]
+        assert elapsed == [3.0, 7.0]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))

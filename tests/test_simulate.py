@@ -213,6 +213,16 @@ class TestExitAndExplosion:
         k = int(ens.exploded_step[0])
         np.testing.assert_array_equal(ens.states[0, k:], np.tile(ens.states[0, k], (101 - k, 1)))
 
+    def test_stop_step_is_first_exit_or_explosion(self):
+        c = builtin_family("brownian", 2, drift="cubic_outward")
+        exploding = simulate_ensemble(c, [2.0, 0.0], _cfg(n_paths=8))
+        np.testing.assert_array_equal(exploding.stop_step, exploding.exploded_step)
+        ens = simulate_ensemble(c, [1.0, 0.0], _cfg(n_paths=200, r_exit=3.0))
+        exited = ens.exit_step >= 0
+        assert 0 < np.sum(exited) < 200 and not np.any(ens.exploded)
+        np.testing.assert_array_equal(ens.stop_step[exited], ens.exit_step[exited])
+        np.testing.assert_array_equal(ens.stop_step[~exited], ens.config.n_steps)
+
     def test_exit_stats_requires_absorption(self, brownian2):
         ens = simulate_ensemble(brownian2, [0.0, 0.0], _cfg(n_paths=4))
         with pytest.raises(SimulationError):
@@ -296,3 +306,34 @@ class TestWeakOrder:
             weak_error_study(
                 brownian2, [0.0, 0.0], lambda x: x[:, 0], 1.0, [0.3, 0.1], 10, master_seed=0
             )
+
+    def test_exploding_paths_raise(self):
+        c = builtin_family("brownian", 2, drift="cubic_outward")
+        with pytest.raises(SimulationError, match=r"exploded .* at dt=0\.1"):
+            weak_error_study(
+                c, [3.0, 0.0], lambda x: x[:, 0], 1.0, [0.1, 0.05], 100, master_seed=0
+            )
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_paths", 0), ("n_paths", 2.5), ("x0", [math.nan, 0.0])]
+    )
+    def test_inputs_checked_like_sim_config(self, brownian2, field, value):
+        args = dict(x0=[0.0, 0.0], n_paths=10)
+        args[field] = value
+        with pytest.raises(SimulationError, match=field):
+            weak_error_study(
+                brownian2, args["x0"], lambda x: x[:, 0], 1.0, [0.1, 0.05],
+                args["n_paths"], master_seed=0,
+            )
+
+    def test_finest_level_steps_the_ensemble_chain(self, radial2):
+        # the payoff sees every level of every block, the finest last
+        seen = []
+        dts, n, seed = [0.04, 0.02, 0.01], 5000, 13
+        weak_error_study(
+            radial2, [0.5, -0.5], lambda x: seen.append(x.copy()) or x[:, 0], 0.2,
+            dts, n, master_seed=seed,
+        )
+        fine = np.concatenate(seen[len(dts) - 1 :: len(dts)])
+        ens = simulate_ensemble(radial2, [0.5, -0.5], SimConfig(0.01, 0.2, n, seed))
+        np.testing.assert_array_equal(fine, ens.states[:, -1])
