@@ -28,6 +28,7 @@ and decays at the scheme's order otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +301,8 @@ def solve_density(
     (box center by default); ``"mass"`` rescales to unit weighted mass
     afterwards.  Raises :class:`DensityError` if the anchored system is
     singular (kernel dimension above one), the solution changes sign
-    (enlarge the box or refine the grid) or the grid is too coarse for the
-    test dictionary of the residual.
+    (enlarge the box or refine the grid), the grid is too coarse for the
+    test dictionary of the residual or its arrays cannot be allocated.
     """
     grid = BoxGrid(bounds, n)
     if grid.dim != c.dim:
@@ -309,8 +310,13 @@ def solve_density(
     if normalization not in ("anchor", "mass"):
         raise DensityError(f"unknown normalization {normalization!r}")
 
-    faces = _FaceScheme(c, grid)
-    K = faces.assemble()
+    try:
+        faces = _FaceScheme(c, grid)
+        K = faces.assemble()
+    except MemoryError:
+        nodes = math.prod(grid.n)
+        raise DensityError(f"grid {list(grid.n)} of {nodes} nodes needs more memory "
+                           "than can be allocated") from None
 
     anchor_x = grid.center if anchor is None else np.asarray(anchor, dtype=float)
     anchor_idx = _nearest_node(grid, anchor_x)

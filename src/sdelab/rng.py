@@ -3,10 +3,17 @@
 Every normal variate is a pure function of ``(master_seed, path, step,
 component)``: the counter-based Philox generator is keyed by the pair
 ``(master_seed, path)``, and the draw for ``(step, component)`` sits at the
-fixed counter position ``step * m + component`` within that stream.  Variates
-are produced by inverse CDF from open-interval uniforms ``(raw + 0.5) / 2^64``,
-so no endpoint can reach 0 or 1.  Results therefore never depend on scheduling
-or worker partitioning.
+fixed counter position ``step * m + component`` within that stream.  A raw
+word is numpy's full-range ``uint64`` draw, which is the bit generator's
+``random_raw`` output unchanged.  Variates are produced by inverse CDF from
+open-interval uniforms ``(raw + 0.5) / 2^64``, so no endpoint can reach 0 or
+1.  Results therefore never depend on scheduling or worker partitioning.
+
+``path_normals`` is the definition: one fresh generator per path.
+``block_normals`` gives the same words for many paths from one bit generator
+that it re-keys for each path (counter reset to 0), since a Philox stream
+depends only on its key and counter; the tests check it against
+``path_normals`` row for row.
 """
 
 from __future__ import annotations
@@ -47,14 +54,23 @@ def block_normals(
 ) -> np.ndarray:
     """Normals for a batch of paths, shape ``(len(path_indices), n_steps, m)``.
 
-    Raw words are gathered per path (each from its own keyed stream) and the
-    inverse CDF is applied once over the whole block.
+    Row ``i`` equals ``path_normals(master_seed, path_indices[i], n_steps, m)``.
+    One Philox bit generator, local to this call because worker threads call
+    it concurrently, is re-keyed to ``(master_seed, path)`` with counter 0 for
+    each path and yields that path's ``n_steps * m`` raw words; the inverse
+    CDF is applied once over the whole block.
     """
-    raw = np.empty((len(path_indices), n_steps, m), dtype=_U64)
+    n, k = len(path_indices), n_steps * m
+    raw = np.empty((n, k), dtype=_U64)
+    bits = np.random.Philox(0)  # a fixed seed reads no OS entropy; re-keyed below
+    # Counter 0 and an empty buffer: the state of a newly keyed generator.
+    fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i, p in enumerate(path_indices):
-        g = path_generator(master_seed, int(p))
-        raw[i] = g.integers(0, 2**64, size=(n_steps, m), dtype=_U64)
-    return ndtri((raw.astype(float) + 0.5) / _TWO64)
+        fresh["state"]["key"] = path_key(master_seed, p)
+        bits.state = fresh
+        raw[i] = bits.random_raw(k)
+    return ndtri((raw.reshape(n, n_steps, m).astype(float) + 0.5) / _TWO64)
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

@@ -19,6 +19,7 @@ from sdelab.config import (
     apply_set_overrides,
     validate_payload_spec,
 )
+from sdelab.grids import BoxGrid
 
 
 def base_config(**updates):
@@ -446,6 +447,22 @@ class TestInputBoundary:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists() or not os.listdir(out)
+
+    def test_unallocatable_density_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # The node arrays of a 100001 x 100001 grid need ~75 GiB; the refusal is
+        # simulated, so the test never asks for that memory.
+        def refuse(grid):
+            raise MemoryError(f"Unable to allocate the nodes of {grid.n}")
+
+        monkeypatch.setattr(BoxGrid, "points", refuse)
+        out = tmp_path / "out"
+        rc = main(["density", "--config", str(EXAMPLE_CONFIG), "--set", "box.n=100001",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "10000200001 nodes" in err
         assert not out.exists() or not os.listdir(out)
 
     def test_entry_step_override_only_needs_its_own_horizon(self):

@@ -7,6 +7,9 @@ mean-reverting chain for the weak-order study.
 """
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,6 +46,45 @@ class TestRng:
         blk = block_normals(11, idx, 8, 2)
         for i, p in enumerate(idx):
             np.testing.assert_array_equal(blk[i], path_normals(11, int(p), 8, 2))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n_steps, m", [(5, 1), (7, 3)])
+    def test_block_matches_per_path_on_hard_shapes(self, seed, n_steps, m):
+        # n_steps * m is not a multiple of the 4 words Philox makes per counter,
+        # so a row that inherited the previous row's counter or buffered words
+        # would differ; the indices are unsorted, non-contiguous and large.
+        idx = [7, 2**64 - 1, 0, 2**40, 3]
+        for order in (idx, idx[::-1]):
+            blk = block_normals(seed, np.array(order, dtype=np.uint64), n_steps, m)
+            for i, p in enumerate(order):
+                np.testing.assert_array_equal(blk[i], path_normals(seed, p, n_steps, m))
+
+    @pytest.mark.parametrize("seed, idx", [
+        (-1, [0]), (2**64, [0]), (0, [3, 2**64]), (0, [3, -1]),
+    ])
+    def test_block_rejects_keys_outside_u64(self, seed, idx):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            block_normals(seed, idx, 4, 2)
+
+    def test_concurrent_blocks_equal_serial(self):
+        index_sets = [np.arange(k * 1000, k * 1000 + 200) for k in range(4)]
+        serial = [block_normals(13, idx, 30, 3) for idx in index_sets]
+        start = threading.Barrier(len(index_sets))
+
+        def draw(idx):
+            start.wait(timeout=30)
+            return [block_normals(13, idx, 30, 3) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(index_sets)) as pool:
+                results = list(pool.map(draw, index_sets, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, repeats in zip(serial, results):
+            for got in repeats:
+                np.testing.assert_array_equal(got, want)
 
     def test_standard_normal_moments(self):
         z = path_normals(1, 0, 50_000, 2).ravel()
