@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import finite_real
+from .grids import finite_real, squared_norm
 
 
 class CoefficientError(ValueError):
@@ -79,17 +79,26 @@ class InverseWeight:
 
 @dataclass(frozen=True)
 class DispersionFactor:
-    """Continuous d x m dispersion factor ``sigma`` with ``A = sigma sigma^T``."""
+    """Continuous d x m dispersion factor ``sigma`` with ``A = sigma sigma^T``.
+
+    ``identity`` declares that ``fn`` is the d x d identity at every point
+    (so ``m == d``).  Like :attr:`InverseWeight.has_zeros` it is declared,
+    never inferred from the callable; the path simulator then scales the
+    noise by ``sqrt(w)`` directly instead of contracting a d x d factor.
+    """
 
     dim: int
     m: int
     fn: Callable
+    identity: bool = False
 
     def __post_init__(self):
         if self.dim < 2:
             raise CoefficientError("state dimension must be at least 2")
         if self.m < 1:
             raise CoefficientError("noise dimension must be at least 1")
+        if self.identity and self.m != self.dim:
+            raise CoefficientError("an identity factor needs m == dim")
 
     def __call__(self, x) -> np.ndarray:
         x = _batchpoints(x, self.dim)
@@ -343,7 +352,7 @@ def _identity_factor(d: int) -> DispersionFactor:
     def fn(x):
         return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
 
-    return DispersionFactor(d, d, fn)
+    return DispersionFactor(d, d, fn, identity=True)
 
 
 def _unit_inverse_weight() -> InverseWeight:
@@ -366,7 +375,7 @@ def _drift_field(drift, d: int):
     if isinstance(drift, str):
         if drift == "cubic_outward":
             def fn(x):
-                return x * np.sum(x * x, axis=-1, keepdims=True)
+                return x * squared_norm(x)[..., None]
 
             return fn, True, "cubic_outward"
         raise CoefficientError(f"unknown named drift {drift!r}")
@@ -429,7 +438,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
 
     if gamma is None:
         def fn(x):
-            r2 = np.sum(x * x, axis=-1)
+            r2 = squared_norm(x)
             return r2 ** (alpha / 2.0) / phi_fn(x)
 
         def null_fn(x):
@@ -440,7 +449,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
     finite_real(gamma, "gamma", CoefficientError, positive=True)
 
     def fn(x):
-        r2 = np.sum(x * x, axis=-1)
+        r2 = squared_norm(x)
         v = r2 ** (alpha / 2.0)
         v = np.where(r2 == 0.0, gamma * gamma, v)
         return v / phi_fn(x)

@@ -5,6 +5,8 @@ simulation setup and a list of requested diagnostics.  Parsing is strict:
 unknown keys anywhere are errors, so configs stay diffable and typos cannot
 silently change an experiment.  Every value, diagnostics entries included,
 is checked at load by building what it configures, so its owner checks it.
+Sizes are checked at load too: every ensemble, grid and stored set of time
+slices a config asks for must have a shape numpy can represent.
 Loading never rewrites the raw entries: a parsed config serializes back to an
 equivalent dict, and its canonical-JSON digest identifies the experiment.
 """
@@ -19,8 +21,9 @@ import numpy as np
 
 from .coefficients import CoefficientSet, builtin_family
 from .diagnostics import LawVariant, feynman_kac_config, krylov_config, uniqueness_configs
-from .grids import BoxGrid, SmoothBump, finite_point, finite_real, integer, step_count
+from .grids import BoxGrid, SmoothBump, finite_point, finite_real, integer
 from .reporting import digest
+from .semigroup import slices_shape
 from .simulate import SCHEME, SimConfig
 
 FORMAT_VERSION = 1
@@ -244,6 +247,7 @@ class ExperimentConfig:
         _check_scheme(sim_raw.pop("scheme", SCHEME), "sim")
         try:
             sim = SimConfig(**sim_raw)
+            sim.states_shape(grid.dim)
         except ValueError as exc:
             raise ConfigError(f"sim: {exc}") from None
 
@@ -334,7 +338,7 @@ class ExperimentConfig:
         dim = len(self.box["bounds"])
         try:
             if kind == "semigroup":
-                step_count(entry["t_final"], entry["dt"])
+                slices_shape(self.build_grid(), entry["t_final"], entry["dt"])
                 f0 = build_payload(entry["payload"], dim)
                 return {"f0": f0, "t_final": entry["t_final"], "dt": entry["dt"]}
             if kind == "uniqueness":
@@ -342,7 +346,8 @@ class ExperimentConfig:
                             for j, v in enumerate(_listed(entry, "variants"))]
                 inputs = {"variants": variants, "t_checks": entry["t_checks"],
                           "cfg": self.sim, **_given(entry, "level")}
-                uniqueness_configs(**inputs)
+                for cfg in uniqueness_configs(**inputs):
+                    cfg.states_shape(dim)
             elif kind == "krylov":
                 payloads = [build_spacetime_payload(s, dim, where=f"payloads[{j}]")
                             for j, s in enumerate(_listed(entry, "payloads"))]
@@ -351,14 +356,15 @@ class ExperimentConfig:
                 inputs = {"radius": entry["radius"], "t_final": entry["t_final"],
                           "f_dictionary": payloads, "cfg": self._entry_sim(entry, "dt"),
                           **_given(entry, "quad_space", "quad_time")}
-                krylov_config(**inputs)
+                krylov_config(**inputs).states_shape(dim)
             else:
                 grid_n = entry.get("grid_n", self.box["n"])
                 inputs = {"grid": _box_grid(self.box["bounds"], grid_n, "grid_n"),
                           "x0": entry["x0"], "t_final": entry["t_final"],
                           "cfg": self._entry_sim(entry, "mc_dt"),
                           "pde_dt": entry["pde_dt"]}
-                feynman_kac_config(**inputs)
+                _, mc_cfg = feynman_kac_config(**inputs)
+                mc_cfg.states_shape(dim)
                 inputs["f0"] = build_payload(entry["payload"], dim)
             return {**inputs, "x0": finite_point(entry["x0"], dim)}
         except ValueError as exc:

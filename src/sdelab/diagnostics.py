@@ -37,7 +37,7 @@ from .grids import (
 )
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
-from .semigroup import evolve
+from .semigroup import evolve, slices_shape
 from .simulate import SCHEME, PathEnsemble, SimConfig, simulate_ensemble
 
 _PERMUTATIONS = 199
@@ -414,10 +414,11 @@ class KrylovAudit:
     meta: dict = field(default_factory=dict)
 
 
-def _path_integral_weights(ens: PathEnsemble) -> np.ndarray:
-    """Trapezoid weights per path over ``[0, stop_step * dt]``."""
-    k = np.arange(len(ens.times))[None, :]
-    stop, dt = ens.stop_step[:, None], ens.config.dt
+def _path_integral_weights(stop: np.ndarray, dt: float, n_times: int) -> np.ndarray:
+    """Trapezoid weights per path over ``[0, stop * dt]``, shape
+    ``(len(stop), n_times)``."""
+    k = np.arange(n_times)[None, :]
+    stop = stop[:, None]
     interior = (k > 0) & (k < stop)
     endpoint = (stop > 0) & ((k == 0) | (k == stop))
     return dt * interior + 0.5 * dt * endpoint
@@ -504,24 +505,30 @@ def krylov_audit(
     the audits share their randomness.  Each audit also re-runs its own
     payload scaled by ``homogeneity_scale`` on the same paths and records
     the relative defect of estimate and ratio homogeneity in ``meta``
-    (both scale linearly, so the defects sit at rounding level).
+    (both scale linearly, so the defects sit at rounding level).  Payload
+    values, weights and both integrals are formed one row block of paths at
+    a time, so no temporary spans the whole ensemble.
     """
     cfg_run = krylov_config(radius, t_final, f_dictionary, cfg, quad_space, quad_time)
     radius, t_final = cfg_run.r_exit, cfg_run.t_final
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
 
-    weights = _path_integral_weights(ens)
+    stop, n_times = ens.stop_step, len(ens.times)
     exit_fraction = float(np.mean(ens.exit_step >= 0))
 
     lam = float(homogeneity_scale)
     audits = []
     for i, f in enumerate(f_dictionary):
         label = getattr(f, "__name__", None) or f"f{i}"
-        vals = _payload_values(
-            f, ens.states, ens.times[None, :], ens.states.shape[:2], label,
-            "on simulated paths",
-        )
-        integrals = np.sum(weights * vals, axis=1)
+        integrals, scaled = np.empty((2, ens.n_paths))
+        for rows in ens.row_blocks():
+            x = ens.states[rows]
+            vals = _payload_values(
+                f, x, ens.times[None, :], x.shape[:2], label, "on simulated paths"
+            )
+            weights = _path_integral_weights(stop[rows], cfg_run.dt, n_times)
+            integrals[rows] = np.sum(weights * vals, axis=1)
+            scaled[rows] = np.sum(weights * np.asarray(lam * vals, dtype=float), axis=1)
         estimate = float(np.mean(integrals))
         stderr = float(np.std(integrals) / math.sqrt(len(integrals)))
         f_norm = _mixed_norm(
@@ -532,8 +539,7 @@ def krylov_audit(
         else:
             ratio = 0.0 if estimate == 0.0 else math.inf
 
-        scaled_vals = np.asarray(lam * vals, dtype=float)
-        est_scaled = float(np.mean(np.sum(weights * scaled_vals, axis=1)))
+        est_scaled = float(np.mean(scaled))
         norm_scaled = f_norm * lam
         denom = abs(lam * estimate) + 1e-300
         est_gap = abs(est_scaled - lam * estimate) / denom
@@ -602,6 +608,7 @@ def feynman_kac_config(
             "t_final / pde_dt must be even: the temporal error is estimated "
             "at the doubled step"
         )
+    slices_shape(grid, t_final, pde_dt, DiagnosticsError)
     # the comparison is defined for the free dynamics: a configured exit
     # radius would freeze Monte-Carlo paths the PDE side keeps evolving
     return x0, replace(cfg, t_final=float(t_final), r_exit=None)

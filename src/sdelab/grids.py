@@ -56,6 +56,49 @@ def step_count(t, dt, error=ValueError, t_name="t_final", dt_name="dt") -> int:
     return k
 
 
+def squared_norm(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x * x, axis=-1)``, bit for bit.
+
+    numpy adds fewer than 8 terms in order, so for a last axis that short,
+    accumulating the squared coordinates column by column is the same sum,
+    without a short-axis reduce (several times slower on many points).
+    """
+    if x.shape[-1] >= 8:
+        return np.sum(x * x, axis=-1)
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        s += x[..., j] * x[..., j]
+    return s
+
+
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+def _short(v: int) -> str:
+    s = str(v)
+    return s if len(s) <= 12 else f"{s[0]}.{s[1:4]}e{len(s) - 1}"
+
+
+def array_shape(shape, what: str, error=ValueError) -> tuple:
+    """``shape`` if numpy can represent a float64 array of it, else ``error``.
+
+    Representable means no more axes than numpy allows and at most
+    ``np.intp`` max bytes.  Whether that much memory can be had is left to
+    the allocation, which raises ``MemoryError``.
+    """
+    shape = tuple(int(v) for v in shape)
+    try:
+        np.empty((0,) * len(shape))  # allocates nothing; raises past numpy's axis limit
+    except ValueError:
+        raise error(f"{what} would have {len(shape)} axes, "
+                    "more than numpy allows") from None
+    if math.prod(shape) * 8 > _INTP_MAX:
+        dims = " x ".join(map(_short, shape))
+        raise error(f"{what} of shape {dims} cannot be a numpy array "
+                    f"(more than {_INTP_MAX} bytes)")
+    return shape
+
+
 def _as_bounds(bounds) -> np.ndarray:
     try:
         b = np.array([[finite_real(v, "bounds", GridError) for v in r] for r in bounds])
@@ -94,6 +137,7 @@ class BoxGrid:
         if len(nn) != d:
             raise GridError(f"n has {len(nn)} entries for a {d}-dimensional box")
         nn = tuple(integer(v, "n", GridError, minimum=2) for v in nn)
+        array_shape(nn + (d,), "grid points", GridError)
         object.__setattr__(self, "bounds", tuple(map(tuple, b)))
         object.__setattr__(self, "n", nn)
 

@@ -57,11 +57,13 @@ def block_normals(
     Row ``i`` equals ``path_normals(master_seed, path_indices[i], n_steps, m)``.
     One Philox bit generator, local to this call because worker threads call
     it concurrently, is re-keyed to ``(master_seed, path)`` with counter 0 for
-    each path and yields that path's ``n_steps * m`` raw words; the inverse
-    CDF is applied once over the whole block.
+    each path and yields that path's ``n_steps * m`` raw words, which are
+    stored as floats (the same conversion as ``astype(float)``).  The inverse
+    CDF transform then runs in place over the whole block, so the block
+    holds one array, not one per operation.
     """
     n, k = len(path_indices), n_steps * m
-    raw = np.empty((n, k), dtype=_U64)
+    u = np.empty((n, k))
     bits = np.random.Philox(0)  # a fixed seed reads no OS entropy; re-keyed below
     # Counter 0 and an empty buffer: the state of a newly keyed generator.
     fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
@@ -69,8 +71,10 @@ def block_normals(
     for i, p in enumerate(path_indices):
         fresh["state"]["key"] = path_key(master_seed, p)
         bits.state = fresh
-        raw[i] = bits.random_raw(k)
-    return ndtri((raw.reshape(n, n_steps, m).astype(float) + 0.5) / _TWO64)
+        u[i] = bits.random_raw(k)
+    u += 0.5
+    u /= _TWO64
+    return ndtri(u, out=u).reshape(n, n_steps, m)
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

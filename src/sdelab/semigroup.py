@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights
-from .grids import BoxGrid, GridField, grid_values, step_count
+from .grids import BoxGrid, GridField, array_shape, grid_values, step_count
 from .reporting import DiagnosticReport
 
 
@@ -130,6 +130,13 @@ def _check_m_matrix(S: sp.csr_matrix) -> None:
         )
 
 
+def slices_shape(grid: BoxGrid, t_final, dt, error=ValueError) -> tuple:
+    """Shape of the slices :func:`evolve` stores for ``t_final`` in steps of
+    ``dt``, checked to be a shape numpy can represent."""
+    n_steps = step_count(t_final, dt, error)
+    return array_shape((n_steps + 1,) + grid.shape, "time slices", error)
+
+
 def evolve(
     c: CoefficientSet,
     dens: DensityField,
@@ -142,8 +149,8 @@ def evolve(
     ``f0`` is a :class:`GridField` on the density's grid or a callable
     evaluated at the nodes.  All time slices are stored.
     """
-    n_steps = step_count(t_final, dt, SemigroupError)
     grid = dens.grid
+    shape = slices_shape(grid, t_final, dt, SemigroupError)
     u0 = grid_values(f0, grid, SemigroupError)
 
     S, m = _assemble_operator(c, dens)
@@ -155,11 +162,11 @@ def evolve(
     system = sp.diags(m_int) + dt * S_int
     solver = spla.splu(system.tocsc())
 
-    values = np.zeros((n_steps + 1,) + grid.shape)
+    values = np.zeros(shape)
     values[0] = u0
     u = u0.ravel()[interior]
     buf = np.zeros(int(np.prod(grid.shape)))
-    for k in range(1, n_steps + 1):
+    for k in range(1, shape[0]):
         u = solver.solve(m_int * u)
         if not np.all(np.isfinite(u)):
             raise SemigroupError(f"linear solve produced non-finite slice {k}")
@@ -167,7 +174,7 @@ def evolve(
         buf[interior] = u
         values[k] = buf.reshape(grid.shape)
 
-    times = dt * np.arange(n_steps + 1)
+    times = dt * np.arange(shape[0])
     return SpaceTimeField(
         grid=grid,
         times=times,

@@ -8,12 +8,17 @@ their last finite state if an update produces a non-finite value.
 
 Per-path tallies track discrete occupation of the degeneracy set
 (``dt * #{k < n_steps : w(X_k) = 0}``, left-endpoint rule) and of its
-``eps``-neighbourhoods in weight value (``w(X_k) < eps``).
+``eps``-neighbourhoods in weight value (``w(X_k) < eps``).  The weight
+``w(X_k)`` is evaluated once per state, inside the step: the dispersion and
+both tallies read that one array.  A dispersion factor that declares itself
+the identity steps with ``sqrt(w) xi``, with no d x m product.
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
 function of the master seed and the block's path indices, so any worker count
 produces bitwise identical ensembles.  The weak-order study steps its levels
-through the same chain.
+through the same chain.  Passes over a stored ensemble (the occupation
+profile, path integrals) run over row blocks, so their temporaries stay
+small; every per-path result is independent of that split.
 """
 
 from __future__ import annotations
@@ -26,10 +31,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .grids import finite_point, finite_real, integer, step_count
+from .grids import (
+    array_shape, finite_point, finite_real, integer, squared_norm, step_count,
+)
 from .rng import block_normals, path_key
 
 _BLOCK = 4096  # fixed path-block size; results must not depend on it
+_ROW_ELEMENTS = 2**18  # state entries per row block of a pass over an ensemble
 SCHEME = "euler_maruyama"  # the one time-stepping scheme provided
 
 
@@ -67,6 +75,11 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return step_count(self.t_final, self.dt, SimulationError)
+
+    def states_shape(self, dim: int) -> tuple:
+        """``(n_paths, n_steps + 1, dim)``, checked to be a shape numpy can
+        represent (not that the memory exists)."""
+        return array_shape((self.n_paths, self.n_steps + 1, dim), "states", SimulationError)
 
     def to_dict(self) -> dict:
         return {
@@ -130,6 +143,13 @@ class PathEnsemble:
             raise SimulationError(f"t={t} outside the simulated horizon")
         return self.states[:, k, :]
 
+    def row_blocks(self) -> Iterator[slice]:
+        """Slices of consecutive paths holding about ``_ROW_ELEMENTS`` state
+        entries each: the split for passes over the whole ensemble."""
+        n, per_path = self.n_paths, self.states.shape[1] * self.states.shape[2]
+        size = max(1, _ROW_ELEMENTS // per_path)
+        return (slice(i, min(i + size, n)) for i in range(0, n, size))
+
 
 def _blocks(n_paths: int) -> list:
     """The one path-block partition: consecutive runs of ``_BLOCK`` indices."""
@@ -143,6 +163,8 @@ def _euler_maruyama(
     cfg: SimConfig,
     exit_step: np.ndarray,
     exploded_step: np.ndarray,
+    n_zero: np.ndarray | None = None,
+    n_near: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield a block's states along the chain, state 0 first.
 
@@ -151,6 +173,13 @@ def _euler_maruyama(
     its last finite state on a non-finite update; the first such state index
     is written into ``exit_step`` / ``exploded_step`` (``-1`` if never).
     The same array is yielded again once no path moves.
+
+    The weight ``w = c.inv_weight(x)`` is evaluated once per distinct block
+    state, and a frozen block reuses the weight of its frozen state.  The
+    dispersion ``sqrt(w) sigma`` reads it, and, when given, ``n_zero`` and
+    ``n_near`` count ``w == 0`` and ``w < cfg.near_degeneracy_eps`` over
+    states ``0 .. n_steps - 1``.  A factor declared the identity steps with
+    ``sqrt(w) xi``; any other factor is contracted with ``xi``.
     """
     b, n_steps = xi.shape[:2]
     root_dt = math.sqrt(cfg.dt)
@@ -159,23 +188,38 @@ def _euler_maruyama(
     exploded_step[:] = -1
     active = np.ones(b, dtype=bool)
     if cfg.r_exit is not None:
-        out_now = np.linalg.norm(x, axis=1) >= cfg.r_exit
+        out_now = np.sqrt(squared_norm(x)) >= cfg.r_exit
         exit_step[out_now] = 0
         active &= ~out_now
     yield x
 
+    w = None  # the weight of x, once taken
     for k in range(n_steps):
-        if np.any(active):
+        if w is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                noise = np.einsum("bij,bj->bi", c.sigma_hat(x), xi[:, k, :])
+                w = c.inv_weight(x)
+        if n_zero is not None:
+            n_zero += w == 0.0
+            n_near += w < cfg.near_degeneracy_eps
+        if active.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                root = np.sqrt(w)
+                if c.factor.identity:
+                    noise = root[:, None] * xi[:, k, :]
+                    noise += 0.0  # -0.0 -> 0.0, like the contraction's zero-started sum
+                else:
+                    factor = root[:, None, None] * c.factor(x)
+                    noise = np.einsum("bij,bj->bi", factor, xi[:, k, :])
                 xn = x + root_dt * noise + c.G(x) * cfg.dt
-            bad = active & ~np.all(np.isfinite(xn), axis=1)
-            exploded_step[bad] = k + 1
-            active &= ~bad
+            w = None
+            if not np.isfinite(xn).all():
+                bad = active & ~np.all(np.isfinite(xn), axis=1)
+                exploded_step[bad] = k + 1
+                active &= ~bad
             x = np.where(active[:, None], xn, x)
             if cfg.r_exit is not None:
                 with np.errstate(over="ignore"):
-                    crossed = active & (np.linalg.norm(x, axis=1) >= cfg.r_exit)
+                    crossed = active & (np.sqrt(squared_norm(x)) >= cfg.r_exit)
                 exit_step[crossed] = k + 1
                 active &= ~crossed
         yield x
@@ -195,27 +239,28 @@ def simulate_ensemble(
         raise SimulationError("workers must be at least 1")
 
     n, n_steps, d = cfg.n_paths, cfg.n_steps, c.dim
+    shape = cfg.states_shape(d)
     try:
-        states = np.empty((n, n_steps + 1, d))
+        states = np.empty(shape)
         exit_step = np.empty(n, dtype=np.int64)
         exploded_step = np.empty(n, dtype=np.int64)
-        occ_exact = np.empty(n)
-        occ_near = np.empty(n)
+        occ_exact = np.zeros(n)
+        occ_near = np.zeros(n)
         keys = np.empty((n, 2), dtype=np.uint64)
     except MemoryError:
         gib = n * (n_steps + 1) * d * 8 / 2**30
-        raise SimulationError(f"states of shape {(n, n_steps + 1, d)} need {gib:.4g} GiB, "
+        raise SimulationError(f"states of shape {shape} need {gib:.4g} GiB, "
                               "more than can be allocated") from None
 
     def run(idx: np.ndarray) -> None:
         sl = slice(int(idx[0]), int(idx[-1]) + 1)
         xi = block_normals(cfg.master_seed, idx, n_steps, c.noise_dim)
-        chain = _euler_maruyama(c, x0, xi, cfg, exit_step[sl], exploded_step[sl])
+        chain = _euler_maruyama(c, x0, xi, cfg, exit_step[sl], exploded_step[sl],
+                                occ_exact[sl], occ_near[sl])
         for k, x in enumerate(chain):
             states[sl, k] = x
-        w = c.inv_weight(states[sl, :n_steps, :])
-        occ_exact[sl] = cfg.dt * np.sum(w == 0.0, axis=1)
-        occ_near[sl] = cfg.dt * np.sum(w < cfg.near_degeneracy_eps, axis=1)
+        occ_exact[sl] *= cfg.dt  # counts -> occupation times
+        occ_near[sl] *= cfg.dt
 
     blocks = _blocks(n)
     if workers == 1 or len(blocks) == 1:
@@ -286,20 +331,23 @@ def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
 
     For ``eps > 0`` the tally counts states with ``w(X_k) < eps``; the
     ``eps = 0`` row is the exact-zero tally.  Rows are returned in the given
-    order; occupation is monotone non-increasing as ``eps`` decreases.
+    order; occupation is monotone non-increasing as ``eps`` decreases.  The
+    weights are evaluated one row block at a time, once for all ``eps``.
     """
-    dt = ens.config.dt
+    eps_list = list(eps_list)
+    if any(eps < 0 for eps in eps_list):
+        raise SimulationError("eps must be nonnegative")
+    tallied = [eps for eps in eps_list if eps != 0.0]
+    counts = np.empty((len(tallied), ens.n_paths))
+    if tallied:
+        for rows in ens.row_blocks():
+            w = ens.coefficients.inv_weight(ens.states[rows, : ens.config.n_steps, :])
+            for count, eps in zip(counts, tallied):
+                count[rows] = np.sum(w < eps, axis=1)
+    occupations = iter(ens.config.dt * counts)
     rows = []
-    w = None
     for eps in eps_list:
-        if eps < 0:
-            raise SimulationError("eps must be nonnegative")
-        if eps == 0.0:
-            occ = ens.occupation_exact
-        else:
-            if w is None:
-                w = ens.coefficients.inv_weight(ens.states[:, : ens.config.n_steps, :])
-            occ = dt * np.sum(w < eps, axis=1)
+        occ = ens.occupation_exact if eps == 0.0 else next(occupations)
         rows.append(
             OccupationRow(
                 eps=float(eps),

@@ -432,6 +432,9 @@ _BAD_VALUES = [
     ("diagnose", "diagnostics.2.dt=0.003"),
     ("diagnose", "diagnostics.2.payloads.2.radius=-1"),
     ("simulate", "sim.n_paths=1000000000000"),
+    # sizes no numpy array can have, refused at load, not after earlier reports
+    ("diagnose", "diagnostics.3.mc_dt=1e-300"),
+    ("simulate", "sim.t_final=1e300"),
 ]
 
 

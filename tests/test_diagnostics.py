@@ -2,10 +2,14 @@
 variant probe, the occupation-functional audit and the MC-vs-PDE cross-check."""
 
 import math
+import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sdelab.diagnostics as diagnostics
 from sdelab.coefficients import (
     CoefficientSet,
     DiffusionMatrix,
@@ -320,6 +324,68 @@ class TestKrylovAudit:
         cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
         with pytest.raises(DiagnosticsError, match="shape"):
             krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, [bad], cfg)
+
+    def test_row_blocked_integrals_equal_whole_array(self, brownian2):
+        # 2000 paths of 201 states span several row blocks; half the paths
+        # leave the ball, so the trapezoid weights stop at many steps
+        cfg = SimConfig(dt=5e-3, t_final=1.0, n_paths=2000, master_seed=21)
+        payloads = [_one, _near_origin, lambda x, t: np.clip(x[..., 0] * t, -0.3, 0.3)]
+        audits = krylov_audit(brownian2, (0.0, 0.0), 1.0, 1.0, payloads, cfg, quad_time=8)
+        ens = simulate_ensemble(brownian2, (0.0, 0.0), replace(cfg, r_exit=1.0))
+        assert len(list(ens.row_blocks())) > 1 and 0 < np.mean(ens.exit_step >= 0) < 1
+        k, stop = np.arange(201)[None, :], ens.stop_step[:, None]
+        ends = (stop > 0) & ((k == 0) | (k == stop))
+        weights = 5e-3 * ((k > 0) & (k < stop)) + 2.5e-3 * ends
+        for f, audit in zip(payloads, audits):
+            vals = f(ens.states, ens.times[None, :])
+            integrals = np.sum(weights * vals, axis=1)
+            assert audit.estimate == float(np.mean(integrals))
+            assert audit.stderr == float(np.std(integrals) / math.sqrt(2000))
+            est_scaled = float(np.mean(np.sum(weights * (3.7 * vals), axis=1)))
+            gap = abs(est_scaled - 3.7 * audit.estimate)
+            assert audit.meta["homogeneity"]["estimate_gap"] == gap / (
+                abs(3.7 * audit.estimate) + 1e-300)
+
+    def test_payload_integration_peak_memory(self, brownian2, monkeypatch):
+        # traced from the moment the audit's ensemble exists: payload values,
+        # weights and products are formed per row block, far below the states
+        built = []
+
+        def simulate_then_reset_peak(*args, **kwargs):
+            ens = simulate_ensemble(*args, **kwargs)
+            built.append((ens.states.nbytes, tracemalloc.get_traced_memory()[0]))
+            tracemalloc.reset_peak()
+            return ens
+
+        monkeypatch.setattr(diagnostics, "simulate_ensemble", simulate_then_reset_peak)
+        cfg = SimConfig(dt=5e-3, t_final=1.0, n_paths=8192, master_seed=21)
+        tracemalloc.start()
+        try:
+            krylov_audit(brownian2, (0.0, 0.0), 10.0, 1.0, [_one, _near_origin], cfg,
+                         quad_space=9, quad_time=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (states_nbytes, after_ensemble), = built
+        assert peak - after_ensemble < states_nbytes / 4
+
+    def test_non_finite_in_last_row_block_only(self, brownian2):
+        cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=1500, master_seed=9)
+        ens = simulate_ensemble(brownian2, (0.0, 0.0), replace(cfg, r_exit=10.0))
+        last = list(ens.row_blocks())[-1]
+        assert last.start > 0
+        marked = ens.states[-1, 7, 0]  # one state of the last path
+
+        def spike(x, t):
+            return np.where(x[..., 0] == marked, np.inf, 1.0)
+
+        spike.__name__ = "spike"
+        message = ("payload spike is non-finite on simulated paths; the audit needs "
+                   "functions bounded on the ball-time window")
+        with pytest.raises(DiagnosticsError, match=f"^{re.escape(message)}$"):
+            krylov_audit(brownian2, (0.0, 0.0), 10.0, 0.5, [spike], cfg)
+        first_rows = spike(ens.states[: last.start], ens.times[None, :])
+        assert np.all(np.isfinite(first_rows))
 
     def test_empty_dictionary_rejected(self, brownian2):
         cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)

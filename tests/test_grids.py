@@ -65,6 +65,14 @@ class TestBoxGrid:
         with pytest.raises(GridError):
             BoxGrid([[0.0, np.inf], [0.0, 1.0]], 4)
 
+    def test_sizes_no_array_can_have(self):
+        # refused by shape arithmetic alone: nothing is allocated
+        with pytest.raises(GridError, match=r"1\.000e30 x 1\.000e30 x 2 cannot be a numpy"):
+            BoxGrid(BOX2, 10**30)
+        with pytest.raises(GridError, match="65 axes, more than numpy allows"):
+            BoxGrid([[0.0, 1.0]] * 64, 2)
+        assert BoxGrid(BOX2, 10**8).n == (10**8, 10**8)  # representable, never built
+
     @given(st.integers(2, 20), st.integers(2, 20))
     def test_point_count(self, n0, n1):
         g = BoxGrid(BOX2, (n0, n1))

@@ -6,17 +6,21 @@ plain-loop Euler scheme, and the analytic step-size bias of the
 mean-reverting chain for the weak-order study.
 """
 
+import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from sdelab import builtin_family
+from sdelab.coefficients import DiffusionMatrix, DispersionFactor
 from sdelab.rng import block_normals, derive_seed, path_normals
 from sdelab.simulate import (
+    _BLOCK,
     PathEnsemble,
     SimConfig,
     SimulationError,
@@ -308,6 +312,137 @@ class TestOccupation:
         ens = simulate_ensemble(radial2, [1.0, 0.0], cfg)
         w = np.sum(ens.states[:, :100, :] ** 2, axis=2) ** 0.125
         np.testing.assert_allclose(ens.occupation_near, 1e-2 * np.sum(w < 0.8, axis=1))
+
+
+def _posthoc_occupation(ens, eps):
+    """Occupation times ``dt * #{k < n_steps : w(X_k) < eps}`` (``== 0`` for
+    ``eps == 0``) from one weight evaluation over every stored state."""
+    with np.errstate(over="ignore"):  # exploded paths freeze at huge states
+        w = ens.coefficients.inv_weight(ens.states[:, : ens.config.n_steps])
+    hits = w == 0.0 if eps == 0.0 else w < eps
+    return ens.config.dt * np.sum(hits, axis=1)
+
+
+_PROFILE_EPS = [0.2, 0.1, 0.05, 0.025, 0.0, 1.5]
+
+
+class TestFusedTallies:
+    """The tallies the step takes from its own weight evaluation equal a
+    post-hoc evaluation over the stored states, exactly."""
+
+    @pytest.mark.parametrize("family, x0, kw, stops", [
+        # every path stops at once: the start lies outside the exit ball
+        (dict(alpha=0.25), [3.0, 0.0], dict(r_exit=2.0), "all"),
+        # every path leaves the ball early under the cubic outward drift
+        (dict(alpha=0.25, drift="cubic_outward"), [1.8, 0.0], dict(r_exit=3.0), "all"),
+        # every path explodes: the cubic drift with no exit ball
+        (dict(alpha=0.25, drift="cubic_outward"), [2.0, 0.0], {}, "all"),
+        # the exact-zero version traps every path at the origin, w == 0
+        (dict(alpha=0.25), [0.0, 0.0], {}, "none"),
+        # more than one block, some paths exit and some do not
+        (dict(alpha=0.25, gamma=1.0), [0.5, -0.5], dict(r_exit=1.2, n_paths=_BLOCK + 37),
+         "some"),
+    ])
+    def test_tallies_equal_posthoc_weights(self, family, x0, kw, stops):
+        c = builtin_family("radial_degenerate", 2, **family)
+        cfg = _cfg(**{"n_paths": 300, "t_final": 0.5, "near_degeneracy_eps": 1.5, **kw})
+        ens = simulate_ensemble(c, x0, cfg, workers=2)
+        stopped = ens.stop_step < cfg.n_steps
+        assert {"all": stopped.all(), "none": not stopped.any(),
+                "some": 0 < stopped.sum() < cfg.n_paths}[stops]
+        np.testing.assert_array_equal(ens.occupation_exact, _posthoc_occupation(ens, 0.0))
+        np.testing.assert_array_equal(ens.occupation_near, _posthoc_occupation(ens, 1.5))
+        with np.errstate(over="ignore"):
+            rows = occupation_profile(ens, _PROFILE_EPS)
+        for row, eps in zip(rows, _PROFILE_EPS):
+            occ = _posthoc_occupation(ens, eps)
+            assert (row.mean_occupation, row.max_occupation) == (np.mean(occ), np.max(occ))
+
+
+def _with_factor(c, fn):
+    """``c`` with an undeclared d x d dispersion factor ``fn``; ``A`` follows it."""
+    d = c.dim
+    factor = DispersionFactor(d, d, fn)
+
+    def a_fn(x):
+        s = factor(x)
+        return np.einsum("...ik,...jk->...ij", s, s)
+
+    return dataclasses.replace(
+        c, factor=factor, matrix=DiffusionMatrix(d, a_fn, lambda x: np.zeros(x.shape))
+    )
+
+
+class TestDeclaredIdentityFactor:
+    """The declared identity steps with ``sqrt(w) xi``; the result must be the
+    general contraction's, bit for bit, not within a tolerance."""
+
+    def test_builtin_families_declare_it(self, brownian2, ou2, radial2, piecewise2, jump2):
+        for c in (brownian2, ou2, radial2, piecewise2, jump2):
+            assert c.factor.identity
+        with pytest.raises(ValueError, match="m == dim"):
+            DispersionFactor(2, 3, lambda x: np.zeros(x.shape[:-1] + (2, 3)), identity=True)
+
+    @pytest.mark.parametrize("d, family, x0, r_exit", [
+        (2, dict(alpha=0.25), [0.5, -0.3], 1.5),
+        (3, dict(alpha=0.5, gamma=1.0, drift="cubic_outward"), [0.2, 0.1, -0.4], 2.0),
+        (2, dict(alpha=0.25, drift="cubic_outward"), [1.8, 0.0], None),  # explodes
+        # w == 0 at a start with a negative zero: the noise is a signed zero,
+        # and the drift -0.0 keeps it visible in the state
+        (2, dict(alpha=0.25, drift="cubic_outward"), [-0.0, 0.0], None),
+    ])
+    def test_undeclared_identity_gives_the_same_states(self, d, family, x0, r_exit):
+        declared = builtin_family("radial_degenerate", d, **family)
+        undeclared = _with_factor(declared, declared.factor.fn)
+        assert not undeclared.factor.identity
+        cfg = _cfg(n_paths=300, t_final=0.5, r_exit=r_exit)
+        want = simulate_ensemble(declared, x0, cfg)
+        got = simulate_ensemble(undeclared, x0, cfg)
+        for name in ("states", "exit_step", "exploded_step", "occupation_exact",
+                     "occupation_near"):
+            a, b = getattr(got, name), getattr(want, name)
+            np.testing.assert_array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    def test_rotated_factor_against_plain_loop(self):
+        # sigma = 0.8 R(0.3), constant: the general contraction, checked path
+        # by path against an independently coded loop on the same normals
+        theta = 0.3
+        rot = 0.8 * np.array([[math.cos(theta), -math.sin(theta)],
+                              [math.sin(theta), math.cos(theta)]])
+        drift = np.array([0.2, 0.0])
+        base = builtin_family("radial_degenerate", 2, alpha=0.5, gamma=1.0, drift=drift)
+        c = _with_factor(base, lambda x: np.broadcast_to(rot, x.shape[:-1] + (2, 2)).copy())
+        cfg = _cfg(n_paths=12, dt=0.01, t_final=0.5, master_seed=3)
+        ens = simulate_ensemble(c, [0.4, -0.2], cfg)
+        for p in range(cfg.n_paths):
+            x = np.array([0.4, -0.2])
+            xi = path_normals(3, p, cfg.n_steps, 2)
+            for k in range(cfg.n_steps):
+                root = math.sqrt(float(np.sum(x * x)) ** 0.25)  # w = |x|^0.5 off 0
+                x = x + math.sqrt(cfg.dt) * root * (rot @ xi[k]) + drift * cfg.dt
+                np.testing.assert_allclose(ens.states[p, k + 1], x, rtol=1e-12, atol=1e-14)
+
+
+class TestRowBlocks:
+    def test_occupation_profile_peak_memory(self):
+        # 16384 x 200 states take 52 MB; the profile's weights are taken one
+        # row block at a time, so its traced peak is a small fraction of that
+        c = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0)
+        ens = simulate_ensemble(c, [0.3, 0.0], _cfg(n_paths=16_384, dt=5e-3), workers=2)
+        assert len(list(ens.row_blocks())) > 1
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows = occupation_profile(ens, _PROFILE_EPS)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.states.nbytes / 4
+        w = c.inv_weight(ens.states[:, :-1])
+        for row, eps in zip(rows, _PROFILE_EPS):
+            occ = ens.occupation_exact if eps == 0.0 else 5e-3 * np.sum(w < eps, axis=1)
+            assert (row.mean_occupation, row.max_occupation) == (np.mean(occ), np.max(occ))
 
 
 class TestWeakOrder:
