@@ -44,7 +44,7 @@ from .diagnostics import (
     marginal_two_sample,
     uniqueness_probe,
 )
-from .grids import BoxGrid, BumpFunction, GridField, SmoothBump
+from .grids import BoxGrid, GridField, SmoothBump
 from .reporting import Clause, DiagnosticReport, canonical_json, digest
 from .rng import derive_seed, path_normals
 from .semigroup import (
@@ -64,7 +64,6 @@ from .simulate import (
 
 __all__ = [
     "BoxGrid",
-    "BumpFunction",
     "Clause",
     "CoefficientSet",
     "ConditionMargin",

@@ -51,8 +51,8 @@ def _batchpoints(x, d: int) -> np.ndarray:
 class InverseWeight:
     """Pointwise-defined Borel version of the inverse weight ``w = 1/psi``.
 
-    ``fn`` evaluates ``w >= 0``; ``null_fn`` decides membership in the
-    degeneracy set ``Z = {sqrt(w) = 0}`` by exact evaluation (no tolerance).
+    ``fn`` evaluates ``w >= 0``.  The degeneracy set of this version is its
+    zero set ``Z = {w = 0}``, decided by exact evaluation (no tolerance).
     ``representative_tag`` names the chosen version: versions that differ only
     on a Lebesgue-null set induce the same equation class but distinct
     simulators, which is exactly what the law diagnostics compare.
@@ -62,7 +62,6 @@ class InverseWeight:
     """
 
     fn: Callable
-    null_fn: Callable
     representative_tag: str
     has_zeros: bool
 
@@ -71,10 +70,8 @@ class InverseWeight:
         return v
 
     def null_set_indicator(self, x) -> np.ndarray:
-        return np.asarray(self.null_fn(np.asarray(x, dtype=float)), dtype=bool)
-
-    def sqrt(self, x) -> np.ndarray:
-        return np.sqrt(self(x))
+        """Whether each point lies in the degeneracy set ``{w = 0}``."""
+        return self(x) == 0.0
 
 
 @dataclass(frozen=True)
@@ -179,6 +176,13 @@ class Exponents:
     s: float
 
 
+def companion_ok(q: float, s: float, d: int) -> bool:
+    """Whether ``(q, s)`` satisfies ``s > d/2`` and ``1/q + 1/s < 2/d``."""
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    inv_s = 0.0 if math.isinf(s) else 1.0 / s
+    return s > d / 2.0 and inv_q + inv_s < 2.0 / d
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Complete coefficient bundle for one equation.
@@ -208,9 +212,7 @@ class CoefficientSet:
             raise CoefficientError(f"need q > d/2, got q={e.q}")
         if not e.s > d / 2:
             raise CoefficientError(f"need s > d/2, got s={e.s}")
-        if (0.0 if math.isinf(e.q) else 1.0 / e.q) + (
-            0.0 if math.isinf(e.s) else 1.0 / e.s
-        ) >= 2.0 / d:
+        if not companion_ok(e.q, e.s, d):
             raise CoefficientError("need 1/q + 1/s < 2/d")
 
     @property
@@ -251,7 +253,7 @@ def eval_sigma_hat(c: CoefficientSet, x) -> np.ndarray:
     there; no special casing.
     """
     x = _batchpoints(x, c.dim)
-    root = c.inv_weight.sqrt(x)
+    root = np.sqrt(c.inv_weight(x))
     return root[..., None, None] * c.factor(x)
 
 
@@ -334,53 +336,47 @@ def estimate_ellipticity(
 
 # -- builtin families ---------------------------------------------------------
 
-def _identity_matrix_field(d: int) -> DiffusionMatrix:
+def _family(d: int, name: str, params: dict, inv_weight: InverseWeight, drift,
+            psi_drift, q: float = math.inf) -> CoefficientSet:
+    """A builtin family: identity ``A`` and ``sigma``, ``p = 2d+2``, and the
+    companion ``s`` with ``1/s = (2/d - 1/q)/2``, strictly inside its window."""
     eye = np.eye(d)
 
-    def fn(x):
+    def identity(x):
         return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
 
-    def zero_div(x):
-        return np.zeros(x.shape)
-
-    return DiffusionMatrix(d, fn, zero_div)
-
-
-def _identity_factor(d: int) -> DispersionFactor:
-    eye = np.eye(d)
-
-    def fn(x):
-        return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
-
-    return DispersionFactor(d, d, fn, identity=True)
-
-
-def _unit_inverse_weight() -> InverseWeight:
-    return InverseWeight(
-        fn=lambda x: np.ones(x.shape[:-1]),
-        null_fn=lambda x: np.zeros(x.shape[:-1], dtype=bool),
-        representative_tag="unit",
-        has_zeros=False,
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    return CoefficientSet(
+        matrix=DiffusionMatrix(d, identity, lambda x: np.zeros(x.shape)),
+        factor=DispersionFactor(d, d, identity, identity=True),
+        inv_weight=inv_weight,
+        drift=drift,
+        psi_drift=psi_drift,
+        exponents=Exponents(p=2 * d + 2, q=q, s=2.0 / (2.0 / d - inv_q)),
+        family={"name": name, "dim": d, "params": params},
     )
+
+
+_UNIT_WEIGHT = InverseWeight(lambda x: np.ones(x.shape[:-1]), "unit", has_zeros=False)
 
 
 def _drift_field(drift, d: int):
     """Normalize a drift spec (None | const vector | named | callable).
 
-    Returns ``(fn, locally_bounded, spec)`` where ``spec`` is the
-    JSON-serializable form used in family metadata.
+    Returns ``(fn, spec)`` where ``spec`` is the JSON-serializable form used
+    in family metadata.
     """
     if drift is None:
-        return (lambda x: np.zeros(x.shape)), True, None
+        return (lambda x: np.zeros(x.shape)), None
     if isinstance(drift, str):
         if drift == "cubic_outward":
             def fn(x):
                 return x * squared_norm(x)[..., None]
 
-            return fn, True, "cubic_outward"
+            return fn, "cubic_outward"
         raise CoefficientError(f"unknown named drift {drift!r}")
     if callable(drift):
-        return drift, True, "<callable>"
+        return drift, "<callable>"
     g = np.asarray(drift, dtype=float)
     if g.shape != (d,):
         raise CoefficientError(f"constant drift must have shape ({d},)")
@@ -388,28 +384,12 @@ def _drift_field(drift, d: int):
     def fn(x):
         return np.broadcast_to(g, x.shape).copy()
 
-    return fn, True, g.tolist()
-
-
-def _companion_s(d: int, q: float) -> float:
-    # 1/s = (2/d - 1/q)/2 sits strictly inside the admissible window.
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    return 2.0 / (2.0 / d - inv_q)
+    return fn, g.tolist()
 
 
 def _brownian(d: int, drift=None) -> CoefficientSet:
-    g, bounded, spec = _drift_field(drift, d)
-    q = math.inf
-    return CoefficientSet(
-        matrix=_identity_matrix_field(d),
-        factor=_identity_factor(d),
-        inv_weight=_unit_inverse_weight(),
-        drift=g,
-        psi_drift=g,
-        exponents=Exponents(p=2 * d + 2, q=q, s=_companion_s(d, q)),
-        family={"name": "brownian", "dim": d, "params": {"drift": spec}},
-        drift_locally_bounded=bounded,
-    )
+    g, spec = _drift_field(drift, d)
+    return _family(d, "brownian", {"drift": spec}, _UNIT_WEIGHT, g, g)
 
 
 def _ornstein_uhlenbeck(d: int, rate: float = 1.0) -> CoefficientSet:
@@ -418,16 +398,7 @@ def _ornstein_uhlenbeck(d: int, rate: float = 1.0) -> CoefficientSet:
     def g(x):
         return -rate * x
 
-    q = math.inf
-    return CoefficientSet(
-        matrix=_identity_matrix_field(d),
-        factor=_identity_factor(d),
-        inv_weight=_unit_inverse_weight(),
-        drift=g,
-        psi_drift=g,
-        exponents=Exponents(p=2 * d + 2, q=q, s=_companion_s(d, q)),
-        family={"name": "ornstein_uhlenbeck", "dim": d, "params": {"rate": rate}},
-    )
+    return _family(d, "ornstein_uhlenbeck", {"rate": rate}, _UNIT_WEIGHT, g, g)
 
 
 def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
@@ -441,10 +412,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
             r2 = squared_norm(x)
             return r2 ** (alpha / 2.0) / phi_fn(x)
 
-        def null_fn(x):
-            return np.all(x == 0.0, axis=-1)
-
-        return InverseWeight(fn, null_fn, "zero_at_origin", has_zeros=True)
+        return InverseWeight(fn, "zero_at_origin", has_zeros=True)
 
     finite_real(gamma, "gamma", CoefficientError, positive=True)
 
@@ -454,10 +422,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
         v = np.where(r2 == 0.0, gamma * gamma, v)
         return v / phi_fn(x)
 
-    def null_fn(x):
-        return np.zeros(x.shape[:-1], dtype=bool)
-
-    return InverseWeight(fn, null_fn, f"origin_value={gamma:g}", has_zeros=False)
+    return InverseWeight(fn, f"origin_value={gamma:g}", has_zeros=False)
 
 
 def _radial_degenerate(
@@ -476,7 +441,7 @@ def _radial_degenerate(
             f"alpha={alpha} out of admissible range (0, 2) for a locally "
             "integrable weight with q > d/2"
         )
-    g, bounded, spec = _drift_field(drift, d)
+    g, spec = _drift_field(drift, d)
     iw = _radial_inverse_weight(d, alpha, gamma, phi)
 
     if q is None:
@@ -497,16 +462,7 @@ def _radial_degenerate(
         psi_g = lambda x: np.zeros(x.shape)
 
     params = {"alpha": alpha, "gamma": gamma, "drift": spec}
-    return CoefficientSet(
-        matrix=_identity_matrix_field(d),
-        factor=_identity_factor(d),
-        inv_weight=iw,
-        drift=g,
-        psi_drift=psi_g,
-        exponents=Exponents(p=2 * d + 2, q=q, s=_companion_s(d, q)),
-        family={"name": "radial_degenerate", "dim": d, "params": params},
-        drift_locally_bounded=bounded,
-    )
+    return _family(d, "radial_degenerate", params, iw, g, psi_g, q)
 
 
 def _piecewise_weight(d: int, cells=None, background: float = 1.0) -> CoefficientSet:
@@ -536,33 +492,16 @@ def _piecewise_weight(d: int, cells=None, background: float = 1.0) -> Coefficien
             out = np.where(inside, v, out)
         return out
 
-    iw = InverseWeight(
-        fn=lambda x: root_fn(x) ** 2,
-        null_fn=lambda x: np.zeros(x.shape[:-1], dtype=bool),
-        representative_tag="piecewise_cells",
-        has_zeros=False,
-    )
+    iw = InverseWeight(lambda x: root_fn(x) ** 2, "piecewise_cells", has_zeros=False)
 
-    def psi_g(x):
+    def zero(x):
         return np.zeros(x.shape)
 
-    q = math.inf
     spec_cells = [
         {"bounds": b.tolist(), "value": v} for b, v in parsed
     ]
-    return CoefficientSet(
-        matrix=_identity_matrix_field(d),
-        factor=_identity_factor(d),
-        inv_weight=iw,
-        drift=lambda x: np.zeros(x.shape),
-        psi_drift=psi_g,
-        exponents=Exponents(p=2 * d + 2, q=q, s=_companion_s(d, q)),
-        family={
-            "name": "piecewise_weight",
-            "dim": d,
-            "params": {"cells": spec_cells, "background": background},
-        },
-    )
+    params = {"cells": spec_cells, "background": background}
+    return _family(d, "piecewise_weight", params, iw, zero, zero)
 
 
 def _hyperplane_jump(
@@ -590,9 +529,8 @@ def _hyperplane_jump(
         return x[..., 0] >= 0.0
 
     iw = InverseWeight(
-        fn=lambda x: np.where(side(x), weight_right**2, weight_left**2),
-        null_fn=lambda x: np.zeros(x.shape[:-1], dtype=bool),
-        representative_tag="hyperplane_sides",
+        lambda x: np.where(side(x), weight_right**2, weight_left**2),
+        "hyperplane_sides",
         has_zeros=False,
     )
 
@@ -604,25 +542,13 @@ def _hyperplane_jump(
             side(x)[..., None], gr / weight_right**2, gl / weight_left**2
         )
 
-    q = math.inf
-    return CoefficientSet(
-        matrix=_identity_matrix_field(d),
-        factor=_identity_factor(d),
-        inv_weight=iw,
-        drift=g,
-        psi_drift=psi_g,
-        exponents=Exponents(p=2 * d + 2, q=q, s=_companion_s(d, q)),
-        family={
-            "name": "hyperplane_jump",
-            "dim": d,
-            "params": {
-                "weight_left": weight_left,
-                "weight_right": weight_right,
-                "drift_left": gl.tolist(),
-                "drift_right": gr.tolist(),
-            },
-        },
-    )
+    params = {
+        "weight_left": weight_left,
+        "weight_right": weight_right,
+        "drift_left": gl.tolist(),
+        "drift_right": gr.tolist(),
+    }
+    return _family(d, "hyperplane_jump", params, iw, g, psi_g)
 
 
 _FAMILIES = {

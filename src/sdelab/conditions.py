@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, companion_ok
 from .grids import BoxGrid
 from .reporting import DiagnosticReport
 
@@ -65,12 +65,6 @@ class ExponentWindow:
 
     def contains(self, q: float) -> bool:
         return self.q_low < q < self.q_high
-
-    def companion_ok(self, q: float, s: float, d: int) -> bool:
-        """Whether ``(q, s)`` satisfies ``s > d/2`` and ``1/q + 1/s < 2/d``."""
-        inv_q = 0.0 if math.isinf(q) else 1.0 / q
-        inv_s = 0.0 if math.isinf(s) else 1.0 / s
-        return s > d / 2.0 and inv_q + inv_s < 2.0 / d
 
 
 def _growth_lhs(c: CoefficientSet, x: np.ndarray) -> np.ndarray:
@@ -191,7 +185,7 @@ def a4prime_check(c: CoefficientSet) -> DiagnosticReport:
     )
     rep.add(
         "declared_s_admissible",
-        ExponentWindow(0.0, math.inf).companion_ok(e.q, e.s, d),
+        companion_ok(e.q, e.s, d),
         value=(math.inf if math.isinf(e.s) else e.s),
         detail="need s > d/2 and 1/q + 1/s < 2/d",
     )

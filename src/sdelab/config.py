@@ -21,7 +21,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, builtin_family
 from .diagnostics import LawVariant, feynman_kac_config, krylov_config, uniqueness_configs
-from .grids import BoxGrid, SmoothBump, finite_point, finite_real, integer
+from .grids import BoxGrid, SmoothBump, finite_point, finite_real, integer, squared_norm
 from .reporting import digest
 from .semigroup import slices_shape
 from .simulate import SCHEME, SimConfig
@@ -78,7 +78,7 @@ def _one(spec: dict, dim: int) -> Callable:
 def _ball_indicator(spec: dict, dim: int) -> Callable:
     r = finite_real(spec["radius"], "radius", positive=True)
     c = finite_point(spec.get("center", [0.0] * dim), dim, "center")
-    return lambda x: (np.linalg.norm(np.asarray(x, float) - c, axis=-1) < r).astype(float)
+    return lambda x: (np.sqrt(squared_norm(np.asarray(x, float) - c)) < r).astype(float)
 
 
 def _bump(spec: dict, dim: int) -> Callable:
@@ -90,7 +90,7 @@ def _bump(spec: dict, dim: int) -> Callable:
 def _gaussian(spec: dict, dim: int) -> Callable:
     c = finite_point(spec["center"], dim, "center")
     var = finite_real(spec["variance"], "variance", positive=True)
-    return lambda x: np.exp(-np.sum((np.asarray(x, float) - c) ** 2, axis=-1) / (2 * var))
+    return lambda x: np.exp(-squared_norm(np.asarray(x, float) - c) / (2 * var))
 
 
 def _clipped_coordinate(spec: dict, dim: int) -> Callable:
@@ -349,10 +349,12 @@ class ExperimentConfig:
                 for cfg in uniqueness_configs(**inputs):
                     cfg.states_shape(dim)
             elif kind == "krylov":
-                payloads = [build_spacetime_payload(s, dim, where=f"payloads[{j}]")
-                            for j, s in enumerate(_listed(entry, "payloads"))]
-                for j, f in enumerate(payloads):
-                    f.__name__ = f"{f.__name__}_{j}"  # unique labels in the report
+                payloads = []
+                for j, s in enumerate(_listed(entry, "payloads")):
+                    at = f"payloads[{j}]"
+                    # the index makes every label in the report unique
+                    label = f"{validate_payload_spec(s, at)['type']}_{j}"
+                    payloads.append(build_spacetime_payload(s, dim, label, at))
                 inputs = {"radius": entry["radius"], "t_final": entry["t_final"],
                           "f_dictionary": payloads, "cfg": self._entry_sim(entry, "dt"),
                           **_given(entry, "quad_space", "quad_time")}

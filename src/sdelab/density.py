@@ -407,7 +407,7 @@ def compute_beta(c: CoefficientSet, dens: DensityField) -> DriftDecomposition:
     grid = dens.grid
     pts = grid.points()
     w = c.inv_weight(pts)
-    null = c.inv_weight.null_set_indicator(pts)
+    null = w == 0.0
     rho = dens.rho.values
     grad_rho = dens.grad_rho.values
     diag_a = dens.faces.node_diag

@@ -668,7 +668,8 @@ def feynman_kac_crosscheck(
         c, dens_c, GridField(grid_c, _coarse_values(f0, f_vals, grid_c)),
         t_final, pde_dt,
     )
-    spatial = abs(pde - _point_value(grid_c, u_coarse.values[-1], x0))
+    pde_coarse = _point_value(grid_c, u_coarse.values[-1], x0)
+    spatial = abs(pde - pde_coarse)
 
     budget = 3.0 * (stderr + spatial + temporal)
 
@@ -697,7 +698,7 @@ def feynman_kac_crosscheck(
             "mc_master_seed": cfg_run.master_seed,
             "mc_n_exploded": n_exploded,
             "pde_value": pde,
-            "pde_coarse_value": _point_value(grid_c, u_coarse.values[-1], x0),
+            "pde_coarse_value": pde_coarse,
             "pde_dt": float(pde_dt),
             "grid_n": list(grid.n),
             "spatial_error": spatial,

@@ -275,66 +275,32 @@ def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
     return values
 
 
-def _classic_profile(u: np.ndarray):
-    """C-infinity bump exp(1 - 1/(1-u^2)) on (-1,1), with first two derivatives."""
-    u = np.asarray(u, dtype=float)
-    inside = np.abs(u) < 1.0
-    b = np.zeros_like(u)
-    bp = np.zeros_like(u)
-    bpp = np.zeros_like(u)
-    ui = u[inside]
-    one = 1.0 - ui * ui
-    v = np.exp(1.0 - 1.0 / one)
-    g = -2.0 * ui / one**2
-    gp = -2.0 * (1.0 + 3.0 * ui * ui) / one**3
-    b[inside] = v
-    bp[inside] = g * v
-    bpp[inside] = (gp + g * g) * v
-    return b, bp, bpp
-
-
 _SMOOTH_CUTOFF = 8.0
 
 
-def _smooth_profile(u: np.ndarray):
-    """Gaussian-core windowed profile exp(-u^2/2 + 1 - 1/(1-(u/8)^2)) on (-8,8).
-
-    Compactly supported and C-infinity like the classic bump, but its high
-    derivatives near the support edge are crushed by the Gaussian factor
-    (~e^{-18} beyond |u|=6), so trapezoid sums on grids resolving the core
-    converge to near machine precision instead of the classic bump's slow
-    superalgebraic rate.
-    """
-    u = np.asarray(u, dtype=float)
-    inside = np.abs(u) < _SMOOTH_CUTOFF
-    b = np.zeros_like(u)
-    bp = np.zeros_like(u)
-    bpp = np.zeros_like(u)
-    ui = u[inside]
+def _profile(ui: np.ndarray) -> np.ndarray:
+    """``exp(-u^2/2 + 1 - 1/(1-(u/8)^2))`` at points ``|u| < 8``."""
     t = ui / _SMOOTH_CUTOFF
     one = 1.0 - t * t
-    s0 = -0.5 * ui * ui + 1.0 - 1.0 / one
-    s1 = -ui - (2.0 * t / one**2) / _SMOOTH_CUTOFF
-    s2 = -1.0 - 2.0 * (1.0 + 3.0 * t * t) / (one**3 * _SMOOTH_CUTOFF**2)
-    v = np.exp(s0)
-    b[inside] = v
-    bp[inside] = s1 * v
-    bpp[inside] = (s2 + s1 * s1) * v
-    return b, bp, bpp
+    return np.exp(-0.5 * ui * ui + 1.0 - 1.0 / one)
 
 
 @dataclass(frozen=True)
-class _TensorBump:
-    """Tensor product of a 1-d profile: ``f(x) = prod_k b((x_k - c_k)/r_k)``.
+class SmoothBump:
+    """Gaussian-core compactly supported test function.
 
-    Analytic value, gradient and Hessian; support is the open box
-    ``prod_k (c_k - R r_k, c_k + R r_k)`` where R is the profile cutoff.
+    ``f(x) = prod_k b((x_k - c_k)/r_k)`` with the windowed profile
+    ``b(u) = exp(-u^2/2 + 1 - 1/(1-(u/8)^2))`` on ``(-8, 8)``, 0 elsewhere:
+    ``radius`` is the per-axis Gaussian scale, the support is the open box
+    ``prod_k (c_k - 8 r_k, c_k + 8 r_k)``, and the peak value is 1 at the
+    center.  The profile is C-infinity, and its high derivatives near the
+    support edge are crushed by the Gaussian factor (~e^{-18} beyond
+    ``|u| = 6``), so trapezoid sums on grids resolving the core converge to
+    near machine precision.  Value, gradient and Hessian are analytic.
     """
 
     center: tuple
     radius: tuple
-
-    _cutoff = 1.0
 
     def __init__(self, center, radius):
         c = np.atleast_1d(np.asarray(center, dtype=float))
@@ -346,27 +312,39 @@ class _TensorBump:
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "radius", tuple(r))
 
-    @staticmethod
-    def _profile(u):
-        raise NotImplementedError
-
     @property
     def dim(self) -> int:
         return len(self.center)
 
-    def _axis_terms(self, x):
-        x = np.asarray(x, dtype=float)
-        c = np.array(self.center)
-        r = np.array(self.radius)
-        u = (x - c) / r
-        return self._profile(u), r
+    def _scaled(self, x):
+        u = (np.asarray(x, dtype=float) - np.array(self.center)) / np.array(self.radius)
+        return u, np.abs(u) < _SMOOTH_CUTOFF
 
     def __call__(self, x) -> np.ndarray:
-        (b, _, _), _ = self._axis_terms(x)
+        u, inside = self._scaled(x)
+        b = np.zeros_like(u)
+        b[inside] = _profile(u[inside])
         return np.prod(b, axis=-1)
 
+    def _axis_terms(self, x):
+        """Per-axis profile values with their first and second derivatives."""
+        u, inside = self._scaled(x)
+        ui = u[inside]
+        t = ui / _SMOOTH_CUTOFF
+        one = 1.0 - t * t
+        s1 = -ui - (2.0 * t / one**2) / _SMOOTH_CUTOFF
+        s2 = -1.0 - 2.0 * (1.0 + 3.0 * t * t) / (one**3 * _SMOOTH_CUTOFF**2)
+        v = _profile(ui)
+        b = np.zeros_like(u)
+        bp = np.zeros_like(u)
+        bpp = np.zeros_like(u)
+        b[inside] = v
+        bp[inside] = s1 * v
+        bpp[inside] = (s2 + s1 * s1) * v
+        return b, bp, bpp, np.array(self.radius)
+
     def gradient(self, x) -> np.ndarray:
-        (b, bp, _), r = self._axis_terms(x)
+        b, bp, _, r = self._axis_terms(x)
         d = self.dim
         out = np.empty(b.shape)
         for k in range(d):
@@ -375,7 +353,7 @@ class _TensorBump:
         return out
 
     def hessian(self, x) -> np.ndarray:
-        (b, bp, bpp), r = self._axis_terms(x)
+        b, bp, bpp, r = self._axis_terms(x)
         d = self.dim
         out = np.empty(b.shape[:-1] + (d, d))
         for k in range(d):
@@ -392,30 +370,8 @@ class _TensorBump:
 
     def support_bounds(self) -> np.ndarray:
         c = np.array(self.center)
-        r = np.array(self.radius) * self._cutoff
+        r = np.array(self.radius) * _SMOOTH_CUTOFF
         return np.stack([c - r, c + r], axis=1)
-
-
-class BumpFunction(_TensorBump):
-    """Classic tensor bump with peak 1 and support radius ``radius`` per axis.
-
-    Good as payload data; for quadrature-sensitive audits prefer
-    :class:`SmoothBump`, whose trapezoid sums converge much faster.
-    """
-
-    _cutoff = 1.0
-    _profile = staticmethod(_classic_profile)
-
-
-class SmoothBump(_TensorBump):
-    """Gaussian-core compactly supported test function.
-
-    ``radius`` is the per-axis Gaussian scale; the support radius is
-    ``8 * radius``.  Peak value 1 at the center.
-    """
-
-    _cutoff = _SMOOTH_CUTOFF
-    _profile = staticmethod(_smooth_profile)
 
 
 def default_bump_dictionary(grid: BoxGrid) -> list:

@@ -25,7 +25,7 @@ doubled cylinder) and monotonicity of the weighted L1 and sup norms in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,14 +46,12 @@ class SpaceTimeField:
     """Dense stack of time slices of a scalar field on a box grid.
 
     ``values`` has shape ``(len(times),) + grid.shape``; slice 0 is the
-    initial datum, later slices carry the Dirichlet boundary.  ``scheme_meta``
-    records the discretization (dt, theta, family).
+    initial datum, later slices carry the Dirichlet boundary.
     """
 
     grid: BoxGrid
     times: np.ndarray
     values: np.ndarray
-    scheme_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -175,17 +173,7 @@ def evolve(
         values[k] = buf.reshape(grid.shape)
 
     times = dt * np.arange(shape[0])
-    return SpaceTimeField(
-        grid=grid,
-        times=times,
-        values=values,
-        scheme_meta={
-            "dt": dt,
-            "theta": 1.0,
-            "family": c.family,
-            "n": list(grid.n),
-        },
-    )
+    return SpaceTimeField(grid=grid, times=times, values=values)
 
 
 def _window_axes(grid: BoxGrid, center: np.ndarray, half: float) -> list:

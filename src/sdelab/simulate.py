@@ -332,7 +332,8 @@ def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
     For ``eps > 0`` the tally counts states with ``w(X_k) < eps``; the
     ``eps = 0`` row is the exact-zero tally.  Rows are returned in the given
     order; occupation is monotone non-increasing as ``eps`` decreases.  The
-    weights are evaluated one row block at a time, once for all ``eps``.
+    weights are evaluated one row block at a time, once for all ``eps``;
+    like the step, this tolerates the overflow of exploded (frozen) states.
     """
     eps_list = list(eps_list)
     if any(eps < 0 for eps in eps_list):
@@ -341,7 +342,8 @@ def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
     counts = np.empty((len(tallied), ens.n_paths))
     if tallied:
         for rows in ens.row_blocks():
-            w = ens.coefficients.inv_weight(ens.states[rows, : ens.config.n_steps, :])
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = ens.coefficients.inv_weight(ens.states[rows, : ens.config.n_steps, :])
             for count, eps in zip(counts, tallied):
                 count[rows] = np.sum(w < eps, axis=1)
     occupations = iter(ens.config.dt * counts)

@@ -233,3 +233,33 @@ class TestFamilies:
         # alpha = 0.25, d = 2: window (6, 8), declared midpoint 7
         assert radial2.exponents.q == 7.0
         assert radial2.exponents.p == 6.0
+
+
+# the origin (both signs), points whose squared norm underflows to 0, and
+# points off the degeneracy set, one of them with an overflowing norm
+_NULL_SET_PROBES = _points(
+    [0.0, 0.0], [-0.0, 0.0], [1e-170, 0.0], [0.0, -1e-170], [1e-150, 0.0],
+    [0.3, -0.2], [-1.0, 0.0], [0.0, 1.0], [2.5, 1e3], [1e200, 0.0],
+)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("brownian", {}),
+    ("brownian", {"drift": "cubic_outward"}),
+    ("ornstein_uhlenbeck", {}),
+    ("radial_degenerate", {"alpha": 0.25}),
+    ("radial_degenerate", {"alpha": 1.5}),
+    ("radial_degenerate", {"alpha": 0.25, "gamma": 0.5}),
+    ("radial_degenerate", {"alpha": 1.5, "gamma": 1e-3}),
+    ("piecewise_weight", {"cells": [{"bounds": [[-1.0, 0.0], [-1.0, 0.0]], "value": 0.5}]}),
+    ("hyperplane_jump", {}),
+])
+def test_degeneracy_set_is_the_zero_set_of_the_weight(name, params):
+    c = builtin_family(name, 2, **params)
+    with np.errstate(over="ignore"):
+        w = c.inv_weight(_NULL_SET_PROBES)
+        np.testing.assert_array_equal(
+            c.inv_weight.null_set_indicator(_NULL_SET_PROBES), w == 0.0
+        )
+        for x, wx in zip(_NULL_SET_PROBES, w):
+            assert bool(c.inv_weight.null_set_indicator(x)) == (wx == 0.0)

@@ -54,7 +54,6 @@ def _affine_diag_set():
         factor=DispersionFactor(2, 2, sigma),
         inv_weight=InverseWeight(
             fn=lambda x: np.ones(x.shape[:-1]),
-            null_fn=lambda x: np.zeros(x.shape[:-1], dtype=bool),
             representative_tag="unit",
             has_zeros=False,
         ),

@@ -54,7 +54,6 @@ def _comonotone_2d():
         factor=DispersionFactor(2, 1, s_fn),
         inv_weight=InverseWeight(
             fn=lambda x: np.ones(x.shape[:-1]),
-            null_fn=lambda x: np.zeros(x.shape[:-1], dtype=bool),
             representative_tag="unit",
             has_zeros=False,
         ),

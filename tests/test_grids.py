@@ -1,4 +1,4 @@
-"""Grid, quadrature and bump-function tests.
+"""Grid, quadrature and test-function tests.
 
 Derivative values are checked against central finite differences and the
 1-d bump integral against adaptive quadrature, both independent of the
@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from sdelab.grids import (
     BoxGrid,
-    BumpFunction,
     GridError,
     GridField,
     SmoothBump,
@@ -112,26 +111,14 @@ class TestGridField:
 
 class TestBumpFunction:
     def test_peak_and_support(self):
-        b = BumpFunction([0.5, -0.5], [1.0, 2.0])
-        assert np.isclose(b(np.array([0.5, -0.5])), 1.0)
-        assert b(np.array([1.6, -0.5])) == 0.0
-        assert b(np.array([0.5, 1.6])) == 0.0
-
-    def test_gradient_matches_finite_differences(self):
-        b = BumpFunction([0.1, -0.2], [1.1, 0.9])
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-0.7, 0.7, size=(40, 2))
-        h = 1e-6
-        for k in range(2):
-            xp = x.copy()
-            xm = x.copy()
-            xp[:, k] += h
-            xm[:, k] -= h
-            fd = (b(xp) - b(xm)) / (2 * h)
-            np.testing.assert_allclose(b.gradient(x)[:, k], fd, atol=5e-7)
+        b = SmoothBump([0.5, -0.5], [1.0, 2.0])
+        assert b(np.array([0.5, -0.5])) == 1.0
+        assert b(np.array([8.6, -0.5])) == 0.0
+        assert b(np.array([0.5, 15.6])) == 0.0
+        assert b(np.array([8.4, 15.4])) > 0.0
 
     def test_hessian_matches_finite_differences(self):
-        b = BumpFunction([0.0, 0.0], [1.0, 1.5])
+        b = SmoothBump([0.0, 0.0], [1.0, 1.5])
         rng = np.random.default_rng(3)
         x = rng.uniform(-0.6, 0.6, size=(20, 2))
         h = 1e-4
@@ -147,26 +134,16 @@ class TestBumpFunction:
 
     def test_1d_profile_integral_against_quad(self):
         # independent oracle: adaptive quadrature of the single-axis profile
-        b = BumpFunction([0.0, 0.0], [1.0, 1.0])
+        b = SmoothBump([0.0, 0.0], [1.0, 1.0])
         oracle, err = quad(
-            lambda t: np.exp(1.0 - 1.0 / (1.0 - t * t)) if abs(t) < 1 else 0.0,
-            -1.0,
-            1.0,
+            lambda t: np.exp(-0.5 * t * t + 1.0 - 1.0 / (1.0 - (t / 8.0) ** 2))
+            if abs(t) < 8 else 0.0,
+            -8.0,
+            8.0,
         )
-        g = BoxGrid([[-1.0, 1.0], [-1.0, 1.0]], 201)
+        g = BoxGrid([[-8.0, 8.0], [-8.0, 8.0]], 201)
         approx = np.sum(g.trapezoid_weights() * b(g.points()))
         assert np.isclose(approx, oracle**2, rtol=1e-8)
-
-    def test_classic_bump_laplacian_integral_shrinks_with_refinement(self):
-        # exact value 0 by the divergence theorem; the classic bump converges
-        # slowly (superalgebraic but with huge constants), so just check decay
-        b = BumpFunction([0.0, 0.0], [1.0, 1.0])
-        errs = []
-        for n in (81, 161, 321):
-            g = BoxGrid([[-2.0, 2.0], [-2.0, 2.0]], n)
-            lap = np.trace(b.hessian(g.points()), axis1=-2, axis2=-1)
-            errs.append(abs(np.sum(g.trapezoid_weights() * lap)))
-        assert errs[2] < errs[1] < errs[0]
 
     def test_smooth_bump_laplacian_integral_near_machine_zero(self):
         # the Gaussian-core profile makes coarse trapezoid sums near exact
@@ -195,8 +172,8 @@ class TestBumpFunction:
         st.floats(0.2, 2.0),
     )
     def test_bounded_by_one_and_nonnegative(self, cx, cy, r):
-        b = BumpFunction([cx, cy], r)
-        x = np.linspace(-2, 2, 31)
+        b = SmoothBump([cx, cy], r)
+        x = np.linspace(-16, 16, 31)
         pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
         v = b(pts)
         assert np.all(v >= 0.0) and np.all(v <= 1.0 + 1e-15)

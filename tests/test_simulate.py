@@ -11,6 +11,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -307,6 +308,15 @@ class TestOccupation:
         row = occupation_profile(ens, [0.9])[0]
         assert np.isclose(row.mean_occupation, expect)
 
+    def test_profile_is_silent_on_exploded_paths(self):
+        c = builtin_family("radial_degenerate", 2, alpha=0.25, drift="cubic_outward")
+        ens = simulate_ensemble(c, [2.0, 0.0], _cfg(n_paths=50, t_final=0.5))
+        assert ens.exploded.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = occupation_profile(ens, [0.2, 0.0])
+        assert [r.eps for r in rows] == [0.2, 0.0]
+
     def test_near_eps_config_tally(self, radial2):
         cfg = _cfg(n_paths=50, dt=1e-2, near_degeneracy_eps=0.8)
         ens = simulate_ensemble(radial2, [1.0, 0.0], cfg)
@@ -352,8 +362,7 @@ class TestFusedTallies:
                 "some": 0 < stopped.sum() < cfg.n_paths}[stops]
         np.testing.assert_array_equal(ens.occupation_exact, _posthoc_occupation(ens, 0.0))
         np.testing.assert_array_equal(ens.occupation_near, _posthoc_occupation(ens, 1.5))
-        with np.errstate(over="ignore"):
-            rows = occupation_profile(ens, _PROFILE_EPS)
+        rows = occupation_profile(ens, _PROFILE_EPS)
         for row, eps in zip(rows, _PROFILE_EPS):
             occ = _posthoc_occupation(ens, eps)
             assert (row.mean_occupation, row.max_occupation) == (np.mean(occ), np.max(occ))
