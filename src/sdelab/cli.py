@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -86,6 +87,8 @@ class _Emitter:
             "written_at": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": now - self._last,  # since the previous report
             "for": f"{name}.json",
+            # the process's peak so far; ru_maxrss is in KiB on Linux
+            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         self._last = now
         _write_atomic(

@@ -38,7 +38,7 @@ from .grids import (
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
 from .semigroup import evolve, slices_shape
-from .simulate import SCHEME, PathEnsemble, SimConfig, simulate_ensemble
+from .simulate import SCHEME, SimConfig, simulate_ensemble
 
 _PERMUTATIONS = 199
 _ENERGY_SUBSAMPLE = 1024
@@ -157,29 +157,44 @@ class TwoSampleResult:
             raise DiagnosticsError("reject flag inconsistent with statistic")
 
 
-def marginal_two_sample(
-    e1: PathEnsemble, e2: PathEnsemble, t: float, level: float = 0.01
-) -> TwoSampleResult:
-    """Test equality of the time-``t`` marginals of two ensembles.
-
-    Runs one Kolmogorov-Smirnov test per coordinate and one joint
-    energy-distance test, each at ``level / (d + 1)``; the result rejects
-    when any component exceeds its critical value.  KS critical values are
-    asymptotic for sample sizes of at least 1000 and permutation-calibrated
-    below that; the energy test is always permutation-calibrated (199
-    permutations, at most 1024 points subsampled per ensemble).  Permutation
-    and subsampling streams are seeded from digests of the two marginal
-    samples, symmetrically, so swapping the arguments changes nothing.
-    """
-    if e1.dim != e2.dim:
+def _marginal_sample(sample, name: str) -> np.ndarray:
+    """``sample`` as a float ``(n, d)`` array: 2-D, non-empty and finite."""
+    try:
+        arr = np.asarray(sample, dtype=float)
+    except (TypeError, ValueError):
+        raise DiagnosticsError(f"{name} is not a numeric array") from None
+    if arr.ndim != 2 or arr.size == 0:
         raise DiagnosticsError(
-            f"ensembles have different dimensions {e1.dim} and {e2.dim}"
+            f"{name} must be a non-empty (n, d) array, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise DiagnosticsError(f"{name} has non-finite entries")
+    return arr
+
+
+def marginal_two_sample(x, y, level: float = 0.01) -> TwoSampleResult:
+    """Test equality of the laws behind two marginal samples.
+
+    ``x`` and ``y`` are ``(n, d)`` samples, for example ``e.state_at(t)``
+    of two ensembles.  Runs one Kolmogorov-Smirnov test per coordinate and
+    one joint energy-distance test, each at ``level / (d + 1)``; the result
+    rejects when any component exceeds its critical value.  KS critical
+    values are asymptotic for sample sizes of at least 1000 and
+    permutation-calibrated below that; the energy test is always
+    permutation-calibrated (199 permutations, at most 1024 points subsampled
+    per sample).  Permutation and subsampling streams are seeded from
+    digests of the two samples, symmetrically, so swapping the arguments
+    changes nothing.
+    """
+    x = _marginal_sample(x, "first sample")
+    y = _marginal_sample(y, "second sample")
+    if x.shape[1] != y.shape[1]:
+        raise DiagnosticsError(
+            f"samples have different dimensions {x.shape[1]} and {y.shape[1]}"
         )
     _check_level(level)
-    x = np.asarray(e1.state_at(t), dtype=float)
-    y = np.asarray(e2.state_at(t), dtype=float)
     n1, n2 = len(x), len(y)
-    d = e1.dim
+    d = x.shape[1]
     alpha = level / (d + 1)
 
     hx, hy = _sample_digest(x), _sample_digest(y)
@@ -276,21 +291,35 @@ def uniqueness_configs(
     variants: Sequence[LawVariant], t_checks, cfg: SimConfig, level: float = 0.01
 ) -> list:
     """Checked inputs of :func:`uniqueness_probe`: one ensemble config per
-    variant.  Every check time lies on every variant's step grid, within its
-    horizon, and ``level`` in ``(0, 1)``."""
+    variant.  Variant labels are distinct; every check time lies on every
+    variant's step grid, within its horizon, and no two check times share a
+    step of any variant's grid; ``level`` lies in ``(0, 1)``."""
     if len(variants) < 2:
         raise DiagnosticsError("need at least two variants to compare")
     if not isinstance(t_checks, (list, tuple, np.ndarray)) or len(t_checks) == 0:
         raise DiagnosticsError("need at least one check time")
     _check_level(level)
+    labels = []
+    for var in variants:
+        if var.label in labels:
+            raise DiagnosticsError(f"variant label {var.label!r} repeats")
+        labels.append(var.label)
     configs = []
     for i, var in enumerate(variants):
         name = f"dt of {var.label}"
         dt = cfg.dt if var.dt is None else finite_real(var.dt, name, DiagnosticsError)
         configs.append(replace(cfg, master_seed=derive_seed(cfg.master_seed, i), dt=dt))
+        steps = {}
         for t in t_checks:
-            if step_count(t, dt, DiagnosticsError, "t", name) > configs[-1].n_steps:
+            k = step_count(t, dt, DiagnosticsError, "t", name)
+            if k > configs[-1].n_steps:
                 raise DiagnosticsError(f"check time {t} is beyond t_final={cfg.t_final}")
+            if k in steps:
+                raise DiagnosticsError(
+                    f"check times {steps[k]} and {t} repeat: both are step {k} "
+                    f"of {var.label}"
+                )
+            steps[k] = t
     return configs
 
 
@@ -315,17 +344,27 @@ def uniqueness_probe(
     The comparison certifies equality in law only when that occupation is
     exactly zero for every variant; positive occupation is reported as a
     scope restriction, not as a failure of the probe itself.
+
+    Only one variant's ensemble is alive at a time: each is dropped once its
+    marginals at ``t_checks`` and its tallies are read.
     """
     variants = list(variants)
     configs = uniqueness_configs(variants, t_checks, cfg, level)
     t_checks = [float(t) for t in t_checks]
 
-    ensembles = []
+    marginals = []
     variant_meta = []
     for var, cfg_i in zip(variants, configs):
         c = var.c if var.c is not None else c_base
+        # taken before the ensemble, so no buffer that outlives it sits above
+        # its states on the heap: malloc returns freed memory to the system
+        # only from the heap's top, and pinned states stayed resident under
+        # the energy test's distance matrix (+31 MiB in about a third of runs)
+        snaps = np.empty((len(t_checks), cfg_i.n_paths, c.dim))
         ens = simulate_ensemble(c, x0, cfg_i, workers=workers)
-        ensembles.append(ens)
+        for k, t in enumerate(t_checks):
+            snaps[k] = ens.state_at(t)
+        marginals.append(snaps)
         variant_meta.append(
             {
                 "label": var.label,
@@ -338,6 +377,7 @@ def uniqueness_probe(
                 "n_exploded": int(np.sum(ens.exploded)),
             }
         )
+        del ens
 
     n_pairs = len(variants) * (len(variants) - 1) // 2
     per_test = level / (n_pairs * len(t_checks))
@@ -356,9 +396,9 @@ def uniqueness_probe(
 
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
-            for t in t_checks:
+            for k, t in enumerate(t_checks):
                 res = marginal_two_sample(
-                    ensembles[i], ensembles[j], t, level=per_test
+                    marginals[i][k], marginals[j][k], level=per_test
                 )
                 worst = max(res.breakdown, key=lambda e: e["normalized"])
                 name = (
@@ -650,11 +690,16 @@ def feynman_kac_crosscheck(
     n_exploded = int(np.sum(ens.exploded))
     del ens
 
-    u_fine = evolve(c, dens, GridField(grid, f_vals), t_final, pde_dt)
-    pde = _point_value(grid, u_fine.values[-1], x0)
+    def final_slice(dens_k: DensityField, grid_k: BoxGrid, values, dt: float):
+        # only the last slice is read: copying it frees the stack before the
+        # next evolve starts
+        return evolve(c, dens_k, GridField(grid_k, values), t_final, dt).values[-1].copy()
 
-    u_half = evolve(c, dens, GridField(grid, f_vals), t_final, 2.0 * pde_dt)
-    temporal = abs(pde - _point_value(grid, u_half.values[-1], x0))
+    u_fine = final_slice(dens, grid, f_vals, pde_dt)
+    pde = _point_value(grid, u_fine, x0)
+
+    u_half = final_slice(dens, grid, f_vals, 2.0 * pde_dt)
+    temporal = abs(pde - _point_value(grid, u_half, x0))
 
     grid_c = grid.coarsen()
     dens_c = solve_density(
@@ -664,11 +709,8 @@ def feynman_kac_crosscheck(
         normalization=dens.normalization,
         anchor=dens.anchor_point,
     )
-    u_coarse = evolve(
-        c, dens_c, GridField(grid_c, _coarse_values(f0, f_vals, grid_c)),
-        t_final, pde_dt,
-    )
-    pde_coarse = _point_value(grid_c, u_coarse.values[-1], x0)
+    u_coarse = final_slice(dens_c, grid_c, _coarse_values(f0, f_vals, grid_c), pde_dt)
+    pde_coarse = _point_value(grid_c, u_coarse, x0)
     spatial = abs(pde - pde_coarse)
 
     budget = 3.0 * (stderr + spatial + temporal)
@@ -677,11 +719,11 @@ def feynman_kac_crosscheck(
     station = dens.rho.values * psi_weights(c, grid) * vol
     if np.all(f_vals >= 0.0):
         mass0 = float(np.sum(station * f_vals))
-        mass_t = float(np.sum(station * u_fine.values[-1]))
+        mass_t = float(np.sum(station * u_fine))
     else:
-        u_abs = evolve(c, dens, GridField(grid, np.abs(f_vals)), t_final, pde_dt)
+        u_abs = final_slice(dens, grid, np.abs(f_vals), pde_dt)
         mass0 = float(np.sum(station * np.abs(f_vals)))
-        mass_t = float(np.sum(station * u_abs.values[-1]))
+        mass_t = float(np.sum(station * u_abs))
     if mass0 <= 0.0:
         raise DiagnosticsError("payload carries no mass on the box")
     leakage = 1.0 - mass_t / mass0

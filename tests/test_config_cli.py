@@ -431,6 +431,8 @@ _BAD_VALUES = [
     ("diagnose", "diagnostics.2.quad_space=0"),
     ("diagnose", "diagnostics.2.dt=0.003"),
     ("diagnose", "diagnostics.2.payloads.2.radius=-1"),
+    ("diagnose", "diagnostics.1.t_checks=[0.5,0.5]"),
+    ("diagnose", "diagnostics.1.variants.0.label=gamma=1"),
     ("simulate", "sim.n_paths=1000000000000"),
     # sizes no numpy array can have, refused at load, not after earlier reports
     ("diagnose", "diagnostics.3.mc_dt=1e-300"),
@@ -555,6 +557,17 @@ class TestCliArtifacts:
         elapsed = [json.loads((tmp_path / f"{name}.sidecar.json").read_text())
                    ["elapsed_seconds"] for name in ("first", "second")]
         assert elapsed == [3.0, 7.0]
+
+    def test_sidecar_records_peak_memory_outside_the_report(self, tmp_path):
+        path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
+        reports = []
+        for workers in ("1", "2"):
+            assert main(["simulate", "--config", path, "--workers", workers]) == 0
+            reports.append((tmp_path / "out" / "simulate.json").read_bytes())
+            sidecar = json.loads((tmp_path / "out" / "simulate.sidecar.json").read_text())
+            assert sidecar["peak_rss_mib"] > 0.0
+        assert reports[0] == reports[1]
+        assert b"rss" not in reports[0]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))

@@ -31,6 +31,7 @@ from sdelab.diagnostics import (
 )
 from sdelab.grids import BoxGrid, GridField, SmoothBump
 from sdelab.rng import derive_seed
+from sdelab.semigroup import evolve as semigroup_evolve
 from sdelab.simulate import SimConfig, simulate_ensemble
 
 
@@ -89,7 +90,7 @@ class TestMarginalTwoSample:
     def test_identical_ensembles_give_zero(self, brownian2):
         e1 = _ensemble(brownian2, 2000, 11)
         e2 = _ensemble(brownian2, 2000, 11)
-        res = marginal_two_sample(e1, e2, 1.0, level=0.01)
+        res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
         assert res.statistic == 0.0
         assert not res.reject
         assert all(entry["statistic"] == 0.0 for entry in res.breakdown)
@@ -97,7 +98,7 @@ class TestMarginalTwoSample:
     def test_independent_null_accepts(self, brownian2):
         e1 = _ensemble(brownian2, 10_000, derive_seed(11, 1))
         e2 = _ensemble(brownian2, 10_000, derive_seed(11, 2))
-        res = marginal_two_sample(e1, e2, 1.0, level=0.01)
+        res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
         assert not res.reject
         assert res.statistic <= 1.0
         assert res.n1 == res.n2 == 10_000
@@ -109,7 +110,7 @@ class TestMarginalTwoSample:
         # three tests the energy critical value is infinite by design
         e1 = _ensemble(brownian2, 1500, derive_seed(12, 1))
         e2 = _ensemble(brownian2, 1500, derive_seed(12, 2))
-        res = marginal_two_sample(e1, e2, 1.0, level=0.01)
+        res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
         energy = res.breakdown[-1]
         assert energy["name"] == "energy"
         assert math.isinf(energy["critical"])
@@ -118,8 +119,8 @@ class TestMarginalTwoSample:
     def test_symmetric_under_swap(self, brownian2):
         e1 = _ensemble(brownian2, 1200, derive_seed(13, 1))
         e2 = _ensemble(brownian2, 1200, derive_seed(13, 2))
-        r12 = marginal_two_sample(e1, e2, 1.0, level=0.05)
-        r21 = marginal_two_sample(e2, e1, 1.0, level=0.05)
+        r12 = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.05)
+        r21 = marginal_two_sample(e2.state_at(1.0), e1.state_at(1.0), level=0.05)
         assert r12.statistic == r21.statistic
         assert r12.reject == r21.reject
         for a, b in zip(r12.breakdown, r21.breakdown):
@@ -130,7 +131,7 @@ class TestMarginalTwoSample:
         drifted = builtin_family("brownian", 2, drift=(1.0, 0.0))
         e1 = _ensemble(brownian2, 10_000, derive_seed(11, 1))
         e2 = _ensemble(drifted, 10_000, derive_seed(11, 2))
-        res = marginal_two_sample(e1, e2, 1.0, level=0.01)
+        res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
         assert res.reject
         worst = max(res.breakdown, key=lambda e: e["normalized"])
         assert worst["name"] == "ks_coordinate_0"
@@ -141,17 +142,17 @@ class TestMarginalTwoSample:
         e1 = _ensemble(brownian2, 400, derive_seed(11, 3))
         shifted = _ensemble(half, 400, derive_seed(11, 4))
         null = _ensemble(brownian2, 400, derive_seed(11, 4))
-        res = marginal_two_sample(e1, shifted, 1.0, level=0.05)
+        res = marginal_two_sample(e1.state_at(1.0), shifted.state_at(1.0), level=0.05)
         assert res.reject
         assert res.breakdown[0]["method"] == "permutation"
-        res0 = marginal_two_sample(e1, null, 1.0, level=0.05)
+        res0 = marginal_two_sample(e1.state_at(1.0), null.state_at(1.0), level=0.05)
         assert not res0.reject
 
     def test_energy_detects_pure_dependence(self, brownian2):
         # equal marginals, different joint law: KS blind, energy decisive
         e1 = _ensemble(brownian2, 4096, derive_seed(21, 1))
         e2 = _ensemble(_comonotone_2d(), 4096, derive_seed(21, 2))
-        res = marginal_two_sample(e1, e2, 1.0, level=0.05)
+        res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.05)
         assert res.reject
         worst = max(res.breakdown, key=lambda e: e["normalized"])
         assert worst["name"] == "energy"
@@ -163,12 +164,31 @@ class TestMarginalTwoSample:
         cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=2)
         e3 = simulate_ensemble(b3, (0.0, 0.0, 0.0), cfg)
         with pytest.raises(DiagnosticsError, match="dimension"):
-            marginal_two_sample(e1, e3, 0.5)
+            marginal_two_sample(e1.state_at(0.5), e3.state_at(0.5))
 
     def test_bad_level_rejected(self, brownian2):
         e1 = _ensemble(brownian2, 50, 1)
         with pytest.raises(DiagnosticsError, match="level"):
-            marginal_two_sample(e1, e1, 1.0, level=1.5)
+            marginal_two_sample(e1.state_at(1.0), e1.state_at(1.0), level=1.5)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.zeros(10), "non-empty"),
+            (np.zeros((0, 2)), "non-empty"),
+            (np.zeros((10, 0)), "non-empty"),
+            (np.zeros((4, 5, 2)), "non-empty"),
+            (np.array([[0.0, 1.0], [np.nan, 0.0]]), "non-finite"),
+            (np.array([[0.0, np.inf]]), "non-finite"),
+            ([["a", "b"]], "numeric"),
+        ],
+    )
+    def test_malformed_sample_rejected(self, bad, message):
+        good = np.zeros((10, 2))
+        with pytest.raises(DiagnosticsError, match=message):
+            marginal_two_sample(bad, good)
+        with pytest.raises(DiagnosticsError, match=message):
+            marginal_two_sample(good, bad)
 
 
 class TestUniquenessProbe:
@@ -239,6 +259,43 @@ class TestUniquenessProbe:
         variants = [LawVariant("a"), LawVariant("coarse", dt=0.25)]
         with pytest.raises(DiagnosticsError, match="integer multiple of dt of coarse"):
             uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.3], cfg)
+
+    def test_repeated_check_time_rejected(self, brownian2):
+        # both times are step 5 of dt 0.1: one comparison reported twice
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        variants = [LawVariant("a"), LawVariant("b")]
+        for t_checks in ([0.5, 0.5], [0.5, 0.5 + 1e-12]):
+            with pytest.raises(DiagnosticsError, match="repeat: both are step 5 of a"):
+                uniqueness_probe(brownian2, variants, (0.0, 0.0), t_checks, cfg)
+
+    def test_repeated_variant_label_rejected(self, brownian2):
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        variants = [LawVariant("a"), LawVariant("b", dt=0.05), LawVariant("a")]
+        with pytest.raises(DiagnosticsError, match="label 'a' repeats"):
+            uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.5], cfg)
+
+    def test_one_ensemble_alive_at_a_time(self, brownian2, monkeypatch):
+        # traced from the probe's start: when the third variant's ensemble
+        # exists, the first two are gone and only their marginals remain
+        held = []
+
+        def simulate_then_measure(*args, **kwargs):
+            ens = simulate_ensemble(*args, **kwargs)
+            held.append((ens.states.nbytes, tracemalloc.get_traced_memory()[0]))
+            return ens
+
+        monkeypatch.setattr(diagnostics, "simulate_ensemble", simulate_then_measure)
+        cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=2000, master_seed=36)
+        variants = [LawVariant("a"), LawVariant("b"), LawVariant("c")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.25, 0.5], cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 3
+        states_nbytes, at_third = held[2]
+        assert at_third - base < 1.5 * states_nbytes
 
     def test_common_seed_null_set_variants_bitwise_identical(self):
         # representatives differing only on the (never-visited) degeneracy
@@ -467,6 +524,35 @@ class TestFeynmanKac:
         assert not rep.clause("box_retains_payload_mass").passed
         assert rep.meta["verdict"] == "inconclusive"
         assert "enlarge" in rep.clause("box_retains_payload_mass").detail
+
+    def test_one_slice_stack_alive_at_a_time(self, brownian2, monkeypatch):
+        # a signed payload runs all four evolves; each later one starts with
+        # only final slices of the earlier ones held
+        calls = []
+
+        def measure_then_evolve(*args, **kwargs):
+            held = tracemalloc.get_traced_memory()[0]
+            u = semigroup_evolve(*args, **kwargs)
+            calls.append((held, u.values.nbytes))
+            return u
+
+        def signed(x):
+            x = np.asarray(x, dtype=float)
+            return x[..., 0] * np.exp(-np.sum(x * x, axis=-1))
+
+        monkeypatch.setattr(diagnostics, "evolve", measure_then_evolve)
+        dens = solve_density(brownian2, BOUNDS4, 33)
+        cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=200, master_seed=76)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            feynman_kac_crosscheck(brownian2, dens, signed, (0.0, 0.0), 0.5, cfg, 5e-3)
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 4
+        fine_nbytes = calls[0][1]
+        for held, _ in calls[1:]:
+            assert held - base < fine_nbytes / 4
 
     def test_x0_near_boundary_rejected(self, brownian2):
         dens = solve_density(brownian2, BOUNDS4, 33)

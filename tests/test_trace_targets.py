@@ -1,7 +1,9 @@
 """The benchmark's span tracer wraps sdelab entry points by name from outside
 the package (``bench/spans.py``).  Every name it wraps must still resolve, so
 a refactor that moves or deletes one fails here, not only in a traced run.
-Nothing is wrapped: the targets are looked up statically.
+Nothing is wrapped: the targets are looked up statically.  Its observers read
+attributes of the results they see; they run here on small real results, so
+a result that stops holding ``states`` or slices fails here too.
 """
 
 import importlib
@@ -9,7 +11,14 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sdelab import builtin_family
+from sdelab.density import solve_density
+from sdelab.grids import GridField
+from sdelab.semigroup import evolve
+from sdelab.simulate import SimConfig, simulate_ensemble
 
 _spec = importlib.util.spec_from_file_location(
     "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -30,3 +39,27 @@ def test_trace_target_resolves(module, attr):
     if isinstance(owner, staticmethod):
         owner = owner.__func__
     assert callable(owner), f"{module}.{attr} is not callable"
+
+
+def test_ensemble_observer_reads_a_real_ensemble():
+    # states, exit_step and exploded_step: 30 paths x 50 steps, absorbed at 0.5
+    c = builtin_family("brownian", 2)
+    cfg = SimConfig(dt=0.01, t_final=0.5, n_paths=30, master_seed=3, r_exit=0.5)
+    ens = simulate_ensemble(c, (0.0, 0.0), cfg)
+    assert np.any(ens.exit_step >= 0)
+    tracer = _spans.Tracer()
+    _spans._ensemble(tracer, (c, (0.0, 0.0), cfg), ens)
+    assert tracer.counts["simulate.path_steps"] == 30 * 50
+    assert tracer.counts["simulate.steps_taken"] == float(np.sum(ens.stop_step))
+    assert tracer.counts["simulate.states_mb"] == 30 * 51 * 2 * 8 / 2**20
+
+
+def test_evolve_observer_reads_a_real_field():
+    # times and values: 4 backward-Euler steps on a 9 x 9 grid
+    c = builtin_family("brownian", 2)
+    dens = solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 9)
+    u = evolve(c, dens, GridField(dens.grid, np.ones(dens.grid.shape)), 0.2, 0.05)
+    tracer = _spans.Tracer()
+    _spans._evolve(tracer, (c, dens, None, 0.2, 0.05), u)
+    assert tracer.counts["semigroup.steps"] == 4
+    assert tracer.counts["semigroup.slices_mb"] == 5 * 81 * 8 / 2**20
