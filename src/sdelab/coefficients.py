@@ -402,15 +402,13 @@ def _ornstein_uhlenbeck(d: int, rate: float = 1.0) -> CoefficientSet:
 
 
 def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
-    if phi is None:
-        phi_fn = lambda x: np.ones(x.shape[:-1])
-    else:
-        phi_fn = phi
+    def over_phi(v, x):
+        return v if phi is None else v / phi(x)  # v / 1.0 is v, bit for bit
 
     if gamma is None:
         def fn(x):
             r2 = squared_norm(x)
-            return r2 ** (alpha / 2.0) / phi_fn(x)
+            return over_phi(r2 ** (alpha / 2.0), x)
 
         return InverseWeight(fn, "zero_at_origin", has_zeros=True)
 
@@ -420,7 +418,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
         r2 = squared_norm(x)
         v = r2 ** (alpha / 2.0)
         v = np.where(r2 == 0.0, gamma * gamma, v)
-        return v / phi_fn(x)
+        return over_phi(v, x)
 
     return InverseWeight(fn, f"origin_value={gamma:g}", has_zeros=False)
 

@@ -8,17 +8,18 @@ their last finite state if an update produces a non-finite value.
 
 Per-path tallies track discrete occupation of the degeneracy set
 (``dt * #{k < n_steps : w(X_k) = 0}``, left-endpoint rule) and of its
-``eps``-neighbourhoods in weight value (``w(X_k) < eps``).  The weight
-``w(X_k)`` is evaluated once per state, inside the step: the dispersion and
-both tallies read that one array.  A dispersion factor that declares itself
-the identity steps with ``sqrt(w) xi``, with no d x m product.
+``eps``-neighbourhoods in weight value (``w(X_k) < eps``), for thresholds
+named at simulate time.  The weight ``w(X_k)`` is evaluated once per state,
+inside the step: the dispersion and every tally read that one array.  A
+dispersion factor that declares itself the identity steps with
+``sqrt(w) xi``, with no d x m product.
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
 function of the master seed and the block's path indices, so any worker count
 produces bitwise identical ensembles.  The weak-order study steps its levels
-through the same chain.  Passes over a stored ensemble (the occupation
-profile, path integrals) run over row blocks, so their temporaries stay
-small; every per-path result is independent of that split.
+through the same chain.  Passes over a stored ensemble (path integrals) run
+over row blocks, so their temporaries stay small; every per-path result is
+independent of that split.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ class PathEnsemble:
     the common start point.  ``exit_step[i]`` is the first state index with
     ``|X| >= r_exit`` (``-1`` if never), after which the path is frozen;
     ``exploded_step`` likewise marks the first non-finite update (``-1`` if
-    none), with the path frozen at its last finite state.  ``path_keys`` are
-    the per-path substream keys ``(master_seed, path_index)``.
+    none), with the path frozen at its last finite state.  ``occupation[j]``
+    holds occupation times below ``occupation_eps[j]``: row 0 of ``w == 0``,
+    row 1 of ``near_degeneracy_eps``, then those asked for at simulate time.
+    ``path_keys`` are the per-path substream keys ``(master_seed, index)``.
     ``coefficients`` are the coefficients the paths were generated with.
     """
 
@@ -113,9 +116,12 @@ class PathEnsemble:
     states: np.ndarray
     exit_step: np.ndarray
     exploded_step: np.ndarray
-    occupation_exact: np.ndarray
-    occupation_near: np.ndarray
+    occupation: np.ndarray
+    occupation_eps: tuple
     path_keys: np.ndarray
+
+    occupation_exact = property(lambda self: self.occupation[0])
+    occupation_near = property(lambda self: self.occupation[1])
 
     @property
     def n_paths(self) -> int:
@@ -163,8 +169,8 @@ def _euler_maruyama(
     cfg: SimConfig,
     exit_step: np.ndarray,
     exploded_step: np.ndarray,
-    n_zero: np.ndarray | None = None,
-    n_near: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
+    eps: tuple = (),
 ) -> Iterator[np.ndarray]:
     """Yield a block's states along the chain, state 0 first.
 
@@ -176,8 +182,8 @@ def _euler_maruyama(
 
     The weight ``w = c.inv_weight(x)`` is evaluated once per distinct block
     state, and a frozen block reuses the weight of its frozen state.  The
-    dispersion ``sqrt(w) sigma`` reads it, and, when given, ``n_zero`` and
-    ``n_near`` count ``w == 0`` and ``w < cfg.near_degeneracy_eps`` over
+    dispersion ``sqrt(w) sigma`` reads it, and, when given, ``counts[0]``
+    counts ``w == 0`` and each later ``counts[j]`` counts ``w < eps[j]`` over
     states ``0 .. n_steps - 1``.  A factor declared the identity steps with
     ``sqrt(w) xi``; any other factor is contracted with ``xi``.
     """
@@ -198,9 +204,10 @@ def _euler_maruyama(
         if w is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 w = c.inv_weight(x)
-        if n_zero is not None:
-            n_zero += w == 0.0
-            n_near += w < cfg.near_degeneracy_eps
+        if counts is not None:
+            counts[0] += w == 0.0
+            for count, e in zip(counts[1:], eps[1:]):
+                count += w < e
         if active.any():
             with np.errstate(over="ignore", invalid="ignore"):
                 root = np.sqrt(w)
@@ -226,17 +233,24 @@ def _euler_maruyama(
 
 
 def simulate_ensemble(
-    c: CoefficientSet, x0, cfg: SimConfig, workers: int = 1
+    c: CoefficientSet, x0, cfg: SimConfig, workers: int = 1,
+    occupation_eps: Sequence[float] = (),
 ) -> PathEnsemble:
     """Run the ensemble described by ``cfg`` from the common start ``x0``.
 
     ``workers`` only sets the thread count over path blocks; the result is
     bitwise identical for any value.  Exploded paths are flagged and frozen,
-    never dropped.
+    never dropped.  The step also tallies occupation below each (finite,
+    nonnegative) ``occupation_eps``, for :func:`occupation_profile`.
     """
     x0 = finite_point(x0, c.dim, "x0", SimulationError)
     if workers < 1:
         raise SimulationError("workers must be at least 1")
+    eps = (0.0, cfg.near_degeneracy_eps)
+    for e in occupation_eps:
+        if finite_real(e, "occupation_eps", SimulationError) < 0:
+            raise SimulationError(f"occupation_eps must be nonnegative, got {e!r}")
+        eps += () if e in eps else (float(e),)
 
     n, n_steps, d = cfg.n_paths, cfg.n_steps, c.dim
     shape = cfg.states_shape(d)
@@ -244,8 +258,7 @@ def simulate_ensemble(
         states = np.empty(shape)
         exit_step = np.empty(n, dtype=np.int64)
         exploded_step = np.empty(n, dtype=np.int64)
-        occ_exact = np.zeros(n)
-        occ_near = np.zeros(n)
+        occupation = np.zeros((len(eps), n))
         keys = np.empty((n, 2), dtype=np.uint64)
     except MemoryError:
         gib = n * (n_steps + 1) * d * 8 / 2**30
@@ -256,11 +269,10 @@ def simulate_ensemble(
         sl = slice(int(idx[0]), int(idx[-1]) + 1)
         xi = block_normals(cfg.master_seed, idx, n_steps, c.noise_dim)
         chain = _euler_maruyama(c, x0, xi, cfg, exit_step[sl], exploded_step[sl],
-                                occ_exact[sl], occ_near[sl])
+                                occupation[:, sl], eps)
         for k, x in enumerate(chain):
             states[sl, k] = x
-        occ_exact[sl] *= cfg.dt  # counts -> occupation times
-        occ_near[sl] *= cfg.dt
+        occupation[:, sl] *= cfg.dt  # counts -> occupation times
 
     blocks = _blocks(n)
     if workers == 1 or len(blocks) == 1:
@@ -282,8 +294,8 @@ def simulate_ensemble(
         states=states,
         exit_step=exit_step,
         exploded_step=exploded_step,
-        occupation_exact=occ_exact,
-        occupation_near=occ_near,
+        occupation=occupation,
+        occupation_eps=eps,
         path_keys=keys,
     )
 
@@ -332,31 +344,17 @@ def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
     For ``eps > 0`` the tally counts states with ``w(X_k) < eps``; the
     ``eps = 0`` row is the exact-zero tally.  Rows are returned in the given
     order; occupation is monotone non-increasing as ``eps`` decreases.  The
-    weights are evaluated one row block at a time, once for all ``eps``;
-    like the step, this tolerates the overflow of exploded (frozen) states.
+    rows read the tallies the step took, so every ``eps`` other than 0 and
+    ``near_degeneracy_eps`` must have been passed to
+    :func:`simulate_ensemble` as ``occupation_eps``.
     """
-    eps_list = list(eps_list)
-    if any(eps < 0 for eps in eps_list):
-        raise SimulationError("eps must be nonnegative")
-    tallied = [eps for eps in eps_list if eps != 0.0]
-    counts = np.empty((len(tallied), ens.n_paths))
-    if tallied:
-        for rows in ens.row_blocks():
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = ens.coefficients.inv_weight(ens.states[rows, : ens.config.n_steps, :])
-            for count, eps in zip(counts, tallied):
-                count[rows] = np.sum(w < eps, axis=1)
-    occupations = iter(ens.config.dt * counts)
     rows = []
     for eps in eps_list:
-        occ = ens.occupation_exact if eps == 0.0 else next(occupations)
-        rows.append(
-            OccupationRow(
-                eps=float(eps),
-                mean_occupation=float(np.mean(occ)),
-                max_occupation=float(np.max(occ)),
-            )
-        )
+        if eps not in ens.occupation_eps:
+            raise SimulationError(f"occupation below eps={eps!r} was not tallied; "
+                                  "pass it to simulate_ensemble as occupation_eps")
+        occ = ens.occupation[ens.occupation_eps.index(eps)]
+        rows.append(OccupationRow(float(eps), float(np.mean(occ)), float(np.max(occ))))
     return rows
 
 

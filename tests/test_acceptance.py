@@ -189,7 +189,8 @@ def test_05_degeneracy_set_occupation_profile():
     need = _Need()
     rad = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0)
     ens = simulate_ensemble(
-        rad, (0.0, 0.0), SimConfig(dt=1e-3, t_final=1.0, n_paths=4000, master_seed=50)
+        rad, (0.0, 0.0), SimConfig(dt=1e-3, t_final=1.0, n_paths=4000, master_seed=50),
+        occupation_eps=(0.2, 0.1, 0.05, 0.025),
     )
     need(ens.occupation_exact.max() == 0.0, "exact-zero occupation positive")
     rows = occupation_profile(ens, (0.2, 0.1, 0.05, 0.025, 0.0))

@@ -569,6 +569,27 @@ class TestCliArtifacts:
         assert reports[0] == reports[1]
         assert b"rss" not in reports[0]
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097])
+    def test_table_bytes_equal_per_value_formatting(self, tmp_path, n_rows):
+        # tables are formatted a block of rows at a time; the bytes must be
+        # those of one f"{v:.17g}" per value, on both sides of a block edge
+        special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e16, 0.0]
+        rng = np.random.default_rng(n_rows)
+        columns = [
+            np.arange(n_rows, dtype=float),
+            np.resize(special, n_rows),
+            np.resize(special[::-1], n_rows),
+            rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows),
+        ]
+        header = ["path", "x0", "x1", "x2"]
+        _Emitter(str(tmp_path)).table("t", header, columns)
+        lines = [",".join(header)]
+        for row in np.column_stack(columns):
+            lines.append(",".join(f"{v:.17g}" for v in row))
+        want = "\n".join(lines) + "\n"
+        assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
+
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
         assert main(["check", "--config", path]) == 0

@@ -295,14 +295,17 @@ class TestOccupation:
         np.testing.assert_array_equal(ens.occupation_exact, 0.0)
 
     def test_profile_monotone_and_zero_row(self, radial2):
-        ens = simulate_ensemble(radial2, [1.0, 0.0], _cfg(n_paths=500, dt=1e-2))
-        rows = occupation_profile(ens, [0.2, 0.1, 0.05, 0.025, 0.0])
+        eps = [0.2, 0.1, 0.05, 0.025, 0.0]
+        ens = simulate_ensemble(radial2, [1.0, 0.0], _cfg(n_paths=500, dt=1e-2),
+                                occupation_eps=eps)
+        rows = occupation_profile(ens, eps)
         means = [r.mean_occupation for r in rows]
         assert all(a >= b for a, b in zip(means, means[1:]))
         assert rows[-1].eps == 0.0 and rows[-1].mean_occupation == 0.0
 
     def test_profile_counts_by_hand(self, radial2):
-        ens = simulate_ensemble(radial2, [1.0, 0.0], _cfg(n_paths=20, dt=0.1, t_final=0.5))
+        ens = simulate_ensemble(radial2, [1.0, 0.0], _cfg(n_paths=20, dt=0.1, t_final=0.5),
+                                occupation_eps=[0.9])
         w = np.sum(ens.states[:, :5, :] ** 2, axis=2) ** 0.125
         expect = 0.1 * np.sum(w < 0.9, axis=1).mean()
         row = occupation_profile(ens, [0.9])[0]
@@ -310,11 +313,12 @@ class TestOccupation:
 
     def test_profile_is_silent_on_exploded_paths(self):
         c = builtin_family("radial_degenerate", 2, alpha=0.25, drift="cubic_outward")
-        ens = simulate_ensemble(c, [2.0, 0.0], _cfg(n_paths=50, t_final=0.5))
-        assert ens.exploded.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            ens = simulate_ensemble(c, [2.0, 0.0], _cfg(n_paths=50, t_final=0.5),
+                                    occupation_eps=[0.2])
             rows = occupation_profile(ens, [0.2, 0.0])
+        assert ens.exploded.all()
         assert [r.eps for r in rows] == [0.2, 0.0]
 
     def test_near_eps_config_tally(self, radial2):
@@ -322,6 +326,31 @@ class TestOccupation:
         ens = simulate_ensemble(radial2, [1.0, 0.0], cfg)
         w = np.sum(ens.states[:, :100, :] ** 2, axis=2) ** 0.125
         np.testing.assert_allclose(ens.occupation_near, 1e-2 * np.sum(w < 0.8, axis=1))
+
+    def test_profile_reads_only_tallied_eps(self, radial2):
+        # 0 and near_degeneracy_eps are always tallied; anything else must be
+        # named at simulate time, and is never recomputed from the states
+        ens = simulate_ensemble(radial2, [1.0, 0.0], _cfg(n_paths=20, t_final=0.1),
+                                occupation_eps=[0.2])
+        assert [r.eps for r in occupation_profile(ens, [0.2, 0.05, 0.0, -0.0])] == [
+            0.2, 0.05, 0.0, 0.0]
+        for eps in (0.1, -0.2, float("nan"), float("inf"), "0.2"):
+            with pytest.raises(SimulationError, match="not tallied"):
+                occupation_profile(ens, [eps])
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), -0.1,
+                                     True, "0.1", None])
+    def test_bad_occupation_eps_rejected(self, radial2, eps):
+        with pytest.raises(SimulationError, match="occupation_eps"):
+            simulate_ensemble(radial2, [1.0, 0.0], _cfg(n_paths=4, t_final=0.1),
+                              occupation_eps=[0.1, eps])
+
+    def test_repeated_eps_tallied_once(self, radial2):
+        cfg = _cfg(n_paths=20, t_final=0.1, near_degeneracy_eps=0.1)
+        ens = simulate_ensemble(radial2, [1.0, 0.0], cfg,
+                                occupation_eps=[0.3, 0.1, 0.0, 0.3, -0.0])
+        assert ens.occupation_eps == (0.0, 0.1, 0.3)
+        assert ens.occupation.shape == (3, 20)
 
 
 def _posthoc_occupation(ens, eps):
@@ -356,7 +385,7 @@ class TestFusedTallies:
     def test_tallies_equal_posthoc_weights(self, family, x0, kw, stops):
         c = builtin_family("radial_degenerate", 2, **family)
         cfg = _cfg(**{"n_paths": 300, "t_final": 0.5, "near_degeneracy_eps": 1.5, **kw})
-        ens = simulate_ensemble(c, x0, cfg, workers=2)
+        ens = simulate_ensemble(c, x0, cfg, workers=2, occupation_eps=_PROFILE_EPS)
         stopped = ens.stop_step < cfg.n_steps
         assert {"all": stopped.all(), "none": not stopped.any(),
                 "some": 0 < stopped.sum() < cfg.n_paths}[stops]
@@ -435,10 +464,12 @@ class TestDeclaredIdentityFactor:
 
 class TestRowBlocks:
     def test_occupation_profile_peak_memory(self):
-        # 16384 x 200 states take 52 MB; the profile's weights are taken one
-        # row block at a time, so its traced peak is a small fraction of that
+        # 16384 x 200 states take 52 MB; the profile reads the tallies the
+        # step took, with no pass over the states, so its traced peak is a
+        # small fraction of that
         c = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0)
-        ens = simulate_ensemble(c, [0.3, 0.0], _cfg(n_paths=16_384, dt=5e-3), workers=2)
+        ens = simulate_ensemble(c, [0.3, 0.0], _cfg(n_paths=16_384, dt=5e-3), workers=2,
+                                occupation_eps=_PROFILE_EPS)
         assert len(list(ens.row_blocks())) > 1
         tracemalloc.start()
         try:

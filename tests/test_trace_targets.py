@@ -3,7 +3,9 @@ the package (``bench/spans.py``).  Every name it wraps must still resolve, so
 a refactor that moves or deletes one fails here, not only in a traced run.
 Nothing is wrapped: the targets are looked up statically.  Its observers read
 attributes of the results they see; they run here on small real results, so
-a result that stops holding ``states`` or slices fails here too.
+a result that stops holding ``states`` or slices fails here too.  Its
+counters read the arguments of the calls they wrap; the byte counter runs
+here on a real table write.
 """
 
 import importlib
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sdelab.cli
 from sdelab import builtin_family
 from sdelab.density import solve_density
 from sdelab.grids import GridField
@@ -63,3 +66,18 @@ def test_evolve_observer_reads_a_real_field():
     _spans._evolve(tracer, (c, dens, None, 0.2, 0.05), u)
     assert tracer.counts["semigroup.steps"] == 4
     assert tracer.counts["semigroup.slices_mb"] == 5 * 81 * 8 / 2**20
+
+
+def test_bytes_written_counter_sees_a_real_table(tmp_path, monkeypatch):
+    # the counter sizes the one str each _write_atomic call receives; a
+    # writer that stopped passing the whole text there would disagree with
+    # the file it wrote
+    (key, amount), = [t[2:] for t in _spans.COUNT_TARGETS
+                      if t[:2] == ("sdelab.cli", "_write_atomic")]
+    assert key == "cli.bytes_written"
+    tracer = _spans.Tracer()
+    monkeypatch.setattr(sdelab.cli, "_write_atomic",
+                        tracer.counter(key, sdelab.cli._write_atomic, amount))
+    columns = [np.arange(5000, dtype=float), np.linspace(-1.0, 1.0, 5000)]
+    sdelab.cli._Emitter(str(tmp_path)).table("t", ["path", "x0"], columns)
+    assert tracer.counts[key] == (tmp_path / "t.csv").stat().st_size
