@@ -178,7 +178,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     ens = simulate_ensemble(c, x0, cfg.sim, workers=workers,
                             occupation_eps=_OCCUPATION_EPS)
     report = DiagnosticReport(
-        check=f"simulate[{c.family.get('name', 'custom')}]",
+        check=f"simulate[{c.name}]",
         meta={"x0": list(x0), "config": cfg.sim.to_dict()},
     )
     report.add(
@@ -228,8 +228,7 @@ def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
             rep = uniqueness_probe(c, workers=workers, **inputs)
         elif kind == "krylov":
             audits = krylov_audit(c, workers=workers, **inputs)
-            name = c.family.get("name", "custom")
-            rep = DiagnosticReport(check=f"krylov_audit[{name}]", meta={"audits": []})
+            rep = DiagnosticReport(check=f"krylov_audit[{c.name}]", meta={"audits": []})
             for a in audits:
                 label, gap = a.meta["label"], a.meta["homogeneity"]["estimate_gap"]
                 rep.add(f"ratio_finite[{label}]", np.isfinite(a.ratio), value=a.ratio)

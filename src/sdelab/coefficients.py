@@ -53,16 +53,14 @@ class InverseWeight:
 
     ``fn`` evaluates ``w >= 0``.  The degeneracy set of this version is its
     zero set ``Z = {w = 0}``, decided by exact evaluation (no tolerance).
-    ``representative_tag`` names the chosen version: versions that differ only
-    on a Lebesgue-null set induce the same equation class but distinct
-    simulators, which is exactly what the law diagnostics compare.
-    ``has_zeros`` declares whether Z is nonempty for this version; it cannot be
-    inferred from a black-box callable and drives the occupation-condition
-    routing.
+    Versions that differ only on a Lebesgue-null set induce the same equation
+    class but distinct simulators, which is exactly what the law diagnostics
+    compare.  ``has_zeros`` declares whether Z is nonempty for this version;
+    it cannot be inferred from a black-box callable and drives the
+    occupation-condition routing.
     """
 
     fn: Callable
-    representative_tag: str
     has_zeros: bool
 
     def __call__(self, x) -> np.ndarray:
@@ -223,6 +221,11 @@ class CoefficientSet:
     def noise_dim(self) -> int:
         return self.factor.m
 
+    @property
+    def name(self) -> str:
+        """The family name that reports carry, ``"custom"`` if none is given."""
+        return self.family.get("name", "custom")
+
     def A(self, x) -> np.ndarray:
         return self.matrix(x)
 
@@ -257,25 +260,27 @@ def eval_sigma_hat(c: CoefficientSet, x) -> np.ndarray:
     return root[..., None, None] * c.factor(x)
 
 
-def _default_probes(c: CoefficientSet, n: int = 64, radius: float = 2.0) -> np.ndarray:
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal((n, c.dim))
+_FACTOR_TOL = 1e-10  # entrywise gap allowed in A = sigma sigma^T
+
+
+def _ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+    """``n`` points uniform in the centered ball: a direction, then a radius."""
+    z = rng.standard_normal((n, dim))
     z /= np.linalg.norm(z, axis=-1, keepdims=True)
-    r = radius * rng.random(n) ** (1.0 / c.dim)
+    r = radius * rng.random(n) ** (1.0 / dim)
     return z * r[:, None]
 
 
-def check_factorization(c: CoefficientSet, probes=None, tol: float = 1e-10):
-    """Verify ``A = sigma sigma^T`` and symmetry of ``A`` on probe points.
+def check_factorization(c: CoefficientSet):
+    """Verify ``A = sigma sigma^T`` and symmetry of ``A`` on 64 probe points
+    of the ball of radius 2, to an entrywise ``1e-10``.
 
     Returns a report whose ``factorization_gap`` clause holds the worst
     entrywise gap and the offending point.
     """
     from .reporting import DiagnosticReport
 
-    if probes is None:
-        probes = _default_probes(c)
-    probes = _batchpoints(probes, c.dim)
+    probes = _ball_points(np.random.default_rng(0), 64, c.dim, 2.0)
     a = c.A(probes)
     s = c.factor(probes)
     gap = np.abs(a - np.einsum("...ik,...jk->...ij", s, s))
@@ -284,16 +289,16 @@ def check_factorization(c: CoefficientSet, probes=None, tol: float = 1e-10):
     asym = float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
     rep = DiagnosticReport(
         check="factorization",
-        meta={"n_probes": int(probes.shape[0]), "tol": tol},
+        meta={"n_probes": int(probes.shape[0]), "tol": _FACTOR_TOL},
     )
     rep.add(
         "factorization_gap",
-        worst[i] <= tol,
+        worst[i] <= _FACTOR_TOL,
         value=float(worst[i]),
-        threshold=tol,
+        threshold=_FACTOR_TOL,
         detail=f"worst at x={np.round(probes[i], 6).tolist()}",
     )
-    rep.add("matrix_symmetry", asym <= tol, value=asym, threshold=tol)
+    rep.add("matrix_symmetry", asym <= _FACTOR_TOL, value=asym, threshold=_FACTOR_TOL)
     return rep
 
 
@@ -318,10 +323,7 @@ def estimate_ellipticity(
     """
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, c.dim))
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
-    r = radius * rng.random(n_samples) ** (1.0 / c.dim)
-    x = center + z * r[:, None]
+    x = center + _ball_points(rng, n_samples, c.dim, radius)
     xi = rng.standard_normal((n_samples, c.dim))
     xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
     q = np.einsum("ni,nij,nj->n", xi, c.A(x), xi)
@@ -357,7 +359,7 @@ def _family(d: int, name: str, params: dict, inv_weight: InverseWeight, drift,
     )
 
 
-_UNIT_WEIGHT = InverseWeight(lambda x: np.ones(x.shape[:-1]), "unit", has_zeros=False)
+_UNIT_WEIGHT = InverseWeight(lambda x: np.ones(x.shape[:-1]), has_zeros=False)
 
 
 def _drift_field(drift, d: int):
@@ -410,7 +412,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
             r2 = squared_norm(x)
             return over_phi(r2 ** (alpha / 2.0), x)
 
-        return InverseWeight(fn, "zero_at_origin", has_zeros=True)
+        return InverseWeight(fn, has_zeros=True)
 
     finite_real(gamma, "gamma", CoefficientError, positive=True)
 
@@ -420,7 +422,7 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
         v = np.where(r2 == 0.0, gamma * gamma, v)
         return over_phi(v, x)
 
-    return InverseWeight(fn, f"origin_value={gamma:g}", has_zeros=False)
+    return InverseWeight(fn, has_zeros=False)
 
 
 def _radial_degenerate(
@@ -490,7 +492,7 @@ def _piecewise_weight(d: int, cells=None, background: float = 1.0) -> Coefficien
             out = np.where(inside, v, out)
         return out
 
-    iw = InverseWeight(lambda x: root_fn(x) ** 2, "piecewise_cells", has_zeros=False)
+    iw = InverseWeight(lambda x: root_fn(x) ** 2, has_zeros=False)
 
     def zero(x):
         return np.zeros(x.shape)
@@ -528,7 +530,6 @@ def _hyperplane_jump(
 
     iw = InverseWeight(
         lambda x: np.where(side(x), weight_right**2, weight_left**2),
-        "hyperplane_sides",
         has_zeros=False,
     )
 

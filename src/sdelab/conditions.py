@@ -63,9 +63,6 @@ class ExponentWindow:
     def nonempty(self) -> bool:
         return self.q_high > self.q_low
 
-    def contains(self, q: float) -> bool:
-        return self.q_low < q < self.q_high
-
 
 def _growth_lhs(c: CoefficientSet, x: np.ndarray) -> np.ndarray:
     """Vectorized left side of the dissipativity bound (finite off the null set)."""

@@ -304,9 +304,6 @@ class ExperimentConfig:
             out["output_dir"] = self.output_dir
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @property
     def digest(self) -> str:
         """Canonical-JSON digest of the experiment.

@@ -106,15 +106,11 @@ def _diagonal_entries(c: CoefficientSet, pts: np.ndarray, dim: int) -> np.ndarra
     return diag
 
 
-def advective_coefficient(
-    c: CoefficientSet, pts: np.ndarray, lattice_dim: int
-) -> np.ndarray:
-    """Values of ``c = (1/2) row-div A - psi G``, patched where singular."""
-    half_div = 0.5 * c.matrix.row_divergence(pts)
+def _node_psi_g(c: CoefficientSet, pts: np.ndarray, lattice_dim: int) -> np.ndarray:
+    """Values of ``psi G`` at lattice points, patched where singular."""
     with np.errstate(divide="ignore", invalid="ignore"):
         psi_g = c.psi_G(pts)
-    psi_g = patch_nonfinite(psi_g, lattice_dim, "psi * G")
-    return half_div - psi_g
+    return patch_nonfinite(psi_g, lattice_dim, "psi * G")
 
 
 def psi_weights(c: CoefficientSet, grid: BoxGrid) -> np.ndarray:
@@ -162,7 +158,8 @@ class _FaceScheme:
 
             mid = pts[sl_l].copy()
             mid[..., k] += 0.5 * h[k]
-            v_face = advective_coefficient(c, mid, d)[..., k]
+            # the advective coefficient c = (1/2) row-div A - psi G
+            v_face = (0.5 * c.matrix.row_divergence(mid) - _node_psi_g(c, mid, d))[..., k]
 
             lam = v_face * h[k] / d_face
             self.w_right.append(d_face / h[k] * _bernoulli(-lam))
@@ -418,9 +415,7 @@ def compute_beta(c: CoefficientSet, dens: DensityField) -> DriftDecomposition:
     beta = np.where(null[..., None], 0.0, beta)
     b_vec = c.G(pts) - beta
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_g = c.psi_G(pts)
-    psi_g = patch_nonfinite(psi_g, grid.dim, "psi * G")
+    psi_g = _node_psi_g(c, pts, grid.dim)
     rho_psi_b = rho[..., None] * psi_g - 0.5 * rho[..., None] * row_div - 0.5 * a_grad
 
     return DriftDecomposition(
@@ -452,9 +447,7 @@ def verify_preinvariance(
     pts = grid.points()
     rho = dens.rho.values
     diag_a = dens.faces.node_diag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi_g = c.psi_G(pts)
-    psi_g = patch_nonfinite(psi_g, grid.dim, "psi * G")
+    psi_g = _node_psi_g(c, pts, grid.dim)
     row_div = c.matrix.row_divergence(pts)
     sym_flux = 0.5 * rho[..., None] * row_div + 0.5 * diag_a * dens.grad_rho.values
     quad_w = grid.trapezoid_weights()

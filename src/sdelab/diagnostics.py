@@ -33,7 +33,8 @@ from scipy.spatial.distance import cdist
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights, solve_density
 from .grids import (
-    BoxGrid, GridField, finite_point, finite_real, grid_values, integer, step_count,
+    BoxGrid, GridField, finite_point, finite_real, finite_values, grid_values, integer,
+    step_count,
 )
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
@@ -43,6 +44,7 @@ from .simulate import SCHEME, SimConfig, simulate_ensemble
 _PERMUTATIONS = 199
 _ENERGY_SUBSAMPLE = 1024
 _ASYMPTOTIC_MIN = 1000
+_HOMOGENEITY_SCALE = 3.7  # the factor each Krylov payload is rescaled by
 
 
 class DiagnosticsError(ValueError):
@@ -368,7 +370,7 @@ def uniqueness_probe(
         variant_meta.append(
             {
                 "label": var.label,
-                "family": c.family.get("name", "custom"),
+                "family": c.name,
                 "dt": cfg_i.dt,
                 "scheme": SCHEME,
                 "master_seed": cfg_i.master_seed,
@@ -382,7 +384,7 @@ def uniqueness_probe(
     n_pairs = len(variants) * (len(variants) - 1) // 2
     per_test = level / (n_pairs * len(t_checks))
     report = DiagnosticReport(
-        check=f"uniqueness_probe[{c_base.family.get('name', 'custom')}]",
+        check=f"uniqueness_probe[{c_base.name}]",
         meta={
             "level": level,
             "per_comparison_level": per_test,
@@ -466,17 +468,8 @@ def _path_integral_weights(stop: np.ndarray, dt: float, n_times: int) -> np.ndar
 
 def _payload_values(f: Callable, x, t, shape: tuple, label: str, where: str) -> np.ndarray:
     """``f(x, t)``, checked to have ``shape`` and finite values."""
-    vals = np.asarray(f(x, t), dtype=float)
-    if vals.shape != shape:
-        raise DiagnosticsError(
-            f"payload {label} returned shape {vals.shape} {where}, expected {shape}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise DiagnosticsError(
-            f"payload {label} is non-finite {where}; the audit needs functions "
-            "bounded on the ball-time window"
-        )
-    return vals
+    return finite_values(f(x, t), shape, f"payload {label}", where, DiagnosticsError,
+                         "; the audit needs functions bounded on the ball-time window")
 
 
 def _mixed_norm(
@@ -536,27 +529,25 @@ def krylov_audit(
     workers: int = 1,
     quad_space: int = 65,
     quad_time: int = 64,
-    homogeneity_scale: float = 3.7,
 ) -> list:
     """Audit the path-integral bound for each payload in the dictionary.
 
     One ensemble is simulated with absorption at ``radius``; every payload
     is integrated along the same paths by trapezoid up to the exit time, so
     the audits share their randomness.  Each audit also re-runs its own
-    payload scaled by ``homogeneity_scale`` on the same paths and records
-    the relative defect of estimate and ratio homogeneity in ``meta``
-    (both scale linearly, so the defects sit at rounding level).  Payload
-    values, weights and both integrals are formed one row block of paths at
-    a time, so no temporary spans the whole ensemble.
+    payload scaled by 3.7 on the same paths and records the relative defect
+    of estimate and ratio homogeneity in ``meta`` (both scale linearly, so
+    the defects sit at rounding level).  Payload values, weights and both
+    integrals are formed one row block of paths at a time, so no temporary
+    spans the whole ensemble.
     """
     cfg_run = krylov_config(radius, t_final, f_dictionary, cfg, quad_space, quad_time)
-    radius, t_final = cfg_run.r_exit, cfg_run.t_final
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
 
     stop, n_times = ens.stop_step, len(ens.times)
     exit_fraction = float(np.mean(ens.exit_step >= 0))
 
-    lam = float(homogeneity_scale)
+    lam = _HOMOGENEITY_SCALE
     audits = []
     for i, f in enumerate(f_dictionary):
         label = getattr(f, "__name__", None) or f"f{i}"
@@ -572,7 +563,7 @@ def krylov_audit(
         estimate = float(np.mean(integrals))
         stderr = float(np.std(integrals) / math.sqrt(len(integrals)))
         f_norm = _mixed_norm(
-            f, radius, t_final, c.dim, label, quad_space, quad_time
+            f, cfg_run.r_exit, cfg_run.t_final, c.dim, label, quad_space, quad_time
         )
         if f_norm > 0.0:
             ratio = estimate / f_norm
@@ -598,15 +589,8 @@ def krylov_audit(
                 ratio=ratio,
                 meta={
                     "label": label,
-                    "family": c.family.get("name", "custom"),
-                    "n_paths": cfg_run.n_paths,
                     "dt": cfg_run.dt,
-                    "t_final": t_final,
-                    "radius": radius,
                     "exit_fraction": exit_fraction,
-                    "master_seed": cfg_run.master_seed,
-                    "quad_space": quad_space,
-                    "quad_time": quad_time,
                     "homogeneity": {
                         "scale": lam,
                         "estimate_gap": est_gap,
@@ -619,13 +603,6 @@ def krylov_audit(
 
 
 # -- Monte-Carlo vs PDE cross-check -------------------------------------------
-
-def _coarse_values(f0, fine_values: np.ndarray, grid_c: BoxGrid) -> np.ndarray:
-    if isinstance(f0, GridField):
-        d = grid_c.dim
-        return np.array(fine_values[(slice(None, None, 2),) * d])
-    return np.asarray(f0(grid_c.points()), dtype=float)
-
 
 def _point_value(grid: BoxGrid, values: np.ndarray, x0: np.ndarray) -> float:
     return float(GridField(grid, values).interpolate(x0[None, :])[0])
@@ -667,9 +644,10 @@ def feynman_kac_crosscheck(
     """Cross-check ``E[f0(X_T)]`` against the parabolic solve at ``x0``.
 
     The Monte-Carlo side simulates ``cfg.n_paths`` paths from ``x0`` and
-    averages ``f0`` at the final time; any configured exit radius is ignored
-    (both sides must see the free dynamics).  The PDE side evolves ``f0`` backward
-    on the density's grid and reads the value at ``x0``; the grid-error
+    averages ``f0``, which must be finite there, at the final states; any
+    configured exit radius is ignored (both sides must see the free
+    dynamics).  The PDE side evolves ``f0`` backward on the density's grid
+    and reads the value at ``x0``; the grid-error
     budget is the Richardson difference against a once-coarsened grid plus
     the difference against a doubled time step.  The check passes when the
     two sides agree within ``3 * (stderr + spatial + temporal)``.
@@ -684,7 +662,8 @@ def feynman_kac_crosscheck(
     f_vals = grid_values(f0, grid, DiagnosticsError)
     f_eval = f0.interpolate if isinstance(f0, GridField) else f0
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
-    terminal = np.asarray(f_eval(ens.state_at(t_final)), dtype=float)
+    terminal = finite_values(f_eval(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",
+                             "at the Monte-Carlo terminal states", DiagnosticsError)
     mc = float(np.mean(terminal))
     stderr = float(np.std(terminal) / math.sqrt(len(terminal)))
     n_exploded = int(np.sum(ens.exploded))
@@ -709,7 +688,9 @@ def feynman_kac_crosscheck(
         normalization=dens.normalization,
         anchor=dens.anchor_point,
     )
-    u_coarse = final_slice(dens_c, grid_c, _coarse_values(f0, f_vals, grid_c), pde_dt)
+    # the coarse nodes are every other fine node, bit for bit
+    f_coarse = f_vals[(slice(None, None, 2),) * grid.dim]
+    u_coarse = final_slice(dens_c, grid_c, f_coarse, pde_dt)
     pde_coarse = _point_value(grid_c, u_coarse, x0)
     spatial = abs(pde - pde_coarse)
 
@@ -729,7 +710,7 @@ def feynman_kac_crosscheck(
     leakage = 1.0 - mass_t / mass0
 
     report = DiagnosticReport(
-        check=f"feynman_kac_crosscheck[{c.family.get('name', 'custom')}]",
+        check=f"feynman_kac_crosscheck[{c.name}]",
         meta={
             "x0": list(x0),
             "t_final": float(t_final),

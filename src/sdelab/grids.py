@@ -45,6 +45,19 @@ def finite_point(x, dim: int, name: str = "x0", error=ValueError) -> np.ndarray:
     return np.array(values)
 
 
+def finite_values(values, shape: tuple, name: str, where: str, error=ValueError,
+                  reason: str = "") -> np.ndarray:
+    """``values`` as a float array, checked to have ``shape`` and finite
+    entries; a fault names ``name`` and ``where`` the values were taken, and
+    a non-finite value adds ``reason``."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != shape:
+        raise error(f"{name} returned shape {v.shape} {where}, expected {shape}")
+    if not np.all(np.isfinite(v)):
+        raise error(f"{name} is non-finite {where}{reason}")
+    return v
+
+
 def step_count(t, dt, error=ValueError, t_name="t_final", dt_name="dt") -> int:
     """Number of steps of size ``dt`` in ``t``, the one step-grid rule: both
     finite and positive, ``t`` a whole multiple of ``dt`` to a relative 1e-9."""

@@ -33,8 +33,12 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights
-from .grids import BoxGrid, GridField, array_shape, grid_values, step_count
+from .grids import BoxGrid, array_shape, grid_values, step_count
 from .reporting import DiagnosticReport
+
+
+_STABILITY_RTOL = 0.10  # relative gap allowed between refined local-boundedness ratios
+_SLACK = 1e-10  # rounding allowed in the contraction audit's monotone norms
 
 
 class SemigroupError(RuntimeError):
@@ -64,15 +68,6 @@ class SpaceTimeField:
             )
         if not np.all(np.isfinite(self.values)):
             raise SemigroupError("non-finite slice values")
-
-    def slice_index(self, t: float) -> int:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > 1e-9 * max(1.0, abs(t)):
-            raise SemigroupError(f"time {t} is not a stored slice")
-        return j
-
-    def at_time(self, t: float) -> GridField:
-        return GridField(self.grid, self.values[self.slice_index(t)])
 
 
 def _assemble_operator(c: CoefficientSet, dens: DensityField) -> tuple:
@@ -189,18 +184,10 @@ def _window_axes(grid: BoxGrid, center: np.ndarray, half: float) -> list:
     return sel
 
 
-def _trapezoid_1d(x: np.ndarray) -> np.ndarray:
-    w = np.zeros(len(x))
-    w[:-1] += 0.5 * np.diff(x)
-    w[1:] += 0.5 * np.diff(x)
-    return w
-
-
-def _sub_quadrature(grid: BoxGrid, sel: list) -> np.ndarray:
-    w = np.ones(())
-    for k, idx in enumerate(sel):
-        w = np.multiply.outer(w, _trapezoid_1d(grid.axes()[k][idx]))
-    return w
+def _trapezoid(axes: list) -> np.ndarray:
+    """Trapezoid weights on the tensor grid of equally spaced node runs."""
+    grid = BoxGrid([(x[0], x[-1]) for x in axes], [len(x) for x in axes])
+    return grid.trapezoid_weights()
 
 
 def audit_local_boundedness(
@@ -210,7 +197,6 @@ def audit_local_boundedness(
     r: float,
     p: float,
     reference: SpaceTimeField | None = None,
-    stability_rtol: float = 0.10,
 ) -> DiagnosticReport:
     """Parabolic local-boundedness ratio on backward cylinders.
 
@@ -219,8 +205,10 @@ def audit_local_boundedness(
     ``ratio = sup_{Q(r)} |u| / || u ||`` with the denominator the mixed norm
     ``L^{2p/(p-2)}`` in space, ``L^2`` in time, over ``Q(2r)``.  Requires
     ``Q(3r)`` inside box x (0, T].  The ratio is homogeneous of degree zero
-    in ``u``.  If ``reference`` is given (the same evolution on another
-    grid), an extra clause checks relative stability of the two ratios.
+    in ``u``.  The slices must be equally spaced in time, as :func:`evolve`
+    stores them.  If ``reference`` is given (the same evolution on another
+    grid), an extra clause checks that the two ratios agree to a relative
+    ``0.10``.
     """
     if p <= 2.0:
         raise SemigroupError("need p > 2 for the mixed-norm exponent")
@@ -232,6 +220,9 @@ def audit_local_boundedness(
             raise SemigroupError("Q(3r) exceeds the box")
     if t_center - 9.0 * r * r <= 0.0 or t_center > t_max + 1e-12:
         raise SemigroupError("Q(3r) exceeds the time interval")
+    steps = np.diff(u.times)
+    if not np.allclose(steps, steps[:1], rtol=1e-9, atol=0.0):
+        raise SemigroupError("slices must be equally spaced in time")
 
     def cylinder(mult: float):
         sel = _window_axes(grid, center, 0.5 * mult * r)
@@ -249,12 +240,12 @@ def audit_local_boundedness(
 
     sel2, t_idx2, vals2 = cylinder(2.0)
     m_exp = 2.0 * p / (p - 2.0)
-    w_space = _sub_quadrature(grid, sel2)
+    w_space = _trapezoid([ax[idx] for ax, idx in zip(grid.axes(), sel2)])
     g = np.power(
         np.sum(w_space * np.power(np.abs(vals2), m_exp), axis=tuple(range(1, vals2.ndim))),
         1.0 / m_exp,
     )
-    w_time = _trapezoid_1d(u.times[t_idx2])
+    w_time = _trapezoid([u.times[t_idx2]])
     denominator = float(np.sqrt(np.sum(w_time * g * g)))
     if denominator < 1e-14:
         raise SemigroupError("trivial window: denominator below 1e-14")
@@ -284,9 +275,9 @@ def audit_local_boundedness(
         drift = abs(ratio - r2) / max(abs(r2), 1e-300)
         rep.add(
             "ratio_stable_under_refinement",
-            drift <= stability_rtol,
+            drift <= _STABILITY_RTOL,
             value=drift,
-            threshold=stability_rtol,
+            threshold=_STABILITY_RTOL,
             detail=f"this={ratio:.6g}, reference={r2:.6g}",
         )
     return rep
@@ -296,13 +287,13 @@ def semigroup_contraction_check(
     c: CoefficientSet,
     u: SpaceTimeField,
     dens: DensityField,
-    slack: float = 1e-10,
 ) -> DiagnosticReport:
     """Monotonicity of the weighted L1 norm and the sup norm along slices.
 
     Checks ``t -> ||u(t)||_{L1(rho psi dx)}`` and ``t -> ||u(t)||_sup`` are
-    non-increasing up to ``slack`` (absolute, scaled by the initial norm).
-    When the initial datum sits in [0, 1], also checks every slice does.
+    non-increasing up to a slack of ``1e-10`` (absolute, scaled by the
+    initial norm).  When the initial datum sits in [0, 1], also checks every
+    slice does, to the same slack.
     """
     grid = u.grid
     w = grid.trapezoid_weights() * dens.rho.values * psi_weights(c, grid)
@@ -314,11 +305,11 @@ def semigroup_contraction_check(
         meta={
             "l1_norms": [float(v) for v in l1],
             "sup_norms": [float(v) for v in sup],
-            "slack": slack,
+            "slack": _SLACK,
         },
     )
-    tol1 = slack * (1.0 + l1[0])
-    tol_inf = slack * (1.0 + sup[0])
+    tol1 = _SLACK * (1.0 + l1[0])
+    tol_inf = _SLACK * (1.0 + sup[0])
     rise_l1 = float(np.max(np.diff(l1), initial=0.0))
     rise_sup = float(np.max(np.diff(sup), initial=0.0))
     rep.add(
@@ -338,9 +329,9 @@ def semigroup_contraction_check(
         high = float(np.max(u.values))
         rep.add(
             "unit_interval_preserved",
-            low >= -slack and high <= 1.0 + slack,
+            low >= -_SLACK and high <= 1.0 + _SLACK,
             value=max(-low, high - 1.0),
-            threshold=slack,
+            threshold=_SLACK,
             detail=f"range [{low:.3e}, {high:.3e}]",
         )
     return rep

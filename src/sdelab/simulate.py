@@ -33,9 +33,10 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .grids import (
-    array_shape, finite_point, finite_real, integer, squared_norm, step_count,
+    array_shape, finite_point, finite_real, finite_values, integer, squared_norm,
+    step_count,
 )
-from .rng import block_normals, path_key
+from .rng import block_normals
 
 _BLOCK = 4096  # fixed path-block size; results must not depend on it
 _ROW_ELEMENTS = 2**18  # state entries per row block of a pass over an ensemble
@@ -51,7 +52,9 @@ class SimConfig:
     """Ensemble configuration, checked on construction.
 
     ``t_final`` must be an integer multiple of ``dt`` (within rounding); the
-    counts are integers.  ``r_exit = None`` disables exit absorption.
+    counts are integers, and ``master_seed`` keys the per-path noise streams,
+    so it must fit in an unsigned 64-bit integer.  ``r_exit = None``
+    disables exit absorption.
     ``near_degeneracy_eps`` sets the weight threshold of the near-degeneracy
     tally.  The step is always Euler-Maruyama (:data:`SCHEME`).
     """
@@ -66,7 +69,9 @@ class SimConfig:
     def __post_init__(self):
         step_count(self.t_final, self.dt, SimulationError)
         integer(self.n_paths, "n_paths", SimulationError, minimum=1)
-        integer(self.master_seed, "master_seed", SimulationError)
+        if integer(self.master_seed, "master_seed", SimulationError) >= 2**64:
+            raise SimulationError("master_seed must fit in an unsigned 64-bit "
+                                  f"integer, got {self.master_seed}")
         if self.r_exit is not None:
             finite_real(self.r_exit, "r_exit", SimulationError, positive=True)
         eps = finite_real(self.near_degeneracy_eps, "near_degeneracy_eps", SimulationError)
@@ -105,23 +110,22 @@ class PathEnsemble:
     none), with the path frozen at its last finite state.  ``occupation[j]``
     holds occupation times below ``occupation_eps[j]``: row 0 of ``w == 0``,
     row 1 of ``near_degeneracy_eps``, then those asked for at simulate time.
-    ``path_keys`` are the per-path substream keys ``(master_seed, index)``.
-    ``coefficients`` are the coefficients the paths were generated with.
     """
 
     config: SimConfig
-    coefficients: CoefficientSet
-    x0: np.ndarray
-    times: np.ndarray
     states: np.ndarray
     exit_step: np.ndarray
     exploded_step: np.ndarray
     occupation: np.ndarray
     occupation_eps: tuple
-    path_keys: np.ndarray
 
     occupation_exact = property(lambda self: self.occupation[0])
     occupation_near = property(lambda self: self.occupation[1])
+
+    @property
+    def times(self) -> np.ndarray:
+        """The step grid ``k * dt``, ``k = 0 .. n_steps``."""
+        return np.arange(self.config.n_steps + 1) * self.config.dt
 
     @property
     def n_paths(self) -> int:
@@ -259,7 +263,6 @@ def simulate_ensemble(
         exit_step = np.empty(n, dtype=np.int64)
         exploded_step = np.empty(n, dtype=np.int64)
         occupation = np.zeros((len(eps), n))
-        keys = np.empty((n, 2), dtype=np.uint64)
     except MemoryError:
         gib = n * (n_steps + 1) * d * 8 / 2**30
         raise SimulationError(f"states of shape {shape} need {gib:.4g} GiB, "
@@ -282,21 +285,13 @@ def simulate_ensemble(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, blocks))
 
-    path_key(cfg.master_seed, n - 1)  # every key fits in u64 if the last does
-    keys[:, 0] = cfg.master_seed
-    keys[:, 1] = np.arange(n)
-
     return PathEnsemble(
         config=cfg,
-        coefficients=c,
-        x0=x0,
-        times=np.arange(n_steps + 1) * cfg.dt,
         states=states,
         exit_step=exit_step,
         exploded_step=exploded_step,
         occupation=occupation,
         occupation_eps=eps,
-        path_keys=keys,
     )
 
 
@@ -375,7 +370,8 @@ def weak_error_study(
     estimates expose the scheme's order with the Monte Carlo noise largely
     cancelled.  Every ``dt`` must be an integer multiple of the finest one.
     Each level is checked as a :class:`SimConfig` and steps the ensembles'
-    chain; a path that explodes at any level is an error.
+    chain; a path that explodes at any level is an error, and so is a payoff
+    that does not map a block of ``b`` terminal states to ``b`` finite values.
 
     Returns a dict with ``dt`` (descending), ``estimates``, ``stderr`` and
     ``successive_diffs``.
@@ -406,7 +402,8 @@ def weak_error_study(
                     f"{np.sum(exploded_step >= 0)} paths of block {idx[0]}..{idx[-1]} "
                     f"exploded (non-finite update) at dt={level.dt}"
                 )
-            vals = np.asarray(payoff(x), dtype=float)
+            where = f"at the terminal states of dt={level.dt}"
+            vals = finite_values(payoff(x), (b,), "payoff", where, SimulationError)
             sums[li] += vals.sum()
             sq_sums[li] += np.sum(vals * vals)
 

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import json
 import os
 import warnings
@@ -41,6 +42,7 @@ def base_config(**updates):
 
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "example_config.json"
+REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references.json"
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -69,7 +71,7 @@ class TestConfigSchema:
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig.from_dict(base_config())
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
         assert again.digest == cfg.digest
 
     @pytest.mark.parametrize(
@@ -454,6 +456,25 @@ class TestInputBoundary:
         assert "Traceback" not in err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("subcommand", ["check", "density"])
+    def test_seed_flag_outside_u64_is_usage_error(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "out"
+        rc = main([subcommand, "--config", str(EXAMPLE_CONFIG), "--seed", str(2**64),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: master_seed must fit") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_seed_outside_u64_is_a_sim_error(self, tmp_path, capsys):
+        # the seed used to be refused only where a uniqueness entry derives
+        # its own seeds from it, and the error named that entry
+        rc = main(["simulate", "--config", str(EXAMPLE_CONFIG),
+                   "--set", f"sim.master_seed={2**64}", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: sim: master_seed must fit") and err.count("\n") == 1
+
     def test_unallocatable_density_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # The node arrays of a 100001 x 100001 grid need ~75 GiB; the refusal is
         # simulated, so the test never asks for that memory.
@@ -589,6 +610,23 @@ class TestCliArtifacts:
             lines.append(",".join(f"{v:.17g}" for v in row))
         want = "\n".join(lines) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
+
+    def test_verdict_outputs_match_benchmark_references(self, tmp_path):
+        # the benchmark's byte gate, run in-process: every report and table
+        # the verdict workload writes at the base seed has its recorded sha256
+        refs = json.loads(REFERENCES.read_text())
+        workload = refs["workloads"]["verdict"]
+        for op in workload["ops"]:
+            out = tmp_path / op["label"]
+            argv = [op["command"], "--config", str(EXAMPLE_CONFIG), "--out", str(out),
+                    "--workers", "2", "--seed", str(refs["base_seed"])]
+            for item in op["set"]:
+                argv += ["--set", item]
+            assert main(argv) == 0, op["label"]
+            written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                       for f in out.iterdir()
+                       if f.suffix in (".json", ".csv") and ".sidecar." not in f.name}
+            assert written == workload["digests"][0][op["label"]], op["label"]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))

@@ -54,7 +54,6 @@ def _affine_diag_set():
         factor=DispersionFactor(2, 2, sigma),
         inv_weight=InverseWeight(
             fn=lambda x: np.ones(x.shape[:-1]),
-            representative_tag="unit",
             has_zeros=False,
         ),
         drift=lambda x: np.zeros(x.shape),

@@ -55,7 +55,6 @@ def _comonotone_2d():
         factor=DispersionFactor(2, 1, s_fn),
         inv_weight=InverseWeight(
             fn=lambda x: np.ones(x.shape[:-1]),
-            representative_tag="unit",
             has_zeros=False,
         ),
         drift=zero,
@@ -553,6 +552,19 @@ class TestFeynmanKac:
         fine_nbytes = calls[0][1]
         for held, _ in calls[1:]:
             assert held - base < fine_nbytes / 4
+
+    def test_payload_non_finite_at_a_terminal_state_rejected(self, brownian2):
+        # finite at every node of the box, NaN beyond it, where paths go: the
+        # Monte-Carlo mean used to be NaN and the report a FAIL with value nan
+        def box_only(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x).max(axis=-1) <= 1.0, 1.0, np.nan)
+
+        dens = solve_density(brownian2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+        cfg = SimConfig(dt=1e-2, t_final=0.5, n_paths=200, master_seed=1)
+        with pytest.raises(DiagnosticsError,
+                           match="payload is non-finite at the Monte-Carlo terminal states"):
+            feynman_kac_crosscheck(brownian2, dens, box_only, (0.5, 0.5), 0.5, cfg, 0.05)
 
     def test_x0_near_boundary_rejected(self, brownian2):
         dens = solve_density(brownian2, BOUNDS4, 33)

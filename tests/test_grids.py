@@ -52,9 +52,24 @@ class TestBoxGrid:
         g = f.coarsen()
         assert g.n == (5, 3)
         for fine, coarse in zip(f.axes(), g.axes()):
-            np.testing.assert_allclose(fine[::2], coarse)
+            np.testing.assert_array_equal(fine[::2], coarse)
         with pytest.raises(GridError, match="odd"):
             BoxGrid(BOX2, 8).coarsen()
+        # every coarse node is the fine node it sits on, bit for bit, on
+        # awkward boxes too: the coarse step is the fine one doubled exactly
+        rng = np.random.default_rng(0)
+        boxes = [([[-np.pi, np.e], [0.1, 0.7]], (399, 41)),
+                 ([[1e-3, 2.0 / 3.0], [-1e5, 0.3], [0.3, 0.30000001]], (21, 47, 7))]
+        for d, n_max in ((2, 399), (3, 41)):
+            for _ in range(100):
+                lo = rng.uniform(-10.0, 10.0, d) * 10.0 ** rng.integers(-3, 4, d)
+                hi = lo + rng.uniform(1e-6, 20.0, d)
+                n = 2 * rng.integers(1, n_max // 2 + 1, d) + 1  # odd, 3 .. n_max
+                boxes.append((np.stack([lo, hi], axis=1), n))
+        for bounds, n in boxes:
+            f = BoxGrid(bounds, n)
+            every_other = (slice(None, None, 2),) * f.dim
+            np.testing.assert_array_equal(f.points()[every_other], f.coarsen().points())
 
     def test_bad_inputs(self):
         with pytest.raises(GridError):

@@ -39,14 +39,6 @@ class TestSpaceTimeField:
         with pytest.raises(SemigroupError, match="finite"):
             SpaceTimeField(grid, np.array([0.0, 1.0]), vals)
 
-    def test_at_time_lookup(self):
-        grid = BoxGrid(BOX2, 9)
-        vals = np.stack([np.zeros(grid.shape), np.ones(grid.shape)])
-        u = SpaceTimeField(grid, np.array([0.0, 0.5]), vals)
-        assert u.at_time(0.5).values[0, 0] == 1.0
-        with pytest.raises(SemigroupError, match="stored slice"):
-            u.at_time(0.3)
-
 
 class TestEvolveValidation:
     def test_bad_dt(self, brownian2):
@@ -210,6 +202,14 @@ class TestLocalBoundedness:
             audit_local_boundedness(u, (0.0, 0.0), 0.1, 0.25, 6.0)
         with pytest.raises(SemigroupError, match="fewer than 2 nodes"):
             audit_local_boundedness(u, (0.0, 0.0), 0.9, 0.02, 6.0)
+
+    def test_unequal_time_steps_rejected(self):
+        # the windows are integrated by the uniform trapezoid rule
+        grid = BoxGrid(BOX4, 129)
+        times = np.linspace(0.0, 1.0, 201) ** 2
+        u = SpaceTimeField(grid, times, np.ones((201,) + grid.shape))
+        with pytest.raises(SemigroupError, match="equally spaced"):
+            audit_local_boundedness(u, (0.0, 0.0), 0.9, 0.25, 6.0)
 
     def test_trivial_window_rejected(self):
         grid = BoxGrid(BOX4, 129)

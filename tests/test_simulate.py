@@ -110,6 +110,11 @@ class TestSimConfig:
     def test_n_steps(self):
         assert _cfg(dt=1e-3, t_final=0.25).n_steps == 250
 
+    def test_master_seed_must_fit_u64(self):
+        assert _cfg(master_seed=2**64 - 1).master_seed == 2**64 - 1
+        with pytest.raises(SimulationError, match="master_seed must fit in an unsigned 64-bit"):
+            _cfg(master_seed=2**64)
+
     @pytest.mark.parametrize("field", ["dt", "t_final"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_times_name_the_field(self, field, value):
@@ -164,11 +169,6 @@ class TestEnsembleBasics:
         np.testing.assert_array_equal(ens.state_at(1.0), ens.states[:, -1, :])
         with pytest.raises(SimulationError, match="step grid"):
             ens.state_at(0.005)
-
-    def test_path_keys_recorded(self, brownian2):
-        ens = simulate_ensemble(brownian2, [0.0, 0.0], _cfg(n_paths=5, master_seed=9))
-        np.testing.assert_array_equal(ens.path_keys[:, 0], 9)
-        np.testing.assert_array_equal(ens.path_keys[:, 1], np.arange(5))
 
 
 class TestAgainstClosedForms:
@@ -353,11 +353,11 @@ class TestOccupation:
         assert ens.occupation.shape == (3, 20)
 
 
-def _posthoc_occupation(ens, eps):
+def _posthoc_occupation(c, ens, eps):
     """Occupation times ``dt * #{k < n_steps : w(X_k) < eps}`` (``== 0`` for
     ``eps == 0``) from one weight evaluation over every stored state."""
     with np.errstate(over="ignore"):  # exploded paths freeze at huge states
-        w = ens.coefficients.inv_weight(ens.states[:, : ens.config.n_steps])
+        w = c.inv_weight(ens.states[:, : ens.config.n_steps])
     hits = w == 0.0 if eps == 0.0 else w < eps
     return ens.config.dt * np.sum(hits, axis=1)
 
@@ -389,11 +389,11 @@ class TestFusedTallies:
         stopped = ens.stop_step < cfg.n_steps
         assert {"all": stopped.all(), "none": not stopped.any(),
                 "some": 0 < stopped.sum() < cfg.n_paths}[stops]
-        np.testing.assert_array_equal(ens.occupation_exact, _posthoc_occupation(ens, 0.0))
-        np.testing.assert_array_equal(ens.occupation_near, _posthoc_occupation(ens, 1.5))
+        np.testing.assert_array_equal(ens.occupation_exact, _posthoc_occupation(c, ens, 0.0))
+        np.testing.assert_array_equal(ens.occupation_near, _posthoc_occupation(c, ens, 1.5))
         rows = occupation_profile(ens, _PROFILE_EPS)
         for row, eps in zip(rows, _PROFILE_EPS):
-            occ = _posthoc_occupation(ens, eps)
+            occ = _posthoc_occupation(c, ens, eps)
             assert (row.mean_occupation, row.max_occupation) == (np.mean(occ), np.max(occ))
 
 
@@ -542,6 +542,18 @@ class TestWeakOrder:
                 brownian2, args["x0"], lambda x: x[:, 0], 1.0, [0.1, 0.05],
                 args["n_paths"], master_seed=0,
             )
+
+    # each payoff used to give an estimate: 0.4297 (both coordinates
+    # summed), 0.01 (a constant summed once per block) and nan
+    @pytest.mark.parametrize("payoff, message", [
+        (lambda x: x, r"payoff returned shape \(100, 2\) at the terminal states of dt=0\.01, "
+                      r"expected \(100,\)"),
+        (lambda x: 1.0, r"payoff returned shape \(\) .* expected \(100,\)"),
+        (lambda x: np.full(len(x), np.nan), "payoff is non-finite at the terminal states"),
+    ], ids=["per-coordinate", "constant", "nan"])
+    def test_payoff_gives_one_finite_value_per_path(self, ou2, payoff, message):
+        with pytest.raises(SimulationError, match=message):
+            weak_error_study(ou2, [1.0, 0.0], payoff, 1.0, [0.01], 100, master_seed=0)
 
     def test_finest_level_steps_the_ensemble_chain(self, radial2):
         # the payoff sees every level of every block, the finest last
