@@ -3,9 +3,9 @@
 The package builds the stationary reference density of such an equation,
 evolves its weighted parabolic equation, runs Euler-Maruyama path ensembles,
 and cross-examines the two against each other: occupation of the degeneracy
-set, dissipativity margins, local boundedness, a weighted space-time bound on
-path functionals, and equality of path laws across versions of the dispersion
-that differ on a null set.
+set, dissipativity margins, a weighted space-time bound on path functionals,
+and equality of path laws across versions of the dispersion that differ on a
+null set.
 """
 
 from .coefficients import (
@@ -16,13 +16,10 @@ from .coefficients import (
     builtin_family,
     check_factorization,
     estimate_ellipticity,
-    eval_sigma_hat,
 )
 from .conditions import (
     ConditionMargin,
-    ExponentWindow,
     a4prime_check,
-    exponent_window,
     growth_margin,
     min_M_on_grid,
     occupation_condition_route,
@@ -49,7 +46,6 @@ from .reporting import Clause, DiagnosticReport, canonical_json, digest
 from .rng import derive_seed, path_normals
 from .semigroup import (
     SpaceTimeField,
-    audit_local_boundedness,
     evolve,
     semigroup_contraction_check,
 )
@@ -73,7 +69,6 @@ __all__ = [
     "DiffusionMatrix",
     "DispersionFactor",
     "ExperimentConfig",
-    "ExponentWindow",
     "GridField",
     "InverseWeight",
     "KrylovAudit",
@@ -85,16 +80,14 @@ __all__ = [
     "TwoSampleResult",
     "a4prime_check",
     "apply_set_overrides",
-    "audit_local_boundedness",
     "builtin_family",
     "canonical_json",
     "check_factorization",
     "derive_seed",
     "digest",
     "estimate_ellipticity",
-    "eval_sigma_hat",
+    "evolve",
     "exit_time_stats",
-    "exponent_window",
     "feynman_kac_crosscheck",
     "growth_margin",
     "krylov_audit",

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import finite_real, squared_norm
+from .grids import finite_point, finite_real, integer, squared_norm
 
 
 class CoefficientError(ValueError):
@@ -244,21 +244,17 @@ class CoefficientSet:
         return g
 
     def sigma_hat(self, x) -> np.ndarray:
-        return eval_sigma_hat(self, x)
+        """Effective dispersion ``sqrt(w) * sigma`` at points ``x``.
+
+        Rows vanish identically on the degeneracy set because ``sqrt(w) = 0``
+        there; no special casing.
+        """
+        x = _batchpoints(x, self.dim)
+        root = np.sqrt(self.inv_weight(x))
+        return root[..., None, None] * self.factor(x)
 
 
 # -- operations ---------------------------------------------------------------
-
-def eval_sigma_hat(c: CoefficientSet, x) -> np.ndarray:
-    """Effective dispersion ``sqrt(w) * sigma`` at points ``x``.
-
-    Rows vanish identically on the degeneracy set because ``sqrt(w) = 0``
-    there; no special casing.
-    """
-    x = _batchpoints(x, c.dim)
-    root = np.sqrt(c.inv_weight(x))
-    return root[..., None, None] * c.factor(x)
-
 
 _FACTOR_TOL = 1e-10  # entrywise gap allowed in A = sigma sigma^T
 
@@ -321,7 +317,10 @@ def estimate_ellipticity(
     the sphere, and returns the extreme values of ``<A(x) xi, xi>``.  These
     are inner estimates: the true local bounds bracket them.
     """
-    center = np.asarray(center, dtype=float)
+    center = finite_point(center, c.dim, "center", CoefficientError)
+    radius = finite_real(radius, "radius", CoefficientError, positive=True)
+    n_samples = integer(n_samples, "n_samples", CoefficientError, minimum=1)
+    seed = integer(seed, "seed", CoefficientError)
     rng = np.random.default_rng(seed)
     x = center + _ball_points(rng, n_samples, c.dim, radius)
     xi = rng.standard_normal((n_samples, c.dim))
@@ -379,9 +378,7 @@ def _drift_field(drift, d: int):
         raise CoefficientError(f"unknown named drift {drift!r}")
     if callable(drift):
         return drift, "<callable>"
-    g = np.asarray(drift, dtype=float)
-    if g.shape != (d,):
-        raise CoefficientError(f"constant drift must have shape ({d},)")
+    g = finite_point(drift, d, "drift", CoefficientError)
 
     def fn(x):
         return np.broadcast_to(g, x.shape).copy()
@@ -520,10 +517,10 @@ def _hyperplane_jump(
     """
     finite_real(weight_left, "weight_left", CoefficientError, positive=True)
     finite_real(weight_right, "weight_right", CoefficientError, positive=True)
-    gl = np.zeros(d) if drift_left is None else np.asarray(drift_left, dtype=float)
-    gr = np.zeros(d) if drift_right is None else np.asarray(drift_right, dtype=float)
-    if gl.shape != (d,) or gr.shape != (d,):
-        raise CoefficientError(f"jump drifts must have shape ({d},)")
+    gl = np.zeros(d) if drift_left is None else finite_point(
+        drift_left, d, "drift_left", CoefficientError)
+    gr = np.zeros(d) if drift_right is None else finite_point(
+        drift_right, d, "drift_right", CoefficientError)
 
     def side(x):
         return x[..., 0] >= 0.0

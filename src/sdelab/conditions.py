@@ -5,8 +5,7 @@ Three groups of checks:
 * a pointwise dissipativity margin against a log-modulated quadratic growth
   bound (controls explosion),
 * declared-exponent arithmetic: the regularity regime that the uniqueness
-  results need, and the admissible integrability window for power-law
-  degenerate weights,
+  results need, with the companion exponent's window,
 * routing of the degeneracy-occupation requirement: either the inverse weight
   never vanishes (nothing to check on paths) or a path-integrability probe is
   required.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, companion_ok
-from .grids import BoxGrid
+from .grids import BoxGrid, finite_point, finite_real
 from .reporting import DiagnosticReport
 
 
@@ -44,24 +43,6 @@ class ConditionMargin:
     lhs: float
     rhs: float
     margin: float
-
-
-@dataclass(frozen=True)
-class ExponentWindow:
-    """Admissible weight-integrability exponents for a power-law degeneracy.
-
-    ``(q_low, q_high)`` is the open interval of exponents ``q`` compatible
-    with both the uniqueness regime (``q > q_low``) and local integrability of
-    the weight (``q < q_high``); ``q_high = inf`` when the degeneracy exponent
-    is zero.
-    """
-
-    q_low: float
-    q_high: float
-
-    @property
-    def nonempty(self) -> bool:
-        return self.q_high > self.q_low
 
 
 def _growth_lhs(c: CoefficientSet, x: np.ndarray) -> np.ndarray:
@@ -88,9 +69,8 @@ def growth_margin(c: CoefficientSet, x, bound_constant: float) -> ConditionMargi
     almost-everywhere statement, so probing a degeneracy-set point is a usage
     error, reported distinctly.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (c.dim,):
-        raise ConditionError(f"expected a single point of shape ({c.dim},)")
+    x = finite_point(x, c.dim, "x", ConditionError)
+    bound_constant = finite_real(bound_constant, "bound_constant", ConditionError)
     if bool(c.inv_weight.null_set_indicator(x)):
         raise NullSetPointError(
             "the growth bound is an almost-everywhere statement; "
@@ -119,22 +99,6 @@ def min_M_on_grid(c: CoefficientSet, bounds, resolution: int) -> float:
     lhs = _growth_lhs(c, x)
     denom = _growth_rhs(x, 1.0)
     return float(max(0.0, np.max(lhs / denom)))
-
-
-def exponent_window(d: int, alpha: float) -> ExponentWindow:
-    """Admissible ``q`` interval for a degeneracy exponent ``alpha`` in dimension d.
-
-    The lower end ``2d+2`` comes from the uniqueness regime, the upper end
-    ``d/alpha`` from local integrability of the weight to the power ``q``;
-    the window is nonempty exactly when ``alpha (2d+2) < d``.
-    """
-    if d < 2:
-        raise ConditionError("dimension must be at least 2")
-    if alpha < 0:
-        raise ConditionError("degeneracy exponent must be nonnegative")
-    q_low = 2.0 * d + 2.0
-    q_high = math.inf if alpha == 0.0 else d / alpha
-    return ExponentWindow(q_low=q_low, q_high=q_high)
 
 
 def a4prime_check(c: CoefficientSet) -> DiagnosticReport:

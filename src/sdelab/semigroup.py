@@ -18,9 +18,8 @@ faces, their areas, the node values of ``diag(A)`` and the stationary face
 fluxes are those of the face scheme kept on the :class:`DensityField`, so
 both solves share one discretization and none of it is rebuilt here.
 
-The per-slice fields feed two audits: a parabolic local-boundedness ratio
-(sup norm on a space-time cylinder against a mixed Lebesgue norm on the
-doubled cylinder) and monotonicity of the weighted L1 and sup norms in time.
+The per-slice fields feed one audit: monotonicity of the weighted L1 and sup
+norms in time.
 """
 
 from __future__ import annotations
@@ -37,12 +36,11 @@ from .grids import BoxGrid, array_shape, grid_values, step_count
 from .reporting import DiagnosticReport
 
 
-_STABILITY_RTOL = 0.10  # relative gap allowed between refined local-boundedness ratios
 _SLACK = 1e-10  # rounding allowed in the contraction audit's monotone norms
 
 
 class SemigroupError(RuntimeError):
-    """Raised for ill-posed evolution setups or audit windows."""
+    """Raised for ill-posed evolution setups."""
 
 
 @dataclass
@@ -169,118 +167,6 @@ def evolve(
 
     times = dt * np.arange(shape[0])
     return SpaceTimeField(grid=grid, times=times, values=values)
-
-
-def _window_axes(grid: BoxGrid, center: np.ndarray, half: float) -> list:
-    sel = []
-    for k, ax in enumerate(grid.axes()):
-        idx = np.flatnonzero(np.abs(ax - center[k]) <= half + 1e-12)
-        if len(idx) < 2:
-            raise SemigroupError(
-                f"window of half-width {half:.3g} holds fewer than 2 nodes "
-                f"along axis {k}"
-            )
-        sel.append(idx)
-    return sel
-
-
-def _trapezoid(axes: list) -> np.ndarray:
-    """Trapezoid weights on the tensor grid of equally spaced node runs."""
-    grid = BoxGrid([(x[0], x[-1]) for x in axes], [len(x) for x in axes])
-    return grid.trapezoid_weights()
-
-
-def audit_local_boundedness(
-    u: SpaceTimeField,
-    center,
-    t_center: float,
-    r: float,
-    p: float,
-    reference: SpaceTimeField | None = None,
-) -> DiagnosticReport:
-    """Parabolic local-boundedness ratio on backward cylinders.
-
-    ``Q(r)`` is the open cube of edge ``r`` centered at ``center`` times the
-    window ``(t_center - r^2, t_center]``.  The report carries
-    ``ratio = sup_{Q(r)} |u| / || u ||`` with the denominator the mixed norm
-    ``L^{2p/(p-2)}`` in space, ``L^2`` in time, over ``Q(2r)``.  Requires
-    ``Q(3r)`` inside box x (0, T].  The ratio is homogeneous of degree zero
-    in ``u``.  The slices must be equally spaced in time, as :func:`evolve`
-    stores them.  If ``reference`` is given (the same evolution on another
-    grid), an extra clause checks that the two ratios agree to a relative
-    ``0.10``.
-    """
-    if p <= 2.0:
-        raise SemigroupError("need p > 2 for the mixed-norm exponent")
-    center = np.asarray(center, dtype=float)
-    grid = u.grid
-    t_max = float(u.times[-1])
-    for k, (a, b) in enumerate(grid.bounds):
-        if center[k] - 1.5 * r < a or center[k] + 1.5 * r > b:
-            raise SemigroupError("Q(3r) exceeds the box")
-    if t_center - 9.0 * r * r <= 0.0 or t_center > t_max + 1e-12:
-        raise SemigroupError("Q(3r) exceeds the time interval")
-    steps = np.diff(u.times)
-    if not np.allclose(steps, steps[:1], rtol=1e-9, atol=0.0):
-        raise SemigroupError("slices must be equally spaced in time")
-
-    def cylinder(mult: float):
-        sel = _window_axes(grid, center, 0.5 * mult * r)
-        t_lo = t_center - (mult * r) ** 2
-        t_idx = np.flatnonzero(
-            (u.times > t_lo - 1e-12) & (u.times <= t_center + 1e-12)
-        )
-        if len(t_idx) < 2:
-            raise SemigroupError("time window holds fewer than 2 slices")
-        vals = u.values[np.ix_(t_idx, *sel)]
-        return sel, t_idx, vals
-
-    _, _, vals_inner = cylinder(1.0)
-    numerator = float(np.max(np.abs(vals_inner)))
-
-    sel2, t_idx2, vals2 = cylinder(2.0)
-    m_exp = 2.0 * p / (p - 2.0)
-    w_space = _trapezoid([ax[idx] for ax, idx in zip(grid.axes(), sel2)])
-    g = np.power(
-        np.sum(w_space * np.power(np.abs(vals2), m_exp), axis=tuple(range(1, vals2.ndim))),
-        1.0 / m_exp,
-    )
-    w_time = _trapezoid([u.times[t_idx2]])
-    denominator = float(np.sqrt(np.sum(w_time * g * g)))
-    if denominator < 1e-14:
-        raise SemigroupError("trivial window: denominator below 1e-14")
-    ratio = numerator / denominator
-
-    rep = DiagnosticReport(
-        check="local_boundedness",
-        meta={
-            "center": center.tolist(),
-            "t_center": t_center,
-            "r": r,
-            "p": p,
-            "numerator": numerator,
-            "denominator": denominator,
-        },
-    )
-    rep.add(
-        "ratio_finite",
-        bool(np.isfinite(ratio)),
-        value=ratio,
-        threshold=float("inf"),
-        detail=f"sup={numerator:.6g}, mixed-norm={denominator:.6g}",
-    )
-    if reference is not None:
-        other = audit_local_boundedness(reference, center, t_center, r, p)
-        r2 = other.clause("ratio_finite").value
-        drift = abs(ratio - r2) / max(abs(r2), 1e-300)
-        rep.add(
-            "ratio_stable_under_refinement",
-            drift <= _STABILITY_RTOL,
-            value=drift,
-            threshold=_STABILITY_RTOL,
-            detail=f"this={ratio:.6g}, reference={r2:.6g}",
-        )
-    return rep
 
 
 def semigroup_contraction_check(

@@ -22,7 +22,6 @@ from sdelab.coefficients import (
     builtin_family,
     check_factorization,
     estimate_ellipticity,
-    eval_sigma_hat,
 )
 
 
@@ -33,34 +32,34 @@ def _points(*pts):
 class TestSigmaHat:
     def test_radial_on_unit_sphere_is_identity(self, radial2):
         # |x|^{alpha/2} = 1 on the unit sphere, any alpha
-        s = eval_sigma_hat(radial2, _points([1.0, 0.0]))
+        s = radial2.sigma_hat(_points([1.0, 0.0]))
         np.testing.assert_allclose(s[0], np.eye(2), atol=1e-15)
 
     def test_radial_vanishes_at_origin(self, radial2):
-        s = eval_sigma_hat(radial2, _points([0.0, 0.0]))
+        s = radial2.sigma_hat(_points([0.0, 0.0]))
         np.testing.assert_array_equal(s[0], np.zeros((2, 2)))
 
     def test_origin_version_value(self):
         c = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=0.5)
-        s = eval_sigma_hat(c, _points([0.0, 0.0]))
+        s = c.sigma_hat(_points([0.0, 0.0]))
         np.testing.assert_allclose(s[0], 0.5 * np.eye(2), atol=1e-15)
         assert not c.inv_weight.has_zeros
         assert not bool(c.inv_weight.null_set_indicator(np.zeros(2)))
 
     def test_radial_scaling_law(self, radial2):
         x = _points([2.0, 0.0])
-        s = eval_sigma_hat(radial2, x)
+        s = radial2.sigma_hat(x)
         np.testing.assert_allclose(s[0], 2.0**0.125 * np.eye(2), rtol=1e-14)
 
     def test_batch_shape(self, brownian2):
         x = np.zeros((3, 4, 2))
-        assert eval_sigma_hat(brownian2, x).shape == (3, 4, 2, 2)
+        assert brownian2.sigma_hat(x).shape == (3, 4, 2, 2)
 
     @settings(max_examples=30)
     @given(st.floats(-3, 3), st.floats(-3, 3))
     def test_sigma_hat_consistent_with_sqrt_weight(self, jump2, x0, x1):
         x = _points([x0, x1])
-        s = eval_sigma_hat(jump2, x)[0]
+        s = jump2.sigma_hat(x)[0]
         w = float(jump2.inv_weight(x)[0])
         np.testing.assert_allclose(s, np.sqrt(w) * np.eye(2), rtol=1e-14)
 
@@ -137,6 +136,22 @@ class TestEllipticity:
         with pytest.raises(DegenerateMatrixError):
             estimate_ellipticity(c, [0.0, 0.0], 1.0, n_samples=64, seed=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("center", [np.nan, 0.0]),
+        ("center", [0.0, np.inf]),
+        ("center", [0.0, 0.0, 0.0]),
+        ("radius", -1.0),
+        ("radius", 0.0),
+        ("radius", np.nan),
+        ("n_samples", 0),
+        ("n_samples", 2.5),
+        ("seed", -1),
+    ])
+    def test_malformed_inputs_rejected(self, brownian2, name, value):
+        args = {"center": [0.0, 0.0], "radius": 1.0, "n_samples": 64, "seed": 0}
+        with pytest.raises(CoefficientError, match=f"^{name} must"):
+            estimate_ellipticity(brownian2, **{**args, name: value})
+
     def test_deterministic_given_seed(self, brownian2):
         e1 = estimate_ellipticity(brownian2, [0.0, 0.0], 2.0, 128, seed=11)
         e2 = estimate_ellipticity(brownian2, [0.0, 0.0], 2.0, 128, seed=11)
@@ -201,6 +216,22 @@ class TestFamilies:
         c = builtin_family("brownian", 2, drift=[1.0, 0.0])
         x = np.zeros((4, 2))
         np.testing.assert_array_equal(c.G(x), np.tile([1.0, 0.0], (4, 1)))
+
+    @pytest.mark.parametrize("name, params", [
+        ("brownian", {}), ("radial_degenerate", {"alpha": 0.25}),
+    ])
+    @pytest.mark.parametrize("drift", [
+        [np.nan, 0.0], [0.0, np.inf], [1.0, 0.0, 0.0], [[1.0], [0.0]], 1.0,
+    ])
+    def test_constant_drift_must_be_finite_vector(self, name, params, drift):
+        with pytest.raises(CoefficientError, match="^drift must"):
+            builtin_family(name, 2, drift=drift, **params)
+
+    @pytest.mark.parametrize("side", ["drift_left", "drift_right"])
+    @pytest.mark.parametrize("drift", [[np.nan, 0.0], [-np.inf, 0.0], [0.3]])
+    def test_jump_drifts_must_be_finite_vectors(self, side, drift):
+        with pytest.raises(CoefficientError, match=f"^{side} must"):
+            builtin_family("hyperplane_jump", 2, **{side: drift})
 
     def test_cubic_drift(self):
         c = builtin_family("brownian", 2, drift="cubic_outward")

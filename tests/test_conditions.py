@@ -19,7 +19,6 @@ from sdelab.conditions import (
     ConditionError,
     NullSetPointError,
     a4prime_check,
-    exponent_window,
     growth_margin,
     min_M_on_grid,
     occupation_condition_route,
@@ -56,6 +55,18 @@ class TestGrowthMargin:
     def test_null_set_point_rejected(self, radial2):
         with pytest.raises(NullSetPointError, match="degeneracy set"):
             growth_margin(radial2, [0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("x", [
+        [math.nan, 0.0], [0.0, math.inf], [1.0, 0.0, 0.0], [1.0], 1.0, "ab",
+    ])
+    def test_malformed_point_rejected(self, ou2, x):
+        with pytest.raises(ConditionError, match="^x must"):
+            growth_margin(ou2, x, 1.0)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, None, True])
+    def test_non_finite_constant_rejected(self, ou2, bound):
+        with pytest.raises(ConditionError, match="bound_constant must be a finite"):
+            growth_margin(ou2, [1.0, 0.0], bound)
 
     def test_margin_affine_in_constant(self, ou2):
         x = [0.7, -1.3]
@@ -110,40 +121,6 @@ class TestMinM:
     def test_dimension_mismatch(self, brownian2):
         with pytest.raises(ConditionError):
             min_M_on_grid(brownian2, [[-1, 1]] * 3, 11)
-
-
-class TestExponentWindow:
-    def test_quarter_alpha_window(self):
-        w = exponent_window(2, 0.25)
-        assert (w.q_low, w.q_high) == (6.0, 8.0)
-        assert w.nonempty and w.q_low < 7.0 < w.q_high
-
-    def test_boundary_alpha_empty(self):
-        w = exponent_window(2, 1.0 / 3.0)
-        assert np.isclose(w.q_high, 6.0)
-        assert not w.nonempty
-
-    def test_dimension_three(self):
-        w = exponent_window(3, 0.3)
-        assert (w.q_low, w.q_high) == (8.0, 10.0)
-        assert w.nonempty
-
-    def test_alpha_zero_half_open(self):
-        w = exponent_window(2, 0.0)
-        assert w.q_low == 6.0 and math.isinf(w.q_high)
-        assert w.nonempty and w.q_low < 1e9 < w.q_high
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConditionError):
-            exponent_window(1, 0.5)
-        with pytest.raises(ConditionError):
-            exponent_window(2, -0.1)
-
-    @settings(max_examples=50)
-    @given(st.integers(2, 6), st.floats(0.001, 1.0))
-    def test_nonempty_iff_product_below_dimension(self, d, alpha):
-        w = exponent_window(d, alpha)
-        assert w.nonempty == (alpha * (2 * d + 2) < d)
 
 
 class TestRegimeCheck:

@@ -439,6 +439,11 @@ _BAD_VALUES = [
     # sizes no numpy array can have, refused at load, not after earlier reports
     ("diagnose", "diagnostics.3.mc_dt=1e-300"),
     ("simulate", "sim.t_final=1e300"),
+    # non-finite constant drifts, refused where the family is built
+    ("check", 'family={"name":"brownian","params":{"drift":[NaN,0]}}'),
+    ("simulate", 'family={"name":"brownian","params":{"drift":[NaN,0]}}'),
+    ("check", 'family={"name":"hyperplane_jump","params":{"drift_left":[NaN,0]}}'),
+    ("simulate", 'family={"name":"hyperplane_jump","params":{"drift_right":[0,Infinity]}}'),
 ]
 
 

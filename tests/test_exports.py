@@ -1,0 +1,48 @@
+"""The package's public names and the names the shipped scripts import.
+
+No test runs the scripts in ``scripts/`` (each takes seconds), so these
+checks make a removed or renamed export fail here rather than in a script
+run.
+"""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import sdelab
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name for name, value in vars(sdelab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(sdelab.__all__) == public
+    assert len(sdelab.__all__) == len(set(sdelab.__all__))
+
+
+def test_scripts_are_found():
+    assert SCRIPTS
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_compiles_and_its_sdelab_imports_resolve(path):
+    source = path.read_text()
+    tree = compile(source, str(path), "exec", flags=ast.PyCF_ONLY_AST)
+    compile(tree, str(path), "exec")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sdelab":
+                    importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module.split(".")[0] == "sdelab"
+        ):
+            module = importlib.import_module(node.module)
+            missing = [a.name for a in node.names if not hasattr(module, a.name)]
+            assert not missing, f"{path.name}: {node.module} lacks {missing}"

@@ -8,7 +8,6 @@ from sdelab.semigroup import (
     SemigroupError,
     SpaceTimeField,
     _check_m_matrix,
-    audit_local_boundedness,
     evolve,
     semigroup_contraction_check,
 )
@@ -154,69 +153,6 @@ class TestStructure:
         bad = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(SemigroupError, match="M-matrix"):
             _check_m_matrix(bad)
-
-
-class TestLocalBoundedness:
-    def _constant_field(self, n_t=201):
-        grid = BoxGrid(BOX4, 129)
-        times = np.linspace(0.0, 1.0, n_t)
-        return SpaceTimeField(grid, times, np.ones((n_t,) + grid.shape))
-
-    def test_constant_ratio_closed_form(self):
-        u = self._constant_field()
-        r, p = 0.25, 6.0
-        rep = audit_local_boundedness(u, (0.0, 0.0), 0.9, r, p)
-        ratio = rep.clause("ratio_finite").value
-        m_exp = 2.0 * p / (p - 2.0)
-        exact = 1.0 / ((2 * r) ** (2.0 / m_exp) * np.sqrt(4.0 * r * r))
-        assert abs(ratio - exact) <= 1e-12 * exact
-
-    def test_rescaling_invariance(self):
-        u = self._constant_field()
-        lam = 3.7
-        scaled = SpaceTimeField(u.grid, u.times, lam * u.values)
-        r1 = audit_local_boundedness(u, (0.0, 0.0), 0.9, 0.25, 6.0)
-        r2 = audit_local_boundedness(scaled, (0.0, 0.0), 0.9, 0.25, 6.0)
-        a, b = r1.clause("ratio_finite").value, r2.clause("ratio_finite").value
-        assert abs(a - b) <= 1e-12 * a
-
-    def test_heat_ratio_refinement_stability(self, brownian2):
-        f0 = _gaussian_datum()
-        dens_f = solve_density(brownian2, BOX4, 257)
-        u_f = evolve(brownian2, dens_f, f0, 1.0, 5e-3)
-        dens_c = solve_density(brownian2, BOX4, 129)
-        u_c = evolve(brownian2, dens_c, f0, 1.0, 5e-3)
-        rep = audit_local_boundedness(
-            u_f, (0.0, 0.0), 0.9, 0.25, 6.0, reference=u_c
-        )
-        assert rep.passed, rep.summary()
-        assert rep.clause("ratio_stable_under_refinement").value <= 0.10
-
-    def test_window_validation(self):
-        u = self._constant_field()
-        with pytest.raises(SemigroupError, match="p > 2"):
-            audit_local_boundedness(u, (0.0, 0.0), 0.9, 0.25, 2.0)
-        with pytest.raises(SemigroupError, match="exceeds the box"):
-            audit_local_boundedness(u, (3.9, 0.0), 0.9, 0.25, 6.0)
-        with pytest.raises(SemigroupError, match="time interval"):
-            audit_local_boundedness(u, (0.0, 0.0), 0.1, 0.25, 6.0)
-        with pytest.raises(SemigroupError, match="fewer than 2 nodes"):
-            audit_local_boundedness(u, (0.0, 0.0), 0.9, 0.02, 6.0)
-
-    def test_unequal_time_steps_rejected(self):
-        # the windows are integrated by the uniform trapezoid rule
-        grid = BoxGrid(BOX4, 129)
-        times = np.linspace(0.0, 1.0, 201) ** 2
-        u = SpaceTimeField(grid, times, np.ones((201,) + grid.shape))
-        with pytest.raises(SemigroupError, match="equally spaced"):
-            audit_local_boundedness(u, (0.0, 0.0), 0.9, 0.25, 6.0)
-
-    def test_trivial_window_rejected(self):
-        grid = BoxGrid(BOX4, 129)
-        times = np.linspace(0.0, 1.0, 101)
-        u = SpaceTimeField(grid, times, np.zeros((101,) + grid.shape))
-        with pytest.raises(SemigroupError, match="trivial window"):
-            audit_local_boundedness(u, (0.0, 0.0), 0.9, 0.25, 6.0)
 
 
 class TestContractionReport:
