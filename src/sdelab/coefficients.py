@@ -22,12 +22,13 @@ Instances are frozen and hold pure functions, so sharing across threads is safe.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import finite_point, finite_real, integer, squared_norm
+from .grids import box_bounds, finite_point, finite_real, integer, squared_norm
 
 
 class CoefficientError(ValueError):
@@ -468,11 +469,13 @@ def _piecewise_weight(d: int, cells=None, background: float = 1.0) -> Coefficien
     Cell values must be positive: a zero on a set of positive measure would
     make the weight non-integrable there.
     """
-    cells = list(cells or [])
     parsed = []
-    for cell in cells:
-        b = np.asarray(cell["bounds"], dtype=float)
-        v = float(cell["value"])
+    for cell in cells or []:
+        if not isinstance(cell, Mapping) or not {"bounds", "value"} <= cell.keys():
+            raise CoefficientError(
+                f"each cell must be a mapping with 'bounds' and 'value', got {cell!r}")
+        b = box_bounds(cell["bounds"], "cell bounds", CoefficientError)
+        v = finite_real(cell["value"], "cell value", CoefficientError)
         if b.shape != (d, 2):
             raise CoefficientError(f"cell bounds must have shape ({d}, 2)")
         if v <= 0.0:

@@ -9,12 +9,12 @@ raises the caller's error class.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 
 class GridError(ValueError):
@@ -112,15 +112,18 @@ def array_shape(shape, what: str, error=ValueError) -> tuple:
     return shape
 
 
-def _as_bounds(bounds) -> np.ndarray:
+def box_bounds(bounds, name: str, error=ValueError) -> np.ndarray:
+    """``bounds`` as a ``(d, 2)`` float array, checked to list finite
+    ``[lo, hi]`` rows with ``lo < hi``."""
     try:
-        b = np.array([[finite_real(v, "bounds", GridError) for v in r] for r in bounds])
+        rows = [[finite_real(v, name, error) for v in r] for r in bounds]
     except TypeError:  # not a nested sequence
-        raise GridError(f"bounds must be a (d, 2) array, got {bounds!r}") from None
-    if b.ndim != 2 or b.shape[1] != 2:
-        raise GridError(f"bounds must have shape (d, 2), got {b.shape}")
+        rows = []
+    if not rows or any(len(r) != 2 for r in rows):
+        raise error(f"{name} must be a (d, 2) array, got {bounds!r}")
+    b = np.array(rows)
     if not np.all(b[:, 1] > b[:, 0]):
-        raise GridError("upper bounds must exceed lower bounds")
+        raise error(f"upper {name} must exceed lower {name}")
     return b
 
 
@@ -144,7 +147,7 @@ class BoxGrid:
     n: tuple = field(repr=True)
 
     def __init__(self, bounds, n):
-        b = _as_bounds(bounds)
+        b = box_bounds(bounds, "bounds", GridError)
         d = b.shape[0]
         nn = (n,) * d if np.ndim(n) == 0 else tuple(n)
         if len(nn) != d:
@@ -252,15 +255,39 @@ class GridField:
         return self.values.ndim == self.grid.dim + 1
 
     def interpolate(self, x) -> np.ndarray:
-        """Multilinear interpolation at points ``x`` of shape ``(..., d)``."""
-        itp = RegularGridInterpolator(
-            self.grid.axes(), self.values, method="linear",
-            bounds_error=False, fill_value=None,
-        )
+        """Multilinear interpolation at points ``x`` of shape ``(..., d)``.
+
+        Outside the box the value extrapolates linearly from the nearest
+        cell; a NaN coordinate gives NaN.  The arithmetic, in its order, is
+        that of scipy's ``RegularGridInterpolator(method="linear",
+        fill_value=None)``, so the values equal it bit for bit: a scalar 2-d
+        field sums the four corners as its compiled fast path does, every
+        other field as its generic path does.
+        """
+        d = self.grid.dim
         x = np.asarray(x, dtype=float)
-        return itp(x.reshape(-1, self.grid.dim)).reshape(
-            x.shape[:-1] + self.values.shape[self.grid.dim:]
-        )
+        if x.shape[-1:] != (d,):
+            raise GridError(f"points must have trailing dimension {d}, got {x.shape}")
+        pts = x.reshape(-1, d)
+        cells, local = [], []
+        for k, a in enumerate(self.grid.axes()):
+            i = np.clip(np.searchsorted(a, pts[:, k], side="right") - 1, 0, len(a) - 2)
+            cells.append(i)
+            local.append((pts[:, k] - a[i]) / (a[i + 1] - a[i]))
+        v = self.values
+        if d == 2 and not self.is_vector:
+            (i0, i1), (y0, y1) = cells, local
+            out = 0.0 + v[i0, i1] * (1 - y0) * (1 - y1)
+            out = out + v[i0, i1 + 1] * (1 - y0) * y1
+            out = out + v[i0 + 1, i1] * y0 * (1 - y1)
+            out = out + v[i0 + 1, i1 + 1] * y0 * y1
+        else:
+            out = 0.0
+            for corner in itertools.product((0, 1), repeat=d):
+                weight = math.prod(y if c else 1 - y for c, y in zip(corner, local))
+                term = v[tuple(i + c for i, c in zip(cells, corner))]
+                out = out + term * (weight[:, None] if self.is_vector else weight)
+        return out.reshape(x.shape[:-1] + v.shape[d:])
 
     def gradient(self) -> "GridField":
         """Centered-difference gradient (one-sided at the boundary)."""

@@ -200,6 +200,27 @@ class TestFamilies:
                 cells=[{"bounds": [[0, 1], [0, 1]], "value": 0.0}],
             )
 
+    @pytest.mark.parametrize("cell, match", [
+        ({"bounds": [[0, 1], [0, 1]], "value": np.nan}, "cell value must be a finite"),
+        ({"bounds": [[0, 1], [0, 1]], "value": 1e309}, "cell value must be a finite"),
+        ({"bounds": [[0, 1], [0, 1]], "value": True}, "cell value must be a finite"),
+        ({"bounds": [[np.nan, 1], [0, 1]], "value": 0.5}, "cell bounds must be a finite"),
+        ({"bounds": [[0, np.inf], [0, 1]], "value": 0.5}, "cell bounds must be a finite"),
+        ({"bounds": [[1, 0], [0, 1]], "value": 0.5}, "upper cell bounds must exceed"),
+        ({"bounds": [[0, 0], [0, 1]], "value": 0.5}, "upper cell bounds must exceed"),
+        ({"bounds": [[0, 1], [0]], "value": 0.5}, r"cell bounds must be a \(d, 2\) array"),
+        ({"bounds": 1.0, "value": 0.5}, r"cell bounds must be a \(d, 2\) array"),
+        ({"bounds": [[0, 1]], "value": 0.5}, r"cell bounds must have shape \(2, 2\)"),
+        ({"value": 0.5}, "'bounds' and 'value'"),
+        ({"bounds": [[0, 1], [0, 1]]}, "'bounds' and 'value'"),
+        ([[0, 1], [0, 1]], "'bounds' and 'value'"),
+    ])
+    def test_piecewise_cells_are_checked_where_parsed(self, cell, match):
+        # a non-finite value or bound, or an empty cell, used to pass and
+        # leave the weight silently wrong; a missing key raised KeyError
+        with pytest.raises(CoefficientError, match=match):
+            builtin_family("piecewise_weight", 2, cells=[cell])
+
     def test_piecewise_weight_values(self, piecewise2):
         x = _points([-0.5, -0.5], [0.5, 0.5], [3.0, 3.0])
         np.testing.assert_allclose(piecewise2.inv_weight(x), [0.25, 4.0, 1.0])

@@ -444,6 +444,13 @@ _BAD_VALUES = [
     ("simulate", 'family={"name":"brownian","params":{"drift":[NaN,0]}}'),
     ("check", 'family={"name":"hyperplane_jump","params":{"drift_left":[NaN,0]}}'),
     ("simulate", 'family={"name":"hyperplane_jump","params":{"drift_right":[0,Infinity]}}'),
+    # piecewise cells: non-finite values and bounds, empty boxes, missing keys
+    *(("check", 'family={"name":"piecewise_weight","params":{"cells":[%s]}}' % cell)
+      for cell in ('{"bounds":[[-1,0],[-1,0]],"value":NaN}',
+                   '{"bounds":[[-1,0],[-1,0]],"value":1e309}',
+                   '{"bounds":[[-1,NaN],[-1,0]],"value":0.5}',
+                   '{"bounds":[[0,-1],[-1,0]],"value":0.5}',
+                   '{"value":0.5}')),
 ]
 
 

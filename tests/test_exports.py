@@ -7,6 +7,9 @@ run.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -46,3 +49,17 @@ def test_script_compiles_and_its_sdelab_imports_resolve(path):
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"{path.name}: {node.module} lacks {missing}"
+
+
+def test_cli_import_loads_no_interpolate_or_optimize():
+    # scipy.interpolate drags scipy.optimize and scipy.fft in with it, about
+    # 0.2 s of every command's start-up, for one interpolation sdelab does
+    # in numpy
+    src = str(Path(sdelab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, sdelab.cli; print('\\n'.join(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'optimize'])))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.split() == []

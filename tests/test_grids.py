@@ -124,6 +124,85 @@ class TestGridField:
             GridField(g, np.zeros((4, 5)))
 
 
+def _scipy_linear(f: GridField, x: np.ndarray) -> np.ndarray:
+    # the reference only: sdelab itself must not import scipy.interpolate
+    from scipy.interpolate import RegularGridInterpolator
+
+    itp = RegularGridInterpolator(f.grid.axes(), f.values, method="linear",
+                                  bounds_error=False, fill_value=None)
+    return itp(x)
+
+
+def _probe_points(g: BoxGrid, rng) -> np.ndarray:
+    """Interior points, the nodes and their neighbouring floats, points on
+    each upper face, and points up to half a box width outside it."""
+    d, lo, hi = g.dim, g.lo, g.hi
+    pad = 0.5 * (hi - lo)
+    nodes = g.flat_points()
+    face = rng.uniform(lo, hi, size=(d * 50, d))
+    for k in range(d):
+        face[k * 50:(k + 1) * 50, k] = hi[k]
+    return np.concatenate([
+        rng.uniform(lo, hi, size=(2000, d)),
+        nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        face, [hi], [lo],
+        rng.uniform(lo - pad, hi + pad, size=(2000, d)), [lo - pad], [hi + pad],
+    ])
+
+
+_BOX3 = [[-1.0, 1.0], [0.0, 2.5], [-3.0, -1.0]]
+
+
+class TestInterpolationMatchesScipy:
+    @pytest.mark.parametrize("bounds, n, components", [
+        ([[-2.0, 2.0]], 9, ()),
+        ([[-2.0, 2.0]], 9, (3,)),
+        (BOX2, (17, 11), ()),
+        (BOX2, (17, 11), (2,)),
+        (_BOX3, (5, 7, 6), ()),
+        (_BOX3, (5, 7, 6), (3,)),
+    ])
+    @pytest.mark.parametrize("fill", ["random", "signed_zeros", "negative_zero"])
+    def test_bit_for_bit(self, bounds, n, components, fill):
+        g = BoxGrid(bounds, n)
+        rng = np.random.default_rng(12)
+        vals = rng.normal(size=g.shape + components)
+        if fill == "signed_zeros":
+            vals.flat[::3] = 0.0
+            vals.flat[1::5] = -0.0
+        elif fill == "negative_zero":
+            vals[...] = -0.0
+        f = GridField(g, vals)
+        x = _probe_points(g, rng)
+        got, ref = f.interpolate(x), _scipy_linear(f, x)
+        assert got.shape == ref.shape == (len(x),) + components
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        # any leading shape, and a single point
+        np.testing.assert_array_equal(
+            f.interpolate(x[:2000].reshape(40, 50, g.dim)),
+            got[:2000].reshape((40, 50) + components))
+        np.testing.assert_array_equal(f.interpolate(x[0]), got[0])
+
+    @pytest.mark.parametrize("bounds, n, components", [
+        ([[-2.0, 2.0]], 9, ()), (BOX2, 9, ()), (BOX2, 9, (2,)), (_BOX3, 5, ()),
+    ])
+    def test_nan_coordinate_gives_nan(self, bounds, n, components):
+        g = BoxGrid(bounds, n)
+        f = GridField(g, np.random.default_rng(3).normal(size=g.shape + components))
+        x = np.tile(g.center, (g.dim + 1, 1))
+        for k in range(g.dim):
+            x[k, k] = np.nan
+        x[-1] = np.nan
+        got, ref = f.interpolate(x), _scipy_linear(f, x)
+        assert np.all(np.isnan(got)) and np.all(np.isnan(ref))
+
+    def test_points_must_match_the_dimension(self):
+        f = GridField(BoxGrid(BOX2, 5), np.zeros((5, 5)))
+        with pytest.raises(GridError, match="trailing dimension 2"):
+            f.interpolate(np.zeros((4, 3)))
+
+
 class TestBumpFunction:
     def test_peak_and_support(self):
         b = SmoothBump([0.5, -0.5], [1.0, 2.0])
