@@ -27,12 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .conditions import a4prime_check, min_M_on_grid, occupation_condition_route
-from .config import (  # the payload builders stay importable from here
-    ExperimentConfig,
-    apply_set_overrides,
-    build_payload,
-    build_spacetime_payload,
-)
+from .config import ExperimentConfig, apply_set_overrides
 from .density import solve_density, verify_divergence_free, verify_preinvariance
 from .diagnostics import feynman_kac_crosscheck, krylov_audit, uniqueness_probe
 from .reporting import DiagnosticReport, canonical_json

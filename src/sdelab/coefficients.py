@@ -363,7 +363,7 @@ _UNIT_WEIGHT = InverseWeight(lambda x: np.ones(x.shape[:-1]), has_zeros=False)
 
 
 def _drift_field(drift, d: int):
-    """Normalize a drift spec (None | const vector | named | callable).
+    """Normalize a drift spec (None | const vector | named).
 
     Returns ``(fn, spec)`` where ``spec`` is the JSON-serializable form used
     in family metadata.
@@ -377,8 +377,6 @@ def _drift_field(drift, d: int):
 
             return fn, "cubic_outward"
         raise CoefficientError(f"unknown named drift {drift!r}")
-    if callable(drift):
-        return drift, "<callable>"
     g = finite_point(drift, d, "drift", CoefficientError)
 
     def fn(x):
@@ -401,14 +399,10 @@ def _ornstein_uhlenbeck(d: int, rate: float = 1.0) -> CoefficientSet:
     return _family(d, "ornstein_uhlenbeck", {"rate": rate}, _UNIT_WEIGHT, g, g)
 
 
-def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
-    def over_phi(v, x):
-        return v if phi is None else v / phi(x)  # v / 1.0 is v, bit for bit
-
+def _radial_inverse_weight(alpha, gamma) -> InverseWeight:
     if gamma is None:
         def fn(x):
-            r2 = squared_norm(x)
-            return over_phi(r2 ** (alpha / 2.0), x)
+            return squared_norm(x) ** (alpha / 2.0)
 
         return InverseWeight(fn, has_zeros=True)
 
@@ -416,38 +410,35 @@ def _radial_inverse_weight(d, alpha, gamma, phi) -> InverseWeight:
 
     def fn(x):
         r2 = squared_norm(x)
-        v = r2 ** (alpha / 2.0)
-        v = np.where(r2 == 0.0, gamma * gamma, v)
-        return over_phi(v, x)
+        return np.where(r2 == 0.0, gamma * gamma, r2 ** (alpha / 2.0))
 
     return InverseWeight(fn, has_zeros=False)
 
 
 def _radial_degenerate(
-    d: int, alpha: float, gamma: float | None = None, drift=None, phi=None,
-    q: float | None = None,
+    d: int, alpha: float, gamma: float | None = None, drift=None
 ) -> CoefficientSet:
-    """Power-law degenerate weight: ``w = |x|^alpha / phi(x)``.
+    """Power-law degenerate weight: ``w = |x|^alpha``.
 
     Needs ``0 < alpha < 2`` so the weight ``psi`` stays locally integrable to
     some power above ``d/2``.  ``gamma`` selects the version with value
-    ``gamma^2/phi(0)`` at the origin (empty degeneracy set); the default
-    version vanishes exactly at the origin.
+    ``gamma^2`` at the origin (empty degeneracy set); the default version
+    vanishes exactly at the origin.
     """
+    finite_real(alpha, "alpha", CoefficientError)
     if not 0.0 < alpha < 2.0:
         raise CoefficientError(
             f"alpha={alpha} out of admissible range (0, 2) for a locally "
             "integrable weight with q > d/2"
         )
     g, spec = _drift_field(drift, d)
-    iw = _radial_inverse_weight(d, alpha, gamma, phi)
+    iw = _radial_inverse_weight(alpha, gamma)
 
-    if q is None:
-        q_low, q_high = 2.0 * d + 2.0, d / alpha
-        if q_high > q_low:
-            q = min(q_low + 2.0, 0.5 * (q_low + q_high))
-        else:
-            q = 0.5 * (d / 2.0 + q_high)
+    q_low, q_high = 2.0 * d + 2.0, d / alpha
+    if q_high > q_low:
+        q = min(q_low + 2.0, 0.5 * (q_low + q_high))
+    else:
+        q = 0.5 * (d / 2.0 + q_high)
 
     def psi_g(x):
         w = iw(x)

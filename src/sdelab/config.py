@@ -362,7 +362,7 @@ class ExperimentConfig:
                           "x0": entry["x0"], "t_final": entry["t_final"],
                           "cfg": self._entry_sim(entry, "mc_dt"),
                           "pde_dt": entry["pde_dt"]}
-                _, mc_cfg = feynman_kac_config(**inputs)
+                _, mc_cfg, _ = feynman_kac_config(**inputs)
                 mc_cfg.states_shape(dim)
                 inputs["f0"] = build_payload(entry["payload"], dim)
             return {**inputs, "x0": finite_point(entry["x0"], dim)}

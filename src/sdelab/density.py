@@ -2,9 +2,9 @@
 
 Solves the conservation form ``div( (1/2) A grad(rho) + c rho ) = 0`` with
 ``c = (1/2) (row-div A) - psi G``, natural (zero-flux) boundary conditions and
-a point normalization.  The weight itself never enters the solve: ``psi G`` is
-taken as a single datum, which keeps the system finite even where the inverse
-weight vanishes.
+value 1 at the node nearest the box center.  The weight itself never enters
+the solve: ``psi G`` is taken as a single datum, which keeps the system finite
+even where the inverse weight vanishes.
 
 Discretization: vertex-centered finite volumes on a box grid.  Each dual face
 carries a Scharfetter-Gummel two-point flux with harmonically averaged
@@ -17,10 +17,11 @@ positivity of the discrete solution follow structurally.  The flux is exact
 on each face for densities of the form ``exp(linear potential)``, so constant
 and Gaussian kernels are reproduced at machine precision.
 
-The solved density induces the drift split ``G = beta + B``: ``beta`` is the
-symmetric part determined by ``(rho, A, psi)`` and ``B`` the leftover, whose
-weighted flux ``rho psi B`` must be weakly divergence free.  Audits measure
-weak-form defects against smooth compactly supported test functions; the
+The drift splits as ``G = beta + B``, with ``beta`` the symmetric part
+determined by ``(rho, A, psi)``; the weighted flux ``rho psi B`` of the
+leftover must be weakly divergence free.  Audits measure weak-form defects
+against the smooth compactly supported test functions of
+:func:`default_bump_dictionary`, whose supports lie inside the box; the
 divergence audit pairs the scheme's own face fluxes with analytic test
 gradients, which is zero to rounding whenever the discrete kernel is exact
 and decays at the scheme's order otherwise.
@@ -234,22 +235,17 @@ class _FaceScheme:
 class DensityField:
     """Solved stationary density on a grid.
 
-    ``rho`` is strictly positive; ``grad_rho`` holds centered finite
-    differences.  ``normalization`` is ``"anchor"`` (value 1 at
-    ``anchor_point``) or ``"mass"`` (unit weighted mass).  ``residual_norm``
-    is the weak-form defect of the scheme's flux field against the builtin
-    test dictionary, scaled by the test gradient norm (a discrete dual norm);
-    it is zero to rounding whenever the discrete solution is an exact kernel
-    element (constant and Gaussian cases).  ``faces`` is the face scheme the
-    density was solved with; the audits and the parabolic solve reuse it.
+    ``rho`` is strictly positive with value 1 at the node nearest the box
+    center.  ``residual_norm`` is the weak-form defect of the scheme's flux
+    field against the builtin test dictionary, scaled by the test gradient
+    norm (a discrete dual norm); it is zero to rounding whenever the discrete
+    solution is an exact kernel element (constant and Gaussian cases).
+    ``faces`` is the face scheme the density was solved with; the audits and
+    the parabolic solve reuse it.
     """
 
     rho: GridField
-    grad_rho: GridField
-    anchor_point: np.ndarray
-    normalization: str
     residual_norm: float
-    meta: dict
     faces: _FaceScheme
 
     @property
@@ -257,21 +253,8 @@ class DensityField:
         return self.rho.grid
 
 
-def _nearest_node(grid: BoxGrid, x: np.ndarray) -> tuple:
-    return tuple(
-        int(np.argmin(np.abs(ax - x[k]))) for k, ax in enumerate(grid.axes())
-    )
-
-
-def _require_interior_support(grid: BoxGrid, bump) -> None:
-    sb = bump.support_bounds()
-    lo, hi = sb[:, 0], sb[:, 1]
-    for k, (a, b) in enumerate(grid.bounds):
-        if lo[k] <= a or hi[k] >= b:
-            raise DensityError(
-                f"test function support [{lo[k]:.3g}, {hi[k]:.3g}] touches the "
-                f"box boundary along axis {k}"
-            )
+_PREINVARIANCE_TOL = 1e-4
+_DIVERGENCE_TOL = 1e-3
 
 
 def weak_defect(grid: BoxGrid, flux_values: np.ndarray, bump) -> tuple:
@@ -285,27 +268,18 @@ def weak_defect(grid: BoxGrid, flux_values: np.ndarray, bump) -> tuple:
     return defect, grad_l2, grad_sup
 
 
-def solve_density(
-    c: CoefficientSet,
-    bounds,
-    n: int,
-    normalization: str = "anchor",
-    anchor=None,
-) -> DensityField:
+def solve_density(c: CoefficientSet, bounds, n) -> DensityField:
     """Solve the stationary density problem on a box grid.
 
-    ``normalization="anchor"`` fixes value 1 at the node nearest ``anchor``
-    (box center by default); ``"mass"`` rescales to unit weighted mass
-    afterwards.  Raises :class:`DensityError` if the anchored system is
-    singular (kernel dimension above one), the solution changes sign
-    (enlarge the box or refine the grid), the grid is too coarse for the
-    test dictionary of the residual or its arrays cannot be allocated.
+    Fixes value 1 at the node nearest the box center.  Raises
+    :class:`DensityError` if the anchored system is singular (kernel
+    dimension above one), the solution changes sign (enlarge the box or
+    refine the grid), the grid is too coarse for the test dictionary of the
+    residual or its arrays cannot be allocated.
     """
     grid = BoxGrid(bounds, n)
     if grid.dim != c.dim:
         raise DensityError("bounds dimension does not match the coefficients")
-    if normalization not in ("anchor", "mass"):
-        raise DensityError(f"unknown normalization {normalization!r}")
 
     try:
         faces = _FaceScheme(c, grid)
@@ -315,10 +289,8 @@ def solve_density(
         raise DensityError(f"grid {list(grid.n)} of {nodes} nodes needs more memory "
                            "than can be allocated") from None
 
-    anchor_x = grid.center if anchor is None else np.asarray(anchor, dtype=float)
-    anchor_idx = _nearest_node(grid, anchor_x)
-    anchor_flat = int(np.ravel_multi_index(anchor_idx, grid.shape))
-    anchor_point = np.array([grid.axes()[k][anchor_idx[k]] for k in range(grid.dim)])
+    anchor = tuple(int(np.argmin(np.abs(ax - x))) for ax, x in zip(grid.axes(), grid.center))
+    anchor_flat = int(np.ravel_multi_index(anchor, grid.shape))
 
     # the anchor row of the flux matrix becomes the identity row
     coo = K.tocoo()
@@ -346,14 +318,6 @@ def solve_density(
             "enlarge the box or refine the grid"
         )
 
-    if normalization == "mass":
-        psi = psi_weights(c, grid)
-        mass = float(np.sum(grid.trapezoid_weights() * rho * psi))
-        rho = rho / mass
-
-    rho_field = GridField(grid, rho)
-    grad = rho_field.gradient()
-
     flux = faces.node_flux_field(rho)
     defect = 0.0
     for bump in default_bump_dictionary(grid):
@@ -365,101 +329,36 @@ def solve_density(
             )
         defect = max(defect, abs(val) / grad_l2)
 
-    return DensityField(
-        rho=rho_field,
-        grad_rho=grad,
-        anchor_point=anchor_point,
-        normalization=normalization,
-        residual_norm=defect,
-        meta={
-            "bounds": [list(b) for b in grid.bounds],
-            "n": list(grid.n),
-            "family": c.family,
-            "anchor_index": list(anchor_idx),
-        },
-        faces=faces,
-    )
+    return DensityField(rho=GridField(grid, rho), residual_norm=defect, faces=faces)
 
 
-@dataclass
-class DriftDecomposition:
-    """Split ``G = beta + B`` induced by a solved density.
-
-    ``beta = (row-div A) w / 2 + (A grad rho) w / (2 rho)`` with ``w`` the
-    inverse weight; on the degeneracy set (``null_mask``) it is set to 0 and
-    flagged.  ``rho_psi_B`` is the weighted flux of the leftover part through
-    the identity
-    ``rho psi B = rho (psi G) - rho (row-div A)/2 - (A grad rho)/2``,
-    finite everywhere and equal to ``rho * psi * B`` wherever the weight is
-    finite.
-    """
-
-    beta: GridField
-    B: GridField
-    rho_psi_B: GridField
-    null_mask: np.ndarray
-
-
-def compute_beta(c: CoefficientSet, dens: DensityField) -> DriftDecomposition:
-    grid = dens.grid
-    pts = grid.points()
-    w = c.inv_weight(pts)
-    null = w == 0.0
-    rho = dens.rho.values
-    grad_rho = dens.grad_rho.values
-    diag_a = dens.faces.node_diag
-    row_div = c.matrix.row_divergence(pts)
-    a_grad = diag_a * grad_rho
-
-    beta = 0.5 * row_div * w[..., None] + a_grad * (w / (2.0 * rho))[..., None]
-    beta = np.where(null[..., None], 0.0, beta)
-    b_vec = c.G(pts) - beta
-
-    psi_g = _node_psi_g(c, pts, grid.dim)
-    rho_psi_b = rho[..., None] * psi_g - 0.5 * rho[..., None] * row_div - 0.5 * a_grad
-
-    return DriftDecomposition(
-        beta=GridField(grid, beta),
-        B=GridField(grid, b_vec),
-        rho_psi_B=GridField(grid, rho_psi_b),
-        null_mask=null,
-    )
-
-
-def verify_preinvariance(
-    c: CoefficientSet,
-    dens: DensityField,
-    test_functions=None,
-    tol: float = 1e-4,
-) -> DiagnosticReport:
+def verify_preinvariance(c: CoefficientSet, dens: DensityField) -> DiagnosticReport:
     """Stationarity audit: the weighted measure kills the generator.
 
-    For each smooth compactly supported ``f`` the quadrature of
+    For each ``f`` of the test dictionary the quadrature of
     ``(1/2) rho tr(A Hess f) + rho <psi G, grad f>`` over the box must vanish
-    up to ``tol * sup|Hess f|``.  The inverse weight cancels against the
+    up to ``1e-4 * sup|Hess f|``.  The inverse weight cancels against the
     weight in this form, so degenerate nodes need no special handling.  The
     report meta tracks the split of each residual into the symmetric part
     (stationary flux of ``rho`` paired with the test gradient) and the
-    leftover-drift part (the nodal ``rho_psi_B`` field); the two parts sum to
-    the residual exactly.
+    leftover-drift part; the two parts sum to the residual exactly.
     """
+    tol = _PREINVARIANCE_TOL
     grid = dens.grid
     pts = grid.points()
     rho = dens.rho.values
     diag_a = dens.faces.node_diag
     psi_g = _node_psi_g(c, pts, grid.dim)
     row_div = c.matrix.row_divergence(pts)
-    sym_flux = 0.5 * rho[..., None] * row_div + 0.5 * diag_a * dens.grad_rho.values
+    sym_flux = 0.5 * rho[..., None] * row_div + 0.5 * diag_a * dens.rho.gradient().values
     quad_w = grid.trapezoid_weights()
-    bumps = test_functions if test_functions is not None else default_bump_dictionary(grid)
 
     rep = DiagnosticReport(
         check="preinvariance",
         meta={"tol": tol, "n": list(grid.n), "family": c.family,
               "symmetric_part": [], "leftover_part": []},
     )
-    for i, f in enumerate(bumps):
-        _require_interior_support(grid, f)
+    for i, f in enumerate(default_bump_dictionary(grid)):
         grad_f = f.gradient(pts)
         hess = f.hessian(pts)
         tr_term = 0.5 * rho * np.sum(diag_a * np.einsum("...kk->...k", hess), axis=-1)
@@ -479,36 +378,34 @@ def verify_preinvariance(
     return rep
 
 
-def verify_divergence_free(
-    c: CoefficientSet,
-    dens: DensityField,
-    dec: DriftDecomposition | None = None,
-    test_functions=None,
-    tol: float = 1e-3,
-) -> DiagnosticReport:
+def verify_divergence_free(c: CoefficientSet, dens: DensityField) -> DiagnosticReport:
     """Audit that the weighted leftover flux ``rho psi B`` is divergence free.
 
     The headline value per test function pairs the scheme's face-flux
     representation of ``rho psi B`` (minus the stationary flux of ``rho``)
     with the analytic test gradient; it vanishes to rounding whenever the
     discrete density is an exact kernel element, and decays at the scheme's
-    order otherwise.  Pass threshold: ``tol * sup|grad u|``.  The defect of
-    the nodal ``rho_psi_B`` field, limited by the accuracy of the centered
+    order otherwise.  Pass threshold: ``1e-3 * sup|grad u|``.  The defect of
+    the nodal ``rho psi B`` field, limited by the accuracy of the centered
     density gradient, is tracked in meta as ``field_defect``.
     """
-    if dec is None:
-        dec = compute_beta(c, dens)
+    tol = _DIVERGENCE_TOL
     grid = dens.grid
+    pts = grid.points()
+    rho = dens.rho.values[..., None]
+    row_div = c.matrix.row_divergence(pts)
+    a_grad = dens.faces.node_diag * dens.rho.gradient().values
+    # rho psi B = rho (psi G) - rho (row-div A)/2 - (A grad rho)/2, finite
+    # even where the weight psi is not
+    rho_psi_b = rho * _node_psi_g(c, pts, grid.dim) - 0.5 * rho * row_div - 0.5 * a_grad
     flux = -dens.faces.node_flux_field(dens.rho.values)
-    bumps = test_functions if test_functions is not None else default_bump_dictionary(grid)
     rep = DiagnosticReport(
         check="divergence_free",
         meta={"tol": tol, "n": list(grid.n), "family": c.family, "field_defect": []},
     )
-    for i, u in enumerate(bumps):
-        _require_interior_support(grid, u)
+    for i, u in enumerate(default_bump_dictionary(grid)):
         val, _, grad_sup = weak_defect(grid, flux, u)
-        nodal, _, _ = weak_defect(grid, dec.rho_psi_B.values, u)
+        nodal, _, _ = weak_defect(grid, rho_psi_b, u)
         rep.meta["field_defect"].append(nodal)
         rep.add(
             f"weighted_flux_bump_{i}",

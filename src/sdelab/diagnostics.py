@@ -612,7 +612,8 @@ def feynman_kac_config(
     grid: BoxGrid, x0, t_final: float, cfg: SimConfig, pde_dt: float
 ) -> tuple:
     """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
-    start point and the Monte-Carlo config."""
+    start point, the Monte-Carlo config and the once-coarsened grid of the
+    spatial error estimate."""
     x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
     margin = grid.spacing
     if np.any(x0 < grid.lo + margin) or np.any(x0 > grid.hi - margin):
@@ -628,7 +629,7 @@ def feynman_kac_config(
     slices_shape(grid, t_final, pde_dt, DiagnosticsError)
     # the comparison is defined for the free dynamics: a configured exit
     # radius would freeze Monte-Carlo paths the PDE side keeps evolving
-    return x0, replace(cfg, t_final=float(t_final), r_exit=None)
+    return x0, replace(cfg, t_final=float(t_final), r_exit=None), grid.coarsen()
 
 
 def feynman_kac_crosscheck(
@@ -658,7 +659,7 @@ def feynman_kac_crosscheck(
     explicit instruction to enlarge the box.
     """
     grid = dens.grid
-    x0, cfg_run = feynman_kac_config(grid, x0, t_final, cfg, pde_dt)
+    x0, cfg_run, grid_c = feynman_kac_config(grid, x0, t_final, cfg, pde_dt)
     f_vals = grid_values(f0, grid, DiagnosticsError)
     f_eval = f0.interpolate if isinstance(f0, GridField) else f0
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
@@ -680,14 +681,7 @@ def feynman_kac_crosscheck(
     u_half = final_slice(dens, grid, f_vals, 2.0 * pde_dt)
     temporal = abs(pde - _point_value(grid, u_half, x0))
 
-    grid_c = grid.coarsen()
-    dens_c = solve_density(
-        c,
-        grid.bounds,
-        grid_c.n,
-        normalization=dens.normalization,
-        anchor=dens.anchor_point,
-    )
+    dens_c = solve_density(c, grid.bounds, grid_c.n)
     # the coarse nodes are every other fine node, bit for bit
     f_coarse = f_vals[(slice(None, None, 2),) * grid.dim]
     u_coarse = final_slice(dens_c, grid_c, f_coarse, pde_dt)

@@ -183,7 +183,7 @@ class TestFamilies:
         with pytest.raises(CoefficientError, match="unknown family"):
             builtin_family("wiener", 2)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.0, 2.5, True, float("nan")])
     def test_radial_alpha_range(self, alpha):
         with pytest.raises(CoefficientError):
             builtin_family("radial_degenerate", 2, alpha=alpha)

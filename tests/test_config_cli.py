@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab.cli import _Emitter, build_payload, build_spacetime_payload, main
+from sdelab.cli import _Emitter, main
 from sdelab.config import (
     ConfigError,
     ExperimentConfig,
     apply_set_overrides,
+    build_payload,
+    build_spacetime_payload,
     validate_payload_spec,
 )
 from sdelab.grids import BoxGrid
@@ -181,6 +183,12 @@ class TestConfigSchema:
         raw = base_config()
         raw["box"]["n"] = 1
         with pytest.raises(ConfigError, match="box:"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_even_feynman_kac_grid_refused_at_load(self):
+        raw = json.loads(EXAMPLE_CONFIG.read_text())
+        raw["diagnostics"][3]["grid_n"] = 64
+        with pytest.raises(ConfigError, match=r"diagnostics\[3\]: .*odd node counts"):
             ExperimentConfig.from_dict(raw)
 
     def test_x0_round_trips_and_defaults_to_center(self):
@@ -444,6 +452,11 @@ _BAD_VALUES = [
     ("simulate", 'family={"name":"brownian","params":{"drift":[NaN,0]}}'),
     ("check", 'family={"name":"hyperplane_jump","params":{"drift_left":[NaN,0]}}'),
     ("simulate", 'family={"name":"hyperplane_jump","params":{"drift_right":[0,Infinity]}}'),
+    # family parameters that are not numbers or not parameters at all
+    ("check", "family.params.alpha=true"),
+    ("check", "family.params.phi=2"),
+    # the Feynman-Kac spatial error coarsens its grid, which needs odd node counts
+    ("diagnose", "diagnostics.3.grid_n=64"),
     # piecewise cells: non-finite values and bounds, empty boxes, missing keys
     *(("check", 'family={"name":"piecewise_weight","params":{"cells":[%s]}}' % cell)
       for cell in ('{"bounds":[[-1,0],[-1,0]],"value":NaN}',

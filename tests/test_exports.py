@@ -1,8 +1,8 @@
 """The package's public names and the names the shipped scripts import.
 
-No test runs the scripts in ``scripts/`` (each takes seconds), so these
-checks make a removed or renamed export fail here rather than in a script
-run.
+Most scripts in ``scripts/`` take seconds, so these checks make a removed or
+renamed export fail here rather than in a script run; the one script that
+runs in about a second on small grids is run end to end.
 """
 
 import ast
@@ -17,7 +17,15 @@ import pytest
 
 import sdelab
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
+
+
+def _env_with_src() -> dict:
+    src = str(Path(sdelab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_all_lists_exactly_the_public_names():
@@ -55,11 +63,18 @@ def test_cli_import_loads_no_interpolate_or_optimize():
     # scipy.interpolate drags scipy.optimize and scipy.fft in with it, about
     # 0.2 s of every command's start-up, for one interpolation sdelab does
     # in numpy
-    src = str(Path(sdelab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, sdelab.cli; print('\\n'.join(m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'optimize'])))")
-    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                         capture_output=True, text=True, timeout=120, check=True)
     assert run.stdout.split() == []
+
+
+def test_box_refinement_script_runs():
+    # the script solves and audits the density on two nested grids
+    run = subprocess.run([sys.executable, str(SCRIPT_DIR / "box_refinement.py"),
+                          "--n0", "9", "--levels", "2"],
+                         env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()]
+    assert [r[0] for r in rows if r and r[0].isdigit()] == ["9", "17"]

@@ -272,8 +272,16 @@ class TestBumpFunction:
         v = b(pts)
         assert np.all(v >= 0.0) and np.all(v <= 1.0 + 1e-15)
 
-    def test_default_dictionary_inside_box(self):
-        g = BoxGrid([[-4, 4], [-4, 4]], 65)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+        st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+    )
+    def test_default_dictionary_inside_box(self, d, offsets, widths):
+        # the weak-form audits integrate by parts with no boundary term
+        bounds = [[o, o + w] for o, w in zip(offsets[:d], widths[:d])]
+        g = BoxGrid(bounds, 5)
         bumps = default_bump_dictionary(g)
         assert len(bumps) >= 3
         for b in bumps:
