@@ -93,6 +93,19 @@ class TestSolveDensity:
         assert np.allclose(dens.grid.points()[32, 32], [0.0, 0.0])
         assert dens.rho.values[32, 32] == 1.0
 
+    @pytest.mark.parametrize(
+        "bounds, n", [(BOX4, 32), (((0.0, 3.0), (-1.0, 2.5)), 20)], ids=["tie", "off_center"]
+    )
+    def test_anchor_is_a_node_nearest_center(self, ou2, bounds, n):
+        # no node sits at the center here; with n even on BOX4 four nodes tie
+        dens = solve_density(ou2, bounds, n)
+        grid = dens.grid
+        dist = np.linalg.norm(grid.points() - np.asarray(grid.center), axis=-1)
+        anchored = dens.rho.values == 1.0
+        assert dist.min() > 0.0
+        assert anchored.sum() == 1
+        assert dist[anchored][0] <= dist.min() * (1.0 + 1e-12)
+
     def test_ou_matches_gaussian(self, ou2):
         dens = solve_density(ou2, BOX4, 129)
         pts = dens.grid.points()
@@ -280,6 +293,13 @@ class TestDivergenceFree:
         assert rep.passed
         assert len(rep.meta["field_defect"]) == len(rep.clauses)
         assert all(np.isfinite(v) for v in rep.meta["field_defect"])
+
+    def test_radial_null_set_field_defect_finite(self, radial2):
+        # psi = 1 / |x|^alpha is infinite at the origin node; rho psi B stays finite
+        dens = solve_density(radial2, BOX2, 65)
+        rep = verify_divergence_free(radial2, dens)
+        assert rep.passed and len(rep.clauses) == 3
+        assert all(abs(v) <= 1e-10 for v in rep.meta["field_defect"])
 
     @pytest.mark.parametrize("family", ["jump2", "affine"])
     def test_field_defect_pairs_rho_psi_B(self, family, request):
