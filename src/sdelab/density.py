@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
 from .grids import BoxGrid, GridField, default_bump_dictionary
@@ -192,14 +190,15 @@ class _FaceScheme:
             field[sl_l + (k,)] += 0.5 * flux
         return field
 
-    def two_point_matrix(self, couplings) -> sp.csr_matrix:
-        """Node matrix from face couplings.
+    def two_point_matrix(self, couplings):
+        """Node matrix, a ``scipy.sparse`` CSR matrix, from face couplings.
 
         ``couplings(k)`` lists ``(row, col, values)`` entries for the faces
         along axis k: ``row`` and ``col`` are :attr:`L` or :attr:`R`, and
         ``values`` holds one number per face.  Duplicate entries are summed
         in the order given.
         """
+        import scipy.sparse as sp
         n_nodes = int(np.prod(self.grid.shape))
         flat = np.arange(n_nodes).reshape(self.grid.shape)
         rows, cols, data = [], [], []
@@ -214,8 +213,8 @@ class _FaceScheme:
             shape=(n_nodes, n_nodes),
         ).tocsr()
 
-    def assemble(self) -> sp.csr_matrix:
-        """Finite-volume matrix with ``(K rho)_i ~ vol_i div(F(rho))_i``.
+    def assemble(self):
+        """Finite-volume CSR matrix with ``(K rho)_i ~ vol_i div(F(rho))_i``.
 
         Exactly zero column sums (discrete conservation) and the sign
         structure of a transposed Markov generator.
@@ -277,6 +276,8 @@ def solve_density(c: CoefficientSet, bounds, n) -> DensityField:
     refine the grid), the grid is too coarse for the test dictionary of the
     residual or its arrays cannot be allocated.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     grid = BoxGrid(bounds, n)
     if grid.dim != c.dim:
         raise DensityError("bounds dimension does not match the coefficients")

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights, solve_density
@@ -188,6 +187,7 @@ def marginal_two_sample(x, y, level: float = 0.01) -> TwoSampleResult:
     digests of the two samples, symmetrically, so swapping the arguments
     changes nothing.
     """
+    from scipy.spatial.distance import cdist
     x = _marginal_sample(x, "first sample")
     y = _marginal_sample(y, "second sample")
     if x.shape[1] != y.shape[1]:

@@ -32,14 +32,18 @@ def _as_u64(value: int, name: str) -> int:
     return v
 
 
-def path_key(master_seed: int, path_index: int) -> tuple:
-    """The Philox key pair identifying one path's substream."""
-    return (_as_u64(master_seed, "master_seed"), _as_u64(path_index, "path_index"))
+def _as_u64_list(values, name: str) -> list:
+    """:func:`_as_u64` of each value; a numpy integer array is checked in one pass."""
+    ints = isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+    if ints and np.all(values >= 0):
+        return values.tolist()
+    return [_as_u64(v, name) for v in values]
 
 
 def path_generator(master_seed: int, path_index: int) -> np.random.Generator:
-    key = np.array(path_key(master_seed, path_index), dtype=_U64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Philox generator keyed by ``(master_seed, path_index)``: one path's substream."""
+    seed, index = _as_u64(master_seed, "master_seed"), _as_u64(path_index, "path_index")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=_U64)))
 
 
 def path_normals(master_seed: int, path_index: int, n_steps: int, m: int) -> np.ndarray:
@@ -68,8 +72,9 @@ def block_normals(
     # Counter 0 and an empty buffer: the state of a newly keyed generator.
     fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i, p in enumerate(path_indices):
-        fresh["state"]["key"] = path_key(master_seed, p)
+    seed = _as_u64(master_seed, "master_seed")
+    for i, p in enumerate(_as_u64_list(path_indices, "path_index")):
+        fresh["state"]["key"] = (seed, p)
         bits.state = fresh
         u[i] = bits.random_raw(k)
     u += 0.5

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights
@@ -108,7 +106,7 @@ def _assemble_operator(c: CoefficientSet, dens: DensityField) -> tuple:
     return faces.two_point_matrix(couplings), m
 
 
-def _check_m_matrix(S: sp.csr_matrix) -> None:
+def _check_m_matrix(S) -> None:
     coo = S.tocoo()
     on_diag = coo.row == coo.col
     scale = max(1.0, float(np.max(np.abs(coo.data)))) if coo.nnz else 1.0
@@ -140,6 +138,8 @@ def evolve(
     ``f0`` is a :class:`GridField` on the density's grid or a callable
     evaluated at the nodes.  All time slices are stored.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     grid = dens.grid
     shape = slices_shape(grid, t_final, dt, SemigroupError)
     u0 = grid_values(f0, grid, SemigroupError)

@@ -198,7 +198,8 @@ def _euler_maruyama(
     exploded_step[:] = -1
     active = np.ones(b, dtype=bool)
     if cfg.r_exit is not None:
-        out_now = np.sqrt(squared_norm(x)) >= cfg.r_exit
+        with np.errstate(over="ignore"):
+            out_now = np.sqrt(squared_norm(x)) >= cfg.r_exit
         exit_step[out_now] = 0
         active &= ~out_now
     yield x
@@ -248,8 +249,7 @@ def simulate_ensemble(
     nonnegative) ``occupation_eps``, for :func:`occupation_profile`.
     """
     x0 = finite_point(x0, c.dim, "x0", SimulationError)
-    if workers < 1:
-        raise SimulationError("workers must be at least 1")
+    workers = integer(workers, "workers", SimulationError, minimum=1)
     eps = (0.0, cfg.near_degeneracy_eps)
     for e in occupation_eps:
         if finite_real(e, "occupation_eps", SimulationError) < 0:

@@ -70,6 +70,41 @@ def test_cli_import_loads_no_interpolate_or_optimize():
     assert run.stdout.split() == []
 
 
+_SOLVER_STACKS = ("['scipy', 'sparse'], ['scipy', 'linalg'], ['scipy', 'spatial']")
+
+
+def test_cli_import_loads_no_sparse_linalg_or_spatial():
+    # only the density and PDE solves factor a matrix and only the energy
+    # test computes distances; those functions import the stacks themselves
+    probe = ("import sys, sdelab.cli; print('\\n'.join(m for m in sys.modules "
+             f"if m.split('.')[:2] in ({_SOLVER_STACKS})))")
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.split() == []
+
+
+def test_check_and_simulate_run_without_solver_stacks(tmp_path):
+    # the path-law leg runs without the solver stacks; density loads them
+    probe = f"""
+import sys
+from sdelab.cli import main
+
+def stacks():
+    return sorted(m for m in sys.modules if m.split('.')[:2] in ({_SOLVER_STACKS}))
+
+args = ["--config", {str(SCRIPT_DIR / "example_config.json")!r}, "--out", {str(tmp_path)!r},
+        "--workers", "1", "--set", "sim.n_paths=50"]
+for sub in ("check", "simulate"):
+    assert main([sub] + args) == 0, sub
+    assert stacks() == [], (sub, stacks())
+assert main(["density"] + args) == 0
+assert "scipy.sparse.linalg" in stacks()
+"""
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 def test_box_refinement_script_runs():
     # the script solves and audits the density on two nested grids
     run = subprocess.run([sys.executable, str(SCRIPT_DIR / "box_refinement.py"),

@@ -152,6 +152,13 @@ class TestEnsembleBasics:
         np.testing.assert_array_equal(e1.states, e8.states)
         np.testing.assert_array_equal(e1.occupation_near, e8.occupation_near)
 
+    @pytest.mark.parametrize("workers", [float("nan"), 2.5, True, 0, "2", None])
+    def test_bad_workers_rejected(self, brownian2, workers):
+        # one block, so a count the thread pool cannot use fails here rather
+        # than hanging a multi-block run
+        with pytest.raises(SimulationError, match="workers"):
+            simulate_ensemble(brownian2, [0.0, 0.0], _cfg(n_paths=8), workers=workers)
+
     def test_prefix_stability_in_path_count(self, ou2):
         # per-path keying: the first paths do not change when more are added
         small = simulate_ensemble(ou2, [1.0, 0.0], _cfg(n_paths=50))
@@ -251,6 +258,14 @@ class TestExitAndExplosion:
         ens = simulate_ensemble(brownian2, [12.0, 0.0], _cfg(n_paths=4, r_exit=10.0))
         np.testing.assert_array_equal(ens.exit_step, 0)
         np.testing.assert_array_equal(ens.states[:, -1, :], ens.states[:, 0, :])
+
+    def test_huge_start_exits_at_zero_silently(self, radial2):
+        # |x0|^2 overflows to inf; the exit check before the first step must
+        # read that as outside the ball without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = simulate_ensemble(radial2, [1e308, 1e308], _cfg(n_paths=4, r_exit=2.5))
+        np.testing.assert_array_equal(ens.exit_step, 0)
 
     def test_explosion_flagged_and_frozen(self):
         c = builtin_family("brownian", 2, drift="cubic_outward")
