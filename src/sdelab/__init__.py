@@ -18,9 +18,7 @@ from .coefficients import (
     estimate_ellipticity,
 )
 from .conditions import (
-    ConditionMargin,
     a4prime_check,
-    growth_margin,
     min_M_on_grid,
     occupation_condition_route,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "BoxGrid",
     "Clause",
     "CoefficientSet",
-    "ConditionMargin",
     "ConfigError",
     "DensityField",
     "DiagnosticReport",
@@ -89,7 +86,6 @@ __all__ = [
     "evolve",
     "exit_time_stats",
     "feynman_kac_crosscheck",
-    "growth_margin",
     "krylov_audit",
     "marginal_two_sample",
     "min_M_on_grid",

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .conditions import a4prime_check, min_M_on_grid, occupation_condition_route
-from .config import ExperimentConfig, apply_set_overrides
+from .config import ConfigError, ExperimentConfig, apply_set_overrides
 from .density import solve_density, verify_divergence_free, verify_preinvariance
 from .diagnostics import feynman_kac_crosscheck, krylov_audit, uniqueness_probe
 from .reporting import DiagnosticReport, canonical_json
@@ -120,8 +120,7 @@ def _finalize(report: DiagnosticReport, cfg: ExperimentConfig) -> dict:
 # -- subcommand runners -------------------------------------------------------
 
 def _run_check(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
-    c = cfg.build_family()
-    grid = cfg.build_grid()
+    c, grid = cfg.coefficients, cfg.grid
     report = a4prime_check(c)
     resolution = min(max(grid.n), 65)
     report.meta["min_M"] = min_M_on_grid(c, grid.bounds, resolution)
@@ -135,8 +134,7 @@ def _run_check(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 
 def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
-    c = cfg.build_family()
-    grid = cfg.build_grid()
+    c, grid = cfg.coefficients, cfg.grid
     dens = solve_density(c, grid.bounds, grid.n)
     pre = verify_preinvariance(c, dens)
     div = verify_divergence_free(c, dens)
@@ -149,15 +147,15 @@ def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 
 def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
-    entries = [e for e in cfg.diagnostics if e["kind"] == "semigroup"]
+    entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
+               if e["kind"] == "semigroup"]
     if not entries:
         raise UsageError("config lists no diagnostics of kind 'semigroup'")
-    c = cfg.build_family()
-    grid = cfg.build_grid()
+    c, grid = cfg.coefficients, cfg.grid
     dens = solve_density(c, grid.bounds, grid.n)
     ok = True
-    for i, entry in enumerate(entries):
-        u = evolve(c, dens, **cfg.entry_inputs(entry))
+    for i, (entry, inputs) in enumerate(entries):
+        u = evolve(c, dens, **inputs)
         rep = semigroup_contraction_check(c, u, dens)
         rep.meta["payload"] = entry["payload"]
         emit.report(f"semigroup_{i}", _finalize(rep, cfg))
@@ -168,7 +166,7 @@ def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 
 def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
-    c = cfg.build_family()
+    c = cfg.coefficients
     x0 = cfg.start_point()
     ens = simulate_ensemble(c, x0, cfg.sim, workers=workers,
                             occupation_eps=_OCCUPATION_EPS)
@@ -209,16 +207,16 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     kinds = {"uniqueness", "krylov", "feynman_kac"}
-    entries = [e for e in cfg.diagnostics if e["kind"] in kinds]
+    entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
+               if e["kind"] in kinds]
     if not entries:
         raise UsageError(
             "config lists no diagnostics of kind uniqueness/krylov/feynman_kac"
         )
-    c = cfg.build_family()
+    c = cfg.coefficients
     ok = True
-    for i, entry in enumerate(entries):
+    for i, (entry, inputs) in enumerate(entries):
         kind = entry["kind"]
-        inputs = cfg.entry_inputs(entry)
         if kind == "uniqueness":
             rep = uniqueness_probe(c, workers=workers, **inputs)
         elif kind == "krylov":
@@ -236,6 +234,7 @@ def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
             finite = (a.ratio for a in audits if np.isfinite(a.ratio))
             rep.meta["c_hat"] = max(finite, default=0.0)
         else:
+            inputs = dict(inputs)  # the config keeps its own inputs
             grid = inputs.pop("grid")
             dens = solve_density(c, grid.bounds, grid.n)
             rep = feynman_kac_crosscheck(c, dens, workers=workers, **inputs)
@@ -261,10 +260,18 @@ def _run_report(out_dir: str | None) -> int:
     reports = []
     digests = set()
     for name in names:
-        with open(os.path.join(out_dir, name), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        path = os.path.join(out_dir, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"{path} is not valid JSON: {exc}") from None
+        meta = payload.get("meta", {}) if isinstance(payload, dict) else None
+        if not isinstance(meta, dict):
+            raise UsageError(f"{path} is not a report: a JSON object whose meta "
+                             "is an object")
         reports.append({"file": name, "report": payload})
-        digests.add(payload.get("meta", {}).get("config_digest"))
+        digests.add(meta.get("config_digest"))
     if len(digests) > 1:
         raise UsageError(
             f"reports in {out_dir} were produced from different configs "
@@ -321,23 +328,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(args) -> ExperimentConfig:
+    """The one config load: ``--set``, ``--seed`` and ``--out`` go into the raw
+    mapping, then :meth:`ExperimentConfig.from_dict` checks it all."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = apply_set_overrides(raw, args.set)
+    # a container that is not a mapping is left for from_dict to name
+    if isinstance(raw, dict):
+        if args.seed is not None and isinstance(raw.get("sim"), dict):
+            raw["sim"]["master_seed"] = args.seed
+        if args.out is not None:
+            raw["output_dir"] = args.out
+    return ExperimentConfig.from_dict(raw)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.subcommand == "report":
-            out = args.out
-            if out is None and args.config is not None:
-                cfg = ExperimentConfig.load(args.config)
-                out = cfg.output_dir
-            return _run_report(out)
-
         if args.config is None:
-            raise UsageError(f"{args.subcommand} needs --config")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw = apply_set_overrides(raw, args.set)
-        cfg = ExperimentConfig.from_dict(raw)
-        cfg = cfg.with_overrides(out=args.out, seed=args.seed)
+            if args.subcommand != "report":
+                raise UsageError(f"{args.subcommand} needs --config")
+            return _run_report(args.out)
+        cfg = _load_config(args)
+        if args.subcommand == "report":
+            return _run_report(cfg.output_dir)
         if args.workers < 1:
             raise UsageError("--workers must be at least 1")
         emit = _Emitter(cfg.output_dir)

@@ -2,8 +2,8 @@
 
 Three groups of checks:
 
-* a pointwise dissipativity margin against a log-modulated quadratic growth
-  bound (controls explosion),
+* the smallest constant of a log-modulated quadratic growth bound that holds
+  on a grid (controls explosion),
 * declared-exponent arithmetic: the regularity regime that the uniqueness
   results need, with the companion exponent's window,
 * routing of the degeneracy-occupation requirement: either the inverse weight
@@ -11,38 +11,23 @@ Three groups of checks:
   required.
 
 All checks operate on a :class:`~sdelab.coefficients.CoefficientSet`; the
-pointwise ones evaluate coefficients only off the degeneracy set, where the
+growth bound evaluates coefficients only off the degeneracy set, where the
 inverse weight is available as a finite positive number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientSet, companion_ok
-from .grids import BoxGrid, finite_point, finite_real
+from .grids import BoxGrid
 from .reporting import DiagnosticReport
 
 
 class ConditionError(ValueError):
     """Raised for invalid inputs to a condition check."""
-
-
-class NullSetPointError(ConditionError):
-    """Raised when a pointwise almost-everywhere check is probed on the degeneracy set."""
-
-
-@dataclass(frozen=True)
-class ConditionMargin:
-    """Pointwise dissipativity record: ``margin = rhs - lhs >= 0`` means satisfied."""
-
-    point: tuple
-    lhs: float
-    rhs: float
-    margin: float
 
 
 def _growth_lhs(c: CoefficientSet, x: np.ndarray) -> np.ndarray:
@@ -61,30 +46,12 @@ def _growth_rhs(x: np.ndarray, bound_constant: float) -> np.ndarray:
     return bound_constant * (r2 + 1.0) * (np.log(r2 + 1.0) + 1.0)
 
 
-def growth_margin(c: CoefficientSet, x, bound_constant: float) -> ConditionMargin:
-    """Dissipativity margin at a single point for a given growth constant.
+def min_M_on_grid(c: CoefficientSet, bounds, resolution: int) -> float:
+    """Smallest nonnegative growth constant ``M`` for which the bound holds on a grid.
 
     The bound compares the weighted quadratic-form and trace terms plus the
-    radial drift component against ``M (|x|^2+1)(ln(|x|^2+1)+1)``.  It is an
-    almost-everywhere statement, so probing a degeneracy-set point is a usage
-    error, reported distinctly.
-    """
-    x = finite_point(x, c.dim, "x", ConditionError)
-    bound_constant = finite_real(bound_constant, "bound_constant", ConditionError)
-    if bool(c.inv_weight.null_set_indicator(x)):
-        raise NullSetPointError(
-            "the growth bound is an almost-everywhere statement; "
-            f"x={x.tolist()} lies in the degeneracy set, probe off it"
-        )
-    lhs = float(_growth_lhs(c, x[None])[0])
-    rhs = float(_growth_rhs(x[None], bound_constant)[0])
-    return ConditionMargin(point=tuple(x), lhs=lhs, rhs=rhs, margin=rhs - lhs)
-
-
-def min_M_on_grid(c: CoefficientSet, bounds, resolution: int) -> float:
-    """Smallest nonnegative growth constant making the margin >= 0 on a grid.
-
-    Evaluates the dissipativity quotient on every non-degenerate node of a
+    radial drift component against ``M (|x|^2+1)(ln(|x|^2+1)+1)``.  This
+    evaluates the dissipativity quotient on every non-degenerate node of a
     vertex grid over ``bounds`` and returns ``max(0, max lhs/denominator)``.
     Degeneracy-set nodes are skipped (the bound is almost-everywhere).
     """

@@ -3,10 +3,14 @@
 A config names a coefficient family, a box with a grid resolution, a
 simulation setup and a list of requested diagnostics.  Parsing is strict:
 unknown keys anywhere are errors, so configs stay diffable and typos cannot
-silently change an experiment.  Every value, diagnostics entries included,
-is checked at load by building what it configures, so its owner checks it.
-Sizes are checked at load too: every ensemble, grid and stored set of time
-slices a config asks for must have a shape numpy can represent.
+silently change an experiment.  Every CLI subcommand, ``report`` included,
+reads the config one way: it writes ``--set``, ``--seed`` and ``--out`` into
+the raw mapping, then calls :meth:`ExperimentConfig.from_dict` once.  That
+one load checks every value, the top-level family and diagnostics entries
+included, by building what it configures, so its owner checks it, and keeps
+what it built (the coefficients, the box grid and each entry's inputs) for
+the runners.  Sizes are checked at load too: every ensemble, grid and stored
+set of time slices a config asks for must have a shape numpy can represent.
 Loading never rewrites the raw entries: a parsed config serializes back to an
 equivalent dict, and its canonical-JSON digest identifies the experiment.
 """
@@ -14,7 +18,7 @@ equivalent dict, and its canonical-JSON digest identifies the experiment.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -139,15 +143,11 @@ def build_spacetime_payload(
 
 # -- families and grids -------------------------------------------------------
 
-def _family_params(spec: Any, where: str) -> dict:
-    spec = _require_mapping(spec, where)
-    _check_keys(spec, {"name"}, {"params"}, where)
-    return dict(_require_mapping(spec.get("params", {}), f"{where}.params"))
-
-
 def _build_family(spec: Any, dim: int, where: str) -> CoefficientSet:
     """The one family-spec builder, for the top-level family and variants."""
-    params = _family_params(spec, where)
+    spec = _require_mapping(spec, where)
+    _check_keys(spec, {"name"}, {"params"}, where)
+    params = dict(_require_mapping(spec.get("params", {}), f"{where}.params"))
     fam_dim = params.pop("dim", dim)
     if fam_dim != dim:
         raise ConfigError(
@@ -197,14 +197,72 @@ def _variant(spec: Any, dim: int, where: str) -> LawVariant:
     return LawVariant(spec["label"], c, spec.get("dt"))
 
 
+def _entry_sim(sim: SimConfig, entry: dict, key: str) -> SimConfig:
+    """The sim config an entry runs with: its own step ``key`` if given."""
+    if key not in entry:
+        return sim
+    dt = finite_real(entry[key], key)
+    return replace(sim, t_final=entry["t_final"], dt=dt)
+
+
+def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict:
+    """Keyword arguments of the library call a diagnostics entry asks for,
+    checked by that function's input check (faults are :class:`ConfigError`).
+
+    Semigroup entries call :func:`~sdelab.semigroup.evolve`, the others
+    the diagnostics function of their kind; the runner adds coefficients,
+    density and workers.  Absent optional keys are left out, so library
+    defaults apply; Feynman-Kac inputs carry the ``grid`` of their solve.
+    """
+    kind = _tagged(entry, "kind", _DIAGNOSTICS, "kind", where)
+    dim = grid.dim
+    try:
+        if kind == "semigroup":
+            slices_shape(grid, entry["t_final"], entry["dt"])
+            f0 = build_payload(entry["payload"], dim)
+            return {"f0": f0, "t_final": entry["t_final"], "dt": entry["dt"]}
+        if kind == "uniqueness":
+            variants = [_variant(v, dim, f"variants[{j}]")
+                        for j, v in enumerate(_listed(entry, "variants"))]
+            inputs = {"variants": variants, "t_checks": entry["t_checks"],
+                      "cfg": sim, **_given(entry, "level")}
+            for cfg in uniqueness_configs(**inputs):
+                cfg.states_shape(dim)
+        elif kind == "krylov":
+            payloads = []
+            for j, s in enumerate(_listed(entry, "payloads")):
+                at = f"payloads[{j}]"
+                # the index makes every label in the report unique
+                label = f"{validate_payload_spec(s, at)['type']}_{j}"
+                payloads.append(build_spacetime_payload(s, dim, label, at))
+            inputs = {"radius": entry["radius"], "t_final": entry["t_final"],
+                      "f_dictionary": payloads, "cfg": _entry_sim(sim, entry, "dt"),
+                      **_given(entry, "quad_space", "quad_time")}
+            krylov_config(**inputs).states_shape(dim)
+        else:
+            grid_n = entry.get("grid_n", grid.n)
+            inputs = {"grid": _box_grid(grid.bounds, grid_n, "grid_n"),
+                      "x0": entry["x0"], "t_final": entry["t_final"],
+                      "cfg": _entry_sim(sim, entry, "mc_dt"),
+                      "pde_dt": entry["pde_dt"]}
+            _, mc_cfg, _ = feynman_kac_config(**inputs)
+            mc_cfg.states_shape(dim)
+            inputs["f0"] = build_payload(entry["payload"], dim)
+        return {**inputs, "x0": finite_point(entry["x0"], dim)}
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
 
     ``x0`` is the common start point of simulated paths (defaults to the box
     center when absent from the ``sim`` section).  ``diagnostics`` entries
-    are kind-tagged parameter dicts consumed by the matching subcommands
-    through :meth:`entry_inputs`.
+    are kind-tagged parameter dicts; ``inputs[i]`` holds the checked keyword
+    arguments of entry ``i``'s library call, built at load.  ``coefficients``
+    and ``grid`` are the family and box grid the config describes, built at
+    load too; what was built is not part of a config's identity.
     """
 
     format_version: int
@@ -214,6 +272,9 @@ class ExperimentConfig:
     x0: tuple | None
     diagnostics: tuple
     output_dir: str | None
+    coefficients: CoefficientSet = field(compare=False, repr=False)
+    grid: BoxGrid = field(compare=False, repr=False)
+    inputs: tuple = field(compare=False, repr=False)
 
     @staticmethod
     def from_dict(raw: Any) -> "ExperimentConfig":
@@ -231,11 +292,10 @@ class ExperimentConfig:
                 f"{FORMAT_VERSION}"
             )
 
-        _family_params(raw["family"], "family")
-
         box = _require_mapping(raw["box"], "box")
         _check_keys(box, {"bounds", "n"}, set(), "box")
         grid = _box_grid(box["bounds"], box["n"], "box")
+        coefficients = _build_family(raw["family"], grid.dim, "family")
 
         sim_raw = dict(_require_mapping(raw["sim"], "sim"))
         x0 = sim_raw.pop("x0", None)
@@ -259,35 +319,21 @@ class ExperimentConfig:
         if out is not None and not isinstance(out, str):
             raise ConfigError("output_dir must be a string path")
 
-        cfg = ExperimentConfig(
+        inputs = tuple(_entry_inputs(entry, grid, sim, f"diagnostics[{i}]")
+                       for i, entry in enumerate(diags))
+
+        return ExperimentConfig(
             format_version=int(version),
             family=dict(raw["family"]),
             box=dict(box),
             sim=sim,
             x0=x0,
-            diagnostics=(),
+            diagnostics=tuple(dict(e) for e in diags),
             output_dir=out,
+            coefficients=coefficients,
+            grid=grid,
+            inputs=inputs,
         )
-        for i, entry in enumerate(diags):
-            cfg.entry_inputs(entry, f"diagnostics[{i}]")
-        return replace(cfg, diagnostics=tuple(dict(e) for e in diags))
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return ExperimentConfig.from_dict(raw)
-
-    @staticmethod
-    def load(path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return ExperimentConfig.from_json(text)
 
     def to_dict(self) -> dict:
         sim = self.sim.to_dict()
@@ -316,76 +362,8 @@ class ExperimentConfig:
         payload.pop("output_dir", None)
         return digest(payload)
 
-    def build_family(self) -> CoefficientSet:
-        return _build_family(self.family, len(self.box["bounds"]), "family")
-
-    def build_grid(self) -> BoxGrid:
-        return _box_grid(self.box["bounds"], self.box["n"], "box")
-
-    def entry_inputs(self, entry: Any, where: str = "diagnostics entry") -> dict:
-        """Keyword arguments of the library call a diagnostics entry asks for,
-        checked by that function's input check (faults are :class:`ConfigError`).
-
-        Semigroup entries call :func:`~sdelab.semigroup.evolve`, the others
-        the diagnostics function of their kind; the runner adds coefficients,
-        density and workers.  Absent optional keys are left out, so library
-        defaults apply; Feynman-Kac inputs carry the ``grid`` of their solve.
-        """
-        kind = _tagged(entry, "kind", _DIAGNOSTICS, "kind", where)
-        dim = len(self.box["bounds"])
-        try:
-            if kind == "semigroup":
-                slices_shape(self.build_grid(), entry["t_final"], entry["dt"])
-                f0 = build_payload(entry["payload"], dim)
-                return {"f0": f0, "t_final": entry["t_final"], "dt": entry["dt"]}
-            if kind == "uniqueness":
-                variants = [_variant(v, dim, f"variants[{j}]")
-                            for j, v in enumerate(_listed(entry, "variants"))]
-                inputs = {"variants": variants, "t_checks": entry["t_checks"],
-                          "cfg": self.sim, **_given(entry, "level")}
-                for cfg in uniqueness_configs(**inputs):
-                    cfg.states_shape(dim)
-            elif kind == "krylov":
-                payloads = []
-                for j, s in enumerate(_listed(entry, "payloads")):
-                    at = f"payloads[{j}]"
-                    # the index makes every label in the report unique
-                    label = f"{validate_payload_spec(s, at)['type']}_{j}"
-                    payloads.append(build_spacetime_payload(s, dim, label, at))
-                inputs = {"radius": entry["radius"], "t_final": entry["t_final"],
-                          "f_dictionary": payloads, "cfg": self._entry_sim(entry, "dt"),
-                          **_given(entry, "quad_space", "quad_time")}
-                krylov_config(**inputs).states_shape(dim)
-            else:
-                grid_n = entry.get("grid_n", self.box["n"])
-                inputs = {"grid": _box_grid(self.box["bounds"], grid_n, "grid_n"),
-                          "x0": entry["x0"], "t_final": entry["t_final"],
-                          "cfg": self._entry_sim(entry, "mc_dt"),
-                          "pde_dt": entry["pde_dt"]}
-                _, mc_cfg, _ = feynman_kac_config(**inputs)
-                mc_cfg.states_shape(dim)
-                inputs["f0"] = build_payload(entry["payload"], dim)
-            return {**inputs, "x0": finite_point(entry["x0"], dim)}
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-
-    def _entry_sim(self, entry: dict, key: str) -> SimConfig:
-        """The sim config an entry runs with: its own step ``key`` if given."""
-        if key not in entry:
-            return self.sim
-        dt = finite_real(entry[key], key)
-        return replace(self.sim, t_final=entry["t_final"], dt=dt)
-
     def start_point(self):
-        return self.x0 if self.x0 is not None else tuple(self.build_grid().center)
-
-    def with_overrides(self, out=None, seed=None) -> "ExperimentConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, sim=replace(cfg.sim, master_seed=int(seed)))
-        if out is not None:
-            cfg = replace(cfg, output_dir=str(out))
-        return cfg
+        return self.x0 if self.x0 is not None else tuple(self.grid.center)
 
 
 def apply_set_overrides(raw: dict, assignments) -> dict:

@@ -20,7 +20,6 @@ from sdelab import (
     builtin_family,
     exit_time_stats,
     feynman_kac_crosscheck,
-    growth_margin,
     krylov_audit,
     min_M_on_grid,
     occupation_profile,
@@ -261,10 +260,11 @@ def test_07_exit_fractions_match_growth_condition():
     )
     frac_c = exit_time_stats(ens_c).exit_fraction
     need(frac_c >= 0.5, f"explosive family exit fraction {frac_c} < 0.5")
-    m = growth_margin(cub, (10.0, 0.0), 1.0)
-    need(m.margin < 0.0, "explosive family passes the growth bound at |x|=10")
+    # the grid's center node is (10, 0), where the quotient is about 17.6
+    m = min_M_on_grid(cub, ((9.5, 10.5), (-0.5, 0.5)), 3)
+    need(m > 1.0, "explosive family passes the growth bound with M = 1 near |x|=10")
     _verdict("criterion 7: exit fractions vs growth condition", need.failures,
-             f"fractions {frac_b:.1e} / {frac_c:.2f}, margin {m.margin:.3g}")
+             f"fractions {frac_b:.1e} / {frac_c:.2f}, min_M {m:.3g}")
 
 
 def test_08_discrete_scheme_properties():

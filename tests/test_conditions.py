@@ -1,8 +1,8 @@
 """Condition-check tests.
 
-Margins are frozen from hand arithmetic; the grid minimizer for the growth
-constant is checked against the analytic maximizer of the dissipativity
-quotient (the origin, for the identity families).
+Both sides of the growth bound are frozen from hand arithmetic; the grid
+minimizer for the growth constant is checked against the analytic maximizer
+of the dissipativity quotient (the origin, for the identity families).
 """
 
 import dataclasses
@@ -10,86 +10,50 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sdelab import builtin_family
 from sdelab.coefficients import Exponents
 from sdelab.conditions import (
     ConditionError,
-    NullSetPointError,
+    _growth_lhs,
+    _growth_rhs,
     a4prime_check,
-    growth_margin,
     min_M_on_grid,
     occupation_condition_route,
 )
 
 
+def _growth_at(c, x):
+    """Both sides of the dissipativity bound at one point, for ``M = 1``."""
+    x = np.asarray([x], dtype=float)
+    return float(_growth_lhs(c, x)[0]), float(_growth_rhs(x, 1.0)[0])
+
+
 class TestGrowthMargin:
     def test_ou_margin_frozen(self, ou2):
         # x = (1,0), M = 1: lhs = -1/2 + 1 - 1 = -1/2, rhs = 2(ln 2 + 1)
-        m = growth_margin(ou2, [1.0, 0.0], 1.0)
-        assert np.isclose(m.lhs, -0.5, atol=1e-14)
-        assert np.isclose(m.rhs, 2.0 * (math.log(2.0) + 1.0), atol=1e-14)
-        assert np.isclose(m.margin, 2.0 * (math.log(2.0) + 1.0) + 0.5, atol=1e-14)
-        assert m.margin > 0
+        lhs, rhs = _growth_at(ou2, [1.0, 0.0])
+        assert np.isclose(lhs, -0.5, atol=1e-14)
+        assert np.isclose(rhs, 2.0 * (math.log(2.0) + 1.0), atol=1e-14)
+        assert np.isclose(rhs - lhs, 2.0 * (math.log(2.0) + 1.0) + 0.5, atol=1e-14)
+        assert rhs - lhs > 0
 
     def test_brownian_closed_form(self, brownian2):
         # lhs = 1 - r^2/(r^2+1) for the planar identity diffusion
         for x in ([0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]):
             r2 = float(np.dot(x, x))
-            m = growth_margin(brownian2, x, 1.0)
-            assert np.isclose(m.lhs, 1.0 - r2 / (r2 + 1.0), atol=1e-13)
+            lhs, _ = _growth_at(brownian2, x)
+            assert np.isclose(lhs, 1.0 - r2 / (r2 + 1.0), atol=1e-13)
 
     def test_cubic_drift_fails_far_out(self):
         c = builtin_family("brownian", 2, drift="cubic_outward")
-        x = [10.0, 0.0]
-        m = growth_margin(c, x, 1.0)
+        got_lhs, got_rhs = _growth_at(c, [10.0, 0.0])
         # lhs = -100/101 + 1 + 10^4; rhs = 101 (ln 101 + 1)
         lhs = -100.0 / 101.0 + 1.0 + 1.0e4
         rhs = 101.0 * (math.log(101.0) + 1.0)
-        assert np.isclose(m.lhs, lhs, rtol=1e-13)
-        assert np.isclose(m.rhs, rhs, rtol=1e-13)
-        assert m.margin < 0
-
-    def test_null_set_point_rejected(self, radial2):
-        with pytest.raises(NullSetPointError, match="degeneracy set"):
-            growth_margin(radial2, [0.0, 0.0], 1.0)
-
-    @pytest.mark.parametrize("x", [
-        [math.nan, 0.0], [0.0, math.inf], [1.0, 0.0, 0.0], [1.0], 1.0, "ab",
-    ])
-    def test_malformed_point_rejected(self, ou2, x):
-        with pytest.raises(ConditionError, match="^x must"):
-            growth_margin(ou2, x, 1.0)
-
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, None, True])
-    def test_non_finite_constant_rejected(self, ou2, bound):
-        with pytest.raises(ConditionError, match="bound_constant must be a finite"):
-            growth_margin(ou2, [1.0, 0.0], bound)
-
-    def test_margin_affine_in_constant(self, ou2):
-        x = [0.7, -1.3]
-        r2 = float(np.dot(x, x))
-        slope = (r2 + 1.0) * (math.log(r2 + 1.0) + 1.0)
-        m1 = growth_margin(ou2, x, 1.0)
-        m2 = growth_margin(ou2, x, 2.5)
-        assert np.isclose(m2.margin - m1.margin, 1.5 * slope, rtol=1e-12)
-
-    @settings(max_examples=40)
-    @given(
-        st.floats(-3, 3),
-        st.floats(-3, 3),
-        st.floats(0.1, 5.0),
-        st.floats(0.1, 5.0),
-    )
-    def test_margin_slope_property(self, brownian2, x0, x1, m_a, m_b):
-        x = [x0, x1]
-        r2 = x0 * x0 + x1 * x1
-        slope = (r2 + 1.0) * (math.log(r2 + 1.0) + 1.0)
-        ma = growth_margin(brownian2, x, m_a)
-        mb = growth_margin(brownian2, x, m_b)
-        assert np.isclose(mb.margin - ma.margin, (m_b - m_a) * slope, rtol=1e-9, atol=1e-9)
+        assert np.isclose(got_lhs, lhs, rtol=1e-13)
+        assert np.isclose(got_rhs, rhs, rtol=1e-13)
+        assert got_rhs - got_lhs < 0
 
 
 class TestMinM:

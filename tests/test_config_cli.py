@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdelab.config
 from sdelab.cli import _Emitter, main
 from sdelab.config import (
     ConfigError,
@@ -73,7 +74,7 @@ class TestConfigSchema:
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig.from_dict(base_config())
-        again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again.digest == cfg.digest
 
     @pytest.mark.parametrize(
@@ -205,22 +206,47 @@ class TestConfigSchema:
     def test_family_dim_mismatch(self):
         raw = base_config()
         raw["family"]["params"] = {"dim": 3}
-        cfg = ExperimentConfig.from_dict(raw)
         with pytest.raises(ConfigError, match="dimension"):
-            cfg.build_family()
+            ExperimentConfig.from_dict(raw)
 
-    def test_with_overrides(self):
-        cfg = ExperimentConfig.from_dict(base_config())
-        out = cfg.with_overrides(out="/tmp/o", seed=99)
-        assert out.output_dir == "/tmp/o"
-        assert out.sim.master_seed == 99
-        assert out.digest != cfg.digest
-        assert cfg.sim.master_seed == 7
+    @pytest.mark.parametrize("family, match", [
+        ({"name": "nope"}, "unknown family 'nope'"),
+        ({"name": "radial_degenerate", "params": {"alpha": 5}}, "alpha=5"),
+        ({"name": "radial_degenerate", "params": {"alpha": 0.5, "gamma": -1}},
+         "gamma"),
+        ({"name": "brownian", "params": {"drift": [float("nan"), 0.0]}}, "drift"),
+        ({"name": "brownian", "params": [1, 2]}, "family.params must be a mapping"),
+    ])
+    def test_top_level_family_checked_at_load(self, family, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(base_config(family=family))
 
-    def test_digest_ignores_output_location(self):
-        cfg = ExperimentConfig.from_dict(base_config())
-        assert cfg.with_overrides(out="/elsewhere").digest == cfg.digest
-        assert cfg.with_overrides(seed=99).digest != cfg.digest
+    def test_with_overrides(self, tmp_path):
+        # --seed and --out are written into the config before its one load
+        flagged = write_config(tmp_path, base_config(), "flagged.json")
+        assert main(["check", "--config", flagged, "--seed", "99",
+                     "--out", str(tmp_path / "o")]) == 0
+        raw = base_config()
+        raw["sim"]["master_seed"] = 99
+        seeded = write_config(tmp_path, raw, "seeded.json")
+        assert main(["check", "--config", seeded, "--out", str(tmp_path / "s")]) == 0
+        assert main(["check", "--config", flagged, "--out", str(tmp_path / "b")]) == 0
+        metas = {d: json.loads((tmp_path / d / "check.json").read_text())["meta"]
+                 for d in ("o", "s", "b")}
+        assert metas["o"]["master_seed"] == metas["s"]["master_seed"] == 99
+        assert metas["o"]["config_digest"] == metas["s"]["config_digest"]
+        assert metas["o"]["config_digest"] != metas["b"]["config_digest"]
+        assert metas["b"]["master_seed"] == 7
+
+    def test_digest_ignores_output_location(self, tmp_path):
+        path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "a")))
+        assert main(["check", "--config", path]) == 0
+        assert main(["check", "--config", path, "--out", str(tmp_path / "b")]) == 0
+        assert main(["check", "--config", path, "--seed", "99",
+                     "--out", str(tmp_path / "c")]) == 0
+        digest = {d: json.loads((tmp_path / d / "check.json").read_text())
+                  ["meta"]["config_digest"] for d in "abc"}
+        assert digest["a"] == digest["b"] != digest["c"]
 
 
 class TestSetOverrides:
@@ -427,6 +453,23 @@ class TestCliExitCodes:
         path = write_config(tmp_path, base_config())
         assert main(["diagnose", "--config", path]) == 2
 
+    def test_one_load_builds_each_entry_once(self, tmp_path, monkeypatch):
+        loads, builds = [], []
+        from_dict, build = ExperimentConfig.from_dict, sdelab.config._entry_inputs
+        monkeypatch.setattr(ExperimentConfig, "from_dict",
+                            staticmethod(lambda raw: loads.append(raw) or from_dict(raw)))
+        monkeypatch.setattr(sdelab.config, "_entry_inputs",
+                            lambda *args: builds.append(args) or build(*args))
+        cfg = base_config(diagnostics=[
+            {"kind": "semigroup", "payload": {"type": "one"}, "t_final": 0.1,
+             "dt": 0.01},
+            {"kind": "uniqueness", "variants": [{"label": "a"}, {"label": "b"}],
+             "x0": [0.0, 0.0], "t_checks": [0.5]},
+        ])
+        path = write_config(tmp_path, cfg)
+        assert main(["semigroup", "--config", path, "--seed", "3"]) == 0
+        assert len(loads) == 1 and len(builds) == 2
+
 
 # Malformed values on the example config: each used to end in a traceback
 # with exit 1, a run at a meaningless setting, or exit 2 only after a report
@@ -467,6 +510,9 @@ _BAD_VALUES = [
 ]
 
 
+_SUBCOMMANDS = ["check", "density", "semigroup", "simulate", "diagnose", "report"]
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("subcommand, assignment", _BAD_VALUES)
     def test_bad_value_is_usage_error_before_any_output(
@@ -488,8 +534,33 @@ class TestInputBoundary:
                    "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: master_seed must fit") and err.count("\n") == 1
+        assert err.startswith("error: sim: master_seed must fit") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", _SUBCOMMANDS)
+    def test_non_json_config_is_one_error_line(self, tmp_path, capsys, subcommand):
+        path = tmp_path / "cfg.json"
+        path.write_text("{not json")
+        out = tmp_path / "out"
+        rc = main([subcommand, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["check", "report"])
+    @pytest.mark.parametrize("flag", ["--seed", "--out"])
+    def test_flags_leave_a_non_mapping_config_to_the_load(
+        self, tmp_path, capsys, subcommand, flag
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        value = "3" if flag == "--seed" else str(tmp_path / "out")
+        rc = main([subcommand, "--config", str(path), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config must be a mapping") and err.count("\n") == 1
 
     def test_config_seed_outside_u64_is_a_sim_error(self, tmp_path, capsys):
         # the seed used to be refused only where a uniqueness entry derives
@@ -523,7 +594,7 @@ class TestInputBoundary:
             "dt": 0.3, "payloads": [{"type": "one"}],
         }])
         cfg = ExperimentConfig.from_dict(raw)
-        assert cfg.entry_inputs(cfg.diagnostics[0])["cfg"].dt == 0.3
+        assert cfg.inputs[0]["cfg"].dt == 0.3
 
     def test_load_keeps_raw_entries(self):
         raw = json.loads(EXAMPLE_CONFIG.read_text())
@@ -687,6 +758,36 @@ class TestCliArtifacts:
         assert main(["check", "--config", path]) == 0
         assert main(["simulate", "--config", path, "--seed", "8"]) == 0
         assert main(["report", "--out", str(tmp_path / "out")]) == 2
+
+    def test_report_reads_set_overrides(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config())
+        assert main(["check", "--config", path, "--out", str(out)]) == 0
+        assert main(["report", "--config", path, "--set", f"output_dir={out}"]) == 0
+        combined = json.loads((out / "combined.json").read_text())
+        assert [r["file"] for r in combined["reports"]] == ["check.json"]
+
+    def test_report_refuses_a_non_json_config(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config())
+        assert main(["check", "--config", path, "--out", str(out)]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["report", "--config", str(bad), "--out", str(out)]) == 2
+        assert not (out / "combined.json").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"meta": 3}'])
+    def test_report_refuses_a_stray_json_file(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config())
+        assert main(["check", "--config", path, "--out", str(out)]) == 0
+        (out / "stray.json").write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stray.json" in err and "Traceback" not in err
+        assert not (out / "combined.json").exists()
 
     def test_report_needs_out_dir(self, tmp_path):
         path = write_config(tmp_path, base_config())
