@@ -10,12 +10,9 @@ null set.
 
 from .coefficients import (
     CoefficientSet,
-    DiffusionMatrix,
     DispersionFactor,
     InverseWeight,
     builtin_family,
-    check_factorization,
-    estimate_ellipticity,
 )
 from .conditions import (
     a4prime_check,
@@ -63,7 +60,6 @@ __all__ = [
     "ConfigError",
     "DensityField",
     "DiagnosticReport",
-    "DiffusionMatrix",
     "DispersionFactor",
     "ExperimentConfig",
     "GridField",
@@ -79,10 +75,8 @@ __all__ = [
     "apply_set_overrides",
     "builtin_family",
     "canonical_json",
-    "check_factorization",
     "derive_seed",
     "digest",
-    "estimate_ellipticity",
     "evolve",
     "exit_time_stats",
     "feynman_kac_crosscheck",

@@ -245,7 +245,9 @@ def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     return 0 if ok else 1
 
 
-def _run_report(out_dir: str | None) -> int:
+def _run_report(out_dir: str | None, config_digest: str | None = None) -> int:
+    """Merge the reports in ``out_dir`` into ``combined.json``.  All must
+    carry one config digest, and ``config_digest`` when it is given."""
     if out_dir is None:
         raise UsageError("report needs --out (or output_dir in the config)")
     names = sorted(
@@ -270,8 +272,12 @@ def _run_report(out_dir: str | None) -> int:
         if not isinstance(meta, dict):
             raise UsageError(f"{path} is not a report: a JSON object whose meta "
                              "is an object")
+        got = meta.get("config_digest")
+        if config_digest is not None and got != config_digest:
+            raise UsageError(f"{path} was produced from another config (config_digest "
+                             f"{got}, the loaded config's is {config_digest})")
         reports.append({"file": name, "report": payload})
-        digests.add(meta.get("config_digest"))
+        digests.add(got)
     if len(digests) > 1:
         raise UsageError(
             f"reports in {out_dir} were produced from different configs "
@@ -355,7 +361,7 @@ def main(argv=None) -> int:
             return _run_report(args.out)
         cfg = _load_config(args)
         if args.subcommand == "report":
-            return _run_report(cfg.output_dir)
+            return _run_report(cfg.output_dir, cfg.digest)
         if args.workers < 1:
             raise UsageError("--workers must be at least 1")
         emit = _Emitter(cfg.output_dir)

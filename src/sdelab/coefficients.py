@@ -13,9 +13,16 @@ The inverse weight is the reciprocal of a locally integrable weight ``psi``
 need ``psi * G`` as a single locally p-integrable datum, so families supply it
 directly instead of dividing by ``w``.
 
+The dispersion factor is the one source of the diffusion: ``A`` is computed
+as ``sigma sigma^T``, never stored, so the PDE solvers and the path simulator
+always describe the same equation.  The row divergence ``(sum_j d_j a_ij)_i``
+of that ``A`` cannot be read off a black-box factor, so each coefficient set
+supplies it.
+
 All evaluation callables are vectorized over a leading batch axis:
 points ``x`` of shape ``(..., d)`` map to ``A -> (..., d, d)``,
-``sigma -> (..., d, m)``, ``w -> (...,)``, ``G -> (..., d)``.
+``sigma -> (..., d, m)``, ``w -> (...,)``, ``G -> (..., d)`` and the row
+divergence ``-> (..., d)``.
 Instances are frozen and hold pure functions, so sharing across threads is safe.
 """
 
@@ -24,19 +31,15 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .grids import box_bounds, finite_point, finite_real, integer, squared_norm
+from .grids import box_bounds, finite_point, finite_real, squared_norm
 
 
 class CoefficientError(ValueError):
     """Raised for invalid coefficient definitions or parameters."""
-
-
-class DegenerateMatrixError(CoefficientError):
-    """Raised when an ellipticity probe finds a non-positive Rayleigh quotient."""
 
 
 def _batchpoints(x, d: int) -> np.ndarray:
@@ -106,61 +109,6 @@ class DispersionFactor:
         return s
 
 
-def fd_row_divergence(matrix_fn: Callable, dim: int) -> Callable:
-    """Row divergence ``(sum_j d_j a_ij)_i`` by centered differences.
-
-    Step ``1e-5 * (1 + |x|)`` balances truncation against rounding for
-    coefficients of moderate scale.
-    """
-
-    def row_div(x):
-        x = _batchpoints(x, dim)
-        h = 1e-5 * (1.0 + np.linalg.norm(x, axis=-1))
-        out = np.zeros(x.shape)
-        for j in range(dim):
-            xp = x.copy()
-            xm = x.copy()
-            xp[..., j] += h
-            xm[..., j] -= h
-            dj = (matrix_fn(xp) - matrix_fn(xm)) / (2.0 * h)[..., None, None]
-            out += dj[..., :, j]
-        return out
-
-    return row_div
-
-
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """Symmetric diffusion matrix ``A`` with its row divergence.
-
-    ``row_div_fn`` evaluates ``(sum_j d_j a_ij)_i``; pass ``None`` to fall back
-    to centered finite differences of ``fn``.
-    """
-
-    dim: int
-    fn: Callable
-    row_div_fn: Callable | None = None
-
-    def __call__(self, x) -> np.ndarray:
-        x = _batchpoints(x, self.dim)
-        a = np.asarray(self.fn(x), dtype=float)
-        if a.shape != x.shape[:-1] + (self.dim, self.dim):
-            raise CoefficientError(
-                f"A returned shape {a.shape}, expected (..., {self.dim}, {self.dim})"
-            )
-        return a
-
-    def row_divergence(self, x) -> np.ndarray:
-        fn = self.row_div_fn
-        if fn is None:
-            fn = fd_row_divergence(self.fn, self.dim)
-        x = _batchpoints(x, self.dim)
-        g = np.asarray(fn(x), dtype=float)
-        if g.shape != x.shape:
-            raise CoefficientError(f"row divergence returned shape {g.shape}")
-        return g
-
-
 @dataclass(frozen=True)
 class Exponents:
     """Declared local integrability exponents ``(p, q, s)``.
@@ -186,6 +134,8 @@ def companion_ok(q: float, s: float, d: int) -> bool:
 class CoefficientSet:
     """Complete coefficient bundle for one equation.
 
+    The diffusion matrix ``A = sigma sigma^T`` is computed from ``factor``;
+    ``row_div`` evaluates its row divergence ``(sum_j d_j a_ij)_i``.
     ``psi_drift`` evaluates ``psi * G`` as a single finite-a.e. field (the
     datum of the density equation); for families with nowhere-vanishing
     inverse weight it is just ``G / w``.
@@ -193,8 +143,8 @@ class CoefficientSet:
     checks (boundedness of a black-box callable is not decidable).
     """
 
-    matrix: DiffusionMatrix
     factor: DispersionFactor
+    row_div: Callable
     inv_weight: InverseWeight
     drift: Callable
     psi_drift: Callable
@@ -216,7 +166,7 @@ class CoefficientSet:
 
     @property
     def dim(self) -> int:
-        return self.matrix.dim
+        return self.factor.dim
 
     @property
     def noise_dim(self) -> int:
@@ -228,21 +178,26 @@ class CoefficientSet:
         return self.family.get("name", "custom")
 
     def A(self, x) -> np.ndarray:
-        return self.matrix(x)
+        """Diffusion matrix ``sigma sigma^T`` at points ``x``."""
+        s = self.factor(x)
+        return np.einsum("...ik,...jk->...ij", s, s)
+
+    def _vector_field(self, fn: Callable, x, what: str) -> np.ndarray:
+        x = _batchpoints(x, self.dim)
+        g = np.asarray(fn(x), dtype=float)
+        if g.shape != x.shape:
+            raise CoefficientError(f"{what} returned shape {g.shape}")
+        return g
+
+    def row_div_A(self, x) -> np.ndarray:
+        """Row divergence ``(sum_j d_j a_ij)_i`` of ``A`` at points ``x``."""
+        return self._vector_field(self.row_div, x, "row divergence")
 
     def G(self, x) -> np.ndarray:
-        x = _batchpoints(x, self.dim)
-        g = np.asarray(self.drift(x), dtype=float)
-        if g.shape != x.shape:
-            raise CoefficientError(f"drift returned shape {g.shape}")
-        return g
+        return self._vector_field(self.drift, x, "drift")
 
     def psi_G(self, x) -> np.ndarray:
-        x = _batchpoints(x, self.dim)
-        g = np.asarray(self.psi_drift(x), dtype=float)
-        if g.shape != x.shape:
-            raise CoefficientError(f"psi*drift returned shape {g.shape}")
-        return g
+        return self._vector_field(self.psi_drift, x, "psi*drift")
 
     def sigma_hat(self, x) -> np.ndarray:
         """Effective dispersion ``sqrt(w) * sigma`` at points ``x``.
@@ -255,93 +210,13 @@ class CoefficientSet:
         return root[..., None, None] * self.factor(x)
 
 
-# -- operations ---------------------------------------------------------------
-
-_FACTOR_TOL = 1e-10  # entrywise gap allowed in A = sigma sigma^T
-
-
-def _ball_points(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
-    """``n`` points uniform in the centered ball: a direction, then a radius."""
-    z = rng.standard_normal((n, dim))
-    z /= np.linalg.norm(z, axis=-1, keepdims=True)
-    r = radius * rng.random(n) ** (1.0 / dim)
-    return z * r[:, None]
-
-
-def check_factorization(c: CoefficientSet):
-    """Verify ``A = sigma sigma^T`` and symmetry of ``A`` on 64 probe points
-    of the ball of radius 2, to an entrywise ``1e-10``.
-
-    Returns a report whose ``factorization_gap`` clause holds the worst
-    entrywise gap and the offending point.
-    """
-    from .reporting import DiagnosticReport
-
-    probes = _ball_points(np.random.default_rng(0), 64, c.dim, 2.0)
-    a = c.A(probes)
-    s = c.factor(probes)
-    gap = np.abs(a - np.einsum("...ik,...jk->...ij", s, s))
-    worst = np.max(gap, axis=(-1, -2))
-    i = int(np.argmax(worst))
-    asym = float(np.max(np.abs(a - np.swapaxes(a, -1, -2))))
-    rep = DiagnosticReport(
-        check="factorization",
-        meta={"n_probes": int(probes.shape[0]), "tol": _FACTOR_TOL},
-    )
-    rep.add(
-        "factorization_gap",
-        worst[i] <= _FACTOR_TOL,
-        value=float(worst[i]),
-        threshold=_FACTOR_TOL,
-        detail=f"worst at x={np.round(probes[i], 6).tolist()}",
-    )
-    rep.add("matrix_symmetry", asym <= _FACTOR_TOL, value=asym, threshold=_FACTOR_TOL)
-    return rep
-
-
-@dataclass(frozen=True)
-class EllipticityEstimate:
-    """Monte Carlo Rayleigh-quotient range of ``A`` over a ball."""
-
-    lambda_min: float
-    lambda_max: float
-    n_samples: int
-    seed: int
-
-
-def estimate_ellipticity(
-    c: CoefficientSet, center, radius: float, n_samples: int = 4096, seed: int = 0
-) -> EllipticityEstimate:
-    """Sampled local ellipticity bounds of ``A`` on a ball.
-
-    Draws ``x`` uniformly in the ball and unit directions ``xi`` uniformly on
-    the sphere, and returns the extreme values of ``<A(x) xi, xi>``.  These
-    are inner estimates: the true local bounds bracket them.
-    """
-    center = finite_point(center, c.dim, "center", CoefficientError)
-    radius = finite_real(radius, "radius", CoefficientError, positive=True)
-    n_samples = integer(n_samples, "n_samples", CoefficientError, minimum=1)
-    seed = integer(seed, "seed", CoefficientError)
-    rng = np.random.default_rng(seed)
-    x = center + _ball_points(rng, n_samples, c.dim, radius)
-    xi = rng.standard_normal((n_samples, c.dim))
-    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
-    q = np.einsum("ni,nij,nj->n", xi, c.A(x), xi)
-    lam, Lam = float(np.min(q)), float(np.max(q))
-    if lam <= 0.0:
-        raise DegenerateMatrixError(
-            f"non-positive Rayleigh quotient {lam:.3e} at a probe point; "
-            "the elliptic factor must be strictly elliptic on balls"
-        )
-    return EllipticityEstimate(lam, Lam, n_samples, seed)
-
-
 # -- builtin families ---------------------------------------------------------
 
 def _family(d: int, name: str, params: dict, inv_weight: InverseWeight, drift,
             psi_drift, q: float = math.inf) -> CoefficientSet:
-    """A builtin family: identity ``A`` and ``sigma``, ``p = 2d+2``, and the
-    companion ``s`` with ``1/s = (2/d - 1/q)/2``, strictly inside its window."""
+    """A builtin family: identity ``sigma`` (so ``A = I`` with zero row
+    divergence), ``p = 2d+2``, and the companion ``s`` with
+    ``1/s = (2/d - 1/q)/2``, strictly inside its window."""
     eye = np.eye(d)
 
     def identity(x):
@@ -349,8 +224,8 @@ def _family(d: int, name: str, params: dict, inv_weight: InverseWeight, drift,
 
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     return CoefficientSet(
-        matrix=DiffusionMatrix(d, identity, lambda x: np.zeros(x.shape)),
         factor=DispersionFactor(d, d, identity, identity=True),
+        row_div=lambda x: np.zeros(x.shape),
         inv_weight=inv_weight,
         drift=drift,
         psi_drift=psi_drift,

@@ -43,13 +43,6 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-def _check_scheme(scheme: Any, where: str) -> None:
-    if scheme != SCHEME:
-        raise ConfigError(
-            f"{where}: unknown scheme {scheme!r}; only {SCHEME!r} is provided"
-        )
-
-
 def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
     keys = set(d)
     missing = required - keys
@@ -170,9 +163,7 @@ def _box_grid(bounds, n, where: str) -> BoxGrid:
 
 _DIAGNOSTICS = {
     "uniqueness": ({"variants", "x0", "t_checks"}, {"level"}),
-    "krylov": (
-        {"x0", "radius", "t_final", "payloads"}, {"dt", "quad_space", "quad_time"}
-    ),
+    "krylov": ({"x0", "radius", "t_final", "payloads"}, {"dt"}),
     "feynman_kac": ({"payload", "x0", "t_final", "pde_dt"}, {"grid_n", "mc_dt"}),
     "semigroup": ({"payload", "t_final", "dt"}, set()),
 }
@@ -190,8 +181,7 @@ def _listed(entry: dict, key: str) -> list:
 
 def _variant(spec: Any, dim: int, where: str) -> LawVariant:
     spec = _require_mapping(spec, where)
-    _check_keys(spec, {"label"}, {"family", "dt", "scheme"}, where)
-    _check_scheme(spec.get("scheme", SCHEME), where)
+    _check_keys(spec, {"label"}, {"family", "dt"}, where)
     c = (_build_family(spec["family"], dim, f"{where}.family")
          if "family" in spec else None)
     return LawVariant(spec["label"], c, spec.get("dt"))
@@ -236,8 +226,7 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
                 label = f"{validate_payload_spec(s, at)['type']}_{j}"
                 payloads.append(build_spacetime_payload(s, dim, label, at))
             inputs = {"radius": entry["radius"], "t_final": entry["t_final"],
-                      "f_dictionary": payloads, "cfg": _entry_sim(sim, entry, "dt"),
-                      **_given(entry, "quad_space", "quad_time")}
+                      "f_dictionary": payloads, "cfg": _entry_sim(sim, entry, "dt")}
             krylov_config(**inputs).states_shape(dim)
         else:
             grid_n = entry.get("grid_n", grid.n)
@@ -302,9 +291,8 @@ class ExperimentConfig:
         if x0 is not None:
             x0 = tuple(finite_point(x0, grid.dim, "sim.x0", ConfigError).tolist())
         required = {f.name for f in fields(SimConfig) if f.default is MISSING}
-        optional = {f.name for f in fields(SimConfig)} | {"scheme"}
+        optional = {f.name for f in fields(SimConfig)}
         _check_keys(sim_raw, required, optional, "sim")
-        _check_scheme(sim_raw.pop("scheme", SCHEME), "sim")
         try:
             sim = SimConfig(**sim_raw)
             sim.states_shape(grid.dim)
@@ -337,6 +325,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         sim = self.sim.to_dict()
+        del sim["scheme"]  # the one scheme is no config key
         if self.x0 is not None:
             sim["x0"] = list(self.x0)
         out = {
@@ -356,10 +345,12 @@ class ExperimentConfig:
 
         The output directory is excluded: where artifacts land is not part
         of the experiment, and reports written from the same config and seed
-        must match byte for byte wherever they are written.
+        must match byte for byte wherever they are written.  The scheme is
+        part of it, as it is of every report's ``sim`` config.
         """
         payload = self.to_dict()
         payload.pop("output_dir", None)
+        payload["sim"]["scheme"] = SCHEME
         return digest(payload)
 
     def start_point(self):

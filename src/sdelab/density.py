@@ -158,7 +158,7 @@ class _FaceScheme:
             mid = pts[sl_l].copy()
             mid[..., k] += 0.5 * h[k]
             # the advective coefficient c = (1/2) row-div A - psi G
-            v_face = (0.5 * c.matrix.row_divergence(mid) - _node_psi_g(c, mid, d))[..., k]
+            v_face = (0.5 * c.row_div_A(mid) - _node_psi_g(c, mid, d))[..., k]
 
             lam = v_face * h[k] / d_face
             self.w_right.append(d_face / h[k] * _bernoulli(-lam))
@@ -350,7 +350,7 @@ def verify_preinvariance(c: CoefficientSet, dens: DensityField) -> DiagnosticRep
     rho = dens.rho.values
     diag_a = dens.faces.node_diag
     psi_g = _node_psi_g(c, pts, grid.dim)
-    row_div = c.matrix.row_divergence(pts)
+    row_div = c.row_div_A(pts)
     sym_flux = 0.5 * rho[..., None] * row_div + 0.5 * diag_a * dens.rho.gradient().values
     quad_w = grid.trapezoid_weights()
 
@@ -394,7 +394,7 @@ def verify_divergence_free(c: CoefficientSet, dens: DensityField) -> DiagnosticR
     grid = dens.grid
     pts = grid.points()
     rho = dens.rho.values[..., None]
-    row_div = c.matrix.row_divergence(pts)
+    row_div = c.row_div_A(pts)
     a_grad = dens.faces.node_diag * dens.rho.gradient().values
     # rho psi B = rho (psi G) - rho (row-div A)/2 - (A grad rho)/2, finite
     # even where the weight psi is not

@@ -32,7 +32,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights, solve_density
 from .grids import (
-    BoxGrid, GridField, finite_point, finite_real, finite_values, grid_values, integer,
+    BoxGrid, GridField, finite_point, finite_real, finite_values, grid_values,
     step_count,
 )
 from .reporting import DiagnosticReport
@@ -44,6 +44,8 @@ _PERMUTATIONS = 199
 _ENERGY_SUBSAMPLE = 1024
 _ASYMPTOTIC_MIN = 1000
 _HOMOGENEITY_SCALE = 3.7  # the factor each Krylov payload is rescaled by
+_QUAD_SPACE = 65  # midpoint cells per axis of the Krylov mixed-norm quadrature
+_QUAD_TIME = 64  # and its midpoint time steps
 
 
 class DiagnosticsError(ValueError):
@@ -472,49 +474,37 @@ def _payload_values(f: Callable, x, t, shape: tuple, label: str, where: str) -> 
                          "; the audit needs functions bounded on the ball-time window")
 
 
-def _mixed_norm(
-    f: Callable,
-    radius: float,
-    t_final: float,
-    dim: int,
-    label: str,
-    n_space: int,
-    n_time: int,
-) -> float:
+def _mixed_norm(f: Callable, radius: float, t_final: float, dim: int, label: str) -> float:
     """Midpoint quadrature of the ``L^{2d+2}`` in space, ``L^{d+1}`` in time
     norm of ``f`` over the centered ball times ``(0, t_final)``."""
     q = 2 * dim + 2
     r = dim + 1
-    h = 2.0 * radius / n_space
-    axis = -radius + (np.arange(n_space) + 0.5) * h
+    h = 2.0 * radius / _QUAD_SPACE
+    axis = -radius + (np.arange(_QUAD_SPACE) + 0.5) * h
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack(mesh, axis=-1).reshape(-1, dim)
     inside = np.linalg.norm(pts, axis=1) <= radius
     pts = pts[inside]
     cell = h**dim
-    t_axis = (np.arange(n_time) + 0.5) * (t_final / n_time)
+    t_axis = (np.arange(_QUAD_TIME) + 0.5) * (t_final / _QUAD_TIME)
     accum = 0.0
     for t in t_axis:
         vals = _payload_values(
             f, pts, np.full(len(pts), t), (len(pts),), label, "on quadrature points"
         )
         space = float(np.sum(np.abs(vals) ** q) * cell)
-        accum += space ** (r / q) * (t_final / n_time)
+        accum += space ** (r / q) * (t_final / _QUAD_TIME)
     return accum ** (1.0 / r)
 
 
 def krylov_config(
-    radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig,
-    quad_space: int = 65, quad_time: int = 64,
+    radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig
 ) -> SimConfig:
     """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
-    at ``radius`` and run to ``t_final``.  Quadrature sizes are integers of at
-    least 1."""
+    at ``radius`` and run to ``t_final``."""
     radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
     if not f_dictionary:
         raise DiagnosticsError("payload dictionary is empty")
-    integer(quad_space, "quad_space", DiagnosticsError, minimum=1)
-    integer(quad_time, "quad_time", DiagnosticsError, minimum=1)
     t_final = finite_real(t_final, "t_final", DiagnosticsError)
     return replace(cfg, t_final=t_final, r_exit=radius)
 
@@ -527,8 +517,6 @@ def krylov_audit(
     f_dictionary: Sequence[Callable],
     cfg: SimConfig,
     workers: int = 1,
-    quad_space: int = 65,
-    quad_time: int = 64,
 ) -> list:
     """Audit the path-integral bound for each payload in the dictionary.
 
@@ -541,7 +529,7 @@ def krylov_audit(
     integrals are formed one row block of paths at a time, so no temporary
     spans the whole ensemble.
     """
-    cfg_run = krylov_config(radius, t_final, f_dictionary, cfg, quad_space, quad_time)
+    cfg_run = krylov_config(radius, t_final, f_dictionary, cfg)
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
 
     stop, n_times = ens.stop_step, len(ens.times)
@@ -562,9 +550,7 @@ def krylov_audit(
             scaled[rows] = np.sum(weights * np.asarray(lam * vals, dtype=float), axis=1)
         estimate = float(np.mean(integrals))
         stderr = float(np.std(integrals) / math.sqrt(len(integrals)))
-        f_norm = _mixed_norm(
-            f, cfg_run.r_exit, cfg_run.t_final, c.dim, label, quad_space, quad_time
-        )
+        f_norm = _mixed_norm(f, cfg_run.r_exit, cfg_run.t_final, c.dim, label)
         if f_norm > 0.0:
             ratio = estimate / f_norm
         else:

@@ -1,7 +1,8 @@
 """Coefficient-model tests.
 
 Expected values are frozen from hand arithmetic (identity algebra, power
-laws); the matrix row divergence is checked against an analytic formula.
+laws); the diffusion matrix is checked against an independently formed
+``sigma sigma^T``.
 """
 
 import dataclasses
@@ -14,15 +15,12 @@ from hypothesis import strategies as st
 from sdelab.coefficients import (
     CoefficientError,
     CoefficientSet,
-    DegenerateMatrixError,
-    DiffusionMatrix,
     DispersionFactor,
     Exponents,
     InverseWeight,
     builtin_family,
-    check_factorization,
-    estimate_ellipticity,
 )
+from sdelab.density import DensityError, solve_density
 
 
 def _points(*pts):
@@ -64,118 +62,70 @@ class TestSigmaHat:
         np.testing.assert_allclose(s, np.sqrt(w) * np.eye(2), rtol=1e-14)
 
 
-class TestFactorization:
-    def test_identity_passes(self, brownian2):
-        rep = check_factorization(brownian2)
-        assert rep.passed
-        assert rep.clause("factorization_gap").value <= 1e-15
-
-    def test_scaled_factor_fails_with_gap_three(self):
-        base = builtin_family("brownian", 2)
-        bad = dataclasses.replace(
-            base,
-            factor=DispersionFactor(
-                2, 2, lambda x: np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2))
-            ),
-        )
-        rep = check_factorization(bad)
-        assert not rep.passed
-        # |I - 4I| has worst entry 3
-        assert np.isclose(rep.clause("factorization_gap").value, 3.0)
-
-    def test_asymmetric_matrix_reported(self):
-        base = builtin_family("brownian", 2)
-        m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        bad = dataclasses.replace(
-            base,
-            matrix=DiffusionMatrix(
-                2, lambda x: np.broadcast_to(m, x.shape[:-1] + (2, 2))
-            ),
-        )
-        rep = check_factorization(bad)
-        assert not rep.clause("matrix_symmetry").passed
+_BUILTINS = [
+    ("brownian", {}),
+    ("ornstein_uhlenbeck", {}),
+    ("radial_degenerate", {"alpha": 0.25}),
+    ("piecewise_weight", {}),
+    ("hyperplane_jump", {}),
+]
 
 
-class TestEllipticity:
-    def test_identity_exact(self, brownian2):
-        est = estimate_ellipticity(brownian2, [0.0, 0.0], 1.0, n_samples=512, seed=3)
-        assert abs(est.lambda_min - 1.0) <= 1e-15
-        assert abs(est.lambda_max - 1.0) <= 1e-15
+def _coupled_factor(x):
+    """A d = 2, m = 3 factor with off-diagonal entries; dyadic on dyadic
+    points, so every product and sum of ``sigma sigma^T`` is exact."""
+    one = np.ones(x.shape[:-1])
+    return np.stack([np.stack([one, 0.5 * x[..., 1], 0.25 * one], -1),
+                     np.stack([0.5 * one, one, x[..., 0]], -1)], -2)
 
-    def test_diagonal_1_4_brackets(self):
-        a = np.diag([1.0, 4.0])
-        c = dataclasses.replace(
-            builtin_family("brownian", 2),
-            matrix=DiffusionMatrix(
-                2, lambda x: np.broadcast_to(a, x.shape[:-1] + (2, 2))
-            ),
-        )
-        est = estimate_ellipticity(c, [0.0, 0.0], 1.0, n_samples=200_000, seed=5)
-        assert 1.0 <= est.lambda_min <= 1.01
-        assert 3.99 <= est.lambda_max <= 4.0
 
-    def test_state_dependent_bounds(self):
-        def a_fn(x):
-            scale = 1.0 + np.sum(x * x, axis=-1)
-            return scale[..., None, None] * np.eye(2)
+class TestDiffusionFromFactor:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name, params", _BUILTINS)
+    def test_builtin_matrix_is_exact_identity(self, name, params, d):
+        # the report bytes rest on A = I bit for bit, 1.0 on the diagonal
+        # and +0.0 (no sign bit) off it, and on a +0.0 row divergence
+        c = builtin_family(name, d, **params)
+        x = np.random.default_rng(d).normal(size=(50, d))
+        x[0] = 0.0
+        a = c.A(x)
+        np.testing.assert_array_equal(a, np.broadcast_to(np.eye(d), a.shape))
+        assert not np.signbit(a).any()
+        div = c.row_div_A(x)
+        np.testing.assert_array_equal(div, np.zeros(x.shape))
+        assert not np.signbit(div).any()
 
-        c = dataclasses.replace(
-            builtin_family("brownian", 2), matrix=DiffusionMatrix(2, a_fn)
-        )
-        est = estimate_ellipticity(c, [0.0, 0.0], 1.0, n_samples=50_000, seed=7)
-        assert 1.0 <= est.lambda_min <= 1.001
-        assert 1.9 <= est.lambda_max <= 2.0
-
-    def test_degenerate_raises(self):
-        def a_fn(x):
-            return np.zeros(x.shape[:-1] + (2, 2))
-
-        c = dataclasses.replace(
-            builtin_family("brownian", 2), matrix=DiffusionMatrix(2, a_fn)
-        )
-        with pytest.raises(DegenerateMatrixError):
-            estimate_ellipticity(c, [0.0, 0.0], 1.0, n_samples=64, seed=0)
-
-    @pytest.mark.parametrize("name, value", [
-        ("center", [np.nan, 0.0]),
-        ("center", [0.0, np.inf]),
-        ("center", [0.0, 0.0, 0.0]),
-        ("radius", -1.0),
-        ("radius", 0.0),
-        ("radius", np.nan),
-        ("n_samples", 0),
-        ("n_samples", 2.5),
-        ("seed", -1),
-    ])
-    def test_malformed_inputs_rejected(self, brownian2, name, value):
-        args = {"center": [0.0, 0.0], "radius": 1.0, "n_samples": 64, "seed": 0}
-        with pytest.raises(CoefficientError, match=f"^{name} must"):
-            estimate_ellipticity(brownian2, **{**args, name: value})
-
-    def test_deterministic_given_seed(self, brownian2):
-        e1 = estimate_ellipticity(brownian2, [0.0, 0.0], 2.0, 128, seed=11)
-        e2 = estimate_ellipticity(brownian2, [0.0, 0.0], 2.0, 128, seed=11)
-        assert e1 == e2
+    def test_general_factor_gives_sigma_sigma_t(self, brownian2):
+        c = dataclasses.replace(brownian2, factor=DispersionFactor(2, 3, _coupled_factor))
+        axis = np.arange(-16, 17) / 8.0
+        x = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        s = _coupled_factor(x)
+        expect = np.array([[[sum(p[i, k] * p[j, k] for k in range(3)) for j in range(2)]
+                            for i in range(2)] for p in s])
+        a = c.A(x)
+        assert a.shape == (len(x), 2, 2) and np.any(a[:, 0, 1] != 0.0)
+        np.testing.assert_array_equal(a, expect)
+        with pytest.raises(DensityError, match="diagonal diffusion matrices only"):
+            solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 17)
 
 
 class TestRowDivergence:
-    def test_fd_matches_analytic(self):
-        # A = diag(1 + x1^2, 1): row divergence (2 x1, 0)
-        def a_fn(x):
-            out = np.zeros(x.shape[:-1] + (2, 2))
-            out[..., 0, 0] = 1.0 + x[..., 0] ** 2
-            out[..., 1, 1] = 1.0
-            return out
+    def test_row_divergence_is_required(self, brownian2):
+        kwargs = {f.name: getattr(brownian2, f.name) for f in dataclasses.fields(brownian2)}
+        del kwargs["row_div"]
+        with pytest.raises(TypeError, match="row_div"):
+            CoefficientSet(**kwargs)
 
-        m = DiffusionMatrix(2, a_fn)
-        x = _points([0.7, -1.2], [2.0, 0.3], [0.0, 0.0])
-        got = m.row_divergence(x)
-        expect = np.stack([2.0 * x[:, 0], np.zeros(3)], axis=-1)
-        np.testing.assert_allclose(got, expect, atol=1e-8)
+    def test_row_divergence_shape_checked(self, brownian2):
+        c = dataclasses.replace(brownian2, row_div=lambda x: np.zeros(x.shape[:-1]))
+        with pytest.raises(CoefficientError, match="row divergence returned shape"):
+            c.row_div_A(np.zeros((4, 2)))
+        with pytest.raises(CoefficientError, match="row divergence returned shape"):
+            solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 17)
 
     def test_analytic_override_used(self, brownian2):
         x = np.random.default_rng(0).normal(size=(10, 2))
-        np.testing.assert_array_equal(brownian2.matrix.row_divergence(x), 0.0)
+        np.testing.assert_array_equal(brownian2.row_div_A(x), 0.0)
 
 
 class TestFamilies:

@@ -162,22 +162,23 @@ class TestConfigSchema:
             ExperimentConfig.from_dict(raw)
 
     def test_unknown_scheme(self):
+        # Euler-Maruyama is the one scheme: no config key selects it, and
+        # the sim config that reports carry still records it
+        cfg = ExperimentConfig.from_dict(base_config())
+        assert cfg.sim.to_dict()["scheme"] == "euler_maruyama"
+        assert "scheme" not in cfg.to_dict()["sim"]
         raw = base_config()
         raw["sim"]["scheme"] = "euler_maruyama"
-        cfg = ExperimentConfig.from_dict(raw)
-        assert cfg.to_dict()["sim"]["scheme"] == "euler_maruyama"
-        assert cfg.digest == ExperimentConfig.from_dict(base_config()).digest
-        raw["sim"]["scheme"] = "milstein"
-        with pytest.raises(ConfigError, match="sim: unknown scheme 'milstein'"):
+        with pytest.raises(ConfigError, match=r"sim has unknown keys \['scheme'\]"):
             ExperimentConfig.from_dict(raw)
         uniq = {
             "kind": "uniqueness",
-            "variants": [{"label": "a", "scheme": "euler_maruyama"},
-                         {"label": "b", "scheme": "milstein"}],
+            "variants": [{"label": "a"}, {"label": "b", "scheme": "euler_maruyama"}],
             "x0": [0.0, 0.0],
             "t_checks": [0.5],
         }
-        with pytest.raises(ConfigError, match=r"variants\[1\]: unknown scheme"):
+        with pytest.raises(ConfigError,
+                           match=r"variants\[1\] has unknown keys \['scheme'\]"):
             ExperimentConfig.from_dict(base_config(diagnostics=[uniq]))
 
     def test_box_error_reported_as_config_error(self):
@@ -788,6 +789,39 @@ class TestCliArtifacts:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "stray.json" in err and "Traceback" not in err
         assert not (out / "combined.json").exists()
+
+    def test_report_refuses_reports_of_another_config(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        config = str(EXAMPLE_CONFIG)
+        assert main(["check", "--config", config, "--seed", "5", "--out", out]) == 0
+        seed5 = json.loads((tmp_path / "out" / "check.json").read_text())
+        capsys.readouterr()
+        assert main(["report", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        loaded = ExperimentConfig.from_dict(json.loads(EXAMPLE_CONFIG.read_text())).digest
+        assert err.startswith("error: ") and "check.json" in err
+        assert seed5["meta"]["config_digest"] in err and loaded in err
+        assert not (tmp_path / "out" / "combined.json").exists()
+
+    def test_report_refuses_a_report_without_digest_under_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config())
+        assert main(["check", "--config", path, "--out", str(out)]) == 0
+        (out / "loose.json").write_text('{"meta": {}, "passed": true}')
+        capsys.readouterr()
+        assert main(["report", "--config", path, "--out", str(out)]) == 2
+        assert "loose.json" in capsys.readouterr().err
+        assert not (out / "combined.json").exists()
+
+    def test_report_config_keeps_consistent_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        config = str(EXAMPLE_CONFIG)
+        assert main(["check", "--config", config, "--seed", "5", "--out", str(out)]) == 0
+        assert main(["report", "--config", config, "--seed", "5", "--out", str(out)]) == 0
+        with_config = (out / "combined.json").read_bytes()
+        (out / "combined.json").unlink()
+        assert main(["report", "--out", str(out)]) == 0
+        assert (out / "combined.json").read_bytes() == with_config
 
     def test_report_needs_out_dir(self, tmp_path):
         path = write_config(tmp_path, base_config())

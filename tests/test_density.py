@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from sdelab.coefficients import (
     CoefficientSet,
-    DiffusionMatrix,
     DispersionFactor,
     Exponents,
     InverseWeight,
@@ -30,13 +31,8 @@ BOX4 = ((-4.0, 4.0), (-4.0, 4.0))
 
 
 def _affine_diag_set():
-    """A = diag(1 + x1^2, 1), psi = 1, no drift; analytic row divergence."""
-
-    def a_fn(x):
-        out = np.zeros(x.shape + (2,))
-        out[..., 0, 0] = 1.0 + x[..., 0] ** 2
-        out[..., 1, 1] = 1.0
-        return out
+    """sigma = diag(sqrt(1 + x1^2), 1), so A = diag(1 + x1^2, 1), psi = 1,
+    no drift; analytic row divergence."""
 
     def row_div(x):
         out = np.zeros(x.shape)
@@ -50,8 +46,8 @@ def _affine_diag_set():
         return out
 
     return CoefficientSet(
-        matrix=DiffusionMatrix(2, a_fn, row_div_fn=row_div),
         factor=DispersionFactor(2, 2, sigma),
+        row_div=row_div,
         inv_weight=InverseWeight(
             fn=lambda x: np.ones(x.shape[:-1]),
             has_zeros=False,
@@ -160,43 +156,30 @@ class TestSolveDensity:
         assert issubclass(DensityError, ValueError)
 
     def test_off_diagonal_matrix_rejected(self):
-        base = _affine_diag_set()
-
-        def a_fn(x):
-            out = np.zeros(x.shape + (2,))
-            out[..., 0, 0] = 1.0
-            out[..., 1, 1] = 1.0
-            out[..., 0, 1] = out[..., 1, 0] = 0.3
-            return out
-
-        c = CoefficientSet(
-            matrix=DiffusionMatrix(2, a_fn),
-            factor=base.factor,
-            inv_weight=base.inv_weight,
-            drift=base.drift,
-            psi_drift=base.psi_drift,
-            exponents=base.exponents,
+        # the constant sigma = [[1, .3], [.3, 1]] gives A off-diagonal
+        # entries 0.6 and, like the brownian base, zero row divergence
+        s = np.array([[1.0, 0.3], [0.3, 1.0]])
+        c = dataclasses.replace(
+            builtin_family("brownian", 2),
+            factor=DispersionFactor(
+                2, 2, lambda x: np.broadcast_to(s, x.shape[:-1] + (2, 2)).copy()),
             family={"name": "coupled", "dim": 2, "params": {}},
         )
         with pytest.raises(DensityError, match="diagonal"):
             solve_density(c, BOX2, 17)
 
     def test_vanishing_diagonal_rejected(self):
-        base = _affine_diag_set()
-
-        def a_fn(x):
+        # sigma = diag(x1, 1) gives A = diag(x1^2, 1), zero on {x1 = 0}, with
+        # the base's row divergence (2 x1, 0)
+        def sigma(x):
             out = np.zeros(x.shape + (2,))
-            out[..., 0, 0] = x[..., 0] ** 2
+            out[..., 0, 0] = x[..., 0]
             out[..., 1, 1] = 1.0
             return out
 
-        c = CoefficientSet(
-            matrix=DiffusionMatrix(2, a_fn),
-            factor=base.factor,
-            inv_weight=base.inv_weight,
-            drift=base.drift,
-            psi_drift=base.psi_drift,
-            exponents=base.exponents,
+        c = dataclasses.replace(
+            _affine_diag_set(),
+            factor=DispersionFactor(2, 2, sigma),
             family={"name": "pinched", "dim": 2, "params": {}},
         )
         with pytest.raises(DensityError, match="positive"):
@@ -312,7 +295,7 @@ class TestDivergenceFree:
         rho = dens.rho.values[..., None]
         w = c.inv_weight(pts)[..., None]
         a_grad = np.einsum("...kl,...l->...k", c.A(pts), dens.rho.gradient().values)
-        beta = 0.5 * c.matrix.row_divergence(pts) * w + a_grad * w / (2.0 * rho)
+        beta = 0.5 * c.row_div_A(pts) * w + a_grad * w / (2.0 * rho)
         field = rho / w * (c.G(pts) - beta)
         expect = [weak_defect(grid, field, u)[0] for u in default_bump_dictionary(grid)]
         got = verify_divergence_free(c, dens).meta["field_defect"]

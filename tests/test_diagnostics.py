@@ -12,7 +12,6 @@ import pytest
 import sdelab.diagnostics as diagnostics
 from sdelab.coefficients import (
     CoefficientSet,
-    DiffusionMatrix,
     DispersionFactor,
     Exponents,
     InverseWeight,
@@ -41,9 +40,6 @@ def _comonotone_2d():
     Same standard-normal marginals as the 2-d brownian family at every time,
     but the joint law is degenerate on the diagonal."""
 
-    def a_fn(x):
-        return np.ones(x.shape[:-1] + (2, 2))
-
     def zero(x):
         return np.zeros(x.shape)
 
@@ -51,8 +47,8 @@ def _comonotone_2d():
         return np.ones(x.shape[:-1] + (2, 1))
 
     return CoefficientSet(
-        matrix=DiffusionMatrix(2, a_fn, zero),
         factor=DispersionFactor(2, 1, s_fn),
+        row_div=zero,
         inv_weight=InverseWeight(
             fn=lambda x: np.ones(x.shape[:-1]),
             has_zeros=False,
@@ -385,7 +381,7 @@ class TestKrylovAudit:
         # leave the ball, so the trapezoid weights stop at many steps
         cfg = SimConfig(dt=5e-3, t_final=1.0, n_paths=2000, master_seed=21)
         payloads = [_one, _near_origin, lambda x, t: np.clip(x[..., 0] * t, -0.3, 0.3)]
-        audits = krylov_audit(brownian2, (0.0, 0.0), 1.0, 1.0, payloads, cfg, quad_time=8)
+        audits = krylov_audit(brownian2, (0.0, 0.0), 1.0, 1.0, payloads, cfg)
         ens = simulate_ensemble(brownian2, (0.0, 0.0), replace(cfg, r_exit=1.0))
         assert len(list(ens.row_blocks())) > 1 and 0 < np.mean(ens.exit_step >= 0) < 1
         k, stop = np.arange(201)[None, :], ens.stop_step[:, None]
@@ -416,8 +412,7 @@ class TestKrylovAudit:
         cfg = SimConfig(dt=5e-3, t_final=1.0, n_paths=8192, master_seed=21)
         tracemalloc.start()
         try:
-            krylov_audit(brownian2, (0.0, 0.0), 10.0, 1.0, [_one, _near_origin], cfg,
-                         quad_space=9, quad_time=4)
+            krylov_audit(brownian2, (0.0, 0.0), 10.0, 1.0, [_one, _near_origin], cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,15 +441,6 @@ class TestKrylovAudit:
         cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
         with pytest.raises(DiagnosticsError, match="empty"):
             krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, [], cfg)
-
-    @pytest.mark.parametrize(
-        "quad", [{"quad_space": 0}, {"quad_time": 0}, {"quad_space": 8.0}]
-    )
-    def test_quadrature_sizes_are_positive_integers(self, brownian2, quad):
-        cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
-        payloads = [lambda x, t: x[..., 0]]
-        with pytest.raises(DiagnosticsError, match="quad_"):
-            krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, payloads, cfg, **quad)
 
 
 def _gauss_quarter(x):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sdelab import builtin_family
-from sdelab.coefficients import DiffusionMatrix, DispersionFactor
+from sdelab.coefficients import DispersionFactor
 from sdelab.rng import block_normals, derive_seed, path_normals
 from sdelab.simulate import (
     _BLOCK,
@@ -413,17 +413,9 @@ class TestFusedTallies:
 
 
 def _with_factor(c, fn):
-    """``c`` with an undeclared d x d dispersion factor ``fn``; ``A`` follows it."""
-    d = c.dim
-    factor = DispersionFactor(d, d, fn)
-
-    def a_fn(x):
-        s = factor(x)
-        return np.einsum("...ik,...jk->...ij", s, s)
-
-    return dataclasses.replace(
-        c, factor=factor, matrix=DiffusionMatrix(d, a_fn, lambda x: np.zeros(x.shape))
-    )
+    """``c`` with an undeclared d x d dispersion factor ``fn``; ``A`` follows it.
+    ``fn`` is constant, so the base's zero row divergence stays that of ``A``."""
+    return dataclasses.replace(c, factor=DispersionFactor(c.dim, c.dim, fn))
 
 
 class TestDeclaredIdentityFactor:
