@@ -108,6 +108,48 @@ class TestDiffusionFromFactor:
         with pytest.raises(DensityError, match="diagonal diffusion matrices only"):
             solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 17)
 
+    def test_scaled_factor_scales_matrix(self, brownian2):
+        # sigma = 2 I gives A = 4 I exactly: no separate A can disagree
+        two = DispersionFactor(
+            2, 2, lambda x: np.broadcast_to(2.0 * np.eye(2), x.shape[:-1] + (2, 2)))
+        c = dataclasses.replace(brownian2, factor=two)
+        a = c.A(np.zeros((3, 2)))
+        np.testing.assert_array_equal(a, np.broadcast_to(4.0 * np.eye(2), (3, 2, 2)))
+
+    def test_matrix_symmetric_for_any_factor(self, brownian2):
+        # a_ij and a_ji sum the same products in the same order, so even a
+        # non-symmetric factor gives a bitwise symmetric, nonnegative A
+        s = np.random.default_rng(4).normal(size=(40, 2, 3))
+        c = dataclasses.replace(
+            brownian2, factor=DispersionFactor(2, 3, lambda x: s.copy()))
+        a = c.A(np.zeros((40, 2)))
+        np.testing.assert_array_equal(a, np.swapaxes(a, -1, -2))
+        assert np.linalg.eigvalsh(a).min() > -1e-12
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (3, 4, 2)])
+    def test_matrix_batch_shape(self, brownian2, shape):
+        c = dataclasses.replace(brownian2, factor=DispersionFactor(2, 3, _coupled_factor))
+        x = (np.arange(np.prod(shape)) / 8.0).reshape(shape)
+        a = c.A(x)
+        assert a.shape == shape[:-1] + (2, 2)
+        flat = c.A(x.reshape(-1, 2))
+        np.testing.assert_array_equal(a.reshape(-1, 2, 2), flat)
+
+    def test_factor_shape_checked(self, brownian2):
+        # declared m = 3, but the callable returns a d x d factor
+        bad = DispersionFactor(
+            2, 3, lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
+        c = dataclasses.replace(brownian2, factor=bad)
+        with pytest.raises(CoefficientError, match="sigma returned shape"):
+            c.A(np.zeros((4, 2)))
+        with pytest.raises(CoefficientError, match="sigma returned shape"):
+            solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 17)
+
+    def test_points_must_match_factor_dim(self, brownian2):
+        assert brownian2.dim == brownian2.factor.dim == 2
+        with pytest.raises(CoefficientError, match="trailing dimension 2"):
+            brownian2.A(np.zeros((4, 3)))
+
 
 class TestRowDivergence:
     def test_row_divergence_is_required(self, brownian2):

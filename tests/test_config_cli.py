@@ -181,6 +181,20 @@ class TestConfigSchema:
                            match=r"variants\[1\] has unknown keys \['scheme'\]"):
             ExperimentConfig.from_dict(base_config(diagnostics=[uniq]))
 
+    @pytest.mark.parametrize("key, value", [("quad_space", 65), ("quad_time", 64)])
+    def test_krylov_quadrature_keys_refused(self, key, value):
+        # the quadrature sizes are fixed; even their own values are no key
+        krylov = {
+            "kind": "krylov",
+            "x0": [0.0, 0.0],
+            "radius": 1.5,
+            "t_final": 1.0,
+            "payloads": [{"type": "one"}],
+        }
+        ExperimentConfig.from_dict(base_config(diagnostics=[krylov]))
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+            ExperimentConfig.from_dict(base_config(diagnostics=[{**krylov, key: value}]))
+
     def test_box_error_reported_as_config_error(self):
         raw = base_config()
         raw["box"]["n"] = 1
