@@ -8,6 +8,9 @@ representatives must generate the same path law: the probe simulates an
 ensemble per representative from a common start and compares fixed-time
 marginals with distribution-free two-sample tests.  An added drift serves as
 the negative control and must be rejected.
+
+Exits 0 when the probe passes and, under ``--control``, the control is
+rejected; 1 otherwise.
 """
 
 import argparse
@@ -34,6 +37,7 @@ def run(args):
     print(f"({time.monotonic() - t0:.1f}s, {len(rep.meta['comparisons'])} "
           f"comparisons, level {args.level} Bonferroni-corrected)")
 
+    ok = rep.passed
     if args.control:
         drifted = builtin_family(
             "radial_degenerate", 2, alpha=args.alpha, gamma=args.gammas[0],
@@ -51,8 +55,9 @@ def run(args):
         verdict = "rejected as expected" if not rep_n.passed else "NOT rejected"
         print(f"\nnegative control (added drift): {verdict}")
         print(rep_n.summary())
+        ok &= not rep_n.passed
 
-    return 0 if rep.passed else 1
+    return 0 if ok else 1
 
 
 def main():
@@ -65,7 +70,8 @@ def main():
     p.add_argument("--level", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=2026)
     p.add_argument("--control", action="store_true",
-                   help="also run the added-drift negative control")
+                   help="also run the added-drift negative control; exit 1 "
+                        "unless it is rejected")
     raise SystemExit(run(p.parse_args()))
 
 

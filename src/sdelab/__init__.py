@@ -28,7 +28,6 @@ from .density import (
     verify_preinvariance,
 )
 from .diagnostics import (
-    KrylovAudit,
     LawVariant,
     TwoSampleResult,
     feynman_kac_crosscheck,
@@ -64,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "GridField",
     "InverseWeight",
-    "KrylovAudit",
     "LawVariant",
     "PathEnsemble",
     "SimConfig",

@@ -201,8 +201,8 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
 
     Semigroup entries call :func:`~sdelab.semigroup.evolve`, the others
     the diagnostics function of their kind; the runner adds coefficients,
-    density and workers.  Absent optional keys are left out, so library
-    defaults apply; Feynman-Kac inputs carry the ``grid`` of their solve.
+    and the density for ``evolve`` or workers for the others.  Absent
+    optional keys are left out, so library defaults apply.
     """
     kind = _tagged(entry, "kind", _DIAGNOSTICS, "kind", where)
     dim = grid.dim
@@ -211,10 +211,11 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
             slices_shape(grid, entry["t_final"], entry["dt"])
             f0 = build_payload(entry["payload"], dim)
             return {"f0": f0, "t_final": entry["t_final"], "dt": entry["dt"]}
+        x0 = finite_point(entry["x0"], dim)
         if kind == "uniqueness":
             variants = [_variant(v, dim, f"variants[{j}]")
                         for j, v in enumerate(_listed(entry, "variants"))]
-            inputs = {"variants": variants, "t_checks": entry["t_checks"],
+            inputs = {"variants": variants, "x0": x0, "t_checks": entry["t_checks"],
                       "cfg": sim, **_given(entry, "level")}
             for cfg in uniqueness_configs(**inputs):
                 cfg.states_shape(dim)
@@ -225,19 +226,19 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
                 # the index makes every label in the report unique
                 label = f"{validate_payload_spec(s, at)['type']}_{j}"
                 payloads.append(build_spacetime_payload(s, dim, label, at))
-            inputs = {"radius": entry["radius"], "t_final": entry["t_final"],
+            inputs = {"x0": x0, "radius": entry["radius"], "t_final": entry["t_final"],
                       "f_dictionary": payloads, "cfg": _entry_sim(sim, entry, "dt")}
             krylov_config(**inputs).states_shape(dim)
         else:
             grid_n = entry.get("grid_n", grid.n)
             inputs = {"grid": _box_grid(grid.bounds, grid_n, "grid_n"),
-                      "x0": entry["x0"], "t_final": entry["t_final"],
+                      "x0": x0, "t_final": entry["t_final"],
                       "cfg": _entry_sim(sim, entry, "mc_dt"),
                       "pde_dt": entry["pde_dt"]}
             _, mc_cfg, _ = feynman_kac_config(**inputs)
             mc_cfg.states_shape(dim)
             inputs["f0"] = build_payload(entry["payload"], dim)
-        return {**inputs, "x0": finite_point(entry["x0"], dim)}
+        return inputs
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

@@ -15,6 +15,10 @@ expectation with the parabolic solve of the same quantity, with an error
 budget built from the Monte-Carlo standard error and Richardson differences
 of the PDE value in space and time.
 
+Each audit returns the :class:`DiagnosticReport` its report file carries;
+the two-sample test is the one measurement with a typed result.  A start on
+or outside an audit's exit ball, where every path stops at once, is refused.
+
 All randomness beyond the ensembles themselves (permutations, subsampling) is
 seeded from content digests of the inputs, so repeated runs and swapped
 argument orders produce identical numbers.
@@ -24,13 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .density import DensityField, psi_weights, solve_density
+from .density import psi_weights, solve_density
 from .grids import (
     BoxGrid, GridField, finite_point, finite_real, finite_values, grid_values,
     step_count,
@@ -38,18 +42,27 @@ from .grids import (
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
 from .semigroup import evolve, slices_shape
-from .simulate import SCHEME, SimConfig, simulate_ensemble
+from .simulate import SCHEME, SimConfig, outside_ball, simulate_ensemble
 
 _PERMUTATIONS = 199
 _ENERGY_SUBSAMPLE = 1024
 _ASYMPTOTIC_MIN = 1000
 _HOMOGENEITY_SCALE = 3.7  # the factor each Krylov payload is rescaled by
+_HOMOGENEITY_TOL = 1e-12  # relative defect allowed of the rescaled estimate
 _QUAD_SPACE = 65  # midpoint cells per axis of the Krylov mixed-norm quadrature
 _QUAD_TIME = 64  # and its midpoint time steps
 
 
 class DiagnosticsError(ValueError):
     """Raised for invalid diagnostic inputs."""
+
+
+def _start_inside(x0, radius, name: str) -> None:
+    """Refuse a start the ensemble's own exit test absorbs at step 0, where
+    every path stops and the audit could not fail."""
+    if radius is not None and outside_ball(np.asarray(x0, dtype=float)[None], radius)[0]:
+        raise DiagnosticsError(f"x0 {np.asarray(x0).tolist()} is not inside the exit ball "
+                               f"({name} {radius}): every path would stop at step 0")
 
 
 # -- two-sample marginal test -------------------------------------------------
@@ -292,12 +305,14 @@ class LawVariant:
 
 
 def uniqueness_configs(
-    variants: Sequence[LawVariant], t_checks, cfg: SimConfig, level: float = 0.01
+    variants: Sequence[LawVariant], x0, t_checks, cfg: SimConfig, level: float = 0.01
 ) -> list:
     """Checked inputs of :func:`uniqueness_probe`: one ensemble config per
-    variant.  Variant labels are distinct; every check time lies on every
-    variant's step grid, within its horizon, and no two check times share a
-    step of any variant's grid; ``level`` lies in ``(0, 1)``."""
+    variant.  Variant labels are distinct; ``x0`` lies inside ``cfg.r_exit``;
+    every check time lies on every variant's step grid, within its horizon,
+    and no two check times share a step of any variant's grid; ``level``
+    lies in ``(0, 1)``."""
+    _start_inside(x0, cfg.r_exit, "r_exit")
     if len(variants) < 2:
         raise DiagnosticsError("need at least two variants to compare")
     if not isinstance(t_checks, (list, tuple, np.ndarray)) or len(t_checks) == 0:
@@ -353,7 +368,8 @@ def uniqueness_probe(
     marginals at ``t_checks`` and its tallies are read.
     """
     variants = list(variants)
-    configs = uniqueness_configs(variants, t_checks, cfg, level)
+    x0 = finite_point(x0, c_base.dim, "x0", DiagnosticsError)
+    configs = uniqueness_configs(variants, x0, t_checks, cfg, level)
     t_checks = [float(t) for t in t_checks]
 
     marginals = []
@@ -390,7 +406,7 @@ def uniqueness_probe(
         meta={
             "level": level,
             "per_comparison_level": per_test,
-            "x0": list(np.asarray(x0, dtype=float)),
+            "x0": list(x0),
             "t_checks": t_checks,
             "base_config": cfg.to_dict(),
             "variants": variant_meta,
@@ -442,22 +458,6 @@ def uniqueness_probe(
 
 # -- occupation-functional audit ----------------------------------------------
 
-@dataclass(frozen=True)
-class KrylovAudit:
-    """Monte-Carlo bound trace for one space-time payload ``f``.
-
-    ``estimate`` is the ensemble mean of the path integral of ``f`` up to
-    the exit time from the ball, ``f_norm`` the mixed-norm of ``f`` on the
-    ball-time window, and ``ratio`` their quotient, the empirical constant.
-    """
-
-    estimate: float
-    stderr: float
-    f_norm: float
-    ratio: float
-    meta: dict = field(default_factory=dict)
-
-
 def _path_integral_weights(stop: np.ndarray, dt: float, n_times: int) -> np.ndarray:
     """Trapezoid weights per path over ``[0, stop * dt]``, shape
     ``(len(stop), n_times)``."""
@@ -476,33 +476,35 @@ def _payload_values(f: Callable, x, t, shape: tuple, label: str, where: str) -> 
 
 def _mixed_norm(f: Callable, radius: float, t_final: float, dim: int, label: str) -> float:
     """Midpoint quadrature of the ``L^{2d+2}`` in space, ``L^{d+1}`` in time
-    norm of ``f`` over the centered ball times ``(0, t_final)``."""
+    norm of ``f`` over the centered ball times ``(0, t_final)`` (not finite,
+    or 0, when the cell volume overflows or underflows)."""
     q = 2 * dim + 2
     r = dim + 1
     h = 2.0 * radius / _QUAD_SPACE
-    axis = -radius + (np.arange(_QUAD_SPACE) + 0.5) * h
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, dim)
-    inside = np.linalg.norm(pts, axis=1) <= radius
-    pts = pts[inside]
-    cell = h**dim
     t_axis = (np.arange(_QUAD_TIME) + 0.5) * (t_final / _QUAD_TIME)
     accum = 0.0
-    for t in t_axis:
-        vals = _payload_values(
-            f, pts, np.full(len(pts), t), (len(pts),), label, "on quadrature points"
-        )
-        space = float(np.sum(np.abs(vals) ** q) * cell)
-        accum += space ** (r / q) * (t_final / _QUAD_TIME)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = -radius + (np.arange(_QUAD_SPACE) + 0.5) * h
+        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+        pts = np.stack(mesh, axis=-1).reshape(-1, dim)
+        pts = pts[np.linalg.norm(pts, axis=1) <= radius]
+        cell = np.float64(h) ** dim
+        for t in t_axis:
+            vals = _payload_values(
+                f, pts, np.full(len(pts), t), (len(pts),), label, "on quadrature points"
+            )
+            space = float(np.sum(np.abs(vals) ** q) * cell)
+            accum += space ** (r / q) * (t_final / _QUAD_TIME)
     return accum ** (1.0 / r)
 
 
 def krylov_config(
-    radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig
+    x0, radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig
 ) -> SimConfig:
     """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
-    at ``radius`` and run to ``t_final``."""
+    at ``radius`` and run to ``t_final``; ``x0`` lies inside the ball."""
     radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
+    _start_inside(x0, radius, "radius")
     if not f_dictionary:
         raise DiagnosticsError("payload dictionary is empty")
     t_final = finite_real(t_final, "t_final", DiagnosticsError)
@@ -517,26 +519,28 @@ def krylov_audit(
     f_dictionary: Sequence[Callable],
     cfg: SimConfig,
     workers: int = 1,
-) -> list:
+) -> DiagnosticReport:
     """Audit the path-integral bound for each payload in the dictionary.
 
     One ensemble is simulated with absorption at ``radius``; every payload
     is integrated along the same paths by trapezoid up to the exit time, so
-    the audits share their randomness.  Each audit also re-runs its own
-    payload scaled by 3.7 on the same paths and records the relative defect
-    of estimate and ratio homogeneity in ``meta`` (both scale linearly, so
-    the defects sit at rounding level).  Payload values, weights and both
-    integrals are formed one row block of paths at a time, so no temporary
-    spans the whole ensemble.
+    the audits share their randomness.  ``meta["audits"]`` lists per payload
+    the mean path integral ``estimate``, its ``stderr``, the mixed norm
+    ``f_norm`` and their quotient ``ratio``, the empirical constant whose
+    finite maximum is ``meta["c_hat"]``; clause ``homogeneity[label]``
+    requires the payload scaled by 3.7 to scale the estimate to a relative
+    1e-12.  A norm that is not finite, or is 0 under a nonzero estimate, is
+    an error.  Payloads are integrated one row block of paths at a time.
     """
-    cfg_run = krylov_config(radius, t_final, f_dictionary, cfg)
+    x0 = finite_point(x0, c.dim, "x0", DiagnosticsError)
+    cfg_run = krylov_config(x0, radius, t_final, f_dictionary, cfg)
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
 
     stop, n_times = ens.stop_step, len(ens.times)
     exit_fraction = float(np.mean(ens.exit_step >= 0))
 
     lam = _HOMOGENEITY_SCALE
-    audits = []
+    report = DiagnosticReport(check=f"krylov_audit[{c.name}]", meta={"audits": []})
     for i, f in enumerate(f_dictionary):
         label = getattr(f, "__name__", None) or f"f{i}"
         integrals, scaled = np.empty((2, ens.n_paths))
@@ -551,41 +555,24 @@ def krylov_audit(
         estimate = float(np.mean(integrals))
         stderr = float(np.std(integrals) / math.sqrt(len(integrals)))
         f_norm = _mixed_norm(f, cfg_run.r_exit, cfg_run.t_final, c.dim, label)
-        if f_norm > 0.0:
-            ratio = estimate / f_norm
-        else:
-            ratio = 0.0 if estimate == 0.0 else math.inf
-
-        est_scaled = float(np.mean(scaled))
-        norm_scaled = f_norm * lam
-        denom = abs(lam * estimate) + 1e-300
-        est_gap = abs(est_scaled - lam * estimate) / denom
-        if f_norm > 0.0:
-            ratio_gap = abs(est_scaled / norm_scaled - ratio) / (
-                abs(ratio) + 1e-300
+        if not math.isfinite(f_norm) or (f_norm == 0.0 and estimate != 0.0):
+            raise DiagnosticsError(
+                f"payload {label} has mixed norm {f_norm} against a path estimate "
+                f"of {estimate}: the quadrature of the ball-time window cannot "
+                "resolve it"
             )
-        else:
-            ratio_gap = 0.0
-
-        audits.append(
-            KrylovAudit(
-                estimate=estimate,
-                stderr=stderr,
-                f_norm=f_norm,
-                ratio=ratio,
-                meta={
-                    "label": label,
-                    "dt": cfg_run.dt,
-                    "exit_fraction": exit_fraction,
-                    "homogeneity": {
-                        "scale": lam,
-                        "estimate_gap": est_gap,
-                        "ratio_gap": ratio_gap,
-                    },
-                },
-            )
-        )
-    return audits
+        ratio = estimate / f_norm if f_norm > 0.0 else 0.0
+        gap = abs(float(np.mean(scaled)) - lam * estimate) / (abs(lam * estimate) + 1e-300)
+        report.add(f"ratio_finite[{label}]", math.isfinite(ratio), value=ratio)
+        report.add(f"homogeneity[{label}]", gap <= _HOMOGENEITY_TOL, value=gap,
+                   threshold=_HOMOGENEITY_TOL)
+        report.meta["audits"].append({
+            "label": label, "estimate": estimate, "stderr": stderr, "f_norm": f_norm,
+            "ratio": ratio, "dt": cfg_run.dt, "exit_fraction": exit_fraction,
+        })
+    finite = (a["ratio"] for a in report.meta["audits"] if math.isfinite(a["ratio"]))
+    report.meta["c_hat"] = max(finite, default=0.0)
+    return report
 
 
 # -- Monte-Carlo vs PDE cross-check -------------------------------------------
@@ -600,6 +587,8 @@ def feynman_kac_config(
     """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
     start point, the Monte-Carlo config and the once-coarsened grid of the
     spatial error estimate."""
+    if not isinstance(grid, BoxGrid):
+        raise DiagnosticsError(f"grid must be a BoxGrid, got {type(grid).__name__}")
     x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
     margin = grid.spacing
     if np.any(x0 < grid.lo + margin) or np.any(x0 > grid.hi - margin):
@@ -620,7 +609,7 @@ def feynman_kac_config(
 
 def feynman_kac_crosscheck(
     c: CoefficientSet,
-    dens: DensityField,
+    grid: BoxGrid,
     f0,
     x0,
     t_final: float,
@@ -633,19 +622,19 @@ def feynman_kac_crosscheck(
     The Monte-Carlo side simulates ``cfg.n_paths`` paths from ``x0`` and
     averages ``f0``, which must be finite there, at the final states; any
     configured exit radius is ignored (both sides must see the free
-    dynamics).  The PDE side evolves ``f0`` backward on the density's grid
-    and reads the value at ``x0``; the grid-error
-    budget is the Richardson difference against a once-coarsened grid plus
-    the difference against a doubled time step.  The check passes when the
-    two sides agree within ``3 * (stderr + spatial + temporal)``.
+    dynamics).  The PDE side solves the density of ``c`` on ``grid``,
+    evolves ``f0`` backward there and reads the value at ``x0``; the
+    grid-error budget is the Richardson difference against a once-coarsened
+    grid plus the difference against a doubled time step.  The check passes
+    when the two sides agree within ``3 * (stderr + spatial + temporal)``.
 
     A payload whose mass (against the stationary volume ``rho psi dx``)
     leaks more than 1 percent through the box boundary over the horizon
     makes the comparison inconclusive; the report then fails with an
     explicit instruction to enlarge the box.
     """
-    grid = dens.grid
     x0, cfg_run, grid_c = feynman_kac_config(grid, x0, t_final, cfg, pde_dt)
+    dens = solve_density(c, grid.bounds, grid.n)
     f_vals = grid_values(f0, grid, DiagnosticsError)
     f_eval = f0.interpolate if isinstance(f0, GridField) else f0
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
@@ -656,7 +645,7 @@ def feynman_kac_crosscheck(
     n_exploded = int(np.sum(ens.exploded))
     del ens
 
-    def final_slice(dens_k: DensityField, grid_k: BoxGrid, values, dt: float):
+    def final_slice(dens_k, grid_k: BoxGrid, values, dt: float):
         # only the last slice is read: copying it frees the stack before the
         # next evolve starts
         return evolve(c, dens_k, GridField(grid_k, values), t_final, dt).values[-1].copy()

@@ -12,7 +12,8 @@ Per-path tallies track discrete occupation of the degeneracy set
 named at simulate time.  The weight ``w(X_k)`` is evaluated once per state,
 inside the step: the dispersion and every tally read that one array.  A
 dispersion factor that declares itself the identity steps with
-``sqrt(w) xi``, with no d x m product.
+``sqrt(w) xi``, with no d x m product.  ``occupation_profile`` and
+``exit_time_stats`` return the plain dicts the ``simulate`` report carries.
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
 function of the master seed and the block's path indices, so any worker count
@@ -166,6 +167,13 @@ def _blocks(n_paths: int) -> list:
     return np.split(np.arange(n_paths, dtype=np.int64), range(_BLOCK, n_paths, _BLOCK))
 
 
+def outside_ball(x: np.ndarray, r_exit: float) -> np.ndarray:
+    """The exit test ``|x| >= r_exit`` of each row of ``x``; a norm that
+    overflows is outside."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(squared_norm(x)) >= r_exit
+
+
 def _euler_maruyama(
     c: CoefficientSet,
     x0: np.ndarray,
@@ -198,8 +206,7 @@ def _euler_maruyama(
     exploded_step[:] = -1
     active = np.ones(b, dtype=bool)
     if cfg.r_exit is not None:
-        with np.errstate(over="ignore"):
-            out_now = np.sqrt(squared_norm(x)) >= cfg.r_exit
+        out_now = outside_ball(x, cfg.r_exit)
         exit_step[out_now] = 0
         active &= ~out_now
     yield x
@@ -230,8 +237,7 @@ def _euler_maruyama(
                 active &= ~bad
             x = np.where(active[:, None], xn, x)
             if cfg.r_exit is not None:
-                with np.errstate(over="ignore"):
-                    crossed = active & (np.sqrt(squared_norm(x)) >= cfg.r_exit)
+                crossed = active & outside_ball(x, cfg.r_exit)
                 exit_step[crossed] = k + 1
                 active &= ~crossed
         yield x
@@ -295,19 +301,10 @@ def simulate_ensemble(
     )
 
 
-@dataclass(frozen=True)
-class ExitStats:
-    """Exit summary over an ensemble with absorption enabled."""
-
-    r_exit: float
-    n_paths: int
-    n_exited: int
-    exit_fraction: float
-    exit_time_quantiles: dict
-
-
-def exit_time_stats(ens: PathEnsemble) -> ExitStats:
-    """Exit fraction and quantiles of the exit time among exited paths."""
+def exit_time_stats(ens: PathEnsemble) -> dict:
+    """Exit summary of an ensemble simulated with absorption: ``r_exit``,
+    ``n_exited``, ``exit_fraction`` and ``quantiles`` (``q25`` ... ``q90``)
+    of the exit time among exited paths, empty when none exited."""
     if ens.config.r_exit is None:
         raise SimulationError("ensemble was simulated without exit absorption")
     exited = ens.exit_step >= 0
@@ -317,24 +314,13 @@ def exit_time_stats(ens: PathEnsemble) -> ExitStats:
         t_exit = ens.exit_step[exited] * ens.config.dt
         for q in (0.25, 0.5, 0.75, 0.9):
             qs[f"q{int(q * 100)}"] = float(np.quantile(t_exit, q))
-    return ExitStats(
-        r_exit=float(ens.config.r_exit),
-        n_paths=ens.n_paths,
-        n_exited=n_ex,
-        exit_fraction=n_ex / ens.n_paths,
-        exit_time_quantiles=qs,
-    )
-
-
-@dataclass(frozen=True)
-class OccupationRow:
-    eps: float
-    mean_occupation: float
-    max_occupation: float
+    return {"r_exit": float(ens.config.r_exit), "n_exited": n_ex,
+            "exit_fraction": n_ex / ens.n_paths, "quantiles": qs}
 
 
 def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
-    """Mean/max discrete occupation of weight sublevel sets per threshold.
+    """Mean/max discrete occupation of weight sublevel sets per threshold:
+    one ``{"eps", "mean", "max"}`` dict per entry of ``eps_list``.
 
     For ``eps > 0`` the tally counts states with ``w(X_k) < eps``; the
     ``eps = 0`` row is the exact-zero tally.  Rows are returned in the given
@@ -349,7 +335,8 @@ def occupation_profile(ens: PathEnsemble, eps_list: Sequence[float]) -> list:
             raise SimulationError(f"occupation below eps={eps!r} was not tallied; "
                                   "pass it to simulate_ensemble as occupation_eps")
         occ = ens.occupation[ens.occupation_eps.index(eps)]
-        rows.append(OccupationRow(float(eps), float(np.mean(occ)), float(np.max(occ))))
+        rows.append({"eps": float(eps), "mean": float(np.mean(occ)),
+                     "max": float(np.max(occ))})
     return rows
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sdelab import (
+    BoxGrid,
     LawVariant,
     SimConfig,
     SmoothBump,
@@ -99,7 +100,6 @@ def test_03_terminal_value_triple_agreement():
     t0 = time.monotonic()
 
     br = builtin_family("brownian", 2)
-    dens = solve_density(br, BOX4, 129)
     s2 = 0.25
 
     def gauss(x):
@@ -107,7 +107,7 @@ def test_03_terminal_value_triple_agreement():
         return np.exp(-np.sum(x * x, axis=-1) / (2.0 * s2))
 
     cfg = SimConfig(dt=1e-3, t_final=0.25, n_paths=100_000, master_seed=72)
-    rep = feynman_kac_crosscheck(br, dens, gauss, (0.0, 0.0), 0.25, cfg, 1e-3)
+    rep = feynman_kac_crosscheck(br, BoxGrid(BOX4, 129), gauss, (0.0, 0.0), 0.25, cfg, 1e-3)
     m = rep.meta
     closed = (s2 / (s2 + 0.25)) * math.exp(0.0)
     budget = m["budget"]
@@ -120,11 +120,10 @@ def test_03_terminal_value_triple_agreement():
          f"PDE vs closed form gap {abs(m['pde_value'] - closed):.2e} > {budget:.2e}")
 
     rad = builtin_family("radial_degenerate", 2, alpha=0.25)
-    dens_r = solve_density(rad, BOX3, 129)
     bump = SmoothBump((0.7, 0.7), 0.08)
     cfg_r = SimConfig(dt=1e-3, t_final=0.25, n_paths=100_000, master_seed=74)
     rep_r = feynman_kac_crosscheck(
-        rad, dens_r, lambda x: bump(np.asarray(x, dtype=float)),
+        rad, BoxGrid(BOX3, 129), lambda x: bump(np.asarray(x, dtype=float)),
         (0.5, 0.5), 0.25, cfg_r, 1e-3,
     )
     need(rep_r.passed, "degenerate radial cross-check failed")
@@ -190,7 +189,7 @@ def test_05_degeneracy_set_occupation_profile():
     )
     need(ens.occupation_exact.max() == 0.0, "exact-zero occupation positive")
     rows = occupation_profile(ens, (0.2, 0.1, 0.05, 0.025, 0.0))
-    means = [r.mean_occupation for r in rows]
+    means = [r["mean"] for r in rows]
     need(all(a >= b for a, b in zip(means, means[1:])),
          f"near-occupation not monotone: {means}")
     need(means[-1] == 0.0, "exact-zero limit not 0")
@@ -226,19 +225,19 @@ def test_06_occupation_functional_bound():
         by_dt[dt] = krylov_audit(
             rad, (0.0, 0.0), 1.5, 1.0, [one, near_origin, bump], cfg
         )
-    for dt, audits in by_dt.items():
-        for a in audits:
-            label = a.meta["label"]
-            need(np.isfinite(a.ratio), f"{label} ratio not finite at dt={dt}")
-            gap = a.meta["homogeneity"]["ratio_gap"]
+    for dt, rep in by_dt.items():
+        for a in rep.meta["audits"]:
+            label = a["label"]
+            need(np.isfinite(a["ratio"]), f"{label} ratio not finite at dt={dt}")
+            gap = rep.clause(f"homogeneity[{label}]").value
             need(gap <= 1e-12,
                  f"{label} scaling invariance gap {gap:.2e} > 1e-12 at dt={dt}")
     worst = 1.0
-    for a2, a1 in zip(by_dt[2e-3], by_dt[1e-3]):
-        q = a2.ratio / a1.ratio
+    for a2, a1 in zip(by_dt[2e-3].meta["audits"], by_dt[1e-3].meta["audits"]):
+        q = a2["ratio"] / a1["ratio"]
         worst = max(worst, q, 1.0 / q)
         need(0.5 <= q <= 2.0,
-             f"{a2.meta['label']} ratio moved {q:.3f}x across dt halving")
+             f"{a2['label']} ratio moved {q:.3f}x across dt halving")
     _verdict("criterion 6: occupation-functional bound", need.failures,
              f"worst dt-stability factor {worst:.3f}")
 
@@ -250,7 +249,7 @@ def test_07_exit_fractions_match_growth_condition():
         br, (0.0, 0.0),
         SimConfig(dt=1e-2, t_final=1.0, n_paths=2000, master_seed=51, r_exit=10.0),
     )
-    frac_b = exit_time_stats(ens_b).exit_fraction
+    frac_b = exit_time_stats(ens_b)["exit_fraction"]
     need(frac_b <= 1e-3, f"dissipative family exit fraction {frac_b} > 1e-3")
 
     cub = builtin_family("brownian", 2, drift="cubic_outward")
@@ -258,7 +257,7 @@ def test_07_exit_fractions_match_growth_condition():
         cub, (1.0, 0.0),
         SimConfig(dt=1e-3, t_final=1.0, n_paths=1000, master_seed=52, r_exit=10.0),
     )
-    frac_c = exit_time_stats(ens_c).exit_fraction
+    frac_c = exit_time_stats(ens_c)["exit_fraction"]
     need(frac_c >= 0.5, f"explosive family exit fraction {frac_c} < 0.5")
     # the grid's center node is (10, 0), where the quotient is about 17.6
     m = min_M_on_grid(cub, ((9.5, 10.5), (-0.5, 0.5)), 3)

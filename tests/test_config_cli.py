@@ -14,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdelab.config
-from sdelab.cli import _Emitter, main
+from sdelab import (
+    SimConfig,
+    canonical_json,
+    exit_time_stats,
+    feynman_kac_crosscheck,
+    krylov_audit,
+    occupation_profile,
+    simulate_ensemble,
+)
+from sdelab.cli import _OCCUPATION_EPS, _Emitter, main
 from sdelab.config import (
     ConfigError,
     ExperimentConfig,
@@ -486,6 +495,75 @@ class TestCliExitCodes:
         assert len(loads) == 1 and len(builds) == 2
 
 
+class TestLibraryReturnsTheReport:
+    """Each report file is what one library call returns; the CLI adds only
+    ``entry``, ``config_digest`` and ``master_seed`` to its ``meta``."""
+
+    @staticmethod
+    def _written(path, added=()):
+        report = json.loads(path.read_text())
+        for key in added:
+            del report["meta"][key]
+        return report
+
+    def test_diagnose_reports_are_the_audits_reports(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(output_dir=str(out), family={
+            "name": "radial_degenerate", "params": {"alpha": 0.25, "gamma": 1.0}})
+        krylov_payloads = [{"type": "one"}, {"type": "ball_indicator", "radius": 0.3}]
+        fk_payload = {"type": "gaussian", "center": [0.3, 0.0], "variance": 0.5}
+        cfg["diagnostics"] = [
+            {"kind": "krylov", "x0": [0.0, 0.0], "radius": 1.0, "t_final": 0.5,
+             "payloads": krylov_payloads},
+            {"kind": "feynman_kac", "payload": fk_payload, "x0": [0.5, 0.0],
+             "t_final": 0.1, "pde_dt": 0.01, "grid_n": 33},
+        ]
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg),
+                     "--workers", "1"]) == 0
+        c = ExperimentConfig.from_dict(cfg).coefficients
+        sim = SimConfig(dt=0.01, t_final=0.5, n_paths=200, master_seed=7)
+        krylov = krylov_audit(
+            c, (0.0, 0.0), 1.0, 0.5,
+            [build_spacetime_payload(p, 2, f"{p['type']}_{j}")
+             for j, p in enumerate(krylov_payloads)], sim)
+        fk = feynman_kac_crosscheck(
+            c, BoxGrid(((-3.0, 3.0), (-3.0, 3.0)), 33), build_payload(fk_payload, 2),
+            (0.5, 0.0), 0.1, sim, 0.01)
+        added = ("entry", "config_digest", "master_seed")
+        for name, rep in (("diagnose_0_krylov", krylov), ("diagnose_1_feynman_kac", fk)):
+            assert self._written(out / f"{name}.json", added) == json.loads(
+                canonical_json(rep.to_dict())), name
+
+    def test_simulate_meta_is_the_summaries(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(output_dir=str(out), family={
+            "name": "radial_degenerate", "params": {"alpha": 0.25, "gamma": 1.0}})
+        cfg["sim"]["r_exit"] = 1.0
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--workers", "1"]) == 0
+        loaded = ExperimentConfig.from_dict(cfg)
+        ens = simulate_ensemble(loaded.coefficients, (0.0, 0.0), loaded.sim,
+                                occupation_eps=_OCCUPATION_EPS)
+        meta = self._written(out / "simulate.json")["meta"]
+        assert 0 < meta["exit"]["n_exited"] < 200
+        assert exit_time_stats(ens) == meta["exit"]
+        assert occupation_profile(ens, _OCCUPATION_EPS) == meta["occupation"]
+
+    def test_unresolvable_krylov_payload_is_usage_error(self, tmp_path, capsys):
+        # paths visit the ball, but no midpoint of the quadrature grid lies in it
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["sim"].update(dt=0.002, n_paths=2000)
+        cfg["diagnostics"] = [{
+            "kind": "krylov", "x0": [0.0, 0.0], "radius": 1.5, "t_final": 0.5,
+            "payloads": [{"type": "ball_indicator", "radius": 0.015,
+                          "center": [0.023, 0.023]}],
+        }]
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: payload ball_indicator_0 has mixed norm 0.0 ")
+        assert err.count("\n") == 1
+
+
 # Malformed values on the example config: each used to end in a traceback
 # with exit 1, a run at a meaningless setting, or exit 2 only after a report
 # had been written.
@@ -515,6 +593,10 @@ _BAD_VALUES = [
     ("check", "family.params.phi=2"),
     # the Feynman-Kac spatial error coarsens its grid, which needs odd node counts
     ("diagnose", "diagnostics.3.grid_n=64"),
+    # a start the exit ball absorbs at step 0: every path stops, nothing can fail
+    ("diagnose", "diagnostics.1.x0=[2.6,0]"),
+    ("diagnose", "diagnostics.1.x0=[0,2.5]"),
+    ("diagnose", "diagnostics.2.x0=[2.0,0]"),
     # piecewise cells: non-finite values and bounds, empty boxes, missing keys
     *(("check", 'family={"name":"piecewise_weight","params":{"cells":[%s]}}' % cell)
       for cell in ('{"bounds":[[-1,0],[-1,0]],"value":NaN}',

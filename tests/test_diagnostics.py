@@ -17,10 +17,8 @@ from sdelab.coefficients import (
     InverseWeight,
     builtin_family,
 )
-from sdelab.density import solve_density
 from sdelab.diagnostics import (
     DiagnosticsError,
-    KrylovAudit,
     LawVariant,
     TwoSampleResult,
     feynman_kac_crosscheck,
@@ -269,6 +267,15 @@ class TestUniquenessProbe:
         with pytest.raises(DiagnosticsError, match="label 'a' repeats"):
             uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.5], cfg)
 
+    @pytest.mark.parametrize("x0", [(2.6, 0.0), (2.5, 0.0), (1e308, 1e308)])
+    def test_start_outside_exit_ball_rejected(self, brownian2, x0):
+        # every path would stop at step 0, so no comparison could reject
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1, r_exit=2.5)
+        drifted = builtin_family("brownian", 2, drift=(3.0, 0.0))
+        variants = [LawVariant("a"), LawVariant("drifted", c=drifted)]
+        with pytest.raises(DiagnosticsError, match=r"not inside the exit ball \(r_exit 2.5\)"):
+            uniqueness_probe(brownian2, variants, x0, [0.5], cfg)
+
     def test_one_ensemble_alive_at_a_time(self, brownian2, monkeypatch):
         # traced from the probe's start: when the third variant's ensemble
         # exists, the first two are gone and only their marginals remain
@@ -319,42 +326,46 @@ def _near_origin(x, t):
 class TestKrylovAudit:
     def test_zero_payload(self, brownian2):
         cfg = SimConfig(dt=2e-3, t_final=0.25, n_paths=500, master_seed=44)
-        audit = krylov_audit(brownian2, (0.0, 0.0), 10.0, 0.25, [_zero], cfg)[0]
-        assert audit.estimate == 0.0
-        assert audit.stderr == 0.0
-        assert audit.ratio == 0.0
+        rep = krylov_audit(brownian2, (0.0, 0.0), 10.0, 0.25, [_zero], cfg)
+        audit, = rep.meta["audits"]
+        assert audit["estimate"] == 0.0
+        assert audit["stderr"] == 0.0
+        assert audit["ratio"] == 0.0
+        assert rep.passed and rep.meta["c_hat"] == 0.0
 
     def test_constant_payload_closed_forms(self, brownian2):
         # no path leaves the ball, so every path integral equals the horizon
         # exactly; the mixed norm has the closed form (pi R^2)^(1/6) T^(1/3)
         cfg = SimConfig(dt=2e-3, t_final=0.25, n_paths=2000, master_seed=44)
-        audit = krylov_audit(brownian2, (0.0, 0.0), 10.0, 0.25, [_one], cfg)[0]
-        assert audit.estimate == pytest.approx(0.25, abs=1e-12)
-        assert audit.stderr <= 1e-12
-        assert audit.meta["exit_fraction"] == 0.0
+        audit, = krylov_audit(brownian2, (0.0, 0.0), 10.0, 0.25, [_one], cfg).meta["audits"]
+        assert audit["estimate"] == pytest.approx(0.25, abs=1e-12)
+        assert audit["stderr"] <= 1e-12
+        assert audit["exit_fraction"] == 0.0
         closed = (math.pi * 100.0) ** (1.0 / 6.0) * 0.25 ** (1.0 / 3.0)
-        assert audit.f_norm == pytest.approx(closed, rel=1e-3)
-        assert math.isfinite(audit.ratio)
+        assert audit["f_norm"] == pytest.approx(closed, rel=1e-3)
+        assert math.isfinite(audit["ratio"])
 
     def test_homogeneity_on_common_paths(self, brownian2):
         cfg = SimConfig(dt=2e-3, t_final=0.25, n_paths=1000, master_seed=44)
-        audits = krylov_audit(
+        rep = krylov_audit(
             brownian2, (0.0, 0.0), 10.0, 0.25, [_one, _near_origin], cfg
         )
-        for audit in audits:
-            hom = audit.meta["homogeneity"]
-            assert hom["estimate_gap"] <= 1e-12
-            assert hom["ratio_gap"] <= 1e-12
+        assert [c.name for c in rep.clauses] == [
+            "ratio_finite[_one]", "homogeneity[_one]",
+            "ratio_finite[_near_origin]", "homogeneity[_near_origin]"]
+        for label in ("_one", "_near_origin"):
+            hom = rep.clause(f"homogeneity[{label}]")
+            assert hom.passed and hom.value <= 1e-12 and hom.threshold == 1e-12
 
     def test_degenerate_family_ratio_stable_in_dt(self):
         rad = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0)
         ratios = {}
         for dt in (4e-3, 2e-3):
             cfg = SimConfig(dt=dt, t_final=0.5, n_paths=2000, master_seed=55)
-            audits = krylov_audit(
+            rep = krylov_audit(
                 rad, (0.0, 0.0), 1.5, 0.5, [_one, _near_origin], cfg
             )
-            ratios[dt] = [a.ratio for a in audits]
+            ratios[dt] = [a["ratio"] for a in rep.meta["audits"]]
         for coarse, fine in zip(ratios[4e-3], ratios[2e-3]):
             assert math.isfinite(coarse) and math.isfinite(fine)
             assert 0.5 <= coarse / fine <= 2.0
@@ -381,21 +392,21 @@ class TestKrylovAudit:
         # leave the ball, so the trapezoid weights stop at many steps
         cfg = SimConfig(dt=5e-3, t_final=1.0, n_paths=2000, master_seed=21)
         payloads = [_one, _near_origin, lambda x, t: np.clip(x[..., 0] * t, -0.3, 0.3)]
-        audits = krylov_audit(brownian2, (0.0, 0.0), 1.0, 1.0, payloads, cfg)
+        rep = krylov_audit(brownian2, (0.0, 0.0), 1.0, 1.0, payloads, cfg)
         ens = simulate_ensemble(brownian2, (0.0, 0.0), replace(cfg, r_exit=1.0))
         assert len(list(ens.row_blocks())) > 1 and 0 < np.mean(ens.exit_step >= 0) < 1
         k, stop = np.arange(201)[None, :], ens.stop_step[:, None]
         ends = (stop > 0) & ((k == 0) | (k == stop))
         weights = 5e-3 * ((k > 0) & (k < stop)) + 2.5e-3 * ends
-        for f, audit in zip(payloads, audits):
+        for f, audit in zip(payloads, rep.meta["audits"]):
             vals = f(ens.states, ens.times[None, :])
             integrals = np.sum(weights * vals, axis=1)
-            assert audit.estimate == float(np.mean(integrals))
-            assert audit.stderr == float(np.std(integrals) / math.sqrt(2000))
+            assert audit["estimate"] == float(np.mean(integrals))
+            assert audit["stderr"] == float(np.std(integrals) / math.sqrt(2000))
             est_scaled = float(np.mean(np.sum(weights * (3.7 * vals), axis=1)))
-            gap = abs(est_scaled - 3.7 * audit.estimate)
-            assert audit.meta["homogeneity"]["estimate_gap"] == gap / (
-                abs(3.7 * audit.estimate) + 1e-300)
+            gap = abs(est_scaled - 3.7 * audit["estimate"])
+            assert rep.clause(f"homogeneity[{audit['label']}]").value == gap / (
+                abs(3.7 * audit["estimate"]) + 1e-300)
 
     def test_payload_integration_peak_memory(self, brownian2, monkeypatch):
         # traced from the moment the audit's ensemble exists: payload values,
@@ -437,6 +448,30 @@ class TestKrylovAudit:
         first_rows = spike(ens.states[: last.start], ens.times[None, :])
         assert np.all(np.isfinite(first_rows))
 
+    @pytest.mark.parametrize("x0", [(2.0, 0.0), (1.5, 0.0)])
+    def test_start_outside_ball_rejected(self, brownian2, x0):
+        # every estimate would be 0 with exit_fraction 1, and the audit pass
+        cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
+        with pytest.raises(DiagnosticsError, match=r"not inside the exit ball \(radius 1.5\)"):
+            krylov_audit(brownian2, x0, 1.5, 0.1, [_one], cfg)
+
+    @pytest.mark.parametrize("payload, radius, norm", [
+        # paths visit the small ball, but no midpoint of the 65-cell grid lies in it
+        ("tiny_ball", 1.5, "0.0"),
+        ("_one", 1e308, "nan"),  # the cell width overflows
+        ("_one", 1e-300, "0.0"),  # the cell volume underflows
+    ])
+    def test_unresolvable_payload_rejected(self, brownian2, payload, radius, norm):
+        def tiny_ball(x, t):
+            return (np.sum((x - 0.023) ** 2, axis=-1) <= 0.015**2).astype(float)
+
+        f = {"tiny_ball": tiny_ball, "_one": _one}[payload]
+        cfg = SimConfig(dt=2e-3, t_final=0.5, n_paths=2000, master_seed=44)
+        with pytest.raises(DiagnosticsError,
+                           match=f"^payload {payload} has mixed norm {norm} against .* "
+                                 "cannot resolve it$"):
+            krylov_audit(brownian2, (0.0, 0.0), radius, 0.5, [f], cfg)
+
     def test_empty_dictionary_rejected(self, brownian2):
         cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
         with pytest.raises(DiagnosticsError, match="empty"):
@@ -454,10 +489,10 @@ BOUNDS4 = ((-4.0, 4.0), (-4.0, 4.0))
 class TestFeynmanKac:
     def test_brownian_triple_agreement(self, brownian2):
         # MC, PDE and the Gaussian convolution closed form all agree
-        dens = solve_density(brownian2, BOUNDS4, 65)
+        grid = BoxGrid(BOUNDS4, 65)
         cfg = SimConfig(dt=2e-3, t_final=0.25, n_paths=20_000, master_seed=71)
         rep = feynman_kac_crosscheck(
-            brownian2, dens, _gauss_quarter, (0.0, 0.0), 0.25, cfg, 2.5e-3
+            brownian2, grid, _gauss_quarter, (0.0, 0.0), 0.25, cfg, 2.5e-3
         )
         assert rep.passed
         m = rep.meta
@@ -471,10 +506,10 @@ class TestFeynmanKac:
         def clipped_x1(x):
             return np.clip(np.asarray(x, dtype=float)[..., 0], -3.0, 3.0)
 
-        dens = solve_density(ou2, BOUNDS4, 65)
+        grid = BoxGrid(BOUNDS4, 65)
         cfg = SimConfig(dt=2e-3, t_final=1.0, n_paths=20_000, master_seed=73)
         rep = feynman_kac_crosscheck(
-            ou2, dens, clipped_x1, (1.0, 0.0), 1.0, cfg, 1e-2
+            ou2, grid, clipped_x1, (1.0, 0.0), 1.0, cfg, 1e-2
         )
         assert rep.passed
         m = rep.meta
@@ -485,10 +520,10 @@ class TestFeynmanKac:
     def test_degenerate_radial_budget(self):
         rad = builtin_family("radial_degenerate", 2, alpha=0.25)
         bump = SmoothBump((0.7, 0.7), 0.1)
-        dens = solve_density(rad, ((-3.0, 3.0), (-3.0, 3.0)), 65)
+        grid = BoxGrid(((-3.0, 3.0), (-3.0, 3.0)), 65)
         cfg = SimConfig(dt=2e-3, t_final=0.25, n_paths=20_000, master_seed=56)
         rep = feynman_kac_crosscheck(
-            rad, dens, lambda x: bump(np.asarray(x, dtype=float)),
+            rad, grid, lambda x: bump(np.asarray(x, dtype=float)),
             (0.5, 0.5), 0.25, cfg, 2.5e-3,
         )
         assert rep.passed
@@ -500,10 +535,10 @@ class TestFeynmanKac:
             x = np.asarray(x, dtype=float)
             return np.exp(-np.sum(x * x, axis=-1) / 8.0)
 
-        dens = solve_density(brownian2, ((-1.0, 1.0), (-1.0, 1.0)), 33)
+        grid = BoxGrid(((-1.0, 1.0), (-1.0, 1.0)), 33)
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=4000, master_seed=75)
         rep = feynman_kac_crosscheck(
-            brownian2, dens, wide, (0.0, 0.0), 0.5, cfg, 5e-3
+            brownian2, grid, wide, (0.0, 0.0), 0.5, cfg, 5e-3
         )
         assert not rep.passed
         assert not rep.clause("box_retains_payload_mass").passed
@@ -526,12 +561,12 @@ class TestFeynmanKac:
             return x[..., 0] * np.exp(-np.sum(x * x, axis=-1))
 
         monkeypatch.setattr(diagnostics, "evolve", measure_then_evolve)
-        dens = solve_density(brownian2, BOUNDS4, 33)
+        grid = BoxGrid(BOUNDS4, 33)
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=200, master_seed=76)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            feynman_kac_crosscheck(brownian2, dens, signed, (0.0, 0.0), 0.5, cfg, 5e-3)
+            feynman_kac_crosscheck(brownian2, grid, signed, (0.0, 0.0), 0.5, cfg, 5e-3)
         finally:
             tracemalloc.stop()
         assert len(calls) == 4
@@ -546,34 +581,34 @@ class TestFeynmanKac:
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x).max(axis=-1) <= 1.0, 1.0, np.nan)
 
-        dens = solve_density(brownian2, ((-1.0, 1.0), (-1.0, 1.0)), 17)
+        grid = BoxGrid(((-1.0, 1.0), (-1.0, 1.0)), 17)
         cfg = SimConfig(dt=1e-2, t_final=0.5, n_paths=200, master_seed=1)
         with pytest.raises(DiagnosticsError,
                            match="payload is non-finite at the Monte-Carlo terminal states"):
-            feynman_kac_crosscheck(brownian2, dens, box_only, (0.5, 0.5), 0.5, cfg, 0.05)
+            feynman_kac_crosscheck(brownian2, grid, box_only, (0.5, 0.5), 0.5, cfg, 0.05)
 
     def test_x0_near_boundary_rejected(self, brownian2):
-        dens = solve_density(brownian2, BOUNDS4, 33)
+        grid = BoxGrid(BOUNDS4, 33)
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
         with pytest.raises(DiagnosticsError, match="inside the box"):
             feynman_kac_crosscheck(
-                brownian2, dens, _gauss_quarter, (4.0, 0.0), 0.5, cfg, 5e-3
+                brownian2, grid, _gauss_quarter, (4.0, 0.0), 0.5, cfg, 5e-3
             )
 
     def test_odd_step_count_rejected(self, brownian2):
-        dens = solve_density(brownian2, BOUNDS4, 33)
+        grid = BoxGrid(BOUNDS4, 33)
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
         with pytest.raises(DiagnosticsError, match="even"):
             feynman_kac_crosscheck(
-                brownian2, dens, _gauss_quarter, (0.0, 0.0), 0.5, cfg, 0.1
+                brownian2, grid, _gauss_quarter, (0.0, 0.0), 0.5, cfg, 0.1
             )
 
     def test_foreign_grid_payload_rejected(self, brownian2):
-        dens = solve_density(brownian2, BOUNDS4, 33)
+        grid = BoxGrid(BOUNDS4, 33)
         other = BoxGrid(((-2.0, 2.0), (-2.0, 2.0)), 33)
         payload = GridField(other, np.ones(other.shape))
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
         with pytest.raises(DiagnosticsError, match="different grid"):
             feynman_kac_crosscheck(
-                brownian2, dens, payload, (0.0, 0.0), 0.5, cfg, 5e-3
+                brownian2, grid, payload, (0.0, 0.0), 0.5, cfg, 5e-3
             )

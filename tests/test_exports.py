@@ -1,8 +1,8 @@
 """The package's public names and the names the shipped scripts import.
 
-Most scripts in ``scripts/`` take seconds, so these checks make a removed or
-renamed export fail here rather than in a script run; the one script that
-runs in about a second on small grids is run end to end.
+These checks make a removed or renamed export fail here rather than in a
+script run; every script is also run end to end at small sizes, each in
+about a second.
 """
 
 import ast
@@ -105,11 +105,32 @@ assert "scipy.sparse.linalg" in stacks()
     assert run.returncode == 0, run.stderr
 
 
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPT_DIR / name), *args],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=120)
+
+
 def test_box_refinement_script_runs():
     # the script solves and audits the density on two nested grids
-    run = subprocess.run([sys.executable, str(SCRIPT_DIR / "box_refinement.py"),
-                          "--n0", "9", "--levels", "2"],
-                         env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    run = _run_script("box_refinement.py", "--n0", "9", "--levels", "2")
     assert run.returncode == 0, run.stderr
     rows = [line.split() for line in run.stdout.splitlines()]
     assert [r[0] for r in rows if r and r[0].isdigit()] == ["9", "17"]
+
+
+@pytest.mark.parametrize("paths, code, verdict", [
+    # 300 paths cannot reject the added drift, so the run fails
+    ("300", 1, "NOT rejected"),
+    ("2000", 0, "rejected as expected"),
+])
+def test_uniqueness_script_control_sets_exit_code(paths, code, verdict):
+    run = _run_script("uniqueness_experiment.py", "--paths", paths, "--dt", "0.01",
+                      "--control")
+    assert run.returncode == code, run.stderr
+    assert f"negative control (added drift): {verdict}" in run.stdout
+
+
+def test_weak_order_script_runs():
+    run = _run_script("weak_order_study.py", "--paths", "500")
+    assert run.returncode == 0, run.stderr
+    assert "successive-difference ratio" in run.stdout
