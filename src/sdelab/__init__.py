@@ -29,7 +29,6 @@ from .density import (
 )
 from .diagnostics import (
     LawVariant,
-    TwoSampleResult,
     feynman_kac_crosscheck,
     krylov_audit,
     marginal_two_sample,
@@ -68,7 +67,6 @@ __all__ = [
     "SimConfig",
     "SpaceTimeField",
     "SmoothBump",
-    "TwoSampleResult",
     "a4prime_check",
     "apply_set_overrides",
     "builtin_family",

@@ -9,7 +9,9 @@ the raw mapping, then calls :meth:`ExperimentConfig.from_dict` once.  That
 one load checks every value, the top-level family and diagnostics entries
 included, by building what it configures, so its owner checks it, and keeps
 what it built (the coefficients, the box grid and each entry's inputs) for
-the runners.  Sizes are checked at load too: every ensemble, grid and stored
+the runners.  A diagnostics entry is checked only by its kind's library
+input check, called once on its keyword arguments, payload included.
+Sizes are checked at load too: every ensemble, grid and stored
 set of time slices a config asks for must have a shape numpy can represent.
 Loading never rewrites the raw entries: a parsed config serializes back to an
 equivalent dict, and its canonical-JSON digest identifies the experiment.
@@ -217,8 +219,7 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
                         for j, v in enumerate(_listed(entry, "variants"))]
             inputs = {"variants": variants, "x0": x0, "t_checks": entry["t_checks"],
                       "cfg": sim, **_given(entry, "level")}
-            for cfg in uniqueness_configs(**inputs):
-                cfg.states_shape(dim)
+            check = uniqueness_configs
         elif kind == "krylov":
             payloads = []
             for j, s in enumerate(_listed(entry, "payloads")):
@@ -228,16 +229,16 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
                 payloads.append(build_spacetime_payload(s, dim, label, at))
             inputs = {"x0": x0, "radius": entry["radius"], "t_final": entry["t_final"],
                       "f_dictionary": payloads, "cfg": _entry_sim(sim, entry, "dt")}
-            krylov_config(**inputs).states_shape(dim)
+            check = krylov_config
         else:
             grid_n = entry.get("grid_n", grid.n)
             inputs = {"grid": _box_grid(grid.bounds, grid_n, "grid_n"),
+                      "f0": build_payload(entry["payload"], dim),
                       "x0": x0, "t_final": entry["t_final"],
                       "cfg": _entry_sim(sim, entry, "mc_dt"),
                       "pde_dt": entry["pde_dt"]}
-            _, mc_cfg, _ = feynman_kac_config(**inputs)
-            mc_cfg.states_shape(dim)
-            inputs["f0"] = build_payload(entry["payload"], dim)
+            check = feynman_kac_config
+        check(**inputs)
         return inputs
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None

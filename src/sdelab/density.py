@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .grids import BoxGrid, GridField, default_bump_dictionary
+from .grids import BoxGrid, GridField, allocating, default_bump_dictionary
 from .reporting import DiagnosticReport
 
 
@@ -282,13 +282,11 @@ def solve_density(c: CoefficientSet, bounds, n) -> DensityField:
     if grid.dim != c.dim:
         raise DensityError("bounds dimension does not match the coefficients")
 
-    try:
+    # the node points are the first of the scheme's arrays
+    with allocating(f"the points of {math.prod(grid.n)} nodes", grid.n + (grid.dim,),
+                    DensityError):
         faces = _FaceScheme(c, grid)
         K = faces.assemble()
-    except MemoryError:
-        nodes = math.prod(grid.n)
-        raise DensityError(f"grid {list(grid.n)} of {nodes} nodes needs more memory "
-                           "than can be allocated") from None
 
     anchor = tuple(int(np.argmin(np.abs(ax - x))) for ax, x in zip(grid.axes(), grid.center))
     anchor_flat = int(np.ravel_multi_index(anchor, grid.shape))

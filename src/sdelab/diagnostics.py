@@ -15,9 +15,10 @@ expectation with the parabolic solve of the same quantity, with an error
 budget built from the Monte-Carlo standard error and Richardson differences
 of the PDE value in space and time.
 
-Each audit returns the :class:`DiagnosticReport` its report file carries;
-the two-sample test is the one measurement with a typed result.  A start on
-or outside an audit's exit ball, where every path stops at once, is refused.
+Each audit returns the :class:`DiagnosticReport` its report file carries,
+and the two-sample test a plain dict.  One function checks each audit's
+inputs (``uniqueness_configs``, ``krylov_config``, ``feynman_kac_config``),
+and the config load calls it too, so what an audit refuses is refused at load.
 
 All randomness beyond the ensembles themselves (permutations, subsampling) is
 seeded from content digests of the inputs, so repeated runs and swapped
@@ -36,8 +37,8 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .density import psi_weights, solve_density
 from .grids import (
-    BoxGrid, GridField, finite_point, finite_real, finite_values, grid_values,
-    step_count,
+    BoxGrid, GridField, finite_point, finite_real, finite_values,
+    grid_values, step_count,
 )
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
@@ -149,30 +150,6 @@ def _normalized(raw: float, critical: float) -> float:
     return raw / critical
 
 
-@dataclass(frozen=True)
-class TwoSampleResult:
-    """Combined marginal comparison at one time.
-
-    ``statistic`` is the worst test statistic in units of its critical
-    value (so the common ``threshold`` is 1); ``breakdown`` lists every
-    component test with its raw statistic and critical value.
-    """
-
-    statistic: float
-    n1: int
-    n2: int
-    threshold: float
-    reject: bool
-    level: float
-    breakdown: tuple
-
-    def __post_init__(self):
-        if self.statistic < 0:
-            raise DiagnosticsError("statistic must be nonnegative")
-        if self.reject != (self.statistic > self.threshold):
-            raise DiagnosticsError("reject flag inconsistent with statistic")
-
-
 def _marginal_sample(sample, name: str) -> np.ndarray:
     """``sample`` as a float ``(n, d)`` array: 2-D, non-empty and finite."""
     try:
@@ -188,13 +165,15 @@ def _marginal_sample(sample, name: str) -> np.ndarray:
     return arr
 
 
-def marginal_two_sample(x, y, level: float = 0.01) -> TwoSampleResult:
+def marginal_two_sample(x, y, level: float = 0.01) -> dict:
     """Test equality of the laws behind two marginal samples.
 
     ``x`` and ``y`` are ``(n, d)`` samples, for example ``e.state_at(t)``
     of two ensembles.  Runs one Kolmogorov-Smirnov test per coordinate and
-    one joint energy-distance test, each at ``level / (d + 1)``; the result
-    rejects when any component exceeds its critical value.  KS critical
+    one joint energy-distance test, each at ``level / (d + 1)``.  Returns
+    ``{"statistic", "reject", "breakdown"}``: the largest ``normalized``
+    quotient of a component's raw statistic by its critical value, whether
+    it exceeds 1, and every component.  KS critical
     values are asymptotic for sample sizes of at least 1000 and
     permutation-calibrated below that; the energy test is always
     permutation-calibrated (199 permutations, at most 1024 points subsampled
@@ -238,15 +217,8 @@ def marginal_two_sample(x, y, level: float = 0.01) -> TwoSampleResult:
                 stats[i] = _ks_statistic(pooled[perm[:m1]], pooled[perm[m1:]])
             crit = _perm_quantile(stats, alpha)
             method = "permutation"
-        breakdown.append(
-            {
-                "name": f"ks_coordinate_{j}",
-                "statistic": raw,
-                "critical": crit,
-                "normalized": _normalized(raw, crit),
-                "method": method,
-            }
-        )
+        breakdown.append({"name": f"ks_coordinate_{j}", "statistic": raw, "critical": crit,
+                          "normalized": _normalized(raw, crit), "method": method})
 
     xs = _subsample(x, hx)
     ys = _subsample(y, hy)
@@ -256,27 +228,12 @@ def marginal_two_sample(x, y, level: float = 0.01) -> TwoSampleResult:
     rng = permutation_rng(derive_seed(seed, d))
     stats = _energy_perm_stats(dist, len(xs), rng, _PERMUTATIONS)
     crit = _perm_quantile(stats, alpha)
-    breakdown.append(
-        {
-            "name": "energy",
-            "statistic": raw,
-            "critical": crit,
-            "normalized": _normalized(raw, crit),
-            "method": "permutation",
-            "subsample": [len(xs), len(ys)],
-        }
-    )
+    breakdown.append({"name": "energy", "statistic": raw, "critical": crit,
+                      "normalized": _normalized(raw, crit), "method": "permutation",
+                      "subsample": [len(xs), len(ys)]})
 
     statistic = max(entry["normalized"] for entry in breakdown)
-    return TwoSampleResult(
-        statistic=statistic,
-        n1=n1,
-        n2=n2,
-        threshold=1.0,
-        reject=statistic > 1.0,
-        level=level,
-        breakdown=tuple(breakdown),
-    )
+    return {"statistic": statistic, "reject": statistic > 1.0, "breakdown": breakdown}
 
 
 def _subsample(sample: np.ndarray, digest_hex: str) -> np.ndarray:
@@ -308,10 +265,10 @@ def uniqueness_configs(
     variants: Sequence[LawVariant], x0, t_checks, cfg: SimConfig, level: float = 0.01
 ) -> list:
     """Checked inputs of :func:`uniqueness_probe`: one ensemble config per
-    variant.  Variant labels are distinct; ``x0`` lies inside ``cfg.r_exit``;
-    every check time lies on every variant's step grid, within its horizon,
-    and no two check times share a step of any variant's grid; ``level``
-    lies in ``(0, 1)``."""
+    variant, whose states numpy can represent.  Variant labels are distinct;
+    ``x0`` lies inside ``cfg.r_exit``; every check time lies on every
+    variant's step grid, within its horizon, and no two check times share a
+    step of any variant's grid; ``level`` lies in ``(0, 1)``."""
     _start_inside(x0, cfg.r_exit, "r_exit")
     if len(variants) < 2:
         raise DiagnosticsError("need at least two variants to compare")
@@ -328,6 +285,7 @@ def uniqueness_configs(
         name = f"dt of {var.label}"
         dt = cfg.dt if var.dt is None else finite_real(var.dt, name, DiagnosticsError)
         configs.append(replace(cfg, master_seed=derive_seed(cfg.master_seed, i), dt=dt))
+        configs[-1].states_shape(len(x0))
         steps = {}
         for t in t_checks:
             k = step_count(t, dt, DiagnosticsError, "t", name)
@@ -420,26 +378,17 @@ def uniqueness_probe(
                 res = marginal_two_sample(
                     marginals[i][k], marginals[j][k], level=per_test
                 )
-                worst = max(res.breakdown, key=lambda e: e["normalized"])
+                worst = max(res["breakdown"], key=lambda e: e["normalized"])
                 name = (
                     f"no_rejection[{variants[i].label}|{variants[j].label}]"
                     f"@t={t:g}"
                 )
-                report.add(
-                    name,
-                    not res.reject,
-                    value=res.statistic,
-                    threshold=res.threshold,
-                    detail=f"worst component {worst['name']}",
-                )
-                report.meta["comparisons"].append(
-                    {
-                        "pair": [variants[i].label, variants[j].label],
-                        "t": t,
-                        "statistic": res.statistic,
-                        "breakdown": list(res.breakdown),
-                    }
-                )
+                report.add(name, not res["reject"], value=res["statistic"], threshold=1.0,
+                           detail=f"worst component {worst['name']}")
+                report.meta["comparisons"].append({
+                    "pair": [variants[i].label, variants[j].label], "t": t,
+                    "statistic": res["statistic"], "breakdown": res["breakdown"],
+                })
 
     max_occ = max(v["occupation_exact_max"] for v in variant_meta)
     if max_occ == 0.0:
@@ -474,13 +423,21 @@ def _payload_values(f: Callable, x, t, shape: tuple, label: str, where: str) -> 
                          "; the audit needs functions bounded on the ball-time window")
 
 
+def _quadrature_cell(radius: float, dim: int) -> tuple:
+    """Side ``h`` and volume ``h**dim`` of a cell of the Krylov quadrature
+    (the volume is inf or 0 where it overflows or underflows)."""
+    h = 2.0 * radius / _QUAD_SPACE
+    with np.errstate(over="ignore"):
+        return h, np.float64(h) ** dim
+
+
 def _mixed_norm(f: Callable, radius: float, t_final: float, dim: int, label: str) -> float:
     """Midpoint quadrature of the ``L^{2d+2}`` in space, ``L^{d+1}`` in time
-    norm of ``f`` over the centered ball times ``(0, t_final)`` (not finite,
-    or 0, when the cell volume overflows or underflows)."""
+    norm of ``f`` over the centered ball times ``(0, t_final)`` (not finite
+    when the payload's powers overflow)."""
     q = 2 * dim + 2
     r = dim + 1
-    h = 2.0 * radius / _QUAD_SPACE
+    h, cell = _quadrature_cell(radius, dim)
     t_axis = (np.arange(_QUAD_TIME) + 0.5) * (t_final / _QUAD_TIME)
     accum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -488,7 +445,6 @@ def _mixed_norm(f: Callable, radius: float, t_final: float, dim: int, label: str
         mesh = np.meshgrid(*([axis] * dim), indexing="ij")
         pts = np.stack(mesh, axis=-1).reshape(-1, dim)
         pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-        cell = np.float64(h) ** dim
         for t in t_axis:
             vals = _payload_values(
                 f, pts, np.full(len(pts), t), (len(pts),), label, "on quadrature points"
@@ -502,13 +458,21 @@ def krylov_config(
     x0, radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig
 ) -> SimConfig:
     """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
-    at ``radius`` and run to ``t_final``; ``x0`` lies inside the ball."""
+    at ``radius`` and run to ``t_final``, whose states numpy can represent;
+    ``x0`` lies inside the ball, and a quadrature cell's volume is a
+    positive float."""
     radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
     _start_inside(x0, radius, "radius")
     if not f_dictionary:
         raise DiagnosticsError("payload dictionary is empty")
+    cell = _quadrature_cell(radius, len(x0))[1]
+    if not 0.0 < cell < math.inf:
+        raise DiagnosticsError(f"radius {radius} gives quadrature cells of volume {cell}: "
+                               "the mixed norms need a finite positive volume")
     t_final = finite_real(t_final, "t_final", DiagnosticsError)
-    return replace(cfg, t_final=t_final, r_exit=radius)
+    cfg_run = replace(cfg, t_final=t_final, r_exit=radius)
+    cfg_run.states_shape(len(x0))
+    return cfg_run
 
 
 def krylov_audit(
@@ -582,11 +546,12 @@ def _point_value(grid: BoxGrid, values: np.ndarray, x0: np.ndarray) -> float:
 
 
 def feynman_kac_config(
-    grid: BoxGrid, x0, t_final: float, cfg: SimConfig, pde_dt: float
+    grid: BoxGrid, f0, x0, t_final: float, cfg: SimConfig, pde_dt: float
 ) -> tuple:
     """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
-    start point, the Monte-Carlo config and the once-coarsened grid of the
-    spatial error estimate."""
+    payload's node values, not 0 at every node, the start point, the
+    Monte-Carlo config, whose states numpy can represent, and the
+    once-coarsened grid of the spatial error estimate."""
     if not isinstance(grid, BoxGrid):
         raise DiagnosticsError(f"grid must be a BoxGrid, got {type(grid).__name__}")
     x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
@@ -604,7 +569,15 @@ def feynman_kac_config(
     slices_shape(grid, t_final, pde_dt, DiagnosticsError)
     # the comparison is defined for the free dynamics: a configured exit
     # radius would freeze Monte-Carlo paths the PDE side keeps evolving
-    return x0, replace(cfg, t_final=float(t_final), r_exit=None), grid.coarsen()
+    cfg_run = replace(cfg, t_final=float(t_final), r_exit=None)
+    cfg_run.states_shape(grid.dim)
+    f_vals = grid_values(f0, grid, DiagnosticsError)
+    # rho, psi and the cell volumes are positive, so this is exactly a
+    # payload without mass on the box
+    if not np.any(f_vals):
+        raise DiagnosticsError("payload is 0 at every node of the grid, so it "
+                               "carries no mass on the box")
+    return f_vals, x0, cfg_run, grid.coarsen()
 
 
 def feynman_kac_crosscheck(
@@ -633,9 +606,8 @@ def feynman_kac_crosscheck(
     makes the comparison inconclusive; the report then fails with an
     explicit instruction to enlarge the box.
     """
-    x0, cfg_run, grid_c = feynman_kac_config(grid, x0, t_final, cfg, pde_dt)
+    f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt)
     dens = solve_density(c, grid.bounds, grid.n)
-    f_vals = grid_values(f0, grid, DiagnosticsError)
     f_eval = f0.interpolate if isinstance(f0, GridField) else f0
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
     terminal = finite_values(f_eval(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",
@@ -674,7 +646,7 @@ def feynman_kac_crosscheck(
         u_abs = final_slice(dens, grid, np.abs(f_vals), pde_dt)
         mass0 = float(np.sum(station * np.abs(f_vals)))
         mass_t = float(np.sum(station * u_abs))
-    if mass0 <= 0.0:
+    if mass0 <= 0.0:  # node values too small for their mass to be a float
         raise DiagnosticsError("payload carries no mass on the box")
     leakage = 1.0 - mass_t / mass0
 

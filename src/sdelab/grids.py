@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -87,9 +88,9 @@ def squared_norm(x: np.ndarray) -> np.ndarray:
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-def _short(v: int) -> str:
-    s = str(v)
-    return s if len(s) <= 12 else f"{s[0]}.{s[1:4]}e{len(s) - 1}"
+def _dims(shape) -> str:
+    digits = map(str, shape)
+    return " x ".join(s if len(s) <= 12 else f"{s[0]}.{s[1:4]}e{len(s) - 1}" for s in digits)
 
 
 def array_shape(shape, what: str, error=ValueError) -> tuple:
@@ -97,7 +98,7 @@ def array_shape(shape, what: str, error=ValueError) -> tuple:
 
     Representable means no more axes than numpy allows and at most
     ``np.intp`` max bytes.  Whether that much memory can be had is left to
-    the allocation, which raises ``MemoryError``.
+    the allocation, under :func:`allocating`.
     """
     shape = tuple(int(v) for v in shape)
     try:
@@ -106,10 +107,21 @@ def array_shape(shape, what: str, error=ValueError) -> tuple:
         raise error(f"{what} would have {len(shape)} axes, "
                     "more than numpy allows") from None
     if math.prod(shape) * 8 > _INTP_MAX:
-        dims = " x ".join(map(_short, shape))
-        raise error(f"{what} of shape {dims} cannot be a numpy array "
+        raise error(f"{what} of shape {_dims(shape)} cannot be a numpy array "
                     f"(more than {_INTP_MAX} bytes)")
     return shape
+
+
+@contextmanager
+def allocating(what: str, shape: tuple, error=ValueError):
+    """Run the block, turning a ``MemoryError`` into ``error`` that names
+    ``what`` is allocated, a float64 array of ``shape``, and its size."""
+    try:
+        yield
+    except MemoryError:
+        raise error(f"{what} of shape {_dims(shape)} need "
+                    f"{math.prod(shape) * 8 / 2**30:.4g} GiB, more than can be "
+                    "allocated") from None
 
 
 def box_bounds(bounds, name: str, error=ValueError) -> np.ndarray:
@@ -307,7 +319,9 @@ def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
             raise error("datum lives on a different grid")
         values = np.array(f0.values, dtype=float)
     elif callable(f0):
-        values = np.asarray(f0(grid.points()), dtype=float)
+        with allocating(f"the points of {math.prod(grid.n)} nodes", grid.n + (grid.dim,),
+                        error):
+            values = np.asarray(f0(grid.points()), dtype=float)
     else:
         raise error("datum must be a GridField or a callable")
     if values.shape != grid.shape:
@@ -407,11 +421,6 @@ class SmoothBump:
                         bp[..., k] / r[k] * bp[..., l] / r[l] * keep
                     )
         return out
-
-    def support_bounds(self) -> np.ndarray:
-        c = np.array(self.center)
-        r = np.array(self.radius) * _SMOOTH_CUTOFF
-        return np.stack([c - r, c + r], axis=1)
 
 
 def default_bump_dictionary(grid: BoxGrid) -> list:

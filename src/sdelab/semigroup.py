@@ -30,14 +30,14 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights
-from .grids import BoxGrid, array_shape, grid_values, step_count
+from .grids import BoxGrid, allocating, array_shape, grid_values, step_count
 from .reporting import DiagnosticReport
 
 
 _SLACK = 1e-10  # rounding allowed in the contraction audit's monotone norms
 
 
-class SemigroupError(RuntimeError):
+class SemigroupError(ValueError):
     """Raised for ill-posed evolution setups."""
 
 
@@ -136,7 +136,8 @@ def evolve(
     """Backward-Euler solution of the weighted parabolic equation.
 
     ``f0`` is a :class:`GridField` on the density's grid or a callable
-    evaluated at the nodes.  All time slices are stored.
+    evaluated at the nodes.  All time slices are stored; a stack that
+    cannot be allocated is a :class:`SemigroupError`.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -153,17 +154,14 @@ def evolve(
     system = sp.diags(m_int) + dt * S_int
     solver = spla.splu(system.tocsc())
 
-    values = np.zeros(shape)
+    with allocating("time slices", shape, SemigroupError):
+        values = np.zeros(shape)
     values[0] = u0
+    flat = values.reshape(shape[0], -1)
     u = u0.ravel()[interior]
-    buf = np.zeros(int(np.prod(grid.shape)))
     for k in range(1, shape[0]):
         u = solver.solve(m_int * u)
-        if not np.all(np.isfinite(u)):
-            raise SemigroupError(f"linear solve produced non-finite slice {k}")
-        buf[:] = 0.0
-        buf[interior] = u
-        values[k] = buf.reshape(grid.shape)
+        flat[k, interior] = u
 
     times = dt * np.arange(shape[0])
     return SpaceTimeField(grid=grid, times=times, values=values)

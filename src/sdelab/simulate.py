@@ -34,8 +34,8 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .grids import (
-    array_shape, finite_point, finite_real, finite_values, integer, squared_norm,
-    step_count,
+    allocating, array_shape, finite_point, finite_real, finite_values, integer,
+    squared_norm, step_count,
 )
 from .rng import block_normals
 
@@ -264,15 +264,11 @@ def simulate_ensemble(
 
     n, n_steps, d = cfg.n_paths, cfg.n_steps, c.dim
     shape = cfg.states_shape(d)
-    try:
+    with allocating("states", shape, SimulationError):
         states = np.empty(shape)
         exit_step = np.empty(n, dtype=np.int64)
         exploded_step = np.empty(n, dtype=np.int64)
         occupation = np.zeros((len(eps), n))
-    except MemoryError:
-        gib = n * (n_steps + 1) * d * 8 / 2**30
-        raise SimulationError(f"states of shape {shape} need {gib:.4g} GiB, "
-                              "more than can be allocated") from None
 
     def run(idx: np.ndarray) -> None:
         sl = slice(int(idx[0]), int(idx[-1]) + 1)

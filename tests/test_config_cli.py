@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -597,6 +598,11 @@ _BAD_VALUES = [
     ("diagnose", "diagnostics.1.x0=[2.6,0]"),
     ("diagnose", "diagnostics.1.x0=[0,2.5]"),
     ("diagnose", "diagnostics.2.x0=[2.0,0]"),
+    # Krylov quadrature cells whose volume overflows or underflows
+    ("diagnose", "diagnostics.2.radius=1e200"),
+    ("diagnose", "diagnostics.2.radius=1e-300"),
+    # a Feynman-Kac payload 0 at every node carries no mass to compare
+    ("diagnose", 'diagnostics.3.payload={"type":"bump","center":[2.9,2.9],"radius":0.0001}'),
     # piecewise cells: non-finite values and bounds, empty boxes, missing keys
     *(("check", 'family={"name":"piecewise_weight","params":{"cells":[%s]}}' % cell)
       for cell in ('{"bounds":[[-1,0],[-1,0]],"value":NaN}',
@@ -670,9 +676,14 @@ class TestInputBoundary:
 
     def test_unallocatable_density_grid_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # The node arrays of a 100001 x 100001 grid need ~75 GiB; the refusal is
-        # simulated, so the test never asks for that memory.
+        # simulated, so the test never asks for that memory.  Smaller grids, such
+        # as the Feynman-Kac entry's payload grid evaluated at load, are built.
+        points = BoxGrid.points
+
         def refuse(grid):
-            raise MemoryError(f"Unable to allocate the nodes of {grid.n}")
+            if math.prod(grid.n) > 10**8:
+                raise MemoryError(f"Unable to allocate the nodes of {grid.n}")
+            return points(grid)
 
         monkeypatch.setattr(BoxGrid, "points", refuse)
         out = tmp_path / "out"
@@ -683,6 +694,32 @@ class TestInputBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "10000200001 nodes" in err
         assert not out.exists() or not os.listdir(out)
+
+    def test_unallocatable_slice_stack_is_usage_error(self, tmp_path, capsys):
+        # 6e12 slices of 65 x 65 nodes: about 180 PiB, more than any 57-bit
+        # address space, so the allocation fails without touching memory
+        out = tmp_path / "out"
+        rc = main(["semigroup", "--config", str(EXAMPLE_CONFIG),
+                   "--set", "diagnostics.0.t_final=3e10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: time slices of shape 6.000e12 x 65 x 65 need ")
+        assert err.endswith(" GiB, more than can be allocated\n")
+        assert not out.exists() or not os.listdir(out)
+
+    def test_unallocatable_payload_grid_is_config_error(self):
+        # the node points of 300001^3 nodes: each coordinate array needs about
+        # 192 PiB, so evaluating the Feynman-Kac payload at load fails at once
+        raw = base_config(diagnostics=[{
+            "kind": "feynman_kac", "payload": {"type": "one"}, "x0": [0.0, 0.0, 0.0],
+            "t_final": 0.5, "pde_dt": 0.25, "grid_n": 300001,
+        }])
+        raw["box"]["bounds"] = [[-3.0, 3.0]] * 3
+        raw["sim"]["x0"] = [0.0, 0.0, 0.0]
+        with pytest.raises(ConfigError, match=r"^diagnostics\[0\]: the points of "
+                           r"27000270000900001 nodes of shape 300001 x 300001 x 300001 x 3 "
+                           r"need .* GiB, more than can be allocated$"):
+            ExperimentConfig.from_dict(raw)
 
     def test_entry_step_override_only_needs_its_own_horizon(self):
         # the krylov horizon 0.6 is a multiple of dt 0.3; the sim horizon is not

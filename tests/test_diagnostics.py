@@ -20,7 +20,6 @@ from sdelab.coefficients import (
 from sdelab.diagnostics import (
     DiagnosticsError,
     LawVariant,
-    TwoSampleResult,
     feynman_kac_crosscheck,
     krylov_audit,
     marginal_two_sample,
@@ -63,39 +62,23 @@ def _ensemble(c, n_paths, master_seed, dt=0.05, t_final=1.0, x0=(0.0, 0.0)):
     return simulate_ensemble(c, x0, cfg)
 
 
-class TestTwoSampleResult:
-    def test_inconsistent_reject_flag_rejected(self):
-        with pytest.raises(DiagnosticsError, match="inconsistent"):
-            TwoSampleResult(
-                statistic=0.5, n1=10, n2=10, threshold=1.0, reject=True,
-                level=0.05, breakdown=(),
-            )
-
-    def test_negative_statistic_rejected(self):
-        with pytest.raises(DiagnosticsError, match="nonnegative"):
-            TwoSampleResult(
-                statistic=-0.1, n1=10, n2=10, threshold=1.0, reject=False,
-                level=0.05, breakdown=(),
-            )
-
-
 class TestMarginalTwoSample:
     def test_identical_ensembles_give_zero(self, brownian2):
         e1 = _ensemble(brownian2, 2000, 11)
         e2 = _ensemble(brownian2, 2000, 11)
         res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
-        assert res.statistic == 0.0
-        assert not res.reject
-        assert all(entry["statistic"] == 0.0 for entry in res.breakdown)
+        assert res["statistic"] == 0.0
+        assert not res["reject"]
+        assert all(entry["statistic"] == 0.0 for entry in res["breakdown"])
 
     def test_independent_null_accepts(self, brownian2):
         e1 = _ensemble(brownian2, 10_000, derive_seed(11, 1))
         e2 = _ensemble(brownian2, 10_000, derive_seed(11, 2))
         res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
-        assert not res.reject
-        assert res.statistic <= 1.0
-        assert res.n1 == res.n2 == 10_000
-        for entry in res.breakdown[:2]:
+        assert set(res) == {"statistic", "reject", "breakdown"}
+        assert not res["reject"]
+        assert res["statistic"] <= 1.0
+        for entry in res["breakdown"][:2]:
             assert entry["method"] == "asymptotic"
 
     def test_energy_level_below_permutation_resolution(self, brownian2):
@@ -104,7 +87,7 @@ class TestMarginalTwoSample:
         e1 = _ensemble(brownian2, 1500, derive_seed(12, 1))
         e2 = _ensemble(brownian2, 1500, derive_seed(12, 2))
         res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
-        energy = res.breakdown[-1]
+        energy = res["breakdown"][-1]
         assert energy["name"] == "energy"
         assert math.isinf(energy["critical"])
         assert energy["normalized"] == 0.0
@@ -114,9 +97,9 @@ class TestMarginalTwoSample:
         e2 = _ensemble(brownian2, 1200, derive_seed(13, 2))
         r12 = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.05)
         r21 = marginal_two_sample(e2.state_at(1.0), e1.state_at(1.0), level=0.05)
-        assert r12.statistic == r21.statistic
-        assert r12.reject == r21.reject
-        for a, b in zip(r12.breakdown, r21.breakdown):
+        assert r12["statistic"] == r21["statistic"]
+        assert r12["reject"] == r21["reject"]
+        for a, b in zip(r12["breakdown"], r21["breakdown"]):
             assert a["statistic"] == b["statistic"]
             assert a["critical"] == b["critical"]
 
@@ -125,8 +108,8 @@ class TestMarginalTwoSample:
         e1 = _ensemble(brownian2, 10_000, derive_seed(11, 1))
         e2 = _ensemble(drifted, 10_000, derive_seed(11, 2))
         res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.01)
-        assert res.reject
-        worst = max(res.breakdown, key=lambda e: e["normalized"])
+        assert res["reject"]
+        worst = max(res["breakdown"], key=lambda e: e["normalized"])
         assert worst["name"] == "ks_coordinate_0"
         assert worst["normalized"] > 5.0
 
@@ -136,20 +119,20 @@ class TestMarginalTwoSample:
         shifted = _ensemble(half, 400, derive_seed(11, 4))
         null = _ensemble(brownian2, 400, derive_seed(11, 4))
         res = marginal_two_sample(e1.state_at(1.0), shifted.state_at(1.0), level=0.05)
-        assert res.reject
-        assert res.breakdown[0]["method"] == "permutation"
+        assert res["reject"]
+        assert res["breakdown"][0]["method"] == "permutation"
         res0 = marginal_two_sample(e1.state_at(1.0), null.state_at(1.0), level=0.05)
-        assert not res0.reject
+        assert not res0["reject"]
 
     def test_energy_detects_pure_dependence(self, brownian2):
         # equal marginals, different joint law: KS blind, energy decisive
         e1 = _ensemble(brownian2, 4096, derive_seed(21, 1))
         e2 = _ensemble(_comonotone_2d(), 4096, derive_seed(21, 2))
         res = marginal_two_sample(e1.state_at(1.0), e2.state_at(1.0), level=0.05)
-        assert res.reject
-        worst = max(res.breakdown, key=lambda e: e["normalized"])
+        assert res["reject"]
+        worst = max(res["breakdown"], key=lambda e: e["normalized"])
         assert worst["name"] == "energy"
-        assert all(e["normalized"] <= 1.0 for e in res.breakdown[:2])
+        assert all(e["normalized"] <= 1.0 for e in res["breakdown"][:2])
 
     def test_dimension_mismatch_rejected(self, brownian2):
         b3 = builtin_family("brownian", 3)
@@ -298,6 +281,24 @@ class TestUniquenessProbe:
         assert len(held) == 3
         states_nbytes, at_third = held[2]
         assert at_third - base < 1.5 * states_nbytes
+
+    def test_comparisons_carry_what_the_two_sample_test_returns(self, brownian2):
+        # each comparison is the test's own dict on the same marginals, at the
+        # per-comparison level, with the pair and the time added
+        drifted = builtin_family("brownian", 2, drift=(0.5, 0.0))
+        cfg = SimConfig(dt=0.05, t_final=0.5, n_paths=300, master_seed=37)
+        variants = [LawVariant("a"), LawVariant("drift", c=drifted)]
+        t_checks = [0.25, 0.5]
+        rep = uniqueness_probe(brownian2, variants, (0.0, 0.0), t_checks, cfg, level=0.02)
+        configs = diagnostics.uniqueness_configs(variants, (0.0, 0.0), t_checks, cfg)
+        a, b = (simulate_ensemble(v.c if v.c is not None else brownian2, (0.0, 0.0), c)
+                for v, c in zip(variants, configs))
+        assert len(rep.meta["comparisons"]) == len(t_checks)
+        for comparison, t in zip(rep.meta["comparisons"], t_checks):
+            res = marginal_two_sample(a.state_at(t), b.state_at(t), level=0.01)
+            assert comparison == {"pair": ["a", "drift"], "t": t,
+                                  "statistic": res["statistic"],
+                                  "breakdown": res["breakdown"]}
 
     def test_common_seed_null_set_variants_bitwise_identical(self):
         # representatives differing only on the (never-visited) degeneracy
@@ -458,8 +459,6 @@ class TestKrylovAudit:
     @pytest.mark.parametrize("payload, radius, norm", [
         # paths visit the small ball, but no midpoint of the 65-cell grid lies in it
         ("tiny_ball", 1.5, "0.0"),
-        ("_one", 1e308, "nan"),  # the cell width overflows
-        ("_one", 1e-300, "0.0"),  # the cell volume underflows
     ])
     def test_unresolvable_payload_rejected(self, brownian2, payload, radius, norm):
         def tiny_ball(x, t):
@@ -471,6 +470,20 @@ class TestKrylovAudit:
                            match=f"^payload {payload} has mixed norm {norm} against .* "
                                  "cannot resolve it$"):
             krylov_audit(brownian2, (0.0, 0.0), radius, 0.5, [f], cfg)
+
+    @pytest.mark.parametrize("radius, volume", [
+        (1e308, "inf"),  # the cell width overflows
+        (1e200, "inf"),  # the cell volume overflows
+        (1e-300, "0.0"),  # the cell volume underflows
+    ])
+    def test_radius_without_a_cell_volume_rejected(self, brownian2, radius, volume):
+        # refused by the input check, before any path is stepped
+        cfg = SimConfig(dt=2e-3, t_final=0.5, n_paths=50, master_seed=44)
+        with pytest.raises(DiagnosticsError, match=re.escape(
+                f"radius {radius} gives quadrature cells of volume {volume}: ")):
+            diagnostics.krylov_config((0.0, 0.0), radius, 0.5, [_one], cfg)
+        with pytest.raises(DiagnosticsError, match="quadrature cells of volume"):
+            krylov_audit(brownian2, (0.0, 0.0), radius, 0.5, [_one], cfg)
 
     def test_empty_dictionary_rejected(self, brownian2):
         cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
@@ -603,6 +616,15 @@ class TestFeynmanKac:
                 brownian2, grid, _gauss_quarter, (0.0, 0.0), 0.5, cfg, 0.1
             )
 
+    def test_payload_zero_at_every_node_rejected(self, brownian2):
+        # the bump's support lies between nodes: the payload has no mass on
+        # the box, refused by the input check before any path is stepped
+        bump = SmoothBump((0.3, 0.3), 0.001)
+        grid = BoxGrid(BOUNDS4, 17)
+        cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
+        with pytest.raises(DiagnosticsError, match="payload is 0 at every node"):
+            feynman_kac_crosscheck(brownian2, grid, bump, (0.0, 0.0), 0.5, cfg, 0.05)
+
     def test_foreign_grid_payload_rejected(self, brownian2):
         grid = BoxGrid(BOUNDS4, 33)
         other = BoxGrid(((-2.0, 2.0), (-2.0, 2.0)), 33)
@@ -612,3 +634,19 @@ class TestFeynmanKac:
             feynman_kac_crosscheck(
                 brownian2, grid, payload, (0.0, 0.0), 0.5, cfg, 5e-3
             )
+
+
+_UNREPRESENTABLE = SimConfig(dt=0.1, t_final=0.5, n_paths=10**18, master_seed=1)
+
+
+@pytest.mark.parametrize("check", [
+    lambda cfg: diagnostics.uniqueness_configs(
+        [LawVariant("a"), LawVariant("b")], (0.0, 0.0), [0.5], cfg),
+    lambda cfg: diagnostics.krylov_config((0.0, 0.0), 1.0, 0.5, [_one], cfg),
+    lambda cfg: diagnostics.feynman_kac_config(
+        BoxGrid(BOUNDS4, 17), _gauss_quarter, (0.0, 0.0), 0.5, cfg, 0.05),
+], ids=["uniqueness", "krylov", "feynman_kac"])
+def test_input_check_refuses_unrepresentable_ensemble(check):
+    # each audit's one input check, also the config load's, sizes its ensembles
+    with pytest.raises(ValueError, match=r"^states of shape 1\.000e18 x 6 x 2 cannot be"):
+        check(_UNREPRESENTABLE)

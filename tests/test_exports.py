@@ -8,6 +8,7 @@ about a second.
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -35,6 +36,19 @@ def test_all_lists_exactly_the_public_names():
     }
     assert set(sdelab.__all__) == public
     assert len(sdelab.__all__) == len(set(sdelab.__all__))
+
+
+def test_every_error_class_is_a_value_error():
+    # the CLI turns a ValueError into one error line and exit 2; any other
+    # error would escape as a traceback with exit 1, which means "an audit failed"
+    errors = []
+    for info in pkgutil.iter_modules(sdelab.__path__):
+        module = importlib.import_module(f"sdelab.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+    assert len(errors) >= 9
+    assert [e.__name__ for e in errors if not issubclass(e, ValueError)] == []
 
 
 def test_scripts_are_found():

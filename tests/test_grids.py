@@ -285,5 +285,6 @@ class TestBumpFunction:
         bumps = default_bump_dictionary(g)
         assert len(bumps) >= 3
         for b in bumps:
-            sb = b.support_bounds()
-            assert np.all(sb[:, 0] > g.lo) and np.all(sb[:, 1] < g.hi)
+            # the support is the open box center +- 8 radius per axis
+            c, r = np.array(b.center), 8.0 * np.array(b.radius)
+            assert np.all(c - r > g.lo) and np.all(c + r < g.hi)
