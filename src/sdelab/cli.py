@@ -170,7 +170,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     c = cfg.coefficients
     x0 = cfg.start_point()
     ens = simulate_ensemble(c, x0, cfg.sim, workers=workers,
-                            occupation_eps=_OCCUPATION_EPS)
+                            occupation_eps=_OCCUPATION_EPS, t_keep=(cfg.sim.t_final,))
     report = DiagnosticReport(
         check=f"simulate[{c.name}]",
         meta={"x0": list(x0), "config": cfg.sim.to_dict()},

@@ -27,7 +27,9 @@ import numpy as np
 
 from .coefficients import CoefficientSet, builtin_family
 from .diagnostics import LawVariant, feynman_kac_config, krylov_config, uniqueness_configs
-from .grids import BoxGrid, SmoothBump, finite_point, finite_real, integer, squared_norm
+from .grids import (
+    BoxGrid, SmoothBump, finite_point, finite_real, grid_values, integer, squared_norm,
+)
 from .reporting import digest
 from .semigroup import slices_shape
 from .simulate import SCHEME, SimConfig
@@ -212,6 +214,10 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
         if kind == "semigroup":
             slices_shape(grid, entry["t_final"], entry["dt"])
             f0 = build_payload(entry["payload"], dim)
+            # the contraction audit cannot fail on a payload without mass
+            if not np.any(grid_values(f0, grid)):
+                raise ValueError("payload is 0 at every node of the grid, so it "
+                                 "carries no mass on the box")
             return {"f0": f0, "t_final": entry["t_final"], "dt": entry["dt"]}
         x0 = finite_point(entry["x0"], dim)
         if kind == "uniqueness":

@@ -322,8 +322,8 @@ def uniqueness_probe(
     exactly zero for every variant; positive occupation is reported as a
     scope restriction, not as a failure of the probe itself.
 
-    Only one variant's ensemble is alive at a time: each is dropped once its
-    marginals at ``t_checks`` and its tallies are read.
+    Each variant's ensemble keeps only its states at ``t_checks``, the
+    marginals the comparisons read, so no variant's whole paths are held.
     """
     variants = list(variants)
     x0 = finite_point(x0, c_base.dim, "x0", DiagnosticsError)
@@ -334,15 +334,8 @@ def uniqueness_probe(
     variant_meta = []
     for var, cfg_i in zip(variants, configs):
         c = var.c if var.c is not None else c_base
-        # taken before the ensemble, so no buffer that outlives it sits above
-        # its states on the heap: malloc returns freed memory to the system
-        # only from the heap's top, and pinned states stayed resident under
-        # the energy test's distance matrix (+31 MiB in about a third of runs)
-        snaps = np.empty((len(t_checks), cfg_i.n_paths, c.dim))
-        ens = simulate_ensemble(c, x0, cfg_i, workers=workers)
-        for k, t in enumerate(t_checks):
-            snaps[k] = ens.state_at(t)
-        marginals.append(snaps)
+        ens = simulate_ensemble(c, x0, cfg_i, workers=workers, t_keep=t_checks)
+        marginals.append(ens.states)
         variant_meta.append(
             {
                 "label": var.label,
@@ -355,7 +348,6 @@ def uniqueness_probe(
                 "n_exploded": int(np.sum(ens.exploded)),
             }
         )
-        del ens
 
     n_pairs = len(variants) * (len(variants) - 1) // 2
     per_test = level / (n_pairs * len(t_checks))
@@ -376,7 +368,7 @@ def uniqueness_probe(
         for j in range(i + 1, len(variants)):
             for k, t in enumerate(t_checks):
                 res = marginal_two_sample(
-                    marginals[i][k], marginals[j][k], level=per_test
+                    marginals[i][:, k], marginals[j][:, k], level=per_test
                 )
                 worst = max(res["breakdown"], key=lambda e: e["normalized"])
                 name = (
@@ -609,13 +601,12 @@ def feynman_kac_crosscheck(
     f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt)
     dens = solve_density(c, grid.bounds, grid.n)
     f_eval = f0.interpolate if isinstance(f0, GridField) else f0
-    ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
+    ens = simulate_ensemble(c, x0, cfg_run, workers=workers, t_keep=(t_final,))
     terminal = finite_values(f_eval(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",
                              "at the Monte-Carlo terminal states", DiagnosticsError)
     mc = float(np.mean(terminal))
     stderr = float(np.std(terminal) / math.sqrt(len(terminal)))
     n_exploded = int(np.sum(ens.exploded))
-    del ens
 
     def final_slice(dens_k, grid_k: BoxGrid, values, dt: float):
         # only the last slice is read: copying it frees the stack before the

@@ -17,10 +17,12 @@ dispersion factor that declares itself the identity steps with
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
 function of the master seed and the block's path indices, so any worker count
-produces bitwise identical ensembles.  The weak-order study steps its levels
-through the same chain.  Passes over a stored ensemble (path integrals) run
-over row blocks, so their temporaries stay small; every per-path result is
-independent of that split.
+produces bitwise identical ensembles.  An ensemble stores every state of the
+step grid, or only the states at the times its caller names (``t_keep``):
+the chain, the noise and the tallies are the same either way.  The weak-order
+study steps its levels through the same chain.  Passes over a stored ensemble
+(path integrals) run over row blocks, so their temporaries stay small; every
+per-path result is independent of that split.
 """
 
 from __future__ import annotations
@@ -104,17 +106,22 @@ class SimConfig:
 class PathEnsemble:
     """Simulated ensemble with per-path bookkeeping.
 
-    ``states`` has shape ``(n_paths, n_steps + 1, d)``; ``states[:, 0]`` is
-    the common start point.  ``exit_step[i]`` is the first state index with
-    ``|X| >= r_exit`` (``-1`` if never), after which the path is frozen;
-    ``exploded_step`` likewise marks the first non-finite update (``-1`` if
-    none), with the path frozen at its last finite state.  ``occupation[j]``
-    holds occupation times below ``occupation_eps[j]``: row 0 of ``w == 0``,
-    row 1 of ``near_degeneracy_eps``, then those asked for at simulate time.
+    ``states`` has shape ``(n_paths, len(steps), d)``; ``states[:, j]``
+    holds the states at step ``steps[j]``.  By default ``steps`` is every
+    step ``0 .. n_steps``, so ``states[:, 0]`` is the common start point; an
+    ensemble simulated with ``t_keep`` holds only those steps, in that order.
+    The bookkeeping below always covers the whole horizon.  ``exit_step[i]``
+    is the first state index with ``|X| >= r_exit`` (``-1`` if never), after
+    which the path is frozen; ``exploded_step`` likewise marks the first
+    non-finite update (``-1`` if none), with the path frozen at its last
+    finite state.  ``occupation[j]`` holds occupation times below
+    ``occupation_eps[j]``: row 0 of ``w == 0``, row 1 of
+    ``near_degeneracy_eps``, then those asked for at simulate time.
     """
 
     config: SimConfig
     states: np.ndarray
+    steps: np.ndarray
     exit_step: np.ndarray
     exploded_step: np.ndarray
     occupation: np.ndarray
@@ -125,8 +132,8 @@ class PathEnsemble:
 
     @property
     def times(self) -> np.ndarray:
-        """The step grid ``k * dt``, ``k = 0 .. n_steps``."""
-        return np.arange(self.config.n_steps + 1) * self.config.dt
+        """The times of the kept states, ``steps * dt``."""
+        return self.steps * self.config.dt
 
     @property
     def n_paths(self) -> int:
@@ -148,11 +155,13 @@ class PathEnsemble:
         return np.where(stopped >= 0, stopped, self.config.n_steps)
 
     def state_at(self, t: float) -> np.ndarray:
-        """Marginal slice at a time on the step grid, shape ``(n_paths, d)``."""
-        k = 0 if t == 0 else step_count(t, self.config.dt, SimulationError, "t")
-        if k > self.config.n_steps:
-            raise SimulationError(f"t={t} outside the simulated horizon")
-        return self.states[:, k, :]
+        """Marginal slice at a kept time of the step grid, shape ``(n_paths, d)``."""
+        k = _step_of(t, self.config)
+        kept = np.flatnonzero(self.steps == k)
+        if not kept.size:
+            raise SimulationError(f"the state at t={t} was not kept; kept times are "
+                                  f"{self.times.tolist()}")
+        return self.states[:, kept[0], :]
 
     def row_blocks(self) -> Iterator[slice]:
         """Slices of consecutive paths holding about ``_ROW_ELEMENTS`` state
@@ -160,6 +169,31 @@ class PathEnsemble:
         n, per_path = self.n_paths, self.states.shape[1] * self.states.shape[2]
         size = max(1, _ROW_ELEMENTS // per_path)
         return (slice(i, min(i + size, n)) for i in range(0, n, size))
+
+
+def _step_of(t, cfg: SimConfig) -> int:
+    """The step of the grid of ``cfg`` at time ``t``, within the horizon."""
+    k = 0 if t == 0 else step_count(t, cfg.dt, SimulationError, "t")
+    if k > cfg.n_steps:
+        raise SimulationError(f"t={t} outside the simulated horizon")
+    return k
+
+
+def _kept_steps(t_keep, cfg: SimConfig) -> np.ndarray:
+    """The steps of the times in ``t_keep``, in its order (every step when
+    ``None``); the times are not empty and no two share a step."""
+    if t_keep is None:
+        return np.arange(cfg.n_steps + 1)
+    try:
+        times = list(t_keep)
+    except TypeError:
+        raise SimulationError(f"t_keep must be a sequence of times, got {t_keep!r}") from None
+    steps = [_step_of(t, cfg) for t in times]
+    if not steps:
+        raise SimulationError("t_keep is empty: keep at least one time")
+    if len(set(steps)) < len(steps):
+        raise SimulationError(f"t_keep {times} names a step more than once")
+    return np.array(steps)
 
 
 def _blocks(n_paths: int) -> list:
@@ -245,7 +279,7 @@ def _euler_maruyama(
 
 def simulate_ensemble(
     c: CoefficientSet, x0, cfg: SimConfig, workers: int = 1,
-    occupation_eps: Sequence[float] = (),
+    occupation_eps: Sequence[float] = (), t_keep: Sequence[float] | None = None,
 ) -> PathEnsemble:
     """Run the ensemble described by ``cfg`` from the common start ``x0``.
 
@@ -253,6 +287,9 @@ def simulate_ensemble(
     bitwise identical for any value.  Exploded paths are flagged and frozen,
     never dropped.  The step also tallies occupation below each (finite,
     nonnegative) ``occupation_eps``, for :func:`occupation_profile`.
+    ``t_keep = None`` stores every state of the step grid; a sequence of
+    times stores only the states at those times, in its order.  Each must
+    lie on the step grid within the horizon, and no two on one step.
     """
     x0 = finite_point(x0, c.dim, "x0", SimulationError)
     workers = integer(workers, "workers", SimulationError, minimum=1)
@@ -263,7 +300,12 @@ def simulate_ensemble(
         eps += () if e in eps else (float(e),)
 
     n, n_steps, d = cfg.n_paths, cfg.n_steps, c.dim
-    shape = cfg.states_shape(d)
+    # the whole paths' shape, checked whatever is kept, as at every config
+    # load: the block noise grows with n_steps too
+    cfg.states_shape(d)
+    steps = _kept_steps(t_keep, cfg)
+    column = dict(zip(steps.tolist(), range(len(steps))))  # step -> states column
+    shape = (n, len(steps), d)
     with allocating("states", shape, SimulationError):
         states = np.empty(shape)
         exit_step = np.empty(n, dtype=np.int64)
@@ -276,7 +318,9 @@ def simulate_ensemble(
         chain = _euler_maruyama(c, x0, xi, cfg, exit_step[sl], exploded_step[sl],
                                 occupation[:, sl], eps)
         for k, x in enumerate(chain):
-            states[sl, k] = x
+            j = column.get(k)
+            if j is not None:
+                states[sl, j] = x
         occupation[:, sl] *= cfg.dt  # counts -> occupation times
 
     blocks = _blocks(n)
@@ -290,6 +334,7 @@ def simulate_ensemble(
     return PathEnsemble(
         config=cfg,
         states=states,
+        steps=steps,
         exit_step=exit_step,
         exploded_step=exploded_step,
         occupation=occupation,

@@ -601,8 +601,9 @@ _BAD_VALUES = [
     # Krylov quadrature cells whose volume overflows or underflows
     ("diagnose", "diagnostics.2.radius=1e200"),
     ("diagnose", "diagnostics.2.radius=1e-300"),
-    # a Feynman-Kac payload 0 at every node carries no mass to compare
+    # a payload 0 at every node carries no mass to compare or contract
     ("diagnose", 'diagnostics.3.payload={"type":"bump","center":[2.9,2.9],"radius":0.0001}'),
+    ("semigroup", 'diagnostics.0.payload={"type":"bump","center":[2.9,2.9],"radius":0.0001}'),
     # piecewise cells: non-finite values and bounds, empty boxes, missing keys
     *(("check", 'family={"name":"piecewise_weight","params":{"cells":[%s]}}' % cell)
       for cell in ('{"bounds":[[-1,0],[-1,0]],"value":NaN}',

@@ -261,12 +261,14 @@ class TestUniquenessProbe:
 
     def test_one_ensemble_alive_at_a_time(self, brownian2, monkeypatch):
         # traced from the probe's start: when the third variant's ensemble
-        # exists, the first two are gone and only their marginals remain
+        # exists, the variants hold their marginals and tallies, less than
+        # half of the 3.2 MB one variant's whole paths would take, so no
+        # full path array, this variant's or an earlier one's, is alive
         held = []
 
         def simulate_then_measure(*args, **kwargs):
             ens = simulate_ensemble(*args, **kwargs)
-            held.append((ens.states.nbytes, tracemalloc.get_traced_memory()[0]))
+            held.append(tracemalloc.get_traced_memory()[0])
             return ens
 
         monkeypatch.setattr(diagnostics, "simulate_ensemble", simulate_then_measure)
@@ -279,8 +281,8 @@ class TestUniquenessProbe:
         finally:
             tracemalloc.stop()
         assert len(held) == 3
-        states_nbytes, at_third = held[2]
-        assert at_third - base < 1.5 * states_nbytes
+        full_path_bytes = cfg.n_paths * (cfg.n_steps + 1) * 2 * 8
+        assert held[2] - base < full_path_bytes / 2
 
     def test_comparisons_carry_what_the_two_sample_test_returns(self, brownian2):
         # each comparison is the test's own dict on the same marginals, at the

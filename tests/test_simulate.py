@@ -494,6 +494,79 @@ class TestRowBlocks:
             assert (row["mean"], row["max"]) == (np.mean(occ), np.max(occ))
 
 
+class TestKeptStates:
+    """An ensemble that keeps only some steps' states holds the full
+    ensemble's columns at those steps, bit for bit, with the same tallies."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_columns_equal_the_full_ensemble(self, workers):
+        # two blocks; under the cubic outward drift some paths exit the 1e150
+        # ball, some jump past it to a non-finite update, and some do neither
+        c = builtin_family("radial_degenerate", 2, alpha=0.25, drift="cubic_outward")
+        cfg = _cfg(n_paths=_BLOCK + 7, r_exit=1e150, near_degeneracy_eps=1.5)
+        t_keep = (1.0, 0.0, 0.37, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = simulate_ensemble(c, [1.0, 0.0], cfg, occupation_eps=_PROFILE_EPS)
+            kept = simulate_ensemble(c, [1.0, 0.0], cfg, workers=workers,
+                                     occupation_eps=_PROFILE_EPS, t_keep=t_keep)
+        assert np.any(full.exit_step >= 0) and np.any(full.exploded)
+        assert not np.all(full.stop_step < cfg.n_steps)
+        steps = [100, 0, 37, 50]
+        np.testing.assert_array_equal(kept.steps, steps)
+        np.testing.assert_array_equal(kept.times, full.times[steps])
+        np.testing.assert_array_equal(kept.states, full.states[:, steps])
+        for t, k in zip(t_keep, steps):
+            np.testing.assert_array_equal(kept.state_at(t), full.states[:, k])
+        for name in ("exit_step", "exploded_step", "occupation", "stop_step"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(full, name))
+        assert kept.occupation_eps == full.occupation_eps
+
+    def test_default_keeps_every_step(self, brownian2):
+        ens = simulate_ensemble(brownian2, [0.0, 0.0], _cfg(n_paths=4, t_final=0.1))
+        np.testing.assert_array_equal(ens.steps, np.arange(11))
+        np.testing.assert_array_equal(ens.times, np.arange(11) * 1e-2)
+
+    def test_state_not_kept_is_refused(self, brownian2):
+        ens = simulate_ensemble(brownian2, [0.0, 0.0], _cfg(n_paths=4), t_keep=(0.5, 1.0))
+        with pytest.raises(SimulationError, match=r"t=0.25 was not kept; kept times "
+                                                  r"are \[0.5, 1.0\]"):
+            ens.state_at(0.25)
+        with pytest.raises(SimulationError, match="outside the simulated horizon"):
+            ens.state_at(1.5)
+
+    @pytest.mark.parametrize("t_keep, match", [
+        ((), "t_keep is empty"),
+        ([0.5, 0.125], "off the step grid"),
+        ((1.01,), "outside the simulated horizon"),
+        ((0.5, 0.0, 0.5), "names a step more than once"),
+        # two different floats, one step
+        ((0.1, 0.1 + 1e-17), "names a step more than once"),
+        ((float("nan"),), "finite"),
+        ((-0.5,), "positive"),
+        (0.5, "sequence of times"),
+    ])
+    def test_bad_t_keep_rejected(self, brownian2, t_keep, match):
+        with pytest.raises(SimulationError, match=match):
+            simulate_ensemble(brownian2, [0.0, 0.0], _cfg(n_paths=4), t_keep=t_keep)
+
+    def test_terminal_snapshot_peak_memory(self):
+        # 16384 x 200 states would take 52.7 MB; keeping the terminal states
+        # leaves one block's noise (4096 x 200 x 2 normals, 24.9% of that) and
+        # the tallies at the traced peak
+        c = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0)
+        cfg = _cfg(n_paths=16_384, dt=5e-3)
+        full_path_bytes = cfg.n_paths * (cfg.n_steps + 1) * 2 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens = simulate_ensemble(c, [0.3, 0.0], cfg, t_keep=(cfg.t_final,))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ens.states.shape == (cfg.n_paths, 1, 2)
+        assert peak < full_path_bytes / 3
+
+
 class TestWeakOrder:
     def test_ou_first_order_bias_ratio(self, ou2):
         # analytic chain mean: x0 (1 - dt)^{T/dt}; bias differences halve

@@ -57,6 +57,17 @@ def test_ensemble_observer_reads_a_real_ensemble():
     assert tracer.counts["simulate.states_mb"] == 30 * 51 * 2 * 8 / 2**20
 
 
+def test_ensemble_observer_reads_a_snapshot_ensemble():
+    # the simulate subcommand keeps only the terminal states: the observer
+    # runs on them and sizes the states that were kept
+    c = builtin_family("brownian", 2)
+    cfg = SimConfig(dt=0.01, t_final=0.5, n_paths=30, master_seed=3, r_exit=0.5)
+    ens = simulate_ensemble(c, (0.0, 0.0), cfg, t_keep=(cfg.t_final,))
+    tracer = _spans.Tracer()
+    _spans._ensemble(tracer, (c, (0.0, 0.0), cfg), ens)
+    assert tracer.counts["simulate.states_mb"] == 30 * 1 * 2 * 8 / 2**20
+
+
 def test_evolve_observer_reads_a_real_field():
     # times and values: 4 backward-Euler steps on a 9 x 9 grid
     c = builtin_family("brownian", 2)
