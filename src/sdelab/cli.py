@@ -304,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker threads (results are identical for any value)",
+            help="threads: one steps the paths, the others convert their noise "
+                 "(results are identical for any value)",
         )
         p.add_argument("--seed", type=int, help="override sim.master_seed")
     return parser

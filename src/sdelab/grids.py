@@ -339,6 +339,14 @@ def _profile(ui: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * ui * ui + 1.0 - 1.0 / one)
 
 
+def _windowed(u: np.ndarray) -> np.ndarray:
+    """The profile at ``u``, 0 outside ``|u| < 8``."""
+    b = np.zeros_like(u)
+    inside = np.abs(u) < _SMOOTH_CUTOFF
+    b[inside] = _profile(u[inside])
+    return b
+
+
 @dataclass(frozen=True)
 class SmoothBump:
     """Gaussian-core compactly supported test function.
@@ -375,10 +383,15 @@ class SmoothBump:
         return u, np.abs(u) < _SMOOTH_CUTOFF
 
     def __call__(self, x) -> np.ndarray:
-        u, inside = self._scaled(x)
-        b = np.zeros_like(u)
-        b[inside] = _profile(u[inside])
-        return np.prod(b, axis=-1)
+        if self.dim >= 8:
+            return np.prod(_windowed(self._scaled(x)[0]), axis=-1)
+        # numpy multiplies fewer than 8 factors in order (see squared_norm):
+        # 1-D profiles multiplied in turn give its bits, with no short-axis pass
+        x, out = np.asarray(x, dtype=float), None
+        for k, (c, r) in enumerate(zip(self.center, self.radius)):
+            b = _windowed((x[..., k] - c) / r)
+            out = b if out is None else out * b
+        return out
 
     def _axis_terms(self, x):
         """Per-axis profile values with their first and second derivatives."""

@@ -13,7 +13,8 @@ open-interval uniforms ``(raw + 0.5) / 2^64``, so no endpoint can reach 0 or
 ``block_normals`` gives the same words for many paths from one bit generator
 that it re-keys for each path (counter reset to 0), since a Philox stream
 depends only on its key and counter; the tests check it against
-``path_normals`` row for row.
+``path_normals`` row for row.  The transform of raw words is elementwise,
+so any split of it over helper threads gives the same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from scipy.special import ndtri
 
 _U64 = np.uint64
-_TWO64 = float(2**64)
+_TWO_NEG64 = 2.0**-64  # scaling by a power of two is exact: the same bits as / 2^64
+_CHUNK = 512  # rows per conversion chunk handed to a helper; results do not depend on it
 
 
 def _as_u64(value: int, name: str) -> int:
@@ -50,21 +52,28 @@ def path_normals(master_seed: int, path_index: int, n_steps: int, m: int) -> np.
     """Standard normals for one path, shape ``(n_steps, m)``."""
     g = path_generator(master_seed, path_index)
     raw = g.integers(0, 2**64, size=(n_steps, m), dtype=_U64)
-    return ndtri((raw.astype(float) + 0.5) / _TWO64)
+    return ndtri((raw.astype(float) + 0.5) * _TWO_NEG64)
+
+
+def _to_normals(u: np.ndarray) -> None:
+    """Raw words stored as floats -> standard normals, in place."""
+    u += 0.5
+    u *= _TWO_NEG64
+    ndtri(u, out=u)
 
 
 def block_normals(
-    master_seed: int, path_indices: np.ndarray, n_steps: int, m: int
+    master_seed: int, path_indices: np.ndarray, n_steps: int, m: int, pool=None
 ) -> np.ndarray:
     """Normals for a batch of paths, shape ``(len(path_indices), n_steps, m)``.
 
     Row ``i`` equals ``path_normals(master_seed, path_indices[i], n_steps, m)``.
-    One Philox bit generator, local to this call because worker threads call
-    it concurrently, is re-keyed to ``(master_seed, path)`` with counter 0 for
-    each path and yields that path's ``n_steps * m`` raw words, which are
-    stored as floats (the same conversion as ``astype(float)``).  The inverse
-    CDF transform then runs in place over the whole block, so the block
-    holds one array, not one per operation.
+    On the calling thread, one Philox bit generator is re-keyed to
+    ``(master_seed, path)`` with counter 0 for each path and yields that
+    path's ``n_steps * m`` raw words, stored as floats (the same conversion
+    as ``astype(float)``).  The inverse CDF transform runs in place, so the
+    block holds one array; with an executor ``pool``, each filled chunk of
+    ``_CHUNK`` rows but the last converts there while the next one fills.
     """
     n, k = len(path_indices), n_steps * m
     u = np.empty((n, k))
@@ -73,13 +82,19 @@ def block_normals(
     fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     seed = _as_u64(master_seed, "master_seed")
+    chunk = _CHUNK if pool is not None else n
+    done, pending = 0, []
     for i, p in enumerate(_as_u64_list(path_indices, "path_index")):
         fresh["state"]["key"] = (seed, p)
         bits.state = fresh
         u[i] = bits.random_raw(k)
-    u += 0.5
-    u /= _TWO64
-    return ndtri(u, out=u).reshape(n, n_steps, m)
+        if i + 1 - done == chunk and i + 1 < n:
+            pending.append(pool.submit(_to_normals, u[done:i + 1]))
+            done = i + 1
+    _to_normals(u[done:])
+    for f in pending:
+        f.result()
+    return u.reshape(n, n_steps, m)
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:

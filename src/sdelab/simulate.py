@@ -16,7 +16,9 @@ dispersion factor that declares itself the identity steps with
 ``exit_time_stats`` return the plain dicts the ``simulate`` report carries.
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
-function of the master seed and the block's path indices, so any worker count
+function of the master seed and the block's path indices.  The calling thread
+draws and steps the blocks in turn, and ``workers - 1`` helper threads only
+convert its noise (elementwise, without the GIL), so any worker count
 produces bitwise identical ensembles.  An ensemble stores every state of the
 step grid, or only the states at the times its caller names (``t_keep``):
 the chain, the noise and the tallies are the same either way.  The weak-order
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -224,18 +227,21 @@ def _euler_maruyama(
     ``cfg.dt``.  A path is absorbed once ``|X| >= cfg.r_exit`` and frozen at
     its last finite state on a non-finite update; the first such state index
     is written into ``exit_step`` / ``exploded_step`` (``-1`` if never).
-    The same array is yielded again once no path moves.
+    The chain updates one C-contiguous ``(b, d)`` array in place and yields
+    it at every step, so a caller copies what it keeps.
 
     The weight ``w = c.inv_weight(x)`` is evaluated once per distinct block
     state, and a frozen block reuses the weight of its frozen state.  The
     dispersion ``sqrt(w) sigma`` reads it, and, when given, ``counts[0]``
     counts ``w == 0`` and each later ``counts[j]`` counts ``w < eps[j]`` over
     states ``0 .. n_steps - 1``.  A factor declared the identity steps with
-    ``sqrt(w) xi``; any other factor is contracted with ``xi``.
+    ``sqrt(w) xi``, a coordinate column at a time; any other factor is
+    contracted with ``xi``.
     """
     b, n_steps = xi.shape[:2]
     root_dt = math.sqrt(cfg.dt)
     x = np.tile(x0, (b, 1))
+    xn = np.empty((len(x0), b))  # the update, one contiguous column per coordinate
     exit_step[:] = -1
     exploded_step[:] = -1
     active = np.ones(b, dtype=bool)
@@ -258,18 +264,24 @@ def _euler_maruyama(
             with np.errstate(over="ignore", invalid="ignore"):
                 root = np.sqrt(w)
                 if c.factor.identity:
-                    noise = root[:, None] * xi[:, k, :]
-                    noise += 0.0  # -0.0 -> 0.0, like the contraction's zero-started sum
+                    g = c.G(x)
+                    for j, nj in enumerate(xn):  # x + sqrt(dt) sqrt(w) xi + G dt
+                        np.multiply(root, xi[:, k, j], out=nj)
+                        nj += 0.0  # -0.0 -> 0.0, like the contraction's zero-started sum
+                        nj *= root_dt
+                        nj += x[:, j]
+                        nj += g[:, j] * cfg.dt
                 else:
                     factor = root[:, None, None] * c.factor(x)
                     noise = np.einsum("bij,bj->bi", factor, xi[:, k, :])
-                xn = x + root_dt * noise + c.G(x) * cfg.dt
+                    xn[:] = (x + root_dt * noise + c.G(x) * cfg.dt).T
             w = None
             if not np.isfinite(xn).all():
-                bad = active & ~np.all(np.isfinite(xn), axis=1)
+                bad = active & ~np.all(np.isfinite(xn), axis=0)
                 exploded_step[bad] = k + 1
                 active &= ~bad
-            x = np.where(active[:, None], xn, x)
+            for j, nj in enumerate(xn):
+                np.copyto(x[:, j], nj, where=active)
             if cfg.r_exit is not None:
                 crossed = active & outside_ball(x, cfg.r_exit)
                 exit_step[crossed] = k + 1
@@ -283,10 +295,11 @@ def simulate_ensemble(
 ) -> PathEnsemble:
     """Run the ensemble described by ``cfg`` from the common start ``x0``.
 
-    ``workers`` only sets the thread count over path blocks; the result is
-    bitwise identical for any value.  Exploded paths are flagged and frozen,
-    never dropped.  The step also tallies occupation below each (finite,
-    nonnegative) ``occupation_eps``, for :func:`occupation_profile`.
+    The calling thread steps every block; ``workers - 1`` helper threads
+    convert its noise.  The result is bitwise identical for any ``workers``.
+    Exploded paths are flagged and frozen, never dropped.  The step also
+    tallies occupation below each (finite, nonnegative) ``occupation_eps``,
+    for :func:`occupation_profile`.
     ``t_keep = None`` stores every state of the step grid; a sequence of
     times stores only the states at those times, in its order.  Each must
     lie on the step grid within the horizon, and no two on one step.
@@ -312,9 +325,9 @@ def simulate_ensemble(
         exploded_step = np.empty(n, dtype=np.int64)
         occupation = np.zeros((len(eps), n))
 
-    def run(idx: np.ndarray) -> None:
+    def run(idx: np.ndarray, pool) -> None:
         sl = slice(int(idx[0]), int(idx[-1]) + 1)
-        xi = block_normals(cfg.master_seed, idx, n_steps, c.noise_dim)
+        xi = block_normals(cfg.master_seed, idx, n_steps, c.noise_dim, pool)
         chain = _euler_maruyama(c, x0, xi, cfg, exit_step[sl], exploded_step[sl],
                                 occupation[:, sl], eps)
         for k, x in enumerate(chain):
@@ -323,13 +336,11 @@ def simulate_ensemble(
                 states[sl, j] = x
         occupation[:, sl] *= cfg.dt  # counts -> occupation times
 
-    blocks = _blocks(n)
-    if workers == 1 or len(blocks) == 1:
-        for idx in blocks:
-            run(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
+    # one block's noise at a time; helpers only convert its raw words
+    helpers = ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
+    with helpers as pool:
+        for idx in _blocks(n):
+            run(idx, pool)
 
     return PathEnsemble(
         config=cfg,

@@ -211,6 +211,18 @@ class TestBumpFunction:
         assert b(np.array([0.5, 15.6])) == 0.0
         assert b(np.array([8.4, 15.4])) > 0.0
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_value_is_the_product_of_axis_profiles_bit_for_bit(self, d):
+        # the per-coordinate product below 8 axes must equal np.prod over the
+        # per-axis profiles, which the derivatives read, on points inside,
+        # outside and on a batch of any shape
+        b = SmoothBump(np.linspace(-0.2, 0.3, d), np.linspace(0.1, 0.5, d))
+        x = np.random.default_rng(5).normal(scale=0.6, size=(7, 131, d))
+        for pts in (x, x[0], x[0, 0]):
+            want = np.prod(b._axis_terms(pts)[0], axis=-1)
+            np.testing.assert_array_equal(b(pts), want)
+            assert np.shape(b(pts)) == pts.shape[:-1]
+
     def test_hessian_matches_finite_differences(self):
         b = SmoothBump([0.0, 0.0], [1.0, 1.5])
         rng = np.random.default_rng(3)

@@ -19,7 +19,7 @@ import pytest
 
 from sdelab import builtin_family
 from sdelab.coefficients import DispersionFactor
-from sdelab.rng import block_normals, derive_seed, path_normals
+from sdelab.rng import _CHUNK, block_normals, derive_seed, path_normals
 from sdelab.simulate import (
     _BLOCK,
     PathEnsemble,
@@ -91,6 +91,25 @@ class TestRng:
             for got in repeats:
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
+    def test_pooled_block_matches_per_path(self, n, m):
+        # chunks of _CHUNK filled rows convert on the helpers, the last on the
+        # calling thread; the rows are those of the block converted at once,
+        # with more threads than cores switching as often as they can
+        idx = 3 * np.arange(n) + 11
+        plain = block_normals(17, idx, 5, m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                pooled = block_normals(17, idx, 5, m, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(pooled, plain)
+        for i, p in enumerate(idx):
+            np.testing.assert_array_equal(pooled[i], path_normals(17, int(p), 5, m))
+
     def test_standard_normal_moments(self):
         z = path_normals(1, 0, 50_000, 2).ravel()
         assert abs(z.mean()) < 0.02
@@ -151,6 +170,53 @@ class TestEnsembleBasics:
         np.testing.assert_array_equal(e1.states, e3.states)
         np.testing.assert_array_equal(e1.states, e8.states)
         np.testing.assert_array_equal(e1.occupation_near, e8.occupation_near)
+
+    @pytest.mark.parametrize("case", ["one_block", "rotated_factor"])
+    def test_bitwise_determinism_one_block_and_contraction(self, ou2, case):
+        # one block, whose chunks the helpers convert; and the general
+        # contraction of a rotated factor over three blocks
+        if case == "one_block":
+            c, cfg = ou2, _cfg(n_paths=_BLOCK - 5, t_final=0.2)
+        else:
+            c, cfg = _rotated_factor(), _cfg(n_paths=2 * _BLOCK + 7, t_final=0.2)
+        e1, *others = [simulate_ensemble(c, [0.4, -0.2], cfg, workers=w) for w in (1, 2, 3)]
+        for e in others:
+            for name in ("states", "exit_step", "exploded_step", "occupation"):
+                np.testing.assert_array_equal(getattr(e, name), getattr(e1, name))
+
+    def test_coefficients_run_on_the_calling_thread(self, radial2):
+        # helpers only convert noise: every weight and drift evaluation, so
+        # every step of every block, runs on the thread that called
+        seen = set()
+
+        def record(fn):
+            def wrapped(x):
+                seen.add(threading.get_ident())
+                return fn(x)
+            return wrapped
+
+        c = dataclasses.replace(
+            radial2, drift=record(radial2.drift),
+            inv_weight=dataclasses.replace(radial2.inv_weight, fn=record(radial2.inv_weight.fn)),
+        )
+        simulate_ensemble(c, [0.3, 0.0], _cfg(n_paths=2 * _BLOCK + 7, t_final=0.1), workers=2)
+        assert seen == {threading.get_ident()}
+
+    def test_one_noise_block_alive_at_two_workers(self, radial2):
+        # 3 blocks at two workers: the calling thread steps them in turn, so
+        # the traced peak holds one block's noise and the kept states, not two
+        # blocks' noise
+        cfg = _cfg(n_paths=2 * _BLOCK + 7)
+        block_noise = _BLOCK * cfg.n_steps * 2 * 8
+        kept = cfg.n_paths * 2 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_ensemble(radial2, [0.3, 0.0], cfg, workers=2, t_keep=(cfg.t_final,))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert block_noise < peak < 1.5 * block_noise + kept
 
     @pytest.mark.parametrize("workers", [float("nan"), 2.5, True, 0, "2", None])
     def test_bad_workers_rejected(self, brownian2, workers):
@@ -418,6 +484,15 @@ def _with_factor(c, fn):
     """``c`` with an undeclared d x d dispersion factor ``fn``; ``A`` follows it.
     ``fn`` is constant, so the base's zero row divergence stays that of ``A``."""
     return dataclasses.replace(c, factor=DispersionFactor(c.dim, c.dim, fn))
+
+
+def _rotated_factor():
+    """The radial family (alpha 0.5, constant drift) with the undeclared
+    constant factor ``0.8 R(0.3)`` of ``test_rotated_factor_against_plain_loop``,
+    stepped by the general contraction."""
+    rot = 0.8 * np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    base = builtin_family("radial_degenerate", 2, alpha=0.5, gamma=1.0, drift=[0.2, 0.0])
+    return _with_factor(base, lambda x: np.broadcast_to(rot, x.shape[:-1] + (2, 2)).copy())
 
 
 class TestDeclaredIdentityFactor:

@@ -11,6 +11,7 @@ here on a real table write.
 import importlib
 import importlib.util
 import inspect
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from sdelab import builtin_family
 from sdelab.density import solve_density
 from sdelab.grids import GridField
 from sdelab.semigroup import evolve
-from sdelab.simulate import SimConfig, simulate_ensemble
+from sdelab.simulate import SimConfig, block_normals, simulate_ensemble
 
 _spec = importlib.util.spec_from_file_location(
     "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -66,6 +67,17 @@ def test_ensemble_observer_reads_a_snapshot_ensemble():
     tracer = _spans.Tracer()
     _spans._ensemble(tracer, (c, (0.0, 0.0), cfg), ens)
     assert tracer.counts["simulate.states_mb"] == 30 * 1 * 2 * 8 / 2**20
+
+
+def test_normals_observer_reads_a_pooled_block():
+    # with a helper pool block_normals still returns the whole block, chunks
+    # converted on the helper included, so the observer counts every normal
+    idx = np.arange(1100)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        xi = block_normals(5, idx, 7, 3, pool)
+    tracer = _spans.Tracer()
+    _spans._normals(tracer, (5, idx, 7, 3, pool), xi)
+    assert tracer.counts["rng.normals"] == 1100 * 7 * 3
 
 
 def test_evolve_observer_reads_a_real_field():
