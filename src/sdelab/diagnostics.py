@@ -609,9 +609,9 @@ def feynman_kac_crosscheck(
     n_exploded = int(np.sum(ens.exploded))
 
     def final_slice(dens_k, grid_k: BoxGrid, values, dt: float):
-        # only the last slice is read: copying it frees the stack before the
-        # next evolve starts
-        return evolve(c, dens_k, GridField(grid_k, values), t_final, dt).values[-1].copy()
+        # only the last slice is read, so it is the only one stored
+        return evolve(c, dens_k, GridField(grid_k, values), t_final, dt,
+                      t_keep=(t_final,)).values[0]
 
     u_fine = final_slice(dens, grid, f_vals, pde_dt)
     pde = _point_value(grid, u_fine, x0)

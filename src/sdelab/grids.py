@@ -70,6 +70,29 @@ def step_count(t, dt, error=ValueError, t_name="t_final", dt_name="dt") -> int:
     return k
 
 
+def grid_step(t, dt, n_steps: int, error=ValueError) -> int:
+    """The step of time ``t`` on the grid of ``dt``, at most ``n_steps``."""
+    k = 0 if t == 0 else step_count(t, dt, error, "t")
+    if k > n_steps:
+        raise error(f"t={t} outside the simulated horizon")
+    return k
+
+
+def kept_steps(t_keep, dt, n_steps: int, error=ValueError) -> np.ndarray:
+    """The steps of the times in ``t_keep`` (:func:`grid_step`), in its
+    order; the times are not empty and no two share a step."""
+    try:
+        times = list(t_keep)
+    except TypeError:
+        raise error(f"t_keep must be a sequence of times, got {t_keep!r}") from None
+    steps = [grid_step(t, dt, n_steps, error) for t in times]
+    if not steps:
+        raise error("t_keep is empty: keep at least one time")
+    if len(set(steps)) < len(steps):
+        raise error(f"t_keep {times} names a step more than once")
+    return np.array(steps)
+
+
 def squared_norm(x: np.ndarray) -> np.ndarray:
     """``np.sum(x * x, axis=-1)``, bit for bit.
 

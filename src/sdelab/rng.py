@@ -11,10 +11,13 @@ open-interval uniforms ``(raw + 0.5) / 2^64``, so no endpoint can reach 0 or
 
 ``path_normals`` is the definition: one fresh generator per path.
 ``block_normals`` gives the same words for many paths from one bit generator
-that it re-keys for each path (counter reset to 0), since a Philox stream
-depends only on its key and counter; the tests check it against
-``path_normals`` row for row.  The transform of raw words is elementwise,
-so any split of it over helper threads gives the same bits.
+that it re-keys for each path, since a Philox stream depends only on its key
+and counter.  Each counter value yields 4 words, so a range of steps starting
+at ``first_step`` is read straight from the counter holding word
+``first_step * m``: a block's noise can be drawn in step chunks with the same
+bits as all at once.  The tests check it against ``path_normals`` row for
+row.  The transform of raw words is elementwise, so any split of it over
+threads gives the same bits.
 """
 
 from __future__ import annotations
@@ -63,23 +66,32 @@ def _to_normals(u: np.ndarray) -> None:
 
 
 def block_normals(
-    master_seed: int, path_indices: np.ndarray, n_steps: int, m: int, pool=None
+    master_seed: int, path_indices: np.ndarray, n_steps: int, m: int, pool=None,
+    first_step: int = 0,
 ) -> np.ndarray:
-    """Normals for a batch of paths, shape ``(len(path_indices), n_steps, m)``.
+    """Normals of steps ``first_step .. first_step + n_steps - 1`` for a batch
+    of paths, shape ``(len(path_indices), n_steps, m)``.
 
-    Row ``i`` equals ``path_normals(master_seed, path_indices[i], n_steps, m)``.
-    On the calling thread, one Philox bit generator is re-keyed to
-    ``(master_seed, path)`` with counter 0 for each path and yields that
-    path's ``n_steps * m`` raw words, stored as floats (the same conversion
-    as ``astype(float)``).  The inverse CDF transform runs in place, so the
-    block holds one array; with an executor ``pool``, each filled chunk of
-    ``_CHUNK`` rows but the last converts there while the next one fills.
+    Row ``i`` equals ``path_normals(master_seed, path_indices[i],
+    first_step + n_steps, m)[first_step:]``.  On the calling thread, one
+    Philox bit generator is re-keyed to ``(master_seed, path)`` for each
+    path, past the ``first_step * m // 4`` whole 4-word counter blocks before
+    word ``first_step * m``.  It yields the ``first_step * m % 4`` words left
+    before that word, which are dropped, then the path's ``n_steps * m`` raw
+    words, stored as floats (the same conversion as ``astype(float)``).  The inverse CDF transform runs in
+    place, so the block holds one array.  With an executor ``pool``, each
+    filled chunk of ``_CHUNK`` rows but the last is handed to it while the
+    next one fills; a chunk no helper has started by the time the last is
+    converted is taken back and converted on the calling thread.
     """
     n, k = len(path_indices), n_steps * m
+    skip = first_step * m % 4
     u = np.empty((n, k))
     bits = np.random.Philox(0)  # a fixed seed reads no OS entropy; re-keyed below
-    # Counter 0 and an empty buffer: the state of a newly keyed generator.
-    fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+    # An empty buffer at the counter before word first_step * m: the state of
+    # a newly keyed generator advanced by first_step * m // 4 counter values.
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": (first_step * m // 4, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     seed = _as_u64(master_seed, "master_seed")
     chunk = _CHUNK if pool is not None else n
@@ -87,13 +99,18 @@ def block_normals(
     for i, p in enumerate(_as_u64_list(path_indices, "path_index")):
         fresh["state"]["key"] = (seed, p)
         bits.state = fresh
-        u[i] = bits.random_raw(k)
+        u[i] = bits.random_raw(skip + k)[skip:]
         if i + 1 - done == chunk and i + 1 < n:
-            pending.append(pool.submit(_to_normals, u[done:i + 1]))
+            rows = u[done:i + 1]
+            pending.append((pool.submit(_to_normals, rows), rows))
             done = i + 1
     _to_normals(u[done:])
-    for f in pending:
-        f.result()
+    # helpers take chunks from the front of the queue, this thread from the back
+    for f, rows in reversed(pending):
+        if f.cancel():
+            _to_normals(rows)
+        else:
+            f.result()
     return u.reshape(n, n_steps, m)
 
 

@@ -19,18 +19,20 @@ fluxes are those of the face scheme kept on the :class:`DensityField`, so
 both solves share one discretization and none of it is rebuilt here.
 
 The per-slice fields feed one audit: monotonicity of the weighted L1 and sup
-norms in time.
+norms in time.  A caller that reads only some slices names their times
+(``t_keep``), and only those slices are stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .coefficients import CoefficientSet
 from .density import DensityField, psi_weights
-from .grids import BoxGrid, allocating, array_shape, grid_values, step_count
+from .grids import BoxGrid, allocating, array_shape, grid_values, kept_steps, step_count
 from .reporting import DiagnosticReport
 
 
@@ -132,17 +134,26 @@ def evolve(
     f0,
     t_final: float,
     dt: float,
+    t_keep: Sequence[float] | None = None,
 ) -> SpaceTimeField:
     """Backward-Euler solution of the weighted parabolic equation.
 
     ``f0`` is a :class:`GridField` on the density's grid or a callable
-    evaluated at the nodes.  All time slices are stored; a stack that
-    cannot be allocated is a :class:`SemigroupError`.
+    evaluated at the nodes.  ``t_keep = None`` stores every time slice; a
+    sequence of increasing times stores only the slices at those times, each
+    on the step grid within the horizon (the solve is the same either way).
+    A stack that cannot be allocated is a :class:`SemigroupError`.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     grid = dens.grid
-    shape = slices_shape(grid, t_final, dt, SemigroupError)
+    # the whole stack's shape, checked whatever is kept, as at config load
+    n_slices = slices_shape(grid, t_final, dt, SemigroupError)[0]
+    steps = None
+    if t_keep is not None:
+        steps = kept_steps(t_keep, dt, n_slices - 1, SemigroupError)
+        if np.any(np.diff(steps) < 0):
+            raise SemigroupError(f"t_keep {list(t_keep)} is not increasing")
     u0 = grid_values(f0, grid, SemigroupError)
 
     S, m = _assemble_operator(c, dens)
@@ -154,17 +165,21 @@ def evolve(
     system = sp.diags(m_int) + dt * S_int
     solver = spla.splu(system.tocsc())
 
+    shape = (n_slices if steps is None else len(steps),) + grid.shape
     with allocating("time slices", shape, SemigroupError):
         values = np.zeros(shape)
-    values[0] = u0
-    flat = values.reshape(shape[0], -1)
+    if steps is None:
+        steps = np.arange(n_slices)
+    kept = dict(zip(steps.tolist(), values.reshape(len(steps), -1)))  # step -> its slice
+    if 0 in kept:
+        kept[0][:] = u0.ravel()
     u = u0.ravel()[interior]
-    for k in range(1, shape[0]):
+    for k in range(1, n_slices):
         u = solver.solve(m_int * u)
-        flat[k, interior] = u
+        if k in kept:
+            kept[k][interior] = u
 
-    times = dt * np.arange(shape[0])
-    return SpaceTimeField(grid=grid, times=times, values=values)
+    return SpaceTimeField(grid=grid, times=dt * steps, values=values)
 
 
 def semigroup_contraction_check(

@@ -19,12 +19,15 @@ Paths are partitioned into fixed-size blocks; each block's states are a pure
 function of the master seed and the block's path indices.  The calling thread
 draws and steps the blocks in turn, and ``workers - 1`` helper threads only
 convert its noise (elementwise, without the GIL), so any worker count
-produces bitwise identical ensembles.  An ensemble stores every state of the
-step grid, or only the states at the times its caller names (``t_keep``):
-the chain, the noise and the tallies are the same either way.  The weak-order
-study steps its levels through the same chain.  Passes over a stored ensemble
-(path integrals) run over row blocks, so their temporaries stay small; every
-per-path result is independent of that split.
+produces bitwise identical ensembles.  A block's noise is drawn in step
+chunks of at most ``_NOISE_BUDGET`` normals, each read from its position in
+the paths' counter-based streams, and stepped through as it arrives, so a
+block's working memory does not grow with ``n_steps``.  An ensemble stores
+every state of the step grid, or only the states at the times its caller
+names (``t_keep``): the chain, the noise and the tallies are the same
+either way.  The weak-order study steps its levels through the same chain.
+Passes over a stored ensemble (path integrals) run over row blocks, so their
+temporaries stay small; every per-path result is independent of that split.
 """
 
 from __future__ import annotations
@@ -33,18 +36,19 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .coefficients import CoefficientSet
 from .grids import (
-    allocating, array_shape, finite_point, finite_real, finite_values, integer,
-    squared_norm, step_count,
+    allocating, array_shape, finite_point, finite_real, finite_values, grid_step, integer,
+    kept_steps, squared_norm, step_count,
 )
 from .rng import block_normals
 
 _BLOCK = 4096  # fixed path-block size; results must not depend on it
+_NOISE_BUDGET = 2**20  # normals per noise chunk (8 MiB); results do not depend on it
 _ROW_ELEMENTS = 2**18  # state entries per row block of a pass over an ensemble
 SCHEME = "euler_maruyama"  # the one time-stepping scheme provided
 
@@ -159,7 +163,7 @@ class PathEnsemble:
 
     def state_at(self, t: float) -> np.ndarray:
         """Marginal slice at a kept time of the step grid, shape ``(n_paths, d)``."""
-        k = _step_of(t, self.config)
+        k = grid_step(t, self.config.dt, self.config.n_steps, SimulationError)
         kept = np.flatnonzero(self.steps == k)
         if not kept.size:
             raise SimulationError(f"the state at t={t} was not kept; kept times are "
@@ -174,34 +178,23 @@ class PathEnsemble:
         return (slice(i, min(i + size, n)) for i in range(0, n, size))
 
 
-def _step_of(t, cfg: SimConfig) -> int:
-    """The step of the grid of ``cfg`` at time ``t``, within the horizon."""
-    k = 0 if t == 0 else step_count(t, cfg.dt, SimulationError, "t")
-    if k > cfg.n_steps:
-        raise SimulationError(f"t={t} outside the simulated horizon")
-    return k
-
-
-def _kept_steps(t_keep, cfg: SimConfig) -> np.ndarray:
-    """The steps of the times in ``t_keep``, in its order (every step when
-    ``None``); the times are not empty and no two share a step."""
-    if t_keep is None:
-        return np.arange(cfg.n_steps + 1)
-    try:
-        times = list(t_keep)
-    except TypeError:
-        raise SimulationError(f"t_keep must be a sequence of times, got {t_keep!r}") from None
-    steps = [_step_of(t, cfg) for t in times]
-    if not steps:
-        raise SimulationError("t_keep is empty: keep at least one time")
-    if len(set(steps)) < len(steps):
-        raise SimulationError(f"t_keep {times} names a step more than once")
-    return np.array(steps)
-
-
 def _blocks(n_paths: int) -> list:
     """The one path-block partition: consecutive runs of ``_BLOCK`` indices."""
     return np.split(np.arange(n_paths, dtype=np.int64), range(_BLOCK, n_paths, _BLOCK))
+
+
+def _noise_chunks(
+    master_seed: int, idx: np.ndarray, n_steps: int, m: int, pool
+) -> Iterator[np.ndarray]:
+    """A block's normals in step chunks of at most ``_NOISE_BUDGET`` normals
+    (at least one step each), shape ``(len(idx), steps, m)``, in step order."""
+    per = max(1, _NOISE_BUDGET // (len(idx) * m))
+    for first in range(0, n_steps, per):
+        shape = (len(idx), min(per, n_steps - first), m)
+        with allocating("block noise", shape, SimulationError):
+            chunk = block_normals(master_seed, idx, shape[1], m, pool, first)
+        yield chunk
+        del chunk  # the next chunk is drawn with this one freed
 
 
 def outside_ball(x: np.ndarray, r_exit: float) -> np.ndarray:
@@ -214,7 +207,7 @@ def outside_ball(x: np.ndarray, r_exit: float) -> np.ndarray:
 def _euler_maruyama(
     c: CoefficientSet,
     x0: np.ndarray,
-    xi: np.ndarray,
+    noise: Iterable[np.ndarray],
     cfg: SimConfig,
     exit_step: np.ndarray,
     exploded_step: np.ndarray,
@@ -223,10 +216,12 @@ def _euler_maruyama(
 ) -> Iterator[np.ndarray]:
     """Yield a block's states along the chain, state 0 first.
 
-    ``xi`` holds the block's normals, shape ``(b, n_steps, m)``, for steps of
-    ``cfg.dt``.  A path is absorbed once ``|X| >= cfg.r_exit`` and frozen at
-    its last finite state on a non-finite update; the first such state index
-    is written into ``exit_step`` / ``exploded_step`` (``-1`` if never).
+    ``noise`` yields the block's normals for steps of ``cfg.dt``, in step
+    order, as chunks of shape ``(b, steps, m)``; the chain drops each chunk
+    before it asks for the next.  A path is absorbed once
+    ``|X| >= cfg.r_exit`` and frozen at its last finite state on a
+    non-finite update; the first such state index is written into
+    ``exit_step`` / ``exploded_step`` (``-1`` if never).
     The chain updates one C-contiguous ``(b, d)`` array in place and yields
     it at every step, so a caller copies what it keeps.
 
@@ -238,7 +233,7 @@ def _euler_maruyama(
     ``sqrt(w) xi``, a coordinate column at a time; any other factor is
     contracted with ``xi``.
     """
-    b, n_steps = xi.shape[:2]
+    b = len(exit_step)
     root_dt = math.sqrt(cfg.dt)
     x = np.tile(x0, (b, 1))
     xn = np.empty((len(x0), b))  # the update, one contiguous column per coordinate
@@ -252,41 +247,45 @@ def _euler_maruyama(
     yield x
 
     w = None  # the weight of x, once taken
-    for k in range(n_steps):
-        if w is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = c.inv_weight(x)
-        if counts is not None:
-            counts[0] += w == 0.0
-            for count, e in zip(counts[1:], eps[1:]):
-                count += w < e
-        if active.any():
-            with np.errstate(over="ignore", invalid="ignore"):
-                root = np.sqrt(w)
-                if c.factor.identity:
-                    g = c.G(x)
-                    for j, nj in enumerate(xn):  # x + sqrt(dt) sqrt(w) xi + G dt
-                        np.multiply(root, xi[:, k, j], out=nj)
-                        nj += 0.0  # -0.0 -> 0.0, like the contraction's zero-started sum
-                        nj *= root_dt
-                        nj += x[:, j]
-                        nj += g[:, j] * cfg.dt
-                else:
-                    factor = root[:, None, None] * c.factor(x)
-                    noise = np.einsum("bij,bj->bi", factor, xi[:, k, :])
-                    xn[:] = (x + root_dt * noise + c.G(x) * cfg.dt).T
-            w = None
-            if not np.isfinite(xn).all():
-                bad = active & ~np.all(np.isfinite(xn), axis=0)
-                exploded_step[bad] = k + 1
-                active &= ~bad
-            for j, nj in enumerate(xn):
-                np.copyto(x[:, j], nj, where=active)
-            if cfg.r_exit is not None:
-                crossed = active & outside_ball(x, cfg.r_exit)
-                exit_step[crossed] = k + 1
-                active &= ~crossed
-        yield x
+    k = 0  # the step of x
+    for xi in noise:
+        for xi_k in xi.transpose(1, 0, 2):  # the (b, m) normals of step k
+            if w is None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = c.inv_weight(x)
+            if counts is not None:
+                counts[0] += w == 0.0
+                for count, e in zip(counts[1:], eps[1:]):
+                    count += w < e
+            if active.any():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    root = np.sqrt(w)
+                    if c.factor.identity:
+                        g = c.G(x)
+                        for j, nj in enumerate(xn):  # x + sqrt(dt) sqrt(w) xi + G dt
+                            np.multiply(root, xi_k[:, j], out=nj)
+                            nj += 0.0  # -0.0 -> 0.0, like the contraction's zero-started sum
+                            nj *= root_dt
+                            nj += x[:, j]
+                            nj += g[:, j] * cfg.dt
+                    else:
+                        factor = root[:, None, None] * c.factor(x)
+                        kick = np.einsum("bij,bj->bi", factor, xi_k)
+                        xn[:] = (x + root_dt * kick + c.G(x) * cfg.dt).T
+                w = None
+                if not np.isfinite(xn).all():
+                    bad = active & ~np.all(np.isfinite(xn), axis=0)
+                    exploded_step[bad] = k + 1
+                    active &= ~bad
+                for j, nj in enumerate(xn):
+                    np.copyto(x[:, j], nj, where=active)
+                if cfg.r_exit is not None:
+                    crossed = active & outside_ball(x, cfg.r_exit)
+                    exit_step[crossed] = k + 1
+                    active &= ~crossed
+            k += 1
+            yield x
+        del xi, xi_k  # the next chunk is drawn with this one freed
 
 
 def simulate_ensemble(
@@ -295,8 +294,8 @@ def simulate_ensemble(
 ) -> PathEnsemble:
     """Run the ensemble described by ``cfg`` from the common start ``x0``.
 
-    The calling thread steps every block; ``workers - 1`` helper threads
-    convert its noise.  The result is bitwise identical for any ``workers``.
+    The calling thread steps every block through its noise, drawn in step
+    chunks; ``workers - 1`` helper threads convert that noise.  The result is bitwise identical for any ``workers``.
     Exploded paths are flagged and frozen, never dropped.  The step also
     tallies occupation below each (finite, nonnegative) ``occupation_eps``,
     for :func:`occupation_profile`.
@@ -313,22 +312,25 @@ def simulate_ensemble(
         eps += () if e in eps else (float(e),)
 
     n, n_steps, d = cfg.n_paths, cfg.n_steps, c.dim
-    # the whole paths' shape, checked whatever is kept, as at every config
-    # load: the block noise grows with n_steps too
+    # the whole paths' shape, checked whatever is kept, so that this runs
+    # exactly the ensembles a config load accepts; the noise is drawn in step
+    # chunks, so only the kept states grow with n_steps
     cfg.states_shape(d)
-    steps = _kept_steps(t_keep, cfg)
-    column = dict(zip(steps.tolist(), range(len(steps))))  # step -> states column
-    shape = (n, len(steps), d)
+    steps = None if t_keep is None else kept_steps(t_keep, cfg.dt, n_steps, SimulationError)
+    shape = (n, n_steps + 1 if steps is None else len(steps), d)
     with allocating("states", shape, SimulationError):
         states = np.empty(shape)
         exit_step = np.empty(n, dtype=np.int64)
         exploded_step = np.empty(n, dtype=np.int64)
         occupation = np.zeros((len(eps), n))
+    if steps is None:  # only now: it is no larger than the states
+        steps = np.arange(n_steps + 1)
+    column = dict(zip(steps.tolist(), range(len(steps))))  # step -> states column
 
     def run(idx: np.ndarray, pool) -> None:
         sl = slice(int(idx[0]), int(idx[-1]) + 1)
-        xi = block_normals(cfg.master_seed, idx, n_steps, c.noise_dim, pool)
-        chain = _euler_maruyama(c, x0, xi, cfg, exit_step[sl], exploded_step[sl],
+        noise = _noise_chunks(cfg.master_seed, idx, n_steps, c.noise_dim, pool)
+        chain = _euler_maruyama(c, x0, noise, cfg, exit_step[sl], exploded_step[sl],
                                 occupation[:, sl], eps)
         for k, x in enumerate(chain):
             j = column.get(k)
@@ -336,7 +338,7 @@ def simulate_ensemble(
                 states[sl, j] = x
         occupation[:, sl] *= cfg.dt  # counts -> occupation times
 
-    # one block's noise at a time; helpers only convert its raw words
+    # one chunk of one block's noise at a time; helpers only convert its raw words
     helpers = ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
     with helpers as pool:
         for idx in _blocks(n):
@@ -411,6 +413,8 @@ def weak_error_study(
     Each level is checked as a :class:`SimConfig` and steps the ensembles'
     chain; a path that explodes at any level is an error, and so is a payoff
     that does not map a block of ``b`` terminal states to ``b`` finite values.
+    Each block's fine noise is drawn whole; noise that cannot be allocated
+    is a :class:`SimulationError`.
 
     Returns a dict with ``dt`` (descending), ``estimates``, ``stderr`` and
     ``successive_diffs``.
@@ -427,14 +431,16 @@ def weak_error_study(
     sums, sq_sums = np.zeros((2, len(dts)))
     for idx in _blocks(n_paths):
         b = len(idx)
-        xi_fine = block_normals(master_seed, idx, fine.n_steps, m)
+        with allocating("fine noise", (b, fine.n_steps, m), SimulationError):
+            xi_fine = block_normals(master_seed, idx, fine.n_steps, m)
         exit_step, exploded_step = np.empty((2, b), dtype=np.int64)
         for li, (level, r) in enumerate(zip(levels, ratios)):
             if r == 1:
                 xi = xi_fine
             else:
-                xi = xi_fine.reshape(b, level.n_steps, r, m).sum(axis=2) / math.sqrt(r)
-            for x in _euler_maruyama(c, x0, xi, level, exit_step, exploded_step):
+                with allocating("level noise", (b, level.n_steps, m), SimulationError):
+                    xi = xi_fine.reshape(b, level.n_steps, r, m).sum(axis=2) / math.sqrt(r)
+            for x in _euler_maruyama(c, x0, [xi], level, exit_step, exploded_step):
                 pass  # only the terminal state is needed
             if np.any(exploded_step >= 0):
                 raise SimulationError(

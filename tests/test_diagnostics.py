@@ -561,23 +561,26 @@ class TestFeynmanKac:
         assert "enlarge" in rep.clause("box_retains_payload_mass").detail
 
     def test_one_slice_stack_alive_at_a_time(self, brownian2, monkeypatch):
-        # a signed payload runs all four evolves; each later one starts with
-        # only final slices of the earlier ones held
+        # a signed payload runs all four evolves; each stores only its final
+        # slice, and each later one starts with only those of the earlier
+        # ones held
         calls = []
 
         def measure_then_evolve(*args, **kwargs):
             held = tracemalloc.get_traced_memory()[0]
             u = semigroup_evolve(*args, **kwargs)
-            calls.append((held, u.values.nbytes))
+            calls.append((held, u.values.shape))
             return u
 
         def signed(x):
             x = np.asarray(x, dtype=float)
             return x[..., 0] * np.exp(-np.sum(x * x, axis=-1))
 
-        monkeypatch.setattr(diagnostics, "evolve", measure_then_evolve)
         grid = BoxGrid(BOUNDS4, 33)
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=200, master_seed=76)
+        # a first run does the lazy imports, which would count as held
+        feynman_kac_crosscheck(brownian2, grid, signed, (0.0, 0.0), 0.5, cfg, 5e-3)
+        monkeypatch.setattr(diagnostics, "evolve", measure_then_evolve)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -585,9 +588,12 @@ class TestFeynmanKac:
         finally:
             tracemalloc.stop()
         assert len(calls) == 4
-        fine_nbytes = calls[0][1]
+        assert [shape[0] for _, shape in calls] == [1, 1, 1, 1]
+        # the whole stack of the fine evolve: 101 slices of 33 x 33 nodes
+        fine_stack_nbytes = 101 * 33 * 33 * 8
+        assert calls[0][1] == (1, 33, 33)
         for held, _ in calls[1:]:
-            assert held - base < fine_nbytes / 4
+            assert held - base < fine_stack_nbytes / 4
 
     def test_payload_non_finite_at_a_terminal_state_rejected(self, brownian2):
         # finite at every node of the box, NaN beyond it, where paths go: the

@@ -62,6 +62,35 @@ class TestEvolveValidation:
             evolve(brownian2, dens, lambda x: x, 0.1, 0.05)
 
 
+class TestKeptSlices:
+    """An evolve that keeps only some slices holds the full stack's slices at
+    those times, bit for bit."""
+
+    def test_kept_slices_equal_the_full_stack(self, jump2):
+        dens = solve_density(jump2, BOX2, 17)
+        datum = _gaussian_datum()
+        full = evolve(jump2, dens, datum, 0.5, 0.05)
+        kept = evolve(jump2, dens, datum, 0.5, 0.05, t_keep=(0.0, 0.15, 0.5))
+        np.testing.assert_array_equal(kept.times, full.times[[0, 3, 10]])
+        np.testing.assert_array_equal(kept.values, full.values[[0, 3, 10]])
+        final = evolve(jump2, dens, datum, 0.5, 0.05, t_keep=(0.5,))
+        assert final.values.shape == (1,) + dens.grid.shape
+        np.testing.assert_array_equal(final.values[0], full.values[-1])
+
+    @pytest.mark.parametrize("t_keep, match", [
+        ((), "t_keep is empty"),
+        ((0.5, 0.1), "not increasing"),
+        ((0.1, 0.1), "names a step more than once"),
+        ((0.125,), "off the step grid"),
+        ((0.55,), "outside the simulated horizon"),
+        (0.5, "sequence of times"),
+    ])
+    def test_bad_t_keep_rejected(self, brownian2, t_keep, match):
+        dens = solve_density(brownian2, BOX2, 9)
+        with pytest.raises(SemigroupError, match=match):
+            evolve(brownian2, dens, _gaussian_datum(), 0.5, 0.05, t_keep=t_keep)
+
+
 class TestClosedForms:
     def test_heat_kernel_convolution(self, brownian2):
         s2 = 0.25

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import sdelab.simulate
 from sdelab import builtin_family
 from sdelab.coefficients import DispersionFactor
 from sdelab.rng import _CHUNK, block_normals, derive_seed, path_normals
@@ -91,24 +92,52 @@ class TestRng:
             for got in repeats:
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("first_step", [0, 5])
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
-    def test_pooled_block_matches_per_path(self, n, m):
+    def test_pooled_block_matches_per_path(self, n, m, first_step):
         # chunks of _CHUNK filled rows convert on the helpers, the last on the
         # calling thread; the rows are those of the block converted at once,
         # with more threads than cores switching as often as they can
         idx = 3 * np.arange(n) + 11
-        plain = block_normals(17, idx, 5, m)
+        plain = block_normals(17, idx, 5, m, first_step=first_step)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=3) as pool:
-                pooled = block_normals(17, idx, 5, m, pool)
+                pooled = block_normals(17, idx, 5, m, pool, first_step)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(pooled, plain)
         for i, p in enumerate(idx):
-            np.testing.assert_array_equal(pooled[i], path_normals(17, int(p), 5, m))
+            tail = path_normals(17, int(p), first_step + 5, m)[first_step:]
+            np.testing.assert_array_equal(pooled[i], tail)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("first_step", [0, 1, 2, 3, 5, 8])
+    def test_offset_block_matches_per_path_tail(self, m, first_step):
+        # steps first_step onward start at word first_step * m of each
+        # stream, inside a counter's 4 words when first_step * m % 4 != 0
+        idx = [7, 2**64 - 1, 0, 2**40, 3]
+        blk = block_normals(9, np.array(idx, dtype=np.uint64), 6, m, first_step=first_step)
+        for i, p in enumerate(idx):
+            tail = path_normals(9, p, first_step + 6, m)[first_step:]
+            np.testing.assert_array_equal(blk[i], tail)
+
+    def test_queued_conversions_run_on_the_calling_thread(self):
+        # the one helper is busy, so every chunk handed to it is still queued
+        # when the last rows are filled: the calling thread takes them back
+        # and converts them itself instead of waiting for the helper
+        idx = np.arange(3 * _CHUNK + 5)
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            busy = pool.submit(release.wait, 30)
+            try:
+                pooled = block_normals(17, idx, 5, 2, pool)
+                assert not busy.done()
+            finally:
+                release.set()
+        np.testing.assert_array_equal(pooled, block_normals(17, idx, 5, 2))
 
     def test_standard_normal_moments(self):
         z = path_normals(1, 0, 50_000, 2).ravel()
@@ -640,6 +669,80 @@ class TestKeptStates:
             tracemalloc.stop()
         assert ens.states.shape == (cfg.n_paths, 1, 2)
         assert peak < full_path_bytes / 3
+
+
+class TestChunkedNoise:
+    """A block whose noise arrives in several step chunks gives the ensemble
+    of one chunk, bit for bit."""
+
+    def _chunked(self, monkeypatch, per_chunk, n_paths):
+        # chunks of per_chunk steps for a block of n_paths paths with two
+        # noise coordinates; returns the list that records each chunk drawn
+        monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", n_paths * 2 * per_chunk)
+        drawn = []
+
+        def record(seed, idx, n_steps, m, pool=None, first_step=0):
+            drawn.append((first_step, n_steps))
+            return block_normals(seed, idx, n_steps, m, pool, first_step)
+
+        monkeypatch.setattr(sdelab.simulate, "block_normals", record)
+        return drawn
+
+    @pytest.mark.parametrize("t_keep", [None, (1.0, 0.0, 0.37)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_chunked_equals_one_chunk(self, monkeypatch, per_chunk, workers, t_keep):
+        # more than two conversion chunks of rows, so helpers convert at
+        # workers=3; 100 steps end on a short chunk of 7; under the cubic
+        # outward drift some paths exit the 1e150 ball and some explode
+        c = builtin_family("radial_degenerate", 2, alpha=0.25, drift="cubic_outward")
+        cfg = _cfg(n_paths=2 * _CHUNK + 76, r_exit=1e150, near_degeneracy_eps=1.5)
+        run = dict(occupation_eps=_PROFILE_EPS, t_keep=t_keep)
+        with np.errstate(over="ignore", invalid="ignore"):
+            one = simulate_ensemble(c, [1.0, 0.0], cfg, **run)
+            drawn = self._chunked(monkeypatch, per_chunk, cfg.n_paths)
+            chunked = simulate_ensemble(c, [1.0, 0.0], cfg, workers=workers, **run)
+        assert np.any(one.exit_step >= 0) and np.any(one.exploded)
+        starts = list(range(0, cfg.n_steps, per_chunk))
+        assert drawn == [(s, min(per_chunk, cfg.n_steps - s)) for s in starts]
+        for name in ("states", "steps", "exit_step", "exploded_step", "occupation"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(one, name))
+
+    def test_chunked_contraction_equals_one_chunk(self, monkeypatch):
+        # the general contraction of a rotated factor, over two blocks
+        c, cfg = _rotated_factor(), _cfg(n_paths=_BLOCK + 7, t_final=0.2)
+        one = simulate_ensemble(c, [0.4, -0.2], cfg)
+        drawn = self._chunked(monkeypatch, 3, _BLOCK)
+        chunked = simulate_ensemble(c, [0.4, -0.2], cfg, workers=2)
+        assert len(drawn) == 7 + 1  # the 7-path block fits in one chunk
+        for name in ("states", "exit_step", "exploded_step", "occupation"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(one, name))
+
+    def test_unallocatable_block_noise_is_a_simulation_error(self, brownian2, monkeypatch):
+        # 4096 paths x 2^41 steps x 2 normals in one chunk: 128 PiB, more than
+        # a 57-bit address space holds, so the allocation fails without
+        # touching memory
+        monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", 2**62)
+        cfg = SimConfig(dt=2.0**-41, t_final=1.0, n_paths=_BLOCK, master_seed=0)
+        with pytest.raises(SimulationError, match=r"^block noise of shape 4096 x 2\.199e12 x 2 "
+                                                  r"need .* GiB, more than can be allocated$"):
+            simulate_ensemble(brownian2, [0.0, 0.0], cfg, t_keep=(1.0,))
+
+    def test_unallocatable_whole_paths_are_a_simulation_error(self, brownian2):
+        # every state of 2^55 steps: 512 PiB for one path, refused before
+        # its step indices (256 PiB) are asked for; neither fits in a 57-bit
+        # address space, so nothing touches memory
+        cfg = SimConfig(dt=2.0**-55, t_final=1.0, n_paths=1, master_seed=0)
+        with pytest.raises(SimulationError, match=r"^states of shape 1 x 3\.602e16 x 2 "
+                                                  r"need .* GiB, more than can be allocated$"):
+            simulate_ensemble(brownian2, [0.0, 0.0], cfg)
+
+    def test_unallocatable_fine_noise_is_a_simulation_error(self, brownian2):
+        # the weak-order study draws a block's fine noise whole: 128 PiB here
+        with pytest.raises(SimulationError, match=r"^fine noise of shape 4096 x 2\.199e12 x 2 "
+                                                  r"need .* GiB, more than can be allocated$"):
+            weak_error_study(brownian2, [0.0, 0.0], lambda x: x[:, 0], 1.0,
+                             [2.0**-40, 2.0**-41], _BLOCK, master_seed=0)
 
 
 class TestWeakOrder:

@@ -80,6 +80,16 @@ def test_normals_observer_reads_a_pooled_block():
     assert tracer.counts["rng.normals"] == 1100 * 7 * 3
 
 
+def test_normals_observer_reads_an_offset_chunk():
+    # simulate_ensemble draws a block's noise in step chunks; a chunk that
+    # starts inside the stream holds just its own steps
+    idx = np.arange(40)
+    xi = block_normals(5, idx, 3, 2, first_step=7)
+    tracer = _spans.Tracer()
+    _spans._normals(tracer, (5, idx, 3, 2, None, 7), xi)
+    assert tracer.counts["rng.normals"] == 40 * 3 * 2
+
+
 def test_evolve_observer_reads_a_real_field():
     # times and values: 4 backward-Euler steps on a 9 x 9 grid
     c = builtin_family("brownian", 2)
@@ -89,6 +99,19 @@ def test_evolve_observer_reads_a_real_field():
     _spans._evolve(tracer, (c, dens, None, 0.2, 0.05), u)
     assert tracer.counts["semigroup.steps"] == 4
     assert tracer.counts["semigroup.slices_mb"] == 5 * 81 * 8 / 2**20
+
+
+def test_evolve_observer_reads_a_final_slice_field():
+    # the Feynman-Kac check keeps only the final slice of each evolve: the
+    # observer counts the kept slices, not the steps taken
+    c = builtin_family("brownian", 2)
+    dens = solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 9)
+    f0 = GridField(dens.grid, np.ones(dens.grid.shape))
+    u = evolve(c, dens, f0, 0.2, 0.05, t_keep=(0.2,))
+    tracer = _spans.Tracer()
+    _spans._evolve(tracer, (c, dens, f0, 0.2, 0.05), u)
+    assert tracer.counts["semigroup.steps"] == 0
+    assert tracer.counts["semigroup.slices_mb"] == 81 * 8 / 2**20
 
 
 def test_bytes_written_counter_sees_a_real_table(tmp_path, monkeypatch):
