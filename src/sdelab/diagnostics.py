@@ -38,7 +38,7 @@ from .coefficients import CoefficientSet
 from .density import psi_weights, solve_density
 from .grids import (
     BoxGrid, GridField, finite_point, finite_real, finite_values,
-    grid_values, step_count,
+    grid_values, kept_steps, step_count,
 )
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
@@ -265,18 +265,27 @@ def uniqueness_configs(
     variants: Sequence[LawVariant], x0, t_checks, cfg: SimConfig, level: float = 0.01
 ) -> list:
     """Checked inputs of :func:`uniqueness_probe`: one ensemble config per
-    variant, whose states numpy can represent.  Variant labels are distinct;
-    ``x0`` lies inside ``cfg.r_exit``; every check time lies on every
-    variant's step grid, within its horizon, and no two check times share a
-    step of any variant's grid; ``level`` lies in ``(0, 1)``."""
+    variant, whose states numpy can represent.  Each variant is a
+    :class:`LawVariant` whose ``c`` is unset or a :class:`CoefficientSet`,
+    and labels are distinct non-empty strings; ``x0`` lies inside
+    ``cfg.r_exit``; ``t_checks`` is a list of times after 0 that every
+    variant's ensemble can keep (:func:`~sdelab.grids.kept_steps`);
+    ``level`` lies in ``(0, 1)``."""
     _start_inside(x0, cfg.r_exit, "r_exit")
     if len(variants) < 2:
         raise DiagnosticsError("need at least two variants to compare")
-    if not isinstance(t_checks, (list, tuple, np.ndarray)) or len(t_checks) == 0:
-        raise DiagnosticsError("need at least one check time")
+    if not isinstance(t_checks, (list, tuple, np.ndarray)):  # the probe reads it twice
+        raise DiagnosticsError(f"t_checks must be a list of times, got {t_checks!r}")
     _check_level(level)
     labels = []
     for var in variants:
+        c_ok = isinstance(getattr(var, "c", None), (CoefficientSet, type(None)))
+        if not (isinstance(var, LawVariant) and c_ok):
+            raise DiagnosticsError(f"variant {var!r} is not a LawVariant whose c is None "
+                                   "or a CoefficientSet")
+        if not isinstance(var.label, str) or not var.label:
+            raise DiagnosticsError("variant label must be a non-empty string, "
+                                   f"got {var.label!r}")
         if var.label in labels:
             raise DiagnosticsError(f"variant label {var.label!r} repeats")
         labels.append(var.label)
@@ -286,17 +295,10 @@ def uniqueness_configs(
         dt = cfg.dt if var.dt is None else finite_real(var.dt, name, DiagnosticsError)
         configs.append(replace(cfg, master_seed=derive_seed(cfg.master_seed, i), dt=dt))
         configs[-1].states_shape(len(x0))
-        steps = {}
-        for t in t_checks:
-            k = step_count(t, dt, DiagnosticsError, "t", name)
-            if k > configs[-1].n_steps:
-                raise DiagnosticsError(f"check time {t} is beyond t_final={cfg.t_final}")
-            if k in steps:
-                raise DiagnosticsError(
-                    f"check times {steps[k]} and {t} repeat: both are step {k} "
-                    f"of {var.label}"
-                )
-            steps[k] = t
+        if not kept_steps(t_checks, dt, configs[-1].n_steps, DiagnosticsError,
+                          "t_checks", name).all():  # a step 0 is time 0
+            raise DiagnosticsError(f"t_checks {list(t_checks)} names t=0, the common start, "
+                                   "where no comparison can reject")
     return configs
 
 
@@ -451,12 +453,16 @@ def krylov_config(
 ) -> SimConfig:
     """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
     at ``radius`` and run to ``t_final``, whose states numpy can represent;
-    ``x0`` lies inside the ball, and a quadrature cell's volume is a
-    positive float."""
+    ``x0`` lies inside the ball, the payloads are a non-empty list of
+    callables, and a quadrature cell's volume is a positive float."""
     radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
     _start_inside(x0, radius, "radius")
-    if not f_dictionary:
-        raise DiagnosticsError("payload dictionary is empty")
+    if not isinstance(f_dictionary, (list, tuple)) or not f_dictionary:  # read twice
+        raise DiagnosticsError("payload dictionary must be a non-empty list, "
+                               f"got {f_dictionary!r}")
+    for f in f_dictionary:
+        if not callable(f):
+            raise DiagnosticsError(f"payload {f!r} is not callable")
     cell = _quadrature_cell(radius, len(x0))[1]
     if not 0.0 < cell < math.inf:
         raise DiagnosticsError(f"radius {radius} gives quadrature cells of volume {cell}: "

@@ -70,26 +70,28 @@ def step_count(t, dt, error=ValueError, t_name="t_final", dt_name="dt") -> int:
     return k
 
 
-def grid_step(t, dt, n_steps: int, error=ValueError) -> int:
+def grid_step(t, dt, n_steps: int, error=ValueError, dt_name="dt") -> int:
     """The step of time ``t`` on the grid of ``dt``, at most ``n_steps``."""
-    k = 0 if t == 0 else step_count(t, dt, error, "t")
+    k = 0 if t == 0 else step_count(t, dt, error, "t", dt_name)
     if k > n_steps:
         raise error(f"t={t} outside the simulated horizon")
     return k
 
 
-def kept_steps(t_keep, dt, n_steps: int, error=ValueError) -> np.ndarray:
-    """The steps of the times in ``t_keep`` (:func:`grid_step`), in its
-    order; the times are not empty and no two share a step."""
+def kept_steps(t_keep, dt, n_steps: int, error=ValueError, t_name="t_keep",
+               dt_name="dt") -> np.ndarray:
+    """The steps of the times ``t_name`` in ``t_keep`` (:func:`grid_step` of
+    step ``dt_name``), in its order; not empty, and no two on one step."""
     try:
         times = list(t_keep)
     except TypeError:
-        raise error(f"t_keep must be a sequence of times, got {t_keep!r}") from None
-    steps = [grid_step(t, dt, n_steps, error) for t in times]
+        raise error(f"{t_name} must be a sequence of times, got {t_keep!r}") from None
+    steps = [grid_step(t, dt, n_steps, error, dt_name) for t in times]
     if not steps:
-        raise error("t_keep is empty: keep at least one time")
+        raise error(f"{t_name} is empty: name at least one time")
     if len(set(steps)) < len(steps):
-        raise error(f"t_keep {times} names a step more than once")
+        raise error(f"{t_name} {times} names a step more than once "
+                    f"on the grid of {dt_name}={dt}")
     return np.array(steps)
 
 
@@ -336,7 +338,7 @@ class GridField:
 
 def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
     """Node values of a scalar datum given as a :class:`GridField` on ``grid``
-    or as a callable evaluated at the nodes."""
+    or as a callable evaluated at the nodes, checked finite."""
     if isinstance(f0, GridField):
         if f0.grid.shape != grid.shape or f0.grid.bounds != grid.bounds:
             raise error("datum lives on a different grid")
@@ -349,6 +351,9 @@ def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
         raise error("datum must be a GridField or a callable")
     if values.shape != grid.shape:
         raise error(f"datum has shape {values.shape} on a grid of shape {grid.shape}")
+    if not np.all(np.isfinite(values)):
+        raise error(f"datum is non-finite at {np.sum(~np.isfinite(values))} of "
+                    f"{values.size} nodes")
     return values
 
 

@@ -25,7 +25,7 @@ the paths' counter-based streams, and stepped through as it arrives, so a
 block's working memory does not grow with ``n_steps``.  An ensemble stores
 every state of the step grid, or only the states at the times its caller
 names (``t_keep``): the chain, the noise and the tallies are the same
-either way.  The weak-order study steps its levels through the same chain.
+either way.  The weak-order study steps the same chain on the same chunks.
 Passes over a stored ensemble (path integrals) run over row blocks, so their
 temporaries stay small; every per-path result is independent of that split.
 """
@@ -184,11 +184,12 @@ def _blocks(n_paths: int) -> list:
 
 
 def _noise_chunks(
-    master_seed: int, idx: np.ndarray, n_steps: int, m: int, pool
+    master_seed: int, idx: np.ndarray, n_steps: int, m: int, pool, span: int = 1
 ) -> Iterator[np.ndarray]:
     """A block's normals in step chunks of at most ``_NOISE_BUDGET`` normals
-    (at least one step each), shape ``(len(idx), steps, m)``, in step order."""
-    per = max(1, _NOISE_BUDGET // (len(idx) * m))
+    (a whole multiple of ``span`` steps each, at least one; ``span`` divides
+    ``n_steps``), shape ``(len(idx), steps, m)``, in step order."""
+    per = span * max(1, _NOISE_BUDGET // (len(idx) * m * span))
     for first in range(0, n_steps, per):
         shape = (len(idx), min(per, n_steps - first), m)
         with allocating("block noise", shape, SimulationError):
@@ -306,6 +307,8 @@ def simulate_ensemble(
     x0 = finite_point(x0, c.dim, "x0", SimulationError)
     workers = integer(workers, "workers", SimulationError, minimum=1)
     eps = (0.0, cfg.near_degeneracy_eps)
+    if not np.iterable(occupation_eps):
+        raise SimulationError(f"occupation_eps must be a sequence, got {occupation_eps!r}")
     for e in occupation_eps:
         if finite_real(e, "occupation_eps", SimulationError) < 0:
             raise SimulationError(f"occupation_eps must be nonnegative, got {e!r}")
@@ -413,35 +416,42 @@ def weak_error_study(
     Each level is checked as a :class:`SimConfig` and steps the ensembles'
     chain; a path that explodes at any level is an error, and so is a payoff
     that does not map a block of ``b`` terminal states to ``b`` finite values.
-    Each block's fine noise is drawn whole; noise that cannot be allocated
-    is a :class:`SimulationError`.
+    A block's fine noise arrives in the ensembles' step chunks, whole steps of
+    every level, and the levels step through each chunk in lockstep.
 
     Returns a dict with ``dt`` (descending), ``estimates``, ``stderr`` and
     ``successive_diffs``.
     """
     x0 = finite_point(x0, c.dim, "x0", SimulationError)
-    dts = sorted(set(float(v) for v in dt_list), reverse=True)
+    if not np.iterable(dt_list):
+        raise SimulationError(f"dt_list must be a sequence, got {dt_list!r}")
+    dts = sorted({finite_real(v, "dt_list", SimulationError) for v in dt_list}, reverse=True)
     if not dts:
         raise SimulationError("dt_list is empty")
     fine = SimConfig(dt=dts[-1], t_final=t_final, n_paths=n_paths, master_seed=master_seed)
     ratios = [step_count(v, fine.dt, SimulationError, "dt", "the finest dt") for v in dts]
     levels = [replace(fine, dt=v) for v in dts]
 
-    m = c.noise_dim
+    m, span = c.noise_dim, math.lcm(*ratios)
+    chunk = [None]  # the block's current fine chunk, which every level reads
+
+    def level_noise(r: int) -> Iterator[np.ndarray]:
+        while True:  # the level's normals of each fine chunk, in turn
+            xi = chunk[0]
+            yield xi if r == 1 else xi.reshape(len(xi), -1, r, m).sum(axis=2) / math.sqrt(r)
+
     sums, sq_sums = np.zeros((2, len(dts)))
     for idx in _blocks(n_paths):
         b = len(idx)
-        with allocating("fine noise", (b, fine.n_steps, m), SimulationError):
-            xi_fine = block_normals(master_seed, idx, fine.n_steps, m)
-        exit_step, exploded_step = np.empty((2, b), dtype=np.int64)
-        for li, (level, r) in enumerate(zip(levels, ratios)):
-            if r == 1:
-                xi = xi_fine
-            else:
-                with allocating("level noise", (b, level.n_steps, m), SimulationError):
-                    xi = xi_fine.reshape(b, level.n_steps, r, m).sum(axis=2) / math.sqrt(r)
-            for x in _euler_maruyama(c, x0, [xi], level, exit_step, exploded_step):
-                pass  # only the terminal state is needed
+        stops = np.empty((len(dts), 2, b), dtype=np.int64)  # exit and explosion steps
+        chains = [_euler_maruyama(c, x0, level_noise(r), level, *stop)
+                  for level, r, stop in zip(levels, ratios, stops)]
+        terminal = [next(chain) for chain in chains]  # each chain steps its state in place
+        for chunk[0] in _noise_chunks(master_seed, idx, fine.n_steps, m, None, span):
+            for chain, r in zip(chains, ratios):
+                for _ in range(chunk[0].shape[1] // r):
+                    next(chain)
+        for li, (level, x, (_, exploded_step)) in enumerate(zip(levels, terminal, stops)):
             if np.any(exploded_step >= 0):
                 raise SimulationError(
                     f"{np.sum(exploded_step >= 0)} paths of block {idx[0]}..{idx[-1]} "

@@ -580,6 +580,17 @@ _BAD_VALUES = [
     ("diagnose", "diagnostics.2.payloads.2.radius=-1"),
     ("diagnose", "diagnostics.1.t_checks=[0.5,0.5]"),
     ("diagnose", "diagnostics.1.variants.0.label=gamma=1"),
+    # check times off the grid, past the horizon, none, not a list, and the
+    # common start, where no comparison can reject
+    ("diagnose", "diagnostics.1.t_checks=[0.5005]"),
+    ("diagnose", "diagnostics.1.t_checks=[1.002]"),
+    ("diagnose", "diagnostics.1.t_checks=[]"),
+    ("diagnose", "diagnostics.1.t_checks=0.5"),
+    ("diagnose", "diagnostics.1.t_checks=[0,0.5]"),
+    # variant labels that are not non-empty strings: an int 1 and a string
+    # "1" used to name two variants whose clauses printed alike
+    ("diagnose", "diagnostics.1.variants.0.label=1"),
+    ("diagnose", 'diagnostics.1.variants.0.label=""'),
     ("simulate", "sim.n_paths=1000000000000"),
     # sizes no numpy array can have, refused at load, not after earlier reports
     ("diagnose", "diagnostics.3.mc_dt=1e-300"),

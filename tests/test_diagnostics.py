@@ -28,7 +28,7 @@ from sdelab.diagnostics import (
 from sdelab.grids import BoxGrid, GridField, SmoothBump
 from sdelab.rng import derive_seed
 from sdelab.semigroup import evolve as semigroup_evolve
-from sdelab.simulate import SimConfig, simulate_ensemble
+from sdelab.simulate import SimConfig, SimulationError, simulate_ensemble, weak_error_study
 
 
 def _comonotone_2d():
@@ -241,8 +241,40 @@ class TestUniquenessProbe:
         cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
         variants = [LawVariant("a"), LawVariant("b")]
         for t_checks in ([0.5, 0.5], [0.5, 0.5 + 1e-12]):
-            with pytest.raises(DiagnosticsError, match="repeat: both are step 5 of a"):
+            with pytest.raises(DiagnosticsError, match="names a step more than once "
+                                                       "on the grid of dt of a=0.1"):
                 uniqueness_probe(brownian2, variants, (0.0, 0.0), t_checks, cfg)
+
+    @pytest.mark.parametrize("t_checks, match", [
+        # no comparison at the common start can reject
+        ([0.0, 0.5], r"names t=0, the common start"),
+        ((0,), r"names t=0, the common start"),
+        # the probe reads the times twice, so a one-pass iterable is refused
+        ((t for t in [0.5]), "t_checks must be a list of times"),
+        (0.5, "t_checks must be a list of times"),
+        ([], "t_checks is empty"),
+        ([0.6], "t=0.6 outside the simulated horizon"),
+    ], ids=["zero", "zero-only", "generator", "number", "empty", "beyond"])
+    def test_check_times_refused(self, brownian2, t_checks, match):
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        variants = [LawVariant("a"), LawVariant("b")]
+        with pytest.raises(DiagnosticsError, match=match):
+            uniqueness_probe(brownian2, variants, (0.0, 0.0), t_checks, cfg)
+
+    @pytest.mark.parametrize("label", ["", 1, None, ("a",)])
+    def test_variant_label_must_be_a_non_empty_string(self, brownian2, label):
+        # an int 1 and a string "1" used to name two variants that print alike
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        variants = [LawVariant("1"), LawVariant(label)]
+        with pytest.raises(DiagnosticsError, match="label must be a non-empty string"):
+            uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.5], cfg)
+
+    @pytest.mark.parametrize("variant", ["b", ("b",), LawVariant("b", c="brownian")],
+                             ids=["string", "tuple", "family-name"])
+    def test_variant_must_be_a_law_variant_of_coefficients(self, brownian2, variant):
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        with pytest.raises(DiagnosticsError, match="is not a LawVariant"):
+            uniqueness_probe(brownian2, [LawVariant("a"), variant], (0.0, 0.0), [0.5], cfg)
 
     def test_repeated_variant_label_rejected(self, brownian2):
         cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
@@ -633,6 +665,20 @@ class TestFeynmanKac:
         with pytest.raises(DiagnosticsError, match="payload is 0 at every node"):
             feynman_kac_crosscheck(brownian2, grid, bump, (0.0, 0.0), 0.5, cfg, 0.05)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_payload_non_finite_at_a_node_rejected_before_any_path(self, brownian2,
+                                                                   monkeypatch, bad):
+        # the ensemble and the density solve used to run first
+        grid = BoxGrid(BOUNDS4, 65)
+        values = np.ones(grid.shape)
+        values[10, 50] = bad
+        monkeypatch.setattr(diagnostics, "simulate_ensemble", None)
+        monkeypatch.setattr(diagnostics, "solve_density", None)
+        cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
+        for payload in (GridField(grid, values), lambda x: values):
+            with pytest.raises(DiagnosticsError, match="datum is non-finite at 1 of 4225"):
+                feynman_kac_crosscheck(brownian2, grid, payload, (0.0, 0.0), 0.5, cfg, 0.05)
+
     def test_foreign_grid_payload_rejected(self, brownian2):
         grid = BoxGrid(BOUNDS4, 33)
         other = BoxGrid(((-2.0, 2.0), (-2.0, 2.0)), 33)
@@ -658,3 +704,30 @@ def test_input_check_refuses_unrepresentable_ensemble(check):
     # each audit's one input check, also the config load's, sizes its ensembles
     with pytest.raises(ValueError, match=r"^states of shape 1\.000e18 x 6 x 2 cannot be"):
         check(_UNREPRESENTABLE)
+
+
+_RUN = SimConfig(dt=0.1, t_final=0.5, n_paths=10, master_seed=1)
+
+
+# each used to escape as a bare TypeError or ValueError, the Krylov one only
+# after its ensemble had run
+@pytest.mark.parametrize("call, error, match", [
+    (lambda c: simulate_ensemble(c, (0.0, 0.0), _RUN, occupation_eps=0.1),
+     SimulationError, "occupation_eps must be a sequence, got 0.1"),
+    (lambda c: weak_error_study(c, (0.0, 0.0), lambda x: x[:, 0], 0.5, 0.1, 10, 1),
+     SimulationError, "dt_list must be a sequence, got 0.1"),
+    (lambda c: weak_error_study(c, (0.0, 0.0), lambda x: x[:, 0], 0.5, ["a"], 10, 1),
+     SimulationError, "dt_list must be a finite number, got 'a'"),
+    (lambda c: krylov_audit(c, (0.0, 0.0), 2.0, 0.5, [_one, 3], _RUN),
+     DiagnosticsError, "payload 3 is not callable"),
+    # the check reads the payloads before the audit does, so a generator is refused
+    (lambda c: krylov_audit(c, (0.0, 0.0), 2.0, 0.5, (f for f in [_one]), _RUN),
+     DiagnosticsError, "payload dictionary must be a non-empty list, got <generator"),
+    (lambda c: krylov_audit(c, (0.0, 0.0), 2.0, 0.5, 5, _RUN),
+     DiagnosticsError, "payload dictionary must be a non-empty list, got 5"),
+], ids=["occupation_eps", "dt_list-number", "dt_list-string", "krylov-payload",
+        "krylov-generator", "krylov-number"])
+def test_untyped_argument_refused_where_it_enters(brownian2, monkeypatch, call, error, match):
+    monkeypatch.setattr(diagnostics, "simulate_ensemble", None)  # no audit ensemble runs
+    with pytest.raises(error, match=match):
+        call(brownian2)

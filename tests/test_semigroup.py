@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sdelab.semigroup
 from sdelab.density import psi_weights, solve_density
 from sdelab.grids import BoxGrid, GridField, SmoothBump
 from sdelab.semigroup import (
@@ -60,6 +61,20 @@ class TestEvolveValidation:
         dens = solve_density(brownian2, BOX2, 17)
         with pytest.raises(SemigroupError, match="shape"):
             evolve(brownian2, dens, lambda x: x, 0.1, 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_field", [False, True])
+    def test_non_finite_datum_refused_before_the_solve(self, brownian2, monkeypatch,
+                                                       bad, as_field):
+        # the datum used to be assembled, factorised and stepped before the
+        # slice check reported it
+        dens = solve_density(brownian2, BOX2, 17)
+        values = np.zeros(dens.grid.shape)
+        values[8, 3] = bad
+        datum = GridField(dens.grid, values) if as_field else lambda x: values
+        monkeypatch.setattr(sdelab.semigroup, "_assemble_operator", None)
+        with pytest.raises(SemigroupError, match="datum is non-finite at 1 of 289 nodes"):
+            evolve(brownian2, dens, datum, 0.1, 0.05)
 
 
 class TestKeptSlices:

@@ -737,9 +737,13 @@ class TestChunkedNoise:
                                                   r"need .* GiB, more than can be allocated$"):
             simulate_ensemble(brownian2, [0.0, 0.0], cfg)
 
-    def test_unallocatable_fine_noise_is_a_simulation_error(self, brownian2):
-        # the weak-order study draws a block's fine noise whole: 128 PiB here
-        with pytest.raises(SimulationError, match=r"^fine noise of shape 4096 x 2\.199e12 x 2 "
+    def test_unallocatable_weak_study_noise_is_a_simulation_error(self, brownian2,
+                                                                 monkeypatch):
+        # the weak-order study draws the ensembles' chunks: one chunk of 4096
+        # paths x 2^41 fine steps x 2 normals here, 128 PiB, which fails
+        # without touching memory
+        monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", 2**62)
+        with pytest.raises(SimulationError, match=r"^block noise of shape 4096 x 2\.199e12 x 2 "
                                                   r"need .* GiB, more than can be allocated$"):
             weak_error_study(brownian2, [0.0, 0.0], lambda x: x[:, 0], 1.0,
                              [2.0**-40, 2.0**-41], _BLOCK, master_seed=0)
@@ -826,3 +830,41 @@ class TestWeakOrder:
         fine = np.concatenate(seen[len(dts) - 1 :: len(dts)])
         ens = simulate_ensemble(radial2, [0.5, -0.5], SimConfig(0.01, 0.2, n, seed))
         np.testing.assert_array_equal(fine, ens.states[:, -1])
+
+    @pytest.mark.parametrize("budget", [1, 7 * 2 * 24])
+    def test_chunked_study_equals_one_chunk(self, ou2, monkeypatch, budget):
+        # ratios 6, 4, 2, 1 (span 12) over 48 fine steps and two blocks: at
+        # budget 1 every chunk is 12 steps; at the other, the 7-path block's
+        # chunks are 24 steps and the full block's 12
+        args = (ou2, [1.0, 0.5], lambda x: x[:, 0] * x[:, 1], 0.48,
+                [0.06, 0.04, 0.02, 0.01], _BLOCK + 7)
+        one = weak_error_study(*args, master_seed=17)
+        monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", budget)
+        drawn = []
+
+        def record(seed, idx, n_steps, m, pool=None, first_step=0):
+            drawn.append((len(idx), first_step, n_steps))
+            return block_normals(seed, idx, n_steps, m, pool, first_step)
+
+        monkeypatch.setattr(sdelab.simulate, "block_normals", record)
+        chunked = weak_error_study(*args, master_seed=17)
+        assert chunked == one
+        per = {_BLOCK: 12, 7: 12 if budget == 1 else 24}
+        assert drawn == [(b, s, per[b]) for b in (_BLOCK, 7) for s in range(0, 48, per[b])]
+
+    def test_study_peak_memory_is_a_few_chunks(self, ou2, monkeypatch):
+        # one block of 4096 paths x 400 fine steps x 2 normals: 26.2 MB drawn
+        # whole, 2 MiB chunks of 32 steps here; the traced peak stays under
+        # four chunks plus 1 MiB for the three levels' states and step
+        # temporaries (each level's state and update take 64 KiB)
+        monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", 2**18)
+        study = (ou2, [2.0, 0.0], lambda x: x[:, 0], 0.4, [4e-3, 2e-3, 1e-3], _BLOCK)
+        weak_error_study(*study[:3], 0.02, study[4], 10, master_seed=1)  # lazy imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weak_error_study(*study, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**21 + 2**20
