@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .coefficients import CoefficientSet, companion_ok
-from .grids import BoxGrid
+from .grids import BoxGrid, squared_norm
 from .reporting import DiagnosticReport
 
 
@@ -35,14 +35,14 @@ def _growth_lhs(c: CoefficientSet, x: np.ndarray) -> np.ndarray:
     a = c.A(x)
     g = c.G(x)
     w = c.inv_weight(x)
-    r2 = np.sum(x * x, axis=-1)
+    r2 = squared_norm(x)
     ax_x = np.einsum("...ij,...j,...i->...", a, x, x)
     tr = np.trace(a, axis1=-2, axis2=-1)
     return -ax_x * w / (r2 + 1.0) + 0.5 * tr * w + np.sum(g * x, axis=-1)
 
 
 def _growth_rhs(x: np.ndarray, bound_constant: float) -> np.ndarray:
-    r2 = np.sum(x * x, axis=-1)
+    r2 = squared_norm(x)
     return bound_constant * (r2 + 1.0) * (np.log(r2 + 1.0) + 1.0)
 
 

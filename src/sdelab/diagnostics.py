@@ -266,10 +266,11 @@ def uniqueness_configs(
 ) -> list:
     """Checked inputs of :func:`uniqueness_probe`: one ensemble config per
     variant, whose states numpy can represent.  Each variant is a
-    :class:`LawVariant` whose ``c`` is unset or a :class:`CoefficientSet`,
-    and labels are distinct non-empty strings; ``x0`` lies inside
-    ``cfg.r_exit``; ``t_checks`` is a list of times after 0 that every
-    variant's ensemble can keep (:func:`~sdelab.grids.kept_steps`);
+    :class:`LawVariant` whose ``c`` is unset or a :class:`CoefficientSet` of
+    the dimension of ``x0``, and labels are distinct non-empty strings;
+    ``cfg.t_final`` is a whole number of each variant's steps; ``x0`` lies
+    inside ``cfg.r_exit``; ``t_checks`` is a list of times after 0 that
+    every variant's ensemble can keep (:func:`~sdelab.grids.kept_steps`);
     ``level`` lies in ``(0, 1)``."""
     _start_inside(x0, cfg.r_exit, "r_exit")
     if len(variants) < 2:
@@ -288,11 +289,15 @@ def uniqueness_configs(
                                    f"got {var.label!r}")
         if var.label in labels:
             raise DiagnosticsError(f"variant label {var.label!r} repeats")
+        if var.c is not None and var.c.dim != len(x0):
+            raise DiagnosticsError(f"variant {var.label!r} has dimension {var.c.dim}, "
+                                   f"but x0 lists {len(x0)} coordinates")
         labels.append(var.label)
     configs = []
     for i, var in enumerate(variants):
         name = f"dt of {var.label}"
         dt = cfg.dt if var.dt is None else finite_real(var.dt, name, DiagnosticsError)
+        step_count(cfg.t_final, dt, DiagnosticsError, "t_final", name)
         configs.append(replace(cfg, master_seed=derive_seed(cfg.master_seed, i), dt=dt))
         configs[-1].states_shape(len(x0))
         if not kept_steps(t_checks, dt, configs[-1].n_steps, DiagnosticsError,
@@ -452,7 +457,8 @@ def krylov_config(
     x0, radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig
 ) -> SimConfig:
     """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
-    at ``radius`` and run to ``t_final``, whose states numpy can represent;
+    at ``radius`` and run to ``t_final``, a whole number of steps ``cfg.dt``,
+    whose states numpy can represent;
     ``x0`` lies inside the ball, the payloads are a non-empty list of
     callables, and a quadrature cell's volume is a positive float."""
     radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
@@ -467,8 +473,8 @@ def krylov_config(
     if not 0.0 < cell < math.inf:
         raise DiagnosticsError(f"radius {radius} gives quadrature cells of volume {cell}: "
                                "the mixed norms need a finite positive volume")
-    t_final = finite_real(t_final, "t_final", DiagnosticsError)
-    cfg_run = replace(cfg, t_final=t_final, r_exit=radius)
+    step_count(t_final, cfg.dt, DiagnosticsError, "t_final", "dt")
+    cfg_run = replace(cfg, t_final=float(t_final), r_exit=radius)
     cfg_run.states_shape(len(x0))
     return cfg_run
 
@@ -548,7 +554,8 @@ def feynman_kac_config(
 ) -> tuple:
     """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
     payload's node values, not 0 at every node, the start point, the
-    Monte-Carlo config, whose states numpy can represent, and the
+    Monte-Carlo config (``t_final`` a whole number of its steps ``mc_dt``),
+    whose states numpy can represent, and the
     once-coarsened grid of the spatial error estimate."""
     if not isinstance(grid, BoxGrid):
         raise DiagnosticsError(f"grid must be a BoxGrid, got {type(grid).__name__}")
@@ -565,6 +572,7 @@ def feynman_kac_config(
             "at the doubled step"
         )
     slices_shape(grid, t_final, pde_dt, DiagnosticsError)
+    step_count(t_final, cfg.dt, DiagnosticsError, "t_final", "mc_dt")
     # the comparison is defined for the free dynamics: a configured exit
     # radius would freeze Monte-Carlo paths the PDE side keeps evolving
     cfg_run = replace(cfg, t_final=float(t_final), r_exit=None)

@@ -16,16 +16,18 @@ dispersion factor that declares itself the identity steps with
 ``exit_time_stats`` return the plain dicts the ``simulate`` report carries.
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
-function of the master seed and the block's path indices.  The calling thread
-draws and steps the blocks in turn, and ``workers - 1`` helper threads only
-convert its noise (elementwise, without the GIL), so any worker count
-produces bitwise identical ensembles.  A block's noise is drawn in step
-chunks of at most ``_NOISE_BUDGET`` normals, each read from its position in
-the paths' counter-based streams, and stepped through as it arrives, so a
-block's working memory does not grow with ``n_steps``.  An ensemble stores
-every state of the step grid, or only the states at the times its caller
-names (``t_keep``): the chain, the noise and the tallies are the same
-either way.  The weak-order study steps the same chain on the same chunks.
+function of the master seed and the block's path indices.  One engine steps
+every run.  The calling thread draws a block's noise in step chunks of at
+most ``_NOISE_BUDGET`` normals, each read from its position in the paths'
+counter-based streams, and steps every level of the run through a chunk
+before it draws the next, so a block's working memory does not grow with
+``n_steps``; ``workers - 1`` helper threads only convert the noise
+(elementwise, without the GIL), so any worker count produces bitwise
+identical ensembles.  An ensemble is a run of one level; the weak-order
+study runs several on common noise, a level of step ``r dt`` on the sums of
+``r`` fine normals over ``sqrt(r)``.  An ensemble stores every state of the
+step grid, or only the states at the times its caller names (``t_keep``):
+the chain, the noise and the tallies are the same either way.
 Passes over a stored ensemble (path integrals) run over row blocks, so their
 temporaries stay small; every per-path result is independent of that split.
 """
@@ -36,7 +38,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -183,21 +185,6 @@ def _blocks(n_paths: int) -> list:
     return np.split(np.arange(n_paths, dtype=np.int64), range(_BLOCK, n_paths, _BLOCK))
 
 
-def _noise_chunks(
-    master_seed: int, idx: np.ndarray, n_steps: int, m: int, pool, span: int = 1
-) -> Iterator[np.ndarray]:
-    """A block's normals in step chunks of at most ``_NOISE_BUDGET`` normals
-    (a whole multiple of ``span`` steps each, at least one; ``span`` divides
-    ``n_steps``), shape ``(len(idx), steps, m)``, in step order."""
-    per = span * max(1, _NOISE_BUDGET // (len(idx) * m * span))
-    for first in range(0, n_steps, per):
-        shape = (len(idx), min(per, n_steps - first), m)
-        with allocating("block noise", shape, SimulationError):
-            chunk = block_normals(master_seed, idx, shape[1], m, pool, first)
-        yield chunk
-        del chunk  # the next chunk is drawn with this one freed
-
-
 def outside_ball(x: np.ndarray, r_exit: float) -> np.ndarray:
     """The exit test ``|x| >= r_exit`` of each row of ``x``; a norm that
     overflows is outside."""
@@ -206,34 +193,30 @@ def outside_ball(x: np.ndarray, r_exit: float) -> np.ndarray:
 
 
 def _euler_maruyama(
-    c: CoefficientSet,
-    x0: np.ndarray,
-    noise: Iterable[np.ndarray],
-    cfg: SimConfig,
-    exit_step: np.ndarray,
-    exploded_step: np.ndarray,
-    counts: np.ndarray | None = None,
-    eps: tuple = (),
-) -> Iterator[np.ndarray]:
-    """Yield a block's states along the chain, state 0 first.
+    c: CoefficientSet, x0: np.ndarray, ens: PathEnsemble, sl: slice
+) -> Generator[None, np.ndarray, None]:
+    """The chain of paths ``sl`` of ``ens``, stepped by its caller: after
+    ``next``, each ``send(xi_k)`` of the ``(b, m)`` normals of step ``k``
+    steps every path once.
 
-    ``noise`` yields the block's normals for steps of ``cfg.dt``, in step
-    order, as chunks of shape ``(b, steps, m)``; the chain drops each chunk
-    before it asks for the next.  A path is absorbed once
-    ``|X| >= cfg.r_exit`` and frozen at its last finite state on a
-    non-finite update; the first such state index is written into
-    ``exit_step`` / ``exploded_step`` (``-1`` if never).
-    The chain updates one C-contiguous ``(b, d)`` array in place and yields
-    it at every step, so a caller copies what it keeps.
+    The chain writes into ``ens`` what it owns of those paths: the state of
+    each kept step into its ``states`` column, and the first state index at
+    which a path is absorbed (``|X| >= r_exit``) or frozen at its last finite
+    state (on a non-finite update) into ``exit_step`` / ``exploded_step``
+    (``-1`` if never).  It holds no normals between steps.
 
     The weight ``w = c.inv_weight(x)`` is evaluated once per distinct block
     state, and a frozen block reuses the weight of its frozen state.  The
-    dispersion ``sqrt(w) sigma`` reads it, and, when given, ``counts[0]``
-    counts ``w == 0`` and each later ``counts[j]`` counts ``w < eps[j]`` over
-    states ``0 .. n_steps - 1``.  A factor declared the identity steps with
-    ``sqrt(w) xi``, a coordinate column at a time; any other factor is
-    contracted with ``xi``.
+    dispersion ``sqrt(w) sigma`` reads it, and ``occupation`` row ``j``
+    counts the states stepped from with ``w < occupation_eps[j]`` (row 0:
+    ``w == 0``).  A factor declared the identity steps with ``sqrt(w) xi``,
+    a coordinate column at a time; any other factor is contracted with
+    ``xi``.
     """
+    cfg, eps = ens.config, ens.occupation_eps
+    states, counts = ens.states[sl], ens.occupation[:, sl]
+    exit_step, exploded_step = ens.exit_step[sl], ens.exploded_step[sl]
+    column = dict(zip(ens.steps.tolist(), range(len(ens.steps))))  # step -> states column
     b = len(exit_step)
     root_dt = math.sqrt(cfg.dt)
     x = np.tile(x0, (b, 1))
@@ -245,48 +228,107 @@ def _euler_maruyama(
         out_now = outside_ball(x, cfg.r_exit)
         exit_step[out_now] = 0
         active &= ~out_now
-    yield x
 
     w = None  # the weight of x, once taken
     k = 0  # the step of x
-    for xi in noise:
-        for xi_k in xi.transpose(1, 0, 2):  # the (b, m) normals of step k
-            if w is None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    w = c.inv_weight(x)
-            if counts is not None:
-                counts[0] += w == 0.0
-                for count, e in zip(counts[1:], eps[1:]):
-                    count += w < e
-            if active.any():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    root = np.sqrt(w)
-                    if c.factor.identity:
-                        g = c.G(x)
-                        for j, nj in enumerate(xn):  # x + sqrt(dt) sqrt(w) xi + G dt
-                            np.multiply(root, xi_k[:, j], out=nj)
-                            nj += 0.0  # -0.0 -> 0.0, like the contraction's zero-started sum
-                            nj *= root_dt
-                            nj += x[:, j]
-                            nj += g[:, j] * cfg.dt
-                    else:
-                        factor = root[:, None, None] * c.factor(x)
-                        kick = np.einsum("bij,bj->bi", factor, xi_k)
-                        xn[:] = (x + root_dt * kick + c.G(x) * cfg.dt).T
-                w = None
-                if not np.isfinite(xn).all():
-                    bad = active & ~np.all(np.isfinite(xn), axis=0)
-                    exploded_step[bad] = k + 1
-                    active &= ~bad
-                for j, nj in enumerate(xn):
-                    np.copyto(x[:, j], nj, where=active)
-                if cfg.r_exit is not None:
-                    crossed = active & outside_ball(x, cfg.r_exit)
-                    exit_step[crossed] = k + 1
-                    active &= ~crossed
-            k += 1
-            yield x
-        del xi, xi_k  # the next chunk is drawn with this one freed
+    while True:
+        kept = column.get(k)
+        if kept is not None:
+            states[:, kept] = x
+        xi_k = yield
+        if w is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = c.inv_weight(x)
+        counts[0] += w == 0.0
+        for count, e in zip(counts[1:], eps[1:]):
+            count += w < e
+        if active.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                root = np.sqrt(w)
+                if c.factor.identity:
+                    g = c.G(x)
+                    for j, nj in enumerate(xn):  # x + sqrt(dt) sqrt(w) xi + G dt
+                        np.multiply(root, xi_k[:, j], out=nj)
+                        nj += 0.0  # -0.0 -> 0.0, like the contraction's zero-started sum
+                        nj *= root_dt
+                        nj += x[:, j]
+                        nj += g[:, j] * cfg.dt
+                else:
+                    factor = root[:, None, None] * c.factor(x)
+                    kick = np.einsum("bij,bj->bi", factor, xi_k)
+                    xn[:] = (x + root_dt * kick + c.G(x) * cfg.dt).T
+            w = None
+            if not np.isfinite(xn).all():
+                bad = active & ~np.all(np.isfinite(xn), axis=0)
+                exploded_step[bad] = k + 1
+                active &= ~bad
+            for j, nj in enumerate(xn):
+                np.copyto(x[:, j], nj, where=active)
+            if cfg.r_exit is not None:
+                crossed = active & outside_ball(x, cfg.r_exit)
+                exit_step[crossed] = k + 1
+                active &= ~crossed
+        k += 1
+        del xi_k  # a caller's chunk is freed before it draws the next
+
+
+def _simulate_levels(
+    c: CoefficientSet, x0: np.ndarray, levels: Sequence[SimConfig], ratios: Sequence[int],
+    workers: int = 1, occupation_eps: Sequence[float] = (),
+    t_keep: Sequence[float] | None = None,
+) -> list[PathEnsemble]:
+    """Step the ``levels`` of one run on common noise, finest last, the step
+    of ``levels[i]`` being ``ratios[i]`` fine steps: one :class:`PathEnsemble`
+    each.
+
+    A block's fine chunks are a whole multiple of ``lcm(ratios)`` steps, and
+    one level's aggregate of a chunk is held at a time.  Every ensemble
+    tallies occupation below 0, ``near_degeneracy_eps`` and each of
+    ``occupation_eps``, and keeps its states at ``t_keep`` (every state when
+    ``None``).
+    """
+    fine, d, m = levels[-1], c.dim, c.noise_dim
+    n = fine.n_paths
+    eps = (0.0, fine.near_degeneracy_eps)
+    for e in occupation_eps:
+        eps += () if e in eps else (float(e),)
+    ensembles = []
+    for cfg in levels:
+        steps = None if t_keep is None else kept_steps(t_keep, cfg.dt, cfg.n_steps,
+                                                       SimulationError)
+        shape = (n, cfg.n_steps + 1 if steps is None else len(steps), d)
+        with allocating("states", shape, SimulationError):
+            states = np.empty(shape)
+            exit_step = np.empty(n, dtype=np.int64)
+            exploded_step = np.empty(n, dtype=np.int64)
+            occupation = np.zeros((len(eps), n))
+        if steps is None:  # only now: it is no larger than the states
+            steps = np.arange(cfg.n_steps + 1)
+        ensembles.append(PathEnsemble(cfg, states, steps, exit_step, exploded_step,
+                                      occupation, eps))
+    span = math.lcm(*ratios)
+
+    helpers = ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
+    with helpers as pool:
+        for idx in _blocks(n):
+            b, sl = len(idx), slice(int(idx[0]), int(idx[-1]) + 1)
+            chains = [_euler_maruyama(c, x0, ens, sl) for ens in ensembles]
+            for chain in chains:
+                next(chain)  # to state 0
+            per = span * max(1, _NOISE_BUDGET // (b * m * span))
+            for first in range(0, fine.n_steps, per):
+                shape = (b, min(per, fine.n_steps - first), m)
+                with allocating("block noise", shape, SimulationError):
+                    xi = block_normals(fine.master_seed, idx, shape[1], m, pool, first)
+                for chain, r in zip(chains, ratios):
+                    agg = xi if r == 1 else xi.reshape(b, -1, r, m).sum(axis=2) / math.sqrt(r)
+                    for xi_k in agg.transpose(1, 0, 2):
+                        chain.send(xi_k)
+                    del agg, xi_k  # one aggregate alive at a time
+                del xi  # the next chunk is drawn with this one freed
+    for ens in ensembles:
+        ens.occupation *= ens.config.dt  # counts -> occupation times
+    return ensembles
 
 
 def simulate_ensemble(
@@ -296,7 +338,8 @@ def simulate_ensemble(
     """Run the ensemble described by ``cfg`` from the common start ``x0``.
 
     The calling thread steps every block through its noise, drawn in step
-    chunks; ``workers - 1`` helper threads convert that noise.  The result is bitwise identical for any ``workers``.
+    chunks; ``workers - 1`` helper threads convert that noise.  The result
+    is bitwise identical for any ``workers``.
     Exploded paths are flagged and frozen, never dropped.  The step also
     tallies occupation below each (finite, nonnegative) ``occupation_eps``,
     for :func:`occupation_profile`.
@@ -306,56 +349,16 @@ def simulate_ensemble(
     """
     x0 = finite_point(x0, c.dim, "x0", SimulationError)
     workers = integer(workers, "workers", SimulationError, minimum=1)
-    eps = (0.0, cfg.near_degeneracy_eps)
     if not np.iterable(occupation_eps):
         raise SimulationError(f"occupation_eps must be a sequence, got {occupation_eps!r}")
     for e in occupation_eps:
         if finite_real(e, "occupation_eps", SimulationError) < 0:
             raise SimulationError(f"occupation_eps must be nonnegative, got {e!r}")
-        eps += () if e in eps else (float(e),)
-
-    n, n_steps, d = cfg.n_paths, cfg.n_steps, c.dim
     # the whole paths' shape, checked whatever is kept, so that this runs
     # exactly the ensembles a config load accepts; the noise is drawn in step
     # chunks, so only the kept states grow with n_steps
-    cfg.states_shape(d)
-    steps = None if t_keep is None else kept_steps(t_keep, cfg.dt, n_steps, SimulationError)
-    shape = (n, n_steps + 1 if steps is None else len(steps), d)
-    with allocating("states", shape, SimulationError):
-        states = np.empty(shape)
-        exit_step = np.empty(n, dtype=np.int64)
-        exploded_step = np.empty(n, dtype=np.int64)
-        occupation = np.zeros((len(eps), n))
-    if steps is None:  # only now: it is no larger than the states
-        steps = np.arange(n_steps + 1)
-    column = dict(zip(steps.tolist(), range(len(steps))))  # step -> states column
-
-    def run(idx: np.ndarray, pool) -> None:
-        sl = slice(int(idx[0]), int(idx[-1]) + 1)
-        noise = _noise_chunks(cfg.master_seed, idx, n_steps, c.noise_dim, pool)
-        chain = _euler_maruyama(c, x0, noise, cfg, exit_step[sl], exploded_step[sl],
-                                occupation[:, sl], eps)
-        for k, x in enumerate(chain):
-            j = column.get(k)
-            if j is not None:
-                states[sl, j] = x
-        occupation[:, sl] *= cfg.dt  # counts -> occupation times
-
-    # one chunk of one block's noise at a time; helpers only convert its raw words
-    helpers = ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
-    with helpers as pool:
-        for idx in _blocks(n):
-            run(idx, pool)
-
-    return PathEnsemble(
-        config=cfg,
-        states=states,
-        steps=steps,
-        exit_step=exit_step,
-        exploded_step=exploded_step,
-        occupation=occupation,
-        occupation_eps=eps,
-    )
+    cfg.states_shape(c.dim)
+    return _simulate_levels(c, x0, [cfg], [1], workers, occupation_eps, t_keep)[0]
 
 
 def exit_time_stats(ens: PathEnsemble) -> dict:
@@ -408,16 +411,15 @@ def weak_error_study(
 ) -> dict:
     """Terminal-payoff estimates at several step sizes with common randomness.
 
-    All levels consume the same underlying increments: normals are generated
-    at the finest level and aggregated (sums of ``r`` fine normals over
-    ``sqrt(r)``) for coarser levels, so successive differences of the
-    estimates expose the scheme's order with the Monte Carlo noise largely
-    cancelled.  Every ``dt`` must be an integer multiple of the finest one.
-    Each level is checked as a :class:`SimConfig` and steps the ensembles'
-    chain; a path that explodes at any level is an error, and so is a payoff
-    that does not map a block of ``b`` terminal states to ``b`` finite values.
-    A block's fine noise arrives in the ensembles' step chunks, whole steps of
-    every level, and the levels step through each chunk in lockstep.
+    All levels consume the same underlying increments: they are one run of
+    the engine that steps every ensemble, keeping only terminal states, and
+    a coarser level steps on sums of ``r`` fine normals over ``sqrt(r)``, so
+    successive differences of the estimates expose the scheme's order with
+    the Monte Carlo noise largely cancelled.  Every ``dt`` must be an
+    integer multiple of the finest one, and each level is checked as a
+    :class:`SimConfig`.  Block by block, level by level, a path that
+    explodes is an error, and so is a payoff that does not map a block of
+    ``b`` terminal states to ``b`` finite values.
 
     Returns a dict with ``dt`` (descending), ``estimates``, ``stderr`` and
     ``successive_diffs``.
@@ -431,34 +433,19 @@ def weak_error_study(
     fine = SimConfig(dt=dts[-1], t_final=t_final, n_paths=n_paths, master_seed=master_seed)
     ratios = [step_count(v, fine.dt, SimulationError, "dt", "the finest dt") for v in dts]
     levels = [replace(fine, dt=v) for v in dts]
-
-    m, span = c.noise_dim, math.lcm(*ratios)
-    chunk = [None]  # the block's current fine chunk, which every level reads
-
-    def level_noise(r: int) -> Iterator[np.ndarray]:
-        while True:  # the level's normals of each fine chunk, in turn
-            xi = chunk[0]
-            yield xi if r == 1 else xi.reshape(len(xi), -1, r, m).sum(axis=2) / math.sqrt(r)
+    ensembles = _simulate_levels(c, x0, levels, ratios, t_keep=(t_final,))
 
     sums, sq_sums = np.zeros((2, len(dts)))
     for idx in _blocks(n_paths):
-        b = len(idx)
-        stops = np.empty((len(dts), 2, b), dtype=np.int64)  # exit and explosion steps
-        chains = [_euler_maruyama(c, x0, level_noise(r), level, *stop)
-                  for level, r, stop in zip(levels, ratios, stops)]
-        terminal = [next(chain) for chain in chains]  # each chain steps its state in place
-        for chunk[0] in _noise_chunks(master_seed, idx, fine.n_steps, m, None, span):
-            for chain, r in zip(chains, ratios):
-                for _ in range(chunk[0].shape[1] // r):
-                    next(chain)
-        for li, (level, x, (_, exploded_step)) in enumerate(zip(levels, terminal, stops)):
-            if np.any(exploded_step >= 0):
-                raise SimulationError(
-                    f"{np.sum(exploded_step >= 0)} paths of block {idx[0]}..{idx[-1]} "
-                    f"exploded (non-finite update) at dt={level.dt}"
-                )
-            where = f"at the terminal states of dt={level.dt}"
-            vals = finite_values(payoff(x), (b,), "payoff", where, SimulationError)
+        sl = slice(int(idx[0]), int(idx[-1]) + 1)
+        for li, ens in enumerate(ensembles):
+            n_exploded = np.sum(ens.exploded_step[sl] >= 0)
+            if n_exploded:
+                raise SimulationError(f"{n_exploded} paths of block {idx[0]}..{idx[-1]} "
+                                      f"exploded (non-finite update) at dt={ens.config.dt}")
+            where = f"at the terminal states of dt={ens.config.dt}"
+            vals = finite_values(payoff(ens.states[sl, 0]), (len(idx),), "payoff", where,
+                                 SimulationError)
             sums[li] += vals.sum()
             sq_sums[li] += np.sum(vals * vals)
 

@@ -731,3 +731,31 @@ def test_untyped_argument_refused_where_it_enters(brownian2, monkeypatch, call, 
     monkeypatch.setattr(diagnostics, "simulate_ensemble", None)  # no audit ensemble runs
     with pytest.raises(error, match=match):
         call(brownian2)
+
+
+# a horizon off the entry's own step grid used to escape as the ensemble
+# config's SimulationError, naming neither the variant nor the entry's step
+@pytest.mark.parametrize("call, match", [
+    (lambda c: uniqueness_probe(c, [LawVariant("a"), LawVariant("b", dt=0.3)], (0.0, 0.0),
+                                [0.5], _RUN),
+     r"t_final=0\.5 is off the step grid: not an integer multiple of dt of b=0\.3"),
+    (lambda c: krylov_audit(c, (0.0, 0.0), 2.0, 0.25, [_one], _RUN),
+     r"t_final=0\.25 is off the step grid: not an integer multiple of dt=0\.1"),
+    (lambda c: feynman_kac_crosscheck(c, BoxGrid(BOUNDS4, 17), _gauss_quarter, (0.0, 0.0),
+                                      0.25, _RUN, 0.125),
+     r"t_final=0\.25 is off the step grid: not an integer multiple of mc_dt=0\.1"),
+], ids=["uniqueness", "krylov", "feynman_kac"])
+def test_horizon_off_the_entry_step_grid_refused(brownian2, monkeypatch, call, match):
+    monkeypatch.setattr(diagnostics, "simulate_ensemble", None)  # no audit ensemble runs
+    monkeypatch.setattr(diagnostics, "solve_density", None)
+    with pytest.raises(DiagnosticsError, match=match):
+        call(brownian2)
+
+
+def test_variant_of_another_dimension_refused_before_any_path(brownian2, monkeypatch):
+    # variant a's whole ensemble used to run before b's x0 check refused it
+    monkeypatch.setattr(diagnostics, "simulate_ensemble", None)
+    variants = [LawVariant("a"), LawVariant("b", c=builtin_family("brownian", 3))]
+    with pytest.raises(DiagnosticsError, match=r"variant 'b' has dimension 3, "
+                                               r"but x0 lists 2 coordinates"):
+        uniqueness_probe(brownian2, variants, (0.0, 0.0), [0.5], _RUN)

@@ -749,6 +749,69 @@ class TestChunkedNoise:
                              [2.0**-40, 2.0**-41], _BLOCK, master_seed=0)
 
 
+class TestLevels:
+    """The coupled-levels engine: its finest level is the ensemble, and a
+    coarser level is the chain on sums of fine normals over ``sqrt(r)``."""
+
+    @pytest.mark.parametrize("t_keep", [None, (1.0, 0.0, 0.36)])
+    def test_finest_level_is_the_ensemble(self, monkeypatch, t_keep):
+        # two blocks, chunks of 8 fine steps for the full block; under the
+        # cubic outward drift some paths exit the 1e150 ball and some explode
+        c = builtin_family("radial_degenerate", 2, alpha=0.25, drift="cubic_outward")
+        fine = _cfg(n_paths=_BLOCK + 37, r_exit=1e150, near_degeneracy_eps=1.5)
+        levels = [dataclasses.replace(fine, dt=0.04), dataclasses.replace(fine, dt=0.02), fine]
+        run = dict(occupation_eps=_PROFILE_EPS, t_keep=t_keep)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = simulate_ensemble(c, [1.0, 0.0], fine, **run)
+            monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", _BLOCK * 2 * 8)
+            got = sdelab.simulate._simulate_levels(c, np.array([1.0, 0.0]), levels, [4, 2, 1],
+                                                   workers=2, **run)[-1]
+        assert np.any(want.exit_step >= 0) and np.any(want.exploded)
+        assert got.config == fine and got.occupation_eps == want.occupation_eps
+        for name in ("states", "steps", "exit_step", "exploded_step", "occupation"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_coarse_level_is_a_plain_loop_on_aggregated_normals(self, monkeypatch):
+        # ratio 3 over 60 fine steps in chunks of 9, with exits from the unit
+        # ball; each path is stepped alone on its own summed path_normals
+        c = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0, drift=[0.3, 0.0])
+        fine = _cfg(n_paths=12, t_final=0.6, master_seed=5, r_exit=1.0)
+        coarse = dataclasses.replace(fine, dt=0.03)
+        monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", 12 * 2 * 9)
+        got = sdelab.simulate._simulate_levels(c, np.array([0.4, -0.2]), [coarse, fine],
+                                               [3, 1])[0]
+        assert 0 < np.sum(got.exit_step >= 0) < fine.n_paths
+        for p in range(fine.n_paths):
+            xi = path_normals(5, p, 60, 2).reshape(20, 3, 2).sum(axis=1) / math.sqrt(3)
+            x, exit_step, states = np.array([[0.4, -0.2]]), -1, [[0.4, -0.2]]
+            for k in range(20):
+                if exit_step < 0:
+                    kick = np.sqrt(c.inv_weight(x))[:, None] * xi[k] * math.sqrt(coarse.dt)
+                    x = x + kick + c.G(x) * coarse.dt
+                    if math.sqrt(np.sum(x * x)) >= 1.0:
+                        exit_step = k + 1
+                states.append(x[0])
+            np.testing.assert_array_equal(got.states[p], states)
+            assert got.exit_step[p] == exit_step
+
+    def test_weak_study_holds_one_aggregate_at_a_time(self, ou2):
+        # 1024 paths x 1024 fine steps in two 8 MiB chunks; ratios 4, 2, 1
+        # aggregate a chunk into 2 and 4 MiB.  Holding the chunk and both
+        # aggregates takes 14 MiB; the chunk, one aggregate and the levels'
+        # states and tallies stay below that
+        study = (ou2, [2.0, 0.0], lambda x: x[:, 0], 1.024, [4e-3, 2e-3, 1e-3], 1024)
+        weak_error_study(*study[:3], 0.02, study[4], 10, master_seed=1)  # lazy imports
+        chunk = sdelab.simulate._NOISE_BUDGET * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            weak_error_study(*study, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk + chunk / 2 + chunk / 4
+
+
 class TestWeakOrder:
     def test_ou_first_order_bias_ratio(self, ou2):
         # analytic chain mean: x0 (1 - dt)^{T/dt}; bias differences halve
