@@ -10,8 +10,9 @@ factors as ``sigma_hat = sqrt(w) * sigma`` with
 
 The inverse weight is the reciprocal of a locally integrable weight ``psi``
 (``psi = 1/w`` where ``w > 0``, extended by ``+inf`` on Z).  Several audits
-need ``psi * G`` as a single locally p-integrable datum, so families supply it
-directly instead of dividing by ``w``.
+need ``psi * G`` as a single locally p-integrable datum.  It is computed as
+``G / w``, never stored, and taken as 0 on Z, so the PDE solvers read the same
+drift as the path simulator.
 
 The dispersion factor is the one source of the diffusion: ``A`` is computed
 as ``sigma sigma^T``, never stored, so the PDE solvers and the path simulator
@@ -136,9 +137,8 @@ class CoefficientSet:
 
     The diffusion matrix ``A = sigma sigma^T`` is computed from ``factor``;
     ``row_div`` evaluates its row divergence ``(sum_j d_j a_ij)_i``.
-    ``psi_drift`` evaluates ``psi * G`` as a single finite-a.e. field (the
-    datum of the density equation); for families with nowhere-vanishing
-    inverse weight it is just ``G / w``.
+    ``psi * G``, the datum of the density equation, is computed as ``G / w``
+    (:meth:`psi_G`), so a set supplies ``sigma``, ``row_div``, ``w`` and ``G``.
     ``drift_locally_bounded`` is declared metadata used by the condition
     checks (boundedness of a black-box callable is not decidable).
     """
@@ -147,7 +147,6 @@ class CoefficientSet:
     row_div: Callable
     inv_weight: InverseWeight
     drift: Callable
-    psi_drift: Callable
     exponents: Exponents
     family: dict = field(default_factory=dict)
     drift_locally_bounded: bool = True
@@ -197,7 +196,13 @@ class CoefficientSet:
         return self._vector_field(self.drift, x, "drift")
 
     def psi_G(self, x) -> np.ndarray:
-        return self._vector_field(self.psi_drift, x, "psi*drift")
+        """``psi * G = G / w`` at points ``x``; if the batch meets ``{w = 0}``,
+        its non-finite quotients are 0 (a null set carries no datum)."""
+        g = self.G(x)
+        w = self.inv_weight(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = g / w[..., None]
+        return np.where(np.isfinite(out), out, 0.0) if np.any(w == 0) else out
 
     def sigma_hat(self, x) -> np.ndarray:
         """Effective dispersion ``sqrt(w) * sigma`` at points ``x``.
@@ -213,7 +218,7 @@ class CoefficientSet:
 # -- builtin families ---------------------------------------------------------
 
 def _family(d: int, name: str, params: dict, inv_weight: InverseWeight, drift,
-            psi_drift, q: float = math.inf) -> CoefficientSet:
+            q: float = math.inf) -> CoefficientSet:
     """A builtin family: identity ``sigma`` (so ``A = I`` with zero row
     divergence), ``p = 2d+2``, and the companion ``s`` with
     ``1/s = (2/d - 1/q)/2``, strictly inside its window."""
@@ -228,13 +233,28 @@ def _family(d: int, name: str, params: dict, inv_weight: InverseWeight, drift,
         row_div=lambda x: np.zeros(x.shape),
         inv_weight=inv_weight,
         drift=drift,
-        psi_drift=psi_drift,
         exponents=Exponents(p=2 * d + 2, q=q, s=2.0 / (2.0 / d - inv_q)),
         family={"name": name, "dim": d, "params": params},
     )
 
 
 _UNIT_WEIGHT = InverseWeight(lambda x: np.ones(x.shape[:-1]), has_zeros=False)
+
+
+def _root_square(root, name: str, square=lambda v: v * v) -> float:
+    """``w = square(root)`` where ``sqrt(w) = root``, by the squaring its family
+    has always used; ``w`` and ``psi = 1/w`` must be finite positive floats, so
+    no ``w`` overflows or underflows to a zero of a weight declared to have none."""
+    finite_real(root, name, CoefficientError, positive=True)
+    try:
+        with np.errstate(over="ignore"):
+            w = float(square(root))
+    except OverflowError:
+        w = math.inf
+    if not (0.0 < w < math.inf and 1.0 / w < math.inf):
+        raise CoefficientError(f"{name}={root!r} gives the inverse weight w={w!r}; "
+                               "w and 1/w must be finite positive floats")
+    return w
 
 
 def _drift_field(drift, d: int):
@@ -262,7 +282,7 @@ def _drift_field(drift, d: int):
 
 def _brownian(d: int, drift=None) -> CoefficientSet:
     g, spec = _drift_field(drift, d)
-    return _family(d, "brownian", {"drift": spec}, _UNIT_WEIGHT, g, g)
+    return _family(d, "brownian", {"drift": spec}, _UNIT_WEIGHT, g)
 
 
 def _ornstein_uhlenbeck(d: int, rate: float = 1.0) -> CoefficientSet:
@@ -271,23 +291,7 @@ def _ornstein_uhlenbeck(d: int, rate: float = 1.0) -> CoefficientSet:
     def g(x):
         return -rate * x
 
-    return _family(d, "ornstein_uhlenbeck", {"rate": rate}, _UNIT_WEIGHT, g, g)
-
-
-def _radial_inverse_weight(alpha, gamma) -> InverseWeight:
-    if gamma is None:
-        def fn(x):
-            return squared_norm(x) ** (alpha / 2.0)
-
-        return InverseWeight(fn, has_zeros=True)
-
-    finite_real(gamma, "gamma", CoefficientError, positive=True)
-
-    def fn(x):
-        r2 = squared_norm(x)
-        return np.where(r2 == 0.0, gamma * gamma, r2 ** (alpha / 2.0))
-
-    return InverseWeight(fn, has_zeros=False)
+    return _family(d, "ornstein_uhlenbeck", {"rate": rate}, _UNIT_WEIGHT, g)
 
 
 def _radial_degenerate(
@@ -307,7 +311,16 @@ def _radial_degenerate(
             "integrable weight with q > d/2"
         )
     g, spec = _drift_field(drift, d)
-    iw = _radial_inverse_weight(alpha, gamma)
+    if gamma is None:
+        iw = InverseWeight(lambda x: squared_norm(x) ** (alpha / 2.0), has_zeros=True)
+    else:
+        w0 = _root_square(gamma, "gamma")
+
+        def fn(x):
+            r2 = squared_norm(x)
+            return np.where(r2 == 0.0, w0, r2 ** (alpha / 2.0))
+
+        iw = InverseWeight(fn, has_zeros=False)
 
     q_low, q_high = 2.0 * d + 2.0, d / alpha
     if q_high > q_low:
@@ -315,18 +328,8 @@ def _radial_degenerate(
     else:
         q = 0.5 * (d / 2.0 + q_high)
 
-    def psi_g(x):
-        w = iw(x)
-        gv = g(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = gv / w[..., None]
-        return np.where(np.isfinite(out), out, 0.0) if np.any(w == 0) else out
-
-    if drift is None:
-        psi_g = lambda x: np.zeros(x.shape)
-
     params = {"alpha": alpha, "gamma": gamma, "drift": spec}
-    return _family(d, "radial_degenerate", params, iw, g, psi_g, q)
+    return _family(d, "radial_degenerate", params, iw, g, q)
 
 
 def _piecewise_weight(d: int, cells=None, background: float = 1.0) -> CoefficientSet:
@@ -348,26 +351,21 @@ def _piecewise_weight(d: int, cells=None, background: float = 1.0) -> Coefficien
             raise CoefficientError(
                 "cell value must be positive so the weight stays locally integrable"
             )
-        parsed.append((b, v))
-    finite_real(background, "background value", CoefficientError, positive=True)
+        parsed.append((b, v, _root_square(v, "cell value")))
+    w_out = _root_square(float(background), "background value")
 
-    def root_fn(x):
-        out = np.full(x.shape[:-1], float(background))
-        for b, v in parsed:
+    def fn(x):
+        out = np.full(x.shape[:-1], w_out)
+        for b, _, w in parsed:
             inside = np.all((x >= b[:, 0]) & (x < b[:, 1]), axis=-1)
-            out = np.where(inside, v, out)
+            out = np.where(inside, w, out)
         return out
 
-    iw = InverseWeight(lambda x: root_fn(x) ** 2, has_zeros=False)
+    iw = InverseWeight(fn, has_zeros=False)
 
-    def zero(x):
-        return np.zeros(x.shape)
-
-    spec_cells = [
-        {"bounds": b.tolist(), "value": v} for b, v in parsed
-    ]
+    spec_cells = [{"bounds": b.tolist(), "value": v} for b, v, _ in parsed]
     params = {"cells": spec_cells, "background": background}
-    return _family(d, "piecewise_weight", params, iw, zero, zero)
+    return _family(d, "piecewise_weight", params, iw, lambda x: np.zeros(x.shape))
 
 
 def _hyperplane_jump(
@@ -384,8 +382,8 @@ def _hyperplane_jump(
     factor stays the identity (the matrix must remain Sobolev-regular, so the
     discontinuity lives entirely in the weight and drift).
     """
-    finite_real(weight_left, "weight_left", CoefficientError, positive=True)
-    finite_real(weight_right, "weight_right", CoefficientError, positive=True)
+    w_left = _root_square(weight_left, "weight_left", lambda v: v**2)
+    w_right = _root_square(weight_right, "weight_right", lambda v: v**2)
     gl = np.zeros(d) if drift_left is None else finite_point(
         drift_left, d, "drift_left", CoefficientError)
     gr = np.zeros(d) if drift_right is None else finite_point(
@@ -394,18 +392,10 @@ def _hyperplane_jump(
     def side(x):
         return x[..., 0] >= 0.0
 
-    iw = InverseWeight(
-        lambda x: np.where(side(x), weight_right**2, weight_left**2),
-        has_zeros=False,
-    )
+    iw = InverseWeight(lambda x: np.where(side(x), w_right, w_left), has_zeros=False)
 
     def g(x):
         return np.where(side(x)[..., None], gr, gl)
-
-    def psi_g(x):
-        return np.where(
-            side(x)[..., None], gr / weight_right**2, gl / weight_left**2
-        )
 
     params = {
         "weight_left": weight_left,
@@ -413,7 +403,7 @@ def _hyperplane_jump(
         "drift_left": gl.tolist(),
         "drift_right": gr.tolist(),
     }
-    return _family(d, "hyperplane_jump", params, iw, g, psi_g)
+    return _family(d, "hyperplane_jump", params, iw, g)
 
 
 _FAMILIES = {

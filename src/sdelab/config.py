@@ -29,6 +29,7 @@ from .coefficients import CoefficientSet, builtin_family
 from .diagnostics import LawVariant, feynman_kac_config, krylov_config, uniqueness_configs
 from .grids import (
     BoxGrid, SmoothBump, finite_point, finite_real, grid_values, integer, squared_norm,
+    step_count,
 )
 from .reporting import digest
 from .semigroup import slices_shape
@@ -195,8 +196,8 @@ def _entry_sim(sim: SimConfig, entry: dict, key: str) -> SimConfig:
     """The sim config an entry runs with: its own step ``key`` if given."""
     if key not in entry:
         return sim
-    dt = finite_real(entry[key], key)
-    return replace(sim, t_final=entry["t_final"], dt=dt)
+    step_count(entry["t_final"], entry[key], ValueError, "t_final", key)
+    return replace(sim, t_final=entry["t_final"], dt=float(entry[key]))
 
 
 def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict:

@@ -2,9 +2,10 @@
 
 Solves the conservation form ``div( (1/2) A grad(rho) + c rho ) = 0`` with
 ``c = (1/2) (row-div A) - psi G``, natural (zero-flux) boundary conditions and
-value 1 at the node nearest the box center.  The weight itself never enters
-the solve: ``psi G`` is taken as a single datum, which keeps the system finite
-even where the inverse weight vanishes.
+value 1 at the node nearest the box center.  The weight enters the solve only
+through the datum ``psi G``, which :meth:`CoefficientSet.psi_G` computes as
+``G / w`` and sets to 0 on the degeneracy set, so the system stays finite even
+where the inverse weight vanishes.
 
 Discretization: vertex-centered finite volumes on a box grid.  Each dual face
 carries a Scharfetter-Gummel two-point flux with harmonically averaged

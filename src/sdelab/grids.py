@@ -169,8 +169,9 @@ class BoxGrid:
     """Vertex-centered tensor grid on a closed box.
 
     Axis ``k`` holds ``n[k]`` equally spaced nodes from ``bounds[k,0]`` to
-    ``bounds[k,1]`` inclusive, so the spacing is ``(hi-lo)/(n-1)``.  Odd node
-    counts place the box center exactly on the grid.
+    ``bounds[k,1]`` inclusive, so the spacing is ``(hi-lo)/(n-1)``, which must
+    be a finite positive float.  Odd node counts place the box center exactly
+    on the grid.
 
     Parameters
     ----------
@@ -193,6 +194,11 @@ class BoxGrid:
         array_shape(nn + (d,), "grid points", GridError)
         object.__setattr__(self, "bounds", tuple(map(tuple, b)))
         object.__setattr__(self, "n", nn)
+        with np.errstate(over="ignore"):
+            h = self.spacing
+        if not np.all(np.isfinite(h) & (h > 0)):
+            raise GridError(f"bounds {b.tolist()} with n={list(nn)} give the node "
+                            f"spacing {h.tolist()}, which must be finite and positive")
 
     @property
     def dim(self) -> int:

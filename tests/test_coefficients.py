@@ -170,6 +170,29 @@ class TestRowDivergence:
         np.testing.assert_array_equal(brownian2.row_div_A(x), 0.0)
 
 
+# every builtin family, with drifts where it takes them; ``params(d)`` are
+# the family parameters in dimension d
+_PSI_G_CASES = [
+    ("brownian", lambda d: {}),
+    ("brownian", lambda d: {"drift": np.linspace(-1.0, 0.5, d).tolist()}),
+    ("brownian", lambda d: {"drift": "cubic_outward"}),
+    ("ornstein_uhlenbeck", lambda d: {"rate": 1.5}),
+    ("radial_degenerate", lambda d: {"alpha": 0.25}),
+    ("radial_degenerate", lambda d: {"alpha": 1.5, "drift": [0.3] * d}),
+    ("radial_degenerate", lambda d: {"alpha": 0.25, "drift": "cubic_outward"}),
+    ("radial_degenerate", lambda d: {"alpha": 0.25, "gamma": 0.5, "drift": [0.3] * d}),
+    ("radial_degenerate", lambda d: {"alpha": 1.5, "gamma": 1e-3,
+                                     "drift": "cubic_outward"}),
+    ("piecewise_weight", lambda d: {"cells": [{"bounds": [[-1.0, 0.0]] * d, "value": 0.5}],
+                                    "background": 3.0}),
+    ("hyperplane_jump", lambda d: {"weight_left": 1e-3, "weight_right": 3.0,
+                                   "drift_left": [0.3] * d, "drift_right": [-0.2] * d}),
+]
+_PSI_G_IDS = ["brownian", "brownian-const", "brownian-cubic", "ou", "radial",
+              "radial-const", "radial-cubic", "radial-gamma-const", "radial-gamma-cubic",
+              "piecewise", "jump"]
+
+
 class TestFamilies:
     def test_unknown_name(self):
         with pytest.raises(CoefficientError, match="unknown family"):
@@ -183,6 +206,37 @@ class TestFamilies:
     def test_radial_gamma_must_be_positive(self):
         with pytest.raises(CoefficientError):
             builtin_family("radial_degenerate", 2, alpha=0.25, gamma=0.0)
+
+    @pytest.mark.parametrize("name, params", [
+        ("hyperplane_jump", {"weight_left": 1e200}),
+        ("hyperplane_jump", {"weight_right": 10**200}),
+        ("hyperplane_jump", {"weight_left": 1e-200}),
+        ("hyperplane_jump", {"weight_right": 1e-160}),  # w subnormal, 1/w = inf
+        ("radial_degenerate", {"alpha": 0.25, "gamma": 1e-200}),
+        ("radial_degenerate", {"alpha": 0.25, "gamma": 1e155}),
+        ("piecewise_weight", {"cells": [{"bounds": [[0, 1], [0, 1]], "value": 1e-200}]}),
+        ("piecewise_weight", {"cells": [{"bounds": [[0, 1], [0, 1]], "value": 1e200}]}),
+        ("piecewise_weight", {"background": 1e-200}),
+        ("piecewise_weight", {"background": 1e155}),
+    ])
+    def test_root_weight_whose_square_leaves_the_floats(self, name, params):
+        # the square overflowed into a traceback, or underflowed to a zero
+        # of a weight declared to have none
+        with pytest.raises(CoefficientError, match="w and 1/w must be finite positive"):
+            builtin_family(name, 2, **params)
+
+    def test_root_weights_keep_their_squares(self):
+        # each family squares its roots as it always has: ** for the jump
+        # (a libm pow, which on glibc gives 1.34984**2 one ulp below
+        # 1.34984 * 1.34984), * for gamma, numpy squares for cells
+        x = _points([-1.0, 0.0], [1.0, 0.0])
+        c = builtin_family("hyperplane_jump", 2, weight_left=0.1, weight_right=1.34984)
+        np.testing.assert_array_equal(c.inv_weight(x), [0.1**2, 1.34984**2])
+        r = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.34984)
+        assert r.inv_weight(np.zeros(2)) == 1.34984 * 1.34984
+        p = builtin_family("piecewise_weight", 2, background=1.34984,
+                           cells=[{"bounds": [[0, 2], [-1, 1]], "value": 0.1}])
+        np.testing.assert_array_equal(p.inv_weight(x), np.array([1.34984, 0.1]) ** 2)
 
     def test_piecewise_requires_positive_values(self):
         with pytest.raises(CoefficientError, match="locally integrable"):
@@ -251,10 +305,36 @@ class TestFamilies:
         g = c.G(_points([3.0, 4.0]))[0]
         np.testing.assert_allclose(g, [75.0, 100.0])
 
-    def test_ou_drift_and_psi_drift_agree(self, ou2):
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name, params", _PSI_G_CASES, ids=_PSI_G_IDS)
+    def test_psi_G_is_G_over_w_and_0_on_the_null_set(self, name, params, d):
+        # grid nodes, face midpoints (quarter steps) and the origin, plus
+        # scattered points; G / w is formed here by an independent division
+        axis = np.arange(-8, 9) / 4.0
+        nodes = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+        x = np.concatenate([nodes, np.random.default_rng(d).normal(size=(200, d))])
+        c = builtin_family(name, d, **params(d))
+        g, w = c.G(x), c.inv_weight(x)
+        expect = np.divide(g, w[:, None], out=np.zeros_like(g), where=w[:, None] > 0)
+        np.testing.assert_array_equal(c.psi_G(x), expect)
+        np.testing.assert_array_equal(c.psi_G(x[7]), expect[7])  # unbatched point
+        assert np.any(w == 0.0) == c.inv_weight.has_zeros  # the origin is a node
+
+    def test_ou_drift_is_minus_x(self, ou2):
         x = np.random.default_rng(1).normal(size=(6, 2))
         np.testing.assert_array_equal(ou2.G(x), -x)
         np.testing.assert_array_equal(ou2.psi_G(x), -x)
+
+    def test_psi_G_follows_a_replaced_drift(self, jump2):
+        c = dataclasses.replace(jump2, drift=lambda x: np.ones(x.shape))
+        x = _points([-0.1, 0.0], [0.1, 0.0])
+        np.testing.assert_array_equal(c.psi_G(x), [[4.0, 4.0], [0.25, 0.25]])
+
+    def test_psi_G_is_not_a_field(self):
+        # a set supplies sigma, row_div, w and G; A and psi * G are computed
+        assert [f.name for f in dataclasses.fields(CoefficientSet)] == [
+            "factor", "row_div", "inv_weight", "drift", "exponents", "family",
+            "drift_locally_bounded"]
 
     def test_dimension_three(self):
         c = builtin_family("ornstein_uhlenbeck", 3)

@@ -622,6 +622,16 @@ _BAD_VALUES = [
                    '{"bounds":[[-1,NaN],[-1,0]],"value":0.5}',
                    '{"bounds":[[0,-1],[-1,0]],"value":0.5}',
                    '{"value":0.5}')),
+    # root weights whose square overflows (a traceback once) or underflows to
+    # a zero of a weight declared to have none
+    *((sub, 'family={"name":"hyperplane_jump","params":{"weight_left":1e200}}')
+      for sub in ("check", "simulate", "density")),
+    ("check", 'family={"name":"hyperplane_jump","params":{"weight_left":1e-200}}'),
+    ("check", "family.params.gamma=1e-200"),
+    ("check", 'family={"name":"piecewise_weight","params":{"cells":[%s]}}'
+     % '{"bounds":[[-1,0],[-1,0]],"value":1e-200}'),
+    # a box whose node spacing overflows
+    ("check", "box.bounds=[[-1e308,1e308],[-3,3]]"),
 ]
 
 
@@ -641,6 +651,26 @@ class TestInputBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists() or not os.listdir(out)
+
+    def test_entry_step_off_grid_names_its_key(self, tmp_path, capsys):
+        # the message named dt, the sim key, not the entry's own mc_dt
+        rc = main(["diagnose", "--config", str(EXAMPLE_CONFIG), "--set",
+                   "diagnostics.3.mc_dt=0.1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("error: diagnostics[3]: t_final=0.25 is off the step grid: "
+                       "not an integer multiple of mc_dt=0.1\n")
+
+    def test_box_with_infinite_spacing_is_a_box_error(self, tmp_path, capsys):
+        # it warned three times, then blamed a payload 0 at every node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["check", "--config", str(EXAMPLE_CONFIG), "--set",
+                       "box.bounds=[[-1e308,1e308],[-3,3]]", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: box: bounds [[-1e+308, 1e+308], [-3.0, 3.0]] ")
+        assert "spacing [inf, 0.09375]" in err
 
     @pytest.mark.parametrize("subcommand", ["check", "density"])
     def test_seed_flag_outside_u64_is_usage_error(self, tmp_path, capsys, subcommand):

@@ -53,7 +53,6 @@ def _affine_diag_set():
             has_zeros=False,
         ),
         drift=lambda x: np.zeros(x.shape),
-        psi_drift=lambda x: np.zeros(x.shape),
         exponents=Exponents(p=6.0, q=np.inf, s=2.0),
         family={"name": "affine_diag", "dim": 2, "params": {}},
     )

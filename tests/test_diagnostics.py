@@ -51,7 +51,6 @@ def _comonotone_2d():
             has_zeros=False,
         ),
         drift=zero,
-        psi_drift=zero,
         exponents=Exponents(math.inf, math.inf, math.inf),
         family={"name": "comonotone"},
     )

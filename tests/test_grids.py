@@ -79,6 +79,15 @@ class TestBoxGrid:
         with pytest.raises(GridError):
             BoxGrid([[0.0, np.inf], [0.0, 1.0]], 4)
 
+    @pytest.mark.parametrize("bounds, n, spacing", [
+        ([[-1e308, 1e308], [0.0, 1.0]], 5, r"\[inf, 0\.25\]"),
+        ([[0.0, 5e-324], [0.0, 1.0]], (3, 5), r"\[0\.0, 0\.25\]"),
+    ])
+    def test_spacing_must_be_finite_and_positive(self, bounds, n, spacing):
+        # finite bounds whose difference overflows, or whose spacing underflows
+        with pytest.raises(GridError, match=rf"^bounds .* give the node spacing {spacing}"):
+            BoxGrid(bounds, n)
+
     def test_sizes_no_array_can_have(self):
         # refused by shape arithmetic alone: nothing is allocated
         with pytest.raises(GridError, match=r"1\.000e30 x 1\.000e30 x 2 cannot be a numpy"):
