@@ -36,7 +36,7 @@ def run(args):
         t0 = time.monotonic()
         dens = solve_density(c, bounds, n)
         elapsed = time.monotonic() - t0
-        rep = verify_preinvariance(c, dens)
+        rep = verify_preinvariance(dens)
         worst = max(cl.value for cl in rep.clauses)
         gap = float("nan")
         if prev is not None:

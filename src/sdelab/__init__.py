@@ -22,7 +22,6 @@ from .conditions import (
 from .config import ConfigError, ExperimentConfig, apply_set_overrides
 from .density import (
     DensityField,
-    psi_weights,
     solve_density,
     verify_divergence_free,
     verify_preinvariance,
@@ -82,7 +81,6 @@ __all__ = [
     "occupation_condition_route",
     "occupation_profile",
     "path_normals",
-    "psi_weights",
     "semigroup_contraction_check",
     "simulate_ensemble",
     "solve_density",

@@ -137,8 +137,8 @@ def _run_check(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     c, grid = cfg.coefficients, cfg.grid
     dens = solve_density(c, grid.bounds, grid.n)
-    pre = verify_preinvariance(c, dens)
-    div = verify_divergence_free(c, dens)
+    pre = verify_preinvariance(dens)
+    div = verify_divergence_free(dens)
     for name, rep in (("density_preinvariance", pre), ("density_divergence", div)):
         rep.meta["residual_norm"] = dens.residual_norm
         emit.report(name, _finalize(rep, cfg))
@@ -156,8 +156,8 @@ def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     dens = solve_density(c, grid.bounds, grid.n)
     ok = True
     for i, (entry, inputs) in enumerate(entries):
-        u = evolve(c, dens, **inputs)
-        rep = semigroup_contraction_check(c, u, dens)
+        u = evolve(dens, **inputs)
+        rep = semigroup_contraction_check(u, dens)
         rep.meta["payload"] = entry["payload"]
         emit.report(f"semigroup_{i}", _finalize(rep, cfg))
         _grid_table(emit, f"semigroup_{i}_final", grid, "u", u.values[-1])

@@ -69,7 +69,12 @@ class InverseWeight:
     has_zeros: bool
 
     def __call__(self, x) -> np.ndarray:
-        v = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(self.fn(x), dtype=float)
+        if v.shape != x.shape[:-1]:
+            raise CoefficientError(
+                f"inverse weight returned shape {v.shape}, expected {x.shape[:-1]}"
+            )
         return v
 
     def null_set_indicator(self, x) -> np.ndarray:

@@ -113,7 +113,7 @@ def _node_psi_g(c: CoefficientSet, pts: np.ndarray, lattice_dim: int) -> np.ndar
     return patch_nonfinite(psi_g, lattice_dim, "psi * G")
 
 
-def psi_weights(c: CoefficientSet, grid: BoxGrid) -> np.ndarray:
+def _psi_weights(c: CoefficientSet, grid: BoxGrid) -> np.ndarray:
     """Node values of the weight ``psi = 1 / w``, face-averaged on the null set."""
     w = c.inv_weight(grid.points())
     with np.errstate(divide="ignore"):
@@ -240,12 +240,15 @@ class DensityField:
     field against the builtin test dictionary, scaled by the test gradient
     norm (a discrete dual norm); it is zero to rounding whenever the discrete
     solution is an exact kernel element (constant and Gaussian cases).
-    ``faces`` is the face scheme the density was solved with; the audits and
-    the parabolic solve reuse it.
+    ``c`` is the coefficient set it was solved from, ``psi`` the node values
+    of its weight and ``faces`` its face scheme; the audits and the parabolic
+    solve read all three from here, so a density belongs to one equation.
     """
 
     rho: GridField
     residual_norm: float
+    c: CoefficientSet
+    psi: np.ndarray
     faces: _FaceScheme
 
     @property
@@ -329,10 +332,11 @@ def solve_density(c: CoefficientSet, bounds, n) -> DensityField:
             )
         defect = max(defect, abs(val) / grad_l2)
 
-    return DensityField(rho=GridField(grid, rho), residual_norm=defect, faces=faces)
+    return DensityField(rho=GridField(grid, rho), residual_norm=defect, c=c,
+                        psi=_psi_weights(c, grid), faces=faces)
 
 
-def verify_preinvariance(c: CoefficientSet, dens: DensityField) -> DiagnosticReport:
+def verify_preinvariance(dens: DensityField) -> DiagnosticReport:
     """Stationarity audit: the weighted measure kills the generator.
 
     For each ``f`` of the test dictionary the quadrature of
@@ -344,13 +348,13 @@ def verify_preinvariance(c: CoefficientSet, dens: DensityField) -> DiagnosticRep
     leftover-drift part; the two parts sum to the residual exactly.
     """
     tol = _PREINVARIANCE_TOL
-    grid = dens.grid
+    c, grid = dens.c, dens.grid
     pts = grid.points()
     rho = dens.rho.values
     diag_a = dens.faces.node_diag
     psi_g = _node_psi_g(c, pts, grid.dim)
     row_div = c.row_div_A(pts)
-    sym_flux = 0.5 * rho[..., None] * row_div + 0.5 * diag_a * dens.rho.gradient().values
+    sym_flux = 0.5 * rho[..., None] * row_div + 0.5 * diag_a * dens.rho.gradient()
     quad_w = grid.trapezoid_weights()
 
     rep = DiagnosticReport(
@@ -378,7 +382,7 @@ def verify_preinvariance(c: CoefficientSet, dens: DensityField) -> DiagnosticRep
     return rep
 
 
-def verify_divergence_free(c: CoefficientSet, dens: DensityField) -> DiagnosticReport:
+def verify_divergence_free(dens: DensityField) -> DiagnosticReport:
     """Audit that the weighted leftover flux ``rho psi B`` is divergence free.
 
     The headline value per test function pairs the scheme's face-flux
@@ -390,11 +394,11 @@ def verify_divergence_free(c: CoefficientSet, dens: DensityField) -> DiagnosticR
     density gradient, is tracked in meta as ``field_defect``.
     """
     tol = _DIVERGENCE_TOL
-    grid = dens.grid
+    c, grid = dens.c, dens.grid
     pts = grid.points()
     rho = dens.rho.values[..., None]
     row_div = c.row_div_A(pts)
-    a_grad = dens.faces.node_diag * dens.rho.gradient().values
+    a_grad = dens.faces.node_diag * dens.rho.gradient()
     # rho psi B = rho (psi G) - rho (row-div A)/2 - (A grad rho)/2, finite
     # even where the weight psi is not
     rho_psi_b = rho * _node_psi_g(c, pts, grid.dim) - 0.5 * rho * row_div - 0.5 * a_grad

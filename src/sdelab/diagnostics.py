@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .density import psi_weights, solve_density
+from .density import solve_density
 from .grids import (
     BoxGrid, GridField, finite_point, finite_real, finite_values,
     grid_values, kept_steps, step_count,
@@ -458,17 +458,23 @@ def krylov_config(
 ) -> SimConfig:
     """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
     at ``radius`` and run to ``t_final``, a whole number of steps ``cfg.dt``,
-    whose states numpy can represent;
-    ``x0`` lies inside the ball, the payloads are a non-empty list of
-    callables, and a quadrature cell's volume is a positive float."""
+    whose states numpy can represent, and the payloads' labels (``__name__``,
+    else ``f<i>`` for the i-th), no two alike; ``x0`` lies inside the ball,
+    the payloads are a non-empty list of callables, and a quadrature cell's
+    volume is a positive float."""
     radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
     _start_inside(x0, radius, "radius")
     if not isinstance(f_dictionary, (list, tuple)) or not f_dictionary:  # read twice
         raise DiagnosticsError("payload dictionary must be a non-empty list, "
                                f"got {f_dictionary!r}")
-    for f in f_dictionary:
+    labels = []
+    for i, f in enumerate(f_dictionary):
         if not callable(f):
             raise DiagnosticsError(f"payload {f!r} is not callable")
+        label = getattr(f, "__name__", None) or f"f{i}"
+        if label in labels:
+            raise DiagnosticsError(f"payload label {label!r} repeats")
+        labels.append(label)
     cell = _quadrature_cell(radius, len(x0))[1]
     if not 0.0 < cell < math.inf:
         raise DiagnosticsError(f"radius {radius} gives quadrature cells of volume {cell}: "
@@ -476,7 +482,7 @@ def krylov_config(
     step_count(t_final, cfg.dt, DiagnosticsError, "t_final", "dt")
     cfg_run = replace(cfg, t_final=float(t_final), r_exit=radius)
     cfg_run.states_shape(len(x0))
-    return cfg_run
+    return cfg_run, labels
 
 
 def krylov_audit(
@@ -501,7 +507,7 @@ def krylov_audit(
     an error.  Payloads are integrated one row block of paths at a time.
     """
     x0 = finite_point(x0, c.dim, "x0", DiagnosticsError)
-    cfg_run = krylov_config(x0, radius, t_final, f_dictionary, cfg)
+    cfg_run, labels = krylov_config(x0, radius, t_final, f_dictionary, cfg)
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
 
     stop, n_times = ens.stop_step, len(ens.times)
@@ -509,8 +515,7 @@ def krylov_audit(
 
     lam = _HOMOGENEITY_SCALE
     report = DiagnosticReport(check=f"krylov_audit[{c.name}]", meta={"audits": []})
-    for i, f in enumerate(f_dictionary):
-        label = getattr(f, "__name__", None) or f"f{i}"
+    for f, label in zip(f_dictionary, labels):
         integrals, scaled = np.empty((2, ens.n_paths))
         for rows in ens.row_blocks():
             x = ens.states[rows]
@@ -624,7 +629,7 @@ def feynman_kac_crosscheck(
 
     def final_slice(dens_k, grid_k: BoxGrid, values, dt: float):
         # only the last slice is read, so it is the only one stored
-        return evolve(c, dens_k, GridField(grid_k, values), t_final, dt,
+        return evolve(dens_k, GridField(grid_k, values), t_final, dt,
                       t_keep=(t_final,)).values[0]
 
     u_fine = final_slice(dens, grid, f_vals, pde_dt)
@@ -642,8 +647,7 @@ def feynman_kac_crosscheck(
 
     budget = 3.0 * (stderr + spatial + temporal)
 
-    vol = grid.trapezoid_weights()
-    station = dens.rho.values * psi_weights(c, grid) * vol
+    station = dens.rho.values * dens.psi * grid.trapezoid_weights()
     if np.all(f_vals >= 0.0):
         mass0 = float(np.sum(station * f_vals))
         mass_t = float(np.sum(station * u_fine))

@@ -274,28 +274,19 @@ class BoxGrid:
 
 @dataclass(frozen=True)
 class GridField:
-    """Scalar or vector field sampled on a :class:`BoxGrid`.
-
-    ``values`` has shape ``(*grid.shape,)`` for scalars or
-    ``(*grid.shape, k)`` for k-component fields.
-    """
+    """Scalar field sampled on a :class:`BoxGrid`; ``values`` has shape
+    ``grid.shape``."""
 
     grid: BoxGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape[: self.grid.dim] != self.grid.shape:
+        if v.shape != self.grid.shape:
             raise GridError(
                 f"values shape {v.shape} incompatible with grid {self.grid.shape}"
             )
-        if v.ndim > self.grid.dim + 1:
-            raise GridError("values may carry at most one trailing component axis")
         object.__setattr__(self, "values", v)
-
-    @property
-    def is_vector(self) -> bool:
-        return self.values.ndim == self.grid.dim + 1
 
     def interpolate(self, x) -> np.ndarray:
         """Multilinear interpolation at points ``x`` of shape ``(..., d)``.
@@ -303,9 +294,9 @@ class GridField:
         Outside the box the value extrapolates linearly from the nearest
         cell; a NaN coordinate gives NaN.  The arithmetic, in its order, is
         that of scipy's ``RegularGridInterpolator(method="linear",
-        fill_value=None)``, so the values equal it bit for bit: a scalar 2-d
-        field sums the four corners as its compiled fast path does, every
-        other field as its generic path does.
+        fill_value=None)``, so the values equal it bit for bit: a 2-d field
+        sums the four corners as its compiled fast path does, a field in any
+        other dimension as its generic path does.
         """
         d = self.grid.dim
         x = np.asarray(x, dtype=float)
@@ -318,7 +309,7 @@ class GridField:
             cells.append(i)
             local.append((pts[:, k] - a[i]) / (a[i + 1] - a[i]))
         v = self.values
-        if d == 2 and not self.is_vector:
+        if d == 2:
             (i0, i1), (y0, y1) = cells, local
             out = 0.0 + v[i0, i1] * (1 - y0) * (1 - y1)
             out = out + v[i0, i1 + 1] * (1 - y0) * y1
@@ -329,15 +320,13 @@ class GridField:
             for corner in itertools.product((0, 1), repeat=d):
                 weight = math.prod(y if c else 1 - y for c, y in zip(corner, local))
                 term = v[tuple(i + c for i, c in zip(cells, corner))]
-                out = out + term * (weight[:, None] if self.is_vector else weight)
-        return out.reshape(x.shape[:-1] + v.shape[d:])
+                out = out + term * weight
+        return out.reshape(x.shape[:-1])
 
-    def gradient(self) -> "GridField":
-        """Centered-difference gradient (one-sided at the boundary)."""
-        if self.is_vector:
-            raise GridError("gradient of a vector field is not provided")
-        g = np.stack(np.gradient(self.values, *self.grid.axes()), axis=-1)
-        return GridField(self.grid, g)
+    def gradient(self) -> np.ndarray:
+        """Centered-difference gradient (one-sided at the boundary), an array
+        of shape ``grid.shape + (d,)``."""
+        return np.stack(np.gradient(self.values, *self.grid.axes()), axis=-1)
 
 
 # -- smooth compactly supported test functions --------------------------------

@@ -14,9 +14,10 @@ makes the discrete evolution exactly mass-conservative up to Dirichlet
 leakage, exactly sub-Markovian, and an exact weighted-L1 contraction on
 every family, not just where ``B = 0``.  Backward Euler keeps all of this
 unconditional; the M-matrix sign pattern is asserted at assembly.  The
-faces, their areas, the node values of ``diag(A)`` and the stationary face
-fluxes are those of the face scheme kept on the :class:`DensityField`, so
-both solves share one discretization and none of it is rebuilt here.
+faces, their areas, the node values of ``diag(A)``, the stationary face
+fluxes and the node weights ``psi`` are those kept on the
+:class:`DensityField`, so both solves share one equation and one
+discretization, and none of it is rebuilt here.
 
 The per-slice fields feed one audit: monotonicity of the weighted L1 and sup
 norms in time.  A caller that reads only some slices names their times
@@ -30,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet
-from .density import DensityField, psi_weights
+from .density import DensityField
 from .grids import BoxGrid, allocating, array_shape, grid_values, kept_steps, step_count
 from .reporting import DiagnosticReport
 
@@ -68,7 +68,7 @@ class SpaceTimeField:
             raise SemigroupError("non-finite slice values")
 
 
-def _assemble_operator(c: CoefficientSet, dens: DensityField) -> tuple:
+def _assemble_operator(dens: DensityField) -> tuple:
     """Full-grid matrices (S, m) with ``m du/dt = -S u`` before restriction.
 
     ``S`` is minus the discrete generator: diffusion through two-point face
@@ -81,9 +81,7 @@ def _assemble_operator(c: CoefficientSet, dens: DensityField) -> tuple:
     h = grid.spacing
     rho = dens.rho.values
     coeff = 0.5 * rho[..., None] * faces.node_diag
-    psi = psi_weights(c, grid)
-    vol = grid.trapezoid_weights()
-    m = (rho * psi * vol).ravel()
+    m = (rho * dens.psi * grid.trapezoid_weights()).ravel()
     adv_fluxes = faces.face_fluxes(rho)
     L, R = faces.L, faces.R
 
@@ -129,7 +127,6 @@ def slices_shape(grid: BoxGrid, t_final, dt, error=ValueError) -> tuple:
 
 
 def evolve(
-    c: CoefficientSet,
     dens: DensityField,
     f0,
     t_final: float,
@@ -156,7 +153,7 @@ def evolve(
             raise SemigroupError(f"t_keep {list(t_keep)} is not increasing")
     u0 = grid_values(f0, grid, SemigroupError)
 
-    S, m = _assemble_operator(c, dens)
+    S, m = _assemble_operator(dens)
 
     interior = np.flatnonzero(grid.interior_mask().ravel())
     S_int = S[interior][:, interior]
@@ -182,20 +179,19 @@ def evolve(
     return SpaceTimeField(grid=grid, times=dt * steps, values=values)
 
 
-def semigroup_contraction_check(
-    c: CoefficientSet,
-    u: SpaceTimeField,
-    dens: DensityField,
-) -> DiagnosticReport:
+def semigroup_contraction_check(u: SpaceTimeField, dens: DensityField) -> DiagnosticReport:
     """Monotonicity of the weighted L1 norm and the sup norm along slices.
 
     Checks ``t -> ||u(t)||_{L1(rho psi dx)}`` and ``t -> ||u(t)||_sup`` are
     non-increasing up to a slack of ``1e-10`` (absolute, scaled by the
     initial norm).  When the initial datum sits in [0, 1], also checks every
-    slice does, to the same slack.
+    slice does, to the same slack.  The slices must lie on the density's grid.
     """
     grid = u.grid
-    w = grid.trapezoid_weights() * dens.rho.values * psi_weights(c, grid)
+    if grid != dens.grid:
+        where = [f"{list(g.n)} nodes on {np.array(g.bounds).tolist()}" for g in (grid, dens.grid)]
+        raise SemigroupError(f"slices on {where[0]} do not lie on the density's grid, {where[1]}")
+    w = grid.trapezoid_weights() * dens.rho.values * dens.psi
     l1 = np.array([float(np.sum(w * np.abs(s))) for s in u.values])
     sup = np.array([float(np.max(np.abs(s))) for s in u.values])
 

@@ -63,7 +63,7 @@ def test_01_stationary_density_matches_gaussian_oracle():
     exact = np.exp(-np.sum(pts * pts, axis=-1))
     inner = np.all(np.abs(pts) <= 2.0, axis=-1)
     rel = np.max(np.abs(dens.rho.values - exact)[inner] / exact[inner])
-    pre = verify_preinvariance(c, dens)
+    pre = verify_preinvariance(dens)
     residuals = [cl.value for cl in pre.clauses if cl.name.startswith("stationarity")]
     elapsed = time.monotonic() - t0
     need(rel <= 0.01, f"max relative density error {rel:.3e} > 1%")
@@ -84,7 +84,7 @@ def test_02_constant_coefficient_family_is_exact():
     flat = np.max(np.abs(dens.rho.values - 1.0))
     need(flat <= 1e-10, f"density deviates from 1 by {flat:.2e}")
     # the drift split is beta = grad(rho) / 2 and B = -beta here
-    need(np.max(np.abs(dens.rho.gradient().values)) <= 1e-10, "density gradient not 0")
+    need(np.max(np.abs(dens.rho.gradient())) <= 1e-10, "density gradient not 0")
     ens = simulate_ensemble(
         c, (0.0, 0.0), SimConfig(dt=1e-2, t_final=1.0, n_paths=2000, master_seed=51)
     )
@@ -296,10 +296,10 @@ def test_08_discrete_scheme_properties():
     bump = SmoothBump((0.0, 0.0), 0.12)
     for name, (c, bounds) in families.items():
         dens = solve_density(c, bounds, 49)
-        u = evolve(c, dens, lambda x: bump(x), 0.05, 5e-3)
+        u = evolve(dens, lambda x: bump(x), 0.05, 5e-3)
         need(np.min(u.values) >= -1e-12, f"{name}: slice dips below 0")
         need(np.max(u.values) <= 1.0 + 1e-12, f"{name}: slice exceeds 1")
-        rep = semigroup_contraction_check(c, u, dens)
+        rep = semigroup_contraction_check(u, dens)
         need(rep.passed, f"{name}: contraction audit failed")
 
     ou = builtin_family("ornstein_uhlenbeck", 2)

@@ -170,6 +170,16 @@ class TestRowDivergence:
         np.testing.assert_array_equal(brownian2.row_div_A(x), 0.0)
 
 
+def test_inverse_weight_shape_checked(brownian2):
+    # a trailing axis would broadcast psi G to (5, 5, 2) and sigma_hat to (5, 5, 2, 2)
+    w = InverseWeight(lambda x: np.ones(x.shape[:-1] + (1,)), has_zeros=False)
+    c = dataclasses.replace(brownian2, inv_weight=w)
+    for evaluate in (c.inv_weight, c.psi_G, c.sigma_hat):
+        with pytest.raises(CoefficientError,
+                           match=r"inverse weight returned shape \(5, 1\), expected \(5,\)"):
+            evaluate(np.zeros((5, 2)))
+
+
 # every builtin family, with drifts where it takes them; ``params(d)`` are
 # the family parameters in dimension d
 _PSI_G_CASES = [

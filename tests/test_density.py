@@ -16,8 +16,8 @@ from sdelab.density import (
     DensityError,
     _bernoulli,
     _FaceScheme,
+    _psi_weights,
     patch_nonfinite,
-    psi_weights,
     solve_density,
     verify_divergence_free,
     verify_preinvariance,
@@ -81,7 +81,7 @@ class TestSolveDensity:
         dens = solve_density(brownian2, BOX2, 65)
         assert np.max(np.abs(dens.rho.values - 1.0)) <= 1e-12
         assert dens.residual_norm <= 1e-10
-        assert np.max(np.abs(dens.rho.gradient().values)) <= 1e-11
+        assert np.max(np.abs(dens.rho.gradient())) <= 1e-11
 
     def test_anchor_value_exact(self, ou2):
         dens = solve_density(ou2, BOX4, 65)
@@ -116,7 +116,7 @@ class TestSolveDensity:
         dens = solve_density(ou2, BOX4, 129)
         pts = dens.grid.points()
         inner = np.all(np.abs(pts) <= 2.0, axis=-1)
-        beta = dens.rho.gradient().values / (2.0 * dens.rho.values[..., None])
+        beta = dens.rho.gradient() / (2.0 * dens.rho.values[..., None])
         assert np.max(np.abs(beta + pts)[inner]) <= 0.03
 
     def test_radial_constant(self, radial2):
@@ -220,34 +220,42 @@ class TestFaceSchemeReuse:
         monkeypatch.setattr(_FaceScheme, "__init__", counting_init)
         dens = solve_density(radial2, BOX2, 17)
         assert len(built) == 1 and dens.faces is built[0]
-        verify_divergence_free(radial2, dens)
-        evolve(radial2, dens, lambda x: np.ones(x.shape[:-1]), 0.02, 1e-2)
+        verify_divergence_free(dens)
+        evolve(dens, lambda x: np.ones(x.shape[:-1]), 0.02, 1e-2)
         assert len(built) == 1
+
+    def test_density_keeps_its_equation(self, radial2):
+        # the audits and the parabolic solve read c and psi from the density
+        dens = solve_density(radial2, BOX2, 17)
+        assert dens.c is radial2
+        np.testing.assert_array_equal(dens.psi, _psi_weights(radial2, dens.grid))
+        u = evolve(dens, lambda x: np.ones(x.shape[:-1]), 0.02, 1e-2)
+        assert u.values.shape == (3,) + dens.grid.shape
 
 
 class TestPreinvariance:
     def test_brownian_quadrature_level(self, brownian2):
         dens = solve_density(brownian2, BOX2, 65)
-        rep = verify_preinvariance(brownian2, dens)
+        rep = verify_preinvariance(dens)
         assert rep.passed
         for cl in rep.clauses:
             assert cl.value <= 1e-8
 
     def test_ou_solved_density(self, ou2):
         dens = solve_density(ou2, BOX4, 129)
-        rep = verify_preinvariance(ou2, dens)
+        rep = verify_preinvariance(dens)
         assert rep.passed
 
     def test_radial_quadrature_level(self, radial2):
         dens = solve_density(radial2, BOX2, 65)
-        rep = verify_preinvariance(radial2, dens)
+        rep = verify_preinvariance(dens)
         assert rep.passed and len(rep.clauses) == 3
         for cl in rep.clauses:
             assert cl.value <= 1e-8
 
     def test_split_sums_to_residual(self, jump2):
         dens = solve_density(jump2, BOX2, 65)
-        rep = verify_preinvariance(jump2, dens)
+        rep = verify_preinvariance(dens)
         for cl, s, b in zip(
             rep.clauses, rep.meta["symmetric_part"], rep.meta["leftover_part"]
         ):
@@ -257,21 +265,21 @@ class TestPreinvariance:
 class TestDivergenceFree:
     def test_brownian_exact(self, brownian2):
         dens = solve_density(brownian2, BOX2, 65)
-        rep = verify_divergence_free(brownian2, dens)
+        rep = verify_divergence_free(dens)
         assert rep.passed
         for cl in rep.clauses:
             assert cl.value <= 1e-10
 
     def test_ou_tight_tolerance(self, ou2):
         dens = solve_density(ou2, BOX4, 129)
-        rep = verify_divergence_free(ou2, dens)
+        rep = verify_divergence_free(dens)
         # the threshold is 1e-3 sup|grad u|; the values sit below 1e-6 sup|grad u|
         for cl in rep.clauses:
             assert cl.value <= 1e-3 * cl.threshold
 
     def test_hyperplane_fine_grid(self, jump2):
         dens = solve_density(jump2, BOX2, 257)
-        rep = verify_divergence_free(jump2, dens)
+        rep = verify_divergence_free(dens)
         assert rep.passed
         assert len(rep.meta["field_defect"]) == len(rep.clauses)
         assert all(np.isfinite(v) for v in rep.meta["field_defect"])
@@ -279,7 +287,7 @@ class TestDivergenceFree:
     def test_radial_null_set_field_defect_finite(self, radial2):
         # psi = 1 / |x|^alpha is infinite at the origin node; rho psi B stays finite
         dens = solve_density(radial2, BOX2, 65)
-        rep = verify_divergence_free(radial2, dens)
+        rep = verify_divergence_free(dens)
         assert rep.passed and len(rep.clauses) == 3
         assert all(abs(v) <= 1e-10 for v in rep.meta["field_defect"])
 
@@ -293,11 +301,11 @@ class TestDivergenceFree:
         pts = grid.points()
         rho = dens.rho.values[..., None]
         w = c.inv_weight(pts)[..., None]
-        a_grad = np.einsum("...kl,...l->...k", c.A(pts), dens.rho.gradient().values)
+        a_grad = np.einsum("...kl,...l->...k", c.A(pts), dens.rho.gradient())
         beta = 0.5 * c.row_div_A(pts) * w + a_grad * w / (2.0 * rho)
         field = rho / w * (c.G(pts) - beta)
         expect = [weak_defect(grid, field, u)[0] for u in default_bump_dictionary(grid)]
-        got = verify_divergence_free(c, dens).meta["field_defect"]
+        got = verify_divergence_free(dens).meta["field_defect"]
         np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-14)
 
 
@@ -317,7 +325,6 @@ class TestPatching:
             patch_nonfinite(v, grid.dim, "test data")
 
     def test_radial_psi_patched_at_origin(self, radial2):
-        grid = BoxGrid(BOX2, 65)
-        psi = psi_weights(radial2, grid)
+        psi = solve_density(radial2, BOX2, 65).psi
         assert np.isfinite(psi).all()
         assert psi[32, 32] > 0

@@ -523,6 +523,18 @@ class TestKrylovAudit:
         with pytest.raises(DiagnosticsError, match="empty"):
             krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, [], cfg)
 
+    @pytest.mark.parametrize("payloads, label", [
+        ([_one, _one, lambda x, t: t], "_one"),
+        ([lambda x, t: x[..., 0], lambda x, t: t], "<lambda>"),
+    ])
+    def test_repeated_payload_label_rejected(self, brownian2, payloads, label):
+        # two payloads of one label would write the same clauses twice
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        with pytest.raises(DiagnosticsError, match=f"payload label '{label}' repeats"):
+            diagnostics.krylov_config((0.0, 0.0), 2.0, 0.5, payloads, cfg)
+        with pytest.raises(DiagnosticsError, match=f"payload label '{label}' repeats"):
+            krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.5, payloads, cfg)
+
 
 def _gauss_quarter(x):
     x = np.asarray(x, dtype=float)

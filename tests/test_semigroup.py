@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import sdelab.semigroup
-from sdelab.density import psi_weights, solve_density
+from sdelab.density import solve_density
 from sdelab.grids import BoxGrid, GridField, SmoothBump
 from sdelab.semigroup import (
     SemigroupError,
@@ -44,23 +46,23 @@ class TestEvolveValidation:
     def test_bad_dt(self, brownian2):
         dens = solve_density(brownian2, BOX2, 17)
         with pytest.raises(SemigroupError, match="dt"):
-            evolve(brownian2, dens, lambda x: x[..., 0], 1.0, -0.1)
+            evolve(dens, lambda x: x[..., 0], 1.0, -0.1)
 
     def test_horizon_not_multiple(self, brownian2):
         dens = solve_density(brownian2, BOX2, 17)
         with pytest.raises(SemigroupError, match="multiple"):
-            evolve(brownian2, dens, lambda x: x[..., 0], 1.0, 0.3)
+            evolve(dens, lambda x: x[..., 0], 1.0, 0.3)
 
     def test_wrong_grid_datum(self, brownian2):
         dens = solve_density(brownian2, BOX2, 17)
         other = GridField(BoxGrid(BOX2, 33), np.zeros((33, 33)))
         with pytest.raises(SemigroupError, match="different grid"):
-            evolve(brownian2, dens, other, 0.1, 0.05)
+            evolve(dens, other, 0.1, 0.05)
 
     def test_bad_callable_shape(self, brownian2):
         dens = solve_density(brownian2, BOX2, 17)
         with pytest.raises(SemigroupError, match="shape"):
-            evolve(brownian2, dens, lambda x: x, 0.1, 0.05)
+            evolve(dens, lambda x: x, 0.1, 0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("as_field", [False, True])
@@ -74,7 +76,7 @@ class TestEvolveValidation:
         datum = GridField(dens.grid, values) if as_field else lambda x: values
         monkeypatch.setattr(sdelab.semigroup, "_assemble_operator", None)
         with pytest.raises(SemigroupError, match="datum is non-finite at 1 of 289 nodes"):
-            evolve(brownian2, dens, datum, 0.1, 0.05)
+            evolve(dens, datum, 0.1, 0.05)
 
 
 class TestKeptSlices:
@@ -84,11 +86,11 @@ class TestKeptSlices:
     def test_kept_slices_equal_the_full_stack(self, jump2):
         dens = solve_density(jump2, BOX2, 17)
         datum = _gaussian_datum()
-        full = evolve(jump2, dens, datum, 0.5, 0.05)
-        kept = evolve(jump2, dens, datum, 0.5, 0.05, t_keep=(0.0, 0.15, 0.5))
+        full = evolve(dens, datum, 0.5, 0.05)
+        kept = evolve(dens, datum, 0.5, 0.05, t_keep=(0.0, 0.15, 0.5))
         np.testing.assert_array_equal(kept.times, full.times[[0, 3, 10]])
         np.testing.assert_array_equal(kept.values, full.values[[0, 3, 10]])
-        final = evolve(jump2, dens, datum, 0.5, 0.05, t_keep=(0.5,))
+        final = evolve(dens, datum, 0.5, 0.05, t_keep=(0.5,))
         assert final.values.shape == (1,) + dens.grid.shape
         np.testing.assert_array_equal(final.values[0], full.values[-1])
 
@@ -103,14 +105,14 @@ class TestKeptSlices:
     def test_bad_t_keep_rejected(self, brownian2, t_keep, match):
         dens = solve_density(brownian2, BOX2, 9)
         with pytest.raises(SemigroupError, match=match):
-            evolve(brownian2, dens, _gaussian_datum(), 0.5, 0.05, t_keep=t_keep)
+            evolve(dens, _gaussian_datum(), 0.5, 0.05, t_keep=t_keep)
 
 
 class TestClosedForms:
     def test_heat_kernel_convolution(self, brownian2):
         s2 = 0.25
         dens = solve_density(brownian2, BOX4, 129)
-        u = evolve(brownian2, dens, _gaussian_datum(s2), 0.1, 1e-3)
+        u = evolve(dens, _gaussian_datum(s2), 0.1, 1e-3)
         pts = dens.grid.points()
         T = 0.1
         exact = (s2 / (s2 + T)) * np.exp(-np.sum(pts**2, axis=-1) / (2 * (s2 + T)))
@@ -120,7 +122,7 @@ class TestClosedForms:
 
     def test_ou_linear_datum(self, ou2):
         dens = solve_density(ou2, BOX4, 129)
-        u = evolve(ou2, dens, lambda x: x[..., 0], 0.5, 1e-3)
+        u = evolve(dens, lambda x: x[..., 0], 0.5, 1e-3)
         pts = dens.grid.points()
         exact = np.exp(-0.5) * pts[..., 0]
         inner = np.all(np.abs(pts) <= 2.0, axis=-1)
@@ -142,15 +144,15 @@ class TestSubMarkov:
         c = request.getfixturevalue(family)
         dens = solve_density(c, bounds, 49)
         bump = SmoothBump(center=(0.0, 0.0), radius=0.12)
-        u = evolve(c, dens, lambda x: bump(x), 0.05, 5e-3)
-        rep = semigroup_contraction_check(c, u, dens)
+        u = evolve(dens, lambda x: bump(x), 0.05, 5e-3)
+        rep = semigroup_contraction_check(u, dens)
         assert rep.passed, rep.summary()
         assert np.min(u.values) >= -1e-12
         assert np.max(u.values) <= 1.0 + 1e-12
 
     def test_constant_one_datum(self, radial2):
         dens = solve_density(radial2, BOX2, 33)
-        u = evolve(radial2, dens, lambda x: np.ones(x.shape[:-1]), 0.05, 1e-2)
+        u = evolve(dens, lambda x: np.ones(x.shape[:-1]), 0.05, 1e-2)
         assert np.min(u.values) >= 0.0
         assert np.max(u.values) <= 1.0 + 1e-12
         sup = [np.max(np.abs(s)) for s in u.values]
@@ -158,9 +160,9 @@ class TestSubMarkov:
 
     def test_zero_datum_stays_zero(self, ou2):
         dens = solve_density(ou2, BOX4, 33)
-        u = evolve(ou2, dens, lambda x: np.zeros(x.shape[:-1]), 0.05, 1e-2)
+        u = evolve(dens, lambda x: np.zeros(x.shape[:-1]), 0.05, 1e-2)
         assert np.max(np.abs(u.values)) == 0.0
-        rep = semigroup_contraction_check(ou2, u, dens)
+        rep = semigroup_contraction_check(u, dens)
         assert rep.passed
 
 
@@ -169,26 +171,26 @@ class TestStructure:
         dens = solve_density(brownian2, BOX2, 33)
         f0 = _gaussian_datum()
         g0 = lambda x: np.minimum(f0(x) + 0.3, 1.0)
-        ua = evolve(brownian2, dens, f0, 0.02, 5e-3)
-        ub = evolve(brownian2, dens, g0, 0.02, 5e-3)
+        ua = evolve(dens, f0, 0.02, 5e-3)
+        ub = evolve(dens, g0, 0.02, 5e-3)
         assert np.min(ub.values - ua.values) >= -1e-12
 
     def test_linearity(self, jump2):
         dens = solve_density(jump2, BOX2, 33)
         f0 = _gaussian_datum()
         g0 = lambda x: np.cos(x[..., 0])
-        ua = evolve(jump2, dens, f0, 0.02, 5e-3)
-        ub = evolve(jump2, dens, g0, 0.02, 5e-3)
-        mixed = evolve(jump2, dens, lambda x: 2.0 * f0(x) - 0.5 * g0(x), 0.02, 5e-3)
+        ua = evolve(dens, f0, 0.02, 5e-3)
+        ub = evolve(dens, g0, 0.02, 5e-3)
+        mixed = evolve(dens, lambda x: 2.0 * f0(x) - 0.5 * g0(x), 0.02, 5e-3)
         err = np.max(np.abs(mixed.values - (2.0 * ua.values - 0.5 * ub.values)))
         assert err <= 1e-10
 
     def test_mass_duality(self, brownian2):
         dens = solve_density(brownian2, BOX2, 65)
         bump = SmoothBump(center=(0.0, 0.0), radius=0.1)
-        u = evolve(brownian2, dens, lambda x: bump(x), 0.02, 5e-3)
+        u = evolve(dens, lambda x: bump(x), 0.02, 5e-3)
         grid = dens.grid
-        w = grid.trapezoid_weights() * dens.rho.values * psi_weights(brownian2, grid)
+        w = grid.trapezoid_weights() * dens.rho.values * dens.psi
         masses = [float(np.sum(w * s)) for s in u.values]
         assert all(b <= a + 1e-12 for a, b in zip(masses, masses[1:]))
         assert masses[-1] >= masses[0] * (1.0 - 1e-6)
@@ -205,12 +207,25 @@ class TestContractionReport:
         grid = dens.grid
         vals = np.stack([np.ones(grid.shape), 2.0 * np.ones(grid.shape)])
         u = SpaceTimeField(grid, np.array([0.0, 1.0]), vals)
-        rep = semigroup_contraction_check(brownian2, u, dens)
+        rep = semigroup_contraction_check(u, dens)
         assert not rep.passed
 
     def test_meta_norm_sequences(self, brownian2):
         dens = solve_density(brownian2, BOX2, 33)
-        u = evolve(brownian2, dens, _gaussian_datum(), 0.02, 1e-2)
-        rep = semigroup_contraction_check(brownian2, u, dens)
+        u = evolve(dens, _gaussian_datum(), 0.02, 1e-2)
+        rep = semigroup_contraction_check(u, dens)
         assert len(rep.meta["l1_norms"]) == len(u.times)
         assert len(rep.meta["sup_norms"]) == len(u.times)
+
+    @pytest.mark.parametrize("bounds, n, other", [
+        (BOX2, 17, "[17, 17] nodes on [[-2.0, 2.0], [-2.0, 2.0]]"),
+        (((-2.0, 2.0), (-2.5, 2.0)), 9, "[9, 9] nodes on [[-2.0, 2.0], [-2.5, 2.0]]"),
+    ])
+    def test_slices_from_another_grid_rejected(self, brownian2, bounds, n, other):
+        # another node count, or the same count on another box, would pair
+        # the slices with the wrong rho, psi and volumes
+        u = evolve(solve_density(brownian2, BOX2, 9), _gaussian_datum(), 0.02, 1e-2)
+        with pytest.raises(SemigroupError, match=re.escape(
+                "slices on [9, 9] nodes on [[-2.0, 2.0], [-2.0, 2.0]] do not lie on "
+                f"the density's grid, {other}")):
+            semigroup_contraction_check(u, solve_density(brownian2, bounds, n))

@@ -94,9 +94,9 @@ def test_evolve_observer_reads_a_real_field():
     # times and values: 4 backward-Euler steps on a 9 x 9 grid
     c = builtin_family("brownian", 2)
     dens = solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 9)
-    u = evolve(c, dens, GridField(dens.grid, np.ones(dens.grid.shape)), 0.2, 0.05)
+    u = evolve(dens, GridField(dens.grid, np.ones(dens.grid.shape)), 0.2, 0.05)
     tracer = _spans.Tracer()
-    _spans._evolve(tracer, (c, dens, None, 0.2, 0.05), u)
+    _spans._evolve(tracer, (dens, None, 0.2, 0.05), u)
     assert tracer.counts["semigroup.steps"] == 4
     assert tracer.counts["semigroup.slices_mb"] == 5 * 81 * 8 / 2**20
 
@@ -107,9 +107,9 @@ def test_evolve_observer_reads_a_final_slice_field():
     c = builtin_family("brownian", 2)
     dens = solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 9)
     f0 = GridField(dens.grid, np.ones(dens.grid.shape))
-    u = evolve(c, dens, f0, 0.2, 0.05, t_keep=(0.2,))
+    u = evolve(dens, f0, 0.2, 0.05, t_keep=(0.2,))
     tracer = _spans.Tracer()
-    _spans._evolve(tracer, (c, dens, f0, 0.2, 0.05), u)
+    _spans._evolve(tracer, (dens, f0, 0.2, 0.05), u)
     assert tracer.counts["semigroup.steps"] == 0
     assert tracer.counts["semigroup.slices_mb"] == 81 * 8 / 2**20
 
