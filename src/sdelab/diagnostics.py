@@ -455,7 +455,7 @@ def _mixed_norm(f: Callable, radius: float, t_final: float, dim: int, label: str
 
 def krylov_config(
     x0, radius: float, t_final: float, f_dictionary: Sequence[Callable], cfg: SimConfig
-) -> SimConfig:
+) -> tuple[SimConfig, list[str]]:
     """Checked inputs of :func:`krylov_audit`: its ensemble config, absorbed
     at ``radius`` and run to ``t_final``, a whole number of steps ``cfg.dt``,
     whose states numpy can represent, and the payloads' labels (``__name__``,

@@ -326,7 +326,8 @@ class GridField:
     def gradient(self) -> np.ndarray:
         """Centered-difference gradient (one-sided at the boundary), an array
         of shape ``grid.shape + (d,)``."""
-        return np.stack(np.gradient(self.values, *self.grid.axes()), axis=-1)
+        g = np.gradient(self.values, *self.grid.axes())
+        return np.stack(g if self.grid.dim > 1 else [g], axis=-1)  # 1-d: one array
 
 
 # -- smooth compactly supported test functions --------------------------------

@@ -1,6 +1,7 @@
 """Tests for the law-level diagnostics: two-sample marginal tests, the
 variant probe, the occupation-functional audit and the MC-vs-PDE cross-check."""
 
+import functools
 import math
 import re
 import tracemalloc
@@ -522,6 +523,14 @@ class TestKrylovAudit:
         cfg = SimConfig(dt=5e-3, t_final=0.1, n_paths=50, master_seed=9)
         with pytest.raises(DiagnosticsError, match="empty"):
             krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, [], cfg)
+
+    def test_payload_labels_are_names_else_positions(self):
+        # a partial has no __name__, so it is labelled by its index
+        cfg = SimConfig(dt=0.1, t_final=0.5, n_paths=50, master_seed=1)
+        payloads = [_one, functools.partial(_one), lambda x, t: t]
+        cfg_run, labels = diagnostics.krylov_config((0.0, 0.0), 2.0, 0.5, payloads, cfg)
+        assert labels == ["_one", "f1", "<lambda>"]
+        assert (cfg_run.t_final, cfg_run.r_exit) == (0.5, 2.0)
 
     @pytest.mark.parametrize("payloads, label", [
         ([_one, _one, lambda x, t: t], "_one"),

@@ -127,6 +127,20 @@ class TestGridField:
         np.testing.assert_allclose(grad[..., 0], 1.0, atol=1e-12)
         np.testing.assert_allclose(grad[..., 1], -4.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bounds, n", [
+        ([[-2.0, 2.0]], 9),
+        (BOX2, (17, 11)),
+        ([[-1.0, 1.0], [0.0, 2.5], [-3.0, -1.0]], (5, 7, 6)),
+    ])
+    def test_gradient_is_exact_on_affine_fields(self, bounds, n):
+        # shape grid.shape + (d,) in every dimension, d = 1 included
+        g = BoxGrid(bounds, n)
+        slope = np.array([1.0, -4.0, 0.5])[:g.dim]
+        f = GridField(g, 2.0 + g.points() @ slope)
+        grad = f.gradient()
+        assert grad.shape == g.shape + (g.dim,)
+        np.testing.assert_allclose(grad, np.broadcast_to(slope, grad.shape), atol=1e-12)
+
     def test_shape_mismatch_rejected(self):
         g = BoxGrid(BOX2, 5)
         with pytest.raises(GridError):
