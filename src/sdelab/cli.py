@@ -10,8 +10,9 @@ Exit codes: 0 when every requested audit passes, 1 on audit failure, 2 on
 usage or config errors.  Each report file is canonical JSON of what one
 library call returns, with the config digest and master seed (and the
 ``diagnose`` entry) added to its meta; wall-clock data goes to
-``*.sidecar.json`` companions so report bytes are reproducible.  Files are
-written atomically (temp file then rename).
+``*.sidecar.json`` companions so report bytes are reproducible.  A runner
+writes its CSV tables before its reports, so each sidecar's peak memory
+covers them.  Files are written atomically (temp file then rename).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .simulate import exit_time_stats, occupation_profile, simulate_ensemble
 
 _OCCUPATION_EPS = (0.2, 0.1, 0.05, 0.025, 0.0)
 _TABLE_ROWS = 4096  # rows formatted by one % operation
+_WRITE_CHARS = 1 << 20  # characters encoded by one write
 
 
 class UsageError(ValueError):
@@ -57,7 +59,9 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            # a slice at a time, so the encoder never holds a second copy
+            for start in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -96,14 +100,14 @@ class _Emitter:
     def table(self, name: str, header: list, columns: list) -> None:
         if self.out_dir is None:
             return
-        arr = np.column_stack(columns)
-        row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
         parts = [",".join(header) + "\n"]
-        for start in range(0, len(arr), _TABLE_ROWS):
-            block = arr[start:start + _TABLE_ROWS]
+        for start in range(0, len(columns[0]), _TABLE_ROWS):
+            block = np.column_stack([col[start:start + _TABLE_ROWS] for col in columns])
             parts.append(row * len(block) % tuple(block.ravel().tolist()))
-        path = os.path.join(self.out_dir, f"{name}.csv")
-        _write_atomic(path, "".join(parts))
+        text = "".join(parts)
+        del parts  # the text is then held once while it is written
+        _write_atomic(os.path.join(self.out_dir, f"{name}.csv"), text)
 
 
 def _grid_table(emit: _Emitter, name: str, grid, label: str, values) -> None:
@@ -139,11 +143,11 @@ def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     dens = solve_density(c, grid.bounds, grid.n)
     pre = verify_preinvariance(dens)
     div = verify_divergence_free(dens)
+    _grid_table(emit, "density", grid, "rho", dens.rho.values)
     for name, rep in (("density_preinvariance", pre), ("density_divergence", div)):
         rep.meta["residual_norm"] = dens.residual_norm
         emit.report(name, _finalize(rep, cfg))
         print(rep.summary())
-    _grid_table(emit, "density", grid, "rho", dens.rho.values)
     return 0 if (pre.passed and div.passed) else 1
 
 
@@ -159,8 +163,8 @@ def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
         u = evolve(dens, **inputs)
         rep = semigroup_contraction_check(u, dens)
         rep.meta["payload"] = entry["payload"]
-        emit.report(f"semigroup_{i}", _finalize(rep, cfg))
         _grid_table(emit, f"semigroup_{i}_final", grid, "u", u.values[-1])
+        emit.report(f"semigroup_{i}", _finalize(rep, cfg))
         print(rep.summary())
         ok &= rep.passed
     return 0 if ok else 1
@@ -184,7 +188,6 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     report.meta["occupation"] = occupation_profile(ens, _OCCUPATION_EPS)
     if cfg.sim.r_exit is not None:
         report.meta["exit"] = exit_time_stats(ens)
-    emit.report("simulate", _finalize(report, cfg))
     terminal = ens.state_at(cfg.sim.t_final)
     emit.table(
         "terminal",
@@ -192,6 +195,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
         [np.arange(ens.n_paths, dtype=float)]
         + [terminal[:, k] for k in range(ens.dim)],
     )
+    emit.report("simulate", _finalize(report, cfg))
     print(report.summary())
     return 0 if report.passed else 1
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdelab.cli
 import sdelab.config
 from sdelab import (
     SimConfig,
@@ -862,10 +864,12 @@ class TestCliArtifacts:
         assert reports[0] == reports[1]
         assert b"rss" not in reports[0]
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097])
+    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097, 40000])
     def test_table_bytes_equal_per_value_formatting(self, tmp_path, n_rows):
-        # tables are formatted a block of rows at a time; the bytes must be
-        # those of one f"{v:.17g}" per value, on both sides of a block edge
+        # tables are formatted a block of rows at a time and written a slice
+        # of text at a time; the bytes must be those of one f"{v:.17g}" per
+        # value, on both sides of a block edge and of a slice edge (40000
+        # rows make over 2 MiB of text, so slice edges fall inside rows)
         special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308,
                    -1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e16, 0.0]
         rng = np.random.default_rng(n_rows)
@@ -882,6 +886,44 @@ class TestCliArtifacts:
             lines.append(",".join(f"{v:.17g}" for v in row))
         want = "\n".join(lines) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode("utf-8")
+
+    def test_table_peak_memory_stays_near_its_file_size(self, tmp_path):
+        # the table's text is held once while it is written: no whole-table
+        # array copy, no block list beside the joined text, no encoded copy
+        n_rows = 200_000
+        rng = np.random.default_rng(0)
+        columns = [np.arange(n_rows, dtype=float),
+                   rng.standard_normal(n_rows), rng.standard_normal(n_rows)]
+        tracemalloc.start()
+        try:
+            _Emitter(str(tmp_path)).table("t", ["path", "x0", "x1"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (tmp_path / "t.csv").stat().st_size
+
+    @pytest.mark.parametrize("subcommand, written", [
+        ("simulate", ["terminal.csv", "simulate.json", "simulate.sidecar.json"]),
+        ("density", ["density.csv",
+                     "density_preinvariance.json", "density_preinvariance.sidecar.json",
+                     "density_divergence.json", "density_divergence.sidecar.json"]),
+        ("semigroup", ["semigroup_0_final.csv",
+                       "semigroup_0.json", "semigroup_0.sidecar.json"]),
+    ])
+    def test_tables_are_written_before_their_reports(self, tmp_path, monkeypatch,
+                                                     subcommand, written):
+        # a sidecar's peak_rss_mib is the peak so far, so it covers the
+        # runner's tables only when they are written first
+        paths = []
+        write = sdelab.cli._write_atomic
+        monkeypatch.setattr(sdelab.cli, "_write_atomic",
+                            lambda path, text: paths.append(path) or write(path, text))
+        cfg = base_config(output_dir=str(tmp_path / "out"), diagnostics=[
+            {"kind": "semigroup", "payload": {"type": "one"}, "t_final": 0.1,
+             "dt": 0.01},
+        ])
+        main([subcommand, "--config", write_config(tmp_path, cfg)])
+        assert [os.path.basename(p) for p in paths] == written
 
     def test_verdict_outputs_match_benchmark_references(self, tmp_path):
         # the benchmark's byte gate, run in-process: every report and table
