@@ -144,8 +144,8 @@ def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     pre = verify_preinvariance(dens)
     div = verify_divergence_free(dens)
     _grid_table(emit, "density", grid, "rho", dens.rho.values)
+    pre.meta["residual_norm"] = div.meta["residual_norm"]
     for name, rep in (("density_preinvariance", pre), ("density_divergence", div)):
-        rep.meta["residual_norm"] = dens.residual_norm
         emit.report(name, _finalize(rep, cfg))
         print(rep.summary())
     return 0 if (pre.passed and div.passed) else 1

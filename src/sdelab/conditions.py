@@ -41,9 +41,9 @@ def _growth_lhs(c: CoefficientSet, x: np.ndarray) -> np.ndarray:
     return -ax_x * w / (r2 + 1.0) + 0.5 * tr * w + np.sum(g * x, axis=-1)
 
 
-def _growth_rhs(x: np.ndarray, bound_constant: float) -> np.ndarray:
+def _growth_rhs(x: np.ndarray) -> np.ndarray:
     r2 = squared_norm(x)
-    return bound_constant * (r2 + 1.0) * (np.log(r2 + 1.0) + 1.0)
+    return (r2 + 1.0) * (np.log(r2 + 1.0) + 1.0)
 
 
 def min_M_on_grid(c: CoefficientSet, bounds, resolution: int) -> float:
@@ -64,7 +64,7 @@ def min_M_on_grid(c: CoefficientSet, bounds, resolution: int) -> float:
     if x.size == 0:
         raise ConditionError("all grid nodes lie in the degeneracy set")
     lhs = _growth_lhs(c, x)
-    denom = _growth_rhs(x, 1.0)
+    denom = _growth_rhs(x)
     return float(max(0.0, np.max(lhs / denom)))
 
 

@@ -25,7 +25,9 @@ against the smooth compactly supported test functions of
 :func:`default_bump_dictionary`, whose supports lie inside the box; the
 divergence audit pairs the scheme's own face fluxes with analytic test
 gradients, which is zero to rounding whenever the discrete kernel is exact
-and decays at the scheme's order otherwise.
+and decays at the scheme's order otherwise.  The solve evaluates no test
+function; both audits refuse a grid on which one has zero gradient at every
+node.
 """
 
 from __future__ import annotations
@@ -236,17 +238,13 @@ class DensityField:
     """Solved stationary density on a grid.
 
     ``rho`` is strictly positive with value 1 at the node nearest the box
-    center.  ``residual_norm`` is the weak-form defect of the scheme's flux
-    field against the builtin test dictionary, scaled by the test gradient
-    norm (a discrete dual norm); it is zero to rounding whenever the discrete
-    solution is an exact kernel element (constant and Gaussian cases).
-    ``c`` is the coefficient set it was solved from, ``psi`` the node values
-    of its weight and ``faces`` its face scheme; the audits and the parabolic
-    solve read all three from here, so a density belongs to one equation.
+    center.  ``c`` is the coefficient set it was solved from, ``psi`` the
+    node values of its weight and ``faces`` its face scheme; the audits and
+    the parabolic solve read all three from here, so a density belongs to
+    one equation.
     """
 
     rho: GridField
-    residual_norm: float
     c: CoefficientSet
     psi: np.ndarray
     faces: _FaceScheme
@@ -277,8 +275,7 @@ def solve_density(c: CoefficientSet, bounds, n) -> DensityField:
     Fixes value 1 at the node nearest the box center.  Raises
     :class:`DensityError` if the anchored system is singular (kernel
     dimension above one), the solution changes sign (enlarge the box or
-    refine the grid), the grid is too coarse for the test dictionary of the
-    residual or its arrays cannot be allocated.
+    refine the grid) or its arrays cannot be allocated.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -321,19 +318,15 @@ def solve_density(c: CoefficientSet, bounds, n) -> DensityField:
             "enlarge the box or refine the grid"
         )
 
-    flux = faces.node_flux_field(rho)
-    defect = 0.0
-    for bump in default_bump_dictionary(grid):
-        val, grad_l2, _ = weak_defect(grid, flux, bump)
-        if grad_l2 == 0.0:
-            raise DensityError(
-                f"grid {list(grid.n)} cannot resolve the test dictionary: a "
-                "test function has zero gradient at every node; refine the grid"
-            )
-        defect = max(defect, abs(val) / grad_l2)
+    return DensityField(GridField(grid, rho), c, _psi_weights(c, grid), faces)
 
-    return DensityField(rho=GridField(grid, rho), residual_norm=defect, c=c,
-                        psi=_psi_weights(c, grid), faces=faces)
+
+def _unresolved(grid: BoxGrid) -> DensityError:
+    """The audits' refusal of a grid on which a test function is flat."""
+    return DensityError(
+        f"grid {list(grid.n)} cannot resolve the test dictionary: a test "
+        "function has zero gradient at every node; refine the grid"
+    )
 
 
 def verify_preinvariance(dens: DensityField) -> DiagnosticReport:
@@ -364,6 +357,8 @@ def verify_preinvariance(dens: DensityField) -> DiagnosticReport:
     )
     for i, f in enumerate(default_bump_dictionary(grid)):
         grad_f = f.gradient(pts)
+        if not grad_f.any():
+            raise _unresolved(grid)
         hess = f.hessian(pts)
         tr_term = 0.5 * rho * np.sum(diag_a * np.einsum("...kk->...k", hess), axis=-1)
         drift_term = rho * np.sum(psi_g * grad_f, axis=-1)
@@ -389,9 +384,11 @@ def verify_divergence_free(dens: DensityField) -> DiagnosticReport:
     representation of ``rho psi B`` (minus the stationary flux of ``rho``)
     with the analytic test gradient; it vanishes to rounding whenever the
     discrete density is an exact kernel element, and decays at the scheme's
-    order otherwise.  Pass threshold: ``1e-3 * sup|grad u|``.  The defect of
-    the nodal ``rho psi B`` field, limited by the accuracy of the centered
-    density gradient, is tracked in meta as ``field_defect``.
+    order otherwise.  Pass threshold: ``1e-3 * sup|grad u|``.  Meta carries
+    ``residual_norm``, the largest headline value scaled by the test
+    gradient's L2 norm (a discrete dual norm), and ``field_defect``, the
+    defect of the nodal ``rho psi B`` field, limited by the accuracy of the
+    centered density gradient.
     """
     tol = _DIVERGENCE_TOL
     c, grid = dens.c, dens.grid
@@ -405,10 +402,14 @@ def verify_divergence_free(dens: DensityField) -> DiagnosticReport:
     flux = -dens.faces.node_flux_field(dens.rho.values)
     rep = DiagnosticReport(
         check="divergence_free",
-        meta={"tol": tol, "n": list(grid.n), "family": c.family, "field_defect": []},
+        meta={"tol": tol, "n": list(grid.n), "family": c.family,
+              "residual_norm": 0.0, "field_defect": []},
     )
     for i, u in enumerate(default_bump_dictionary(grid)):
-        val, _, grad_sup = weak_defect(grid, flux, u)
+        val, grad_l2, grad_sup = weak_defect(grid, flux, u)
+        if grad_l2 == 0.0:
+            raise _unresolved(grid)
+        rep.meta["residual_norm"] = max(rep.meta["residual_norm"], abs(val) / grad_l2)
         nodal, _, _ = weak_defect(grid, rho_psi_b, u)
         rep.meta["field_defect"].append(nodal)
         rep.add(

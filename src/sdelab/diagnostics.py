@@ -561,7 +561,8 @@ def feynman_kac_config(
     payload's node values, not 0 at every node, the start point, the
     Monte-Carlo config (``t_final`` a whole number of its steps ``mc_dt``),
     whose states numpy can represent, and the
-    once-coarsened grid of the spatial error estimate."""
+    once-coarsened grid of the spatial error estimate, so every node count
+    is odd."""
     if not isinstance(grid, BoxGrid):
         raise DiagnosticsError(f"grid must be a BoxGrid, got {type(grid).__name__}")
     x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
@@ -575,6 +576,11 @@ def feynman_kac_config(
         raise DiagnosticsError(
             "t_final / pde_dt must be even: the temporal error is estimated "
             "at the doubled step"
+        )
+    if any(m % 2 == 0 for m in grid.n):
+        raise DiagnosticsError(
+            f"the grid needs odd node counts, got {list(grid.n)}: the spatial "
+            "error is read on every other node"
         )
     slices_shape(grid, t_final, pde_dt, DiagnosticsError)
     step_count(t_final, cfg.dt, DiagnosticsError, "t_final", "mc_dt")

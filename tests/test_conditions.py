@@ -26,7 +26,7 @@ from sdelab.conditions import (
 def _growth_at(c, x):
     """Both sides of the dissipativity bound at one point, for ``M = 1``."""
     x = np.asarray([x], dtype=float)
-    return float(_growth_lhs(c, x)[0]), float(_growth_rhs(x, 1.0)[0])
+    return float(_growth_lhs(c, x)[0]), float(_growth_rhs(x)[0])
 
 
 class TestGrowthMargin:

@@ -396,10 +396,22 @@ class TestCliExitCodes:
 
     def test_unresolvable_density_grid_is_usage_error(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
-        assert main(["density", "--config", path, "--set", "box.n=3"]) == 2
+        out = tmp_path / "out"
+        assert main(["density", "--config", path, "--set", "box.n=3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "test dictionary" in err
         assert err.count("\n") == 1
+        assert list(out.glob("density*")) == []
+
+    def test_semigroup_reads_no_test_dictionary(self, tmp_path, capsys):
+        # the density audits refuse this grid; the solve and the parabolic
+        # audit never read the test dictionary
+        out = tmp_path / "out"
+        rc = main(["semigroup", "--config", str(EXAMPLE_CONFIG), "--set", "box.n=3",
+                   "--out", str(out)])
+        capsys.readouterr()
+        assert rc in (0, 1)
+        assert (out / "semigroup_0.json").exists()
 
     def test_config_file_is_closed(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -676,6 +676,21 @@ class TestFeynmanKac:
                 brownian2, grid, _gauss_quarter, (0.0, 0.0), 0.5, cfg, 0.1
             )
 
+    def test_even_node_count_rejected_before_the_payload(self, brownian2):
+        # BoxGrid.coarsen used to refuse it with a GridError, after the
+        # payload had been evaluated on the grid
+        def unread(x):
+            raise AssertionError("the payload was evaluated")
+
+        grid = BoxGrid(BOUNDS4, (16, 17))
+        cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
+        for check in (diagnostics.feynman_kac_config,
+                      lambda *args: feynman_kac_crosscheck(brownian2, *args)):
+            with pytest.raises(DiagnosticsError,
+                               match=r"^the grid needs odd node counts, got \[16, 17\]: "
+                                     "the spatial error is read on every other node$"):
+                check(grid, unread, (0.0, 0.0), 0.5, cfg, 0.05)
+
     def test_payload_zero_at_every_node_rejected(self, brownian2):
         # the bump's support lies between nodes: the payload has no mass on
         # the box, refused by the input check before any path is stepped
