@@ -22,7 +22,6 @@ import json
 import os
 import resource
 import sys
-import tempfile
 import time
 from datetime import datetime, timezone
 
@@ -56,7 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(16).hex()}")  # 128 random bits
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)  # 0o666 less the umask
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # a slice at a time, so the encoder never holds a second copy

@@ -10,9 +10,11 @@ one load checks every value, the top-level family and diagnostics entries
 included, by building what it configures, so its owner checks it, and keeps
 what it built (the coefficients, the box grid and each entry's inputs) for
 the runners.  A diagnostics entry is checked only by its kind's library
-input check, called once on its keyword arguments, payload included.
-Sizes are checked at load too: every ensemble, grid and stored
-set of time slices a config asks for must have a shape numpy can represent.
+input check, called once on its keyword arguments, payload included (a
+semigroup entry keeps its payload's node values, the array ``evolve`` takes).
+The simulated start lies inside ``sim.r_exit``.  Sizes are checked at load
+too: every ensemble, grid and stored set of time slices a config asks for
+must have a shape numpy can represent.
 Loading never rewrites the raw entries: a parsed config serializes back to an
 equivalent dict, and its canonical-JSON digest identifies the experiment.
 """
@@ -33,7 +35,7 @@ from .grids import (
 )
 from .reporting import digest
 from .semigroup import slices_shape
-from .simulate import SCHEME, SimConfig
+from .simulate import SCHEME, SimConfig, start_inside
 
 FORMAT_VERSION = 1
 
@@ -128,14 +130,14 @@ def build_payload(spec: Any, dim: int, where: str = "payload") -> Callable:
 
 
 def build_spacetime_payload(
-    spec: Any, dim: int, label: str | None = None, where: str = "payload"
+    spec: Any, dim: int, label: str, where: str = "payload"
 ) -> Callable:
     f = build_payload(spec, dim, where)
 
     def payload(x, t):
         return f(x)
 
-    payload.__name__ = label or spec["type"]
+    payload.__name__ = label
     return payload
 
 
@@ -204,7 +206,8 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
     """Keyword arguments of the library call a diagnostics entry asks for,
     checked by that function's input check (faults are :class:`ConfigError`).
 
-    Semigroup entries call :func:`~sdelab.semigroup.evolve`, the others
+    Semigroup entries call :func:`~sdelab.semigroup.evolve` with ``u0``, the
+    payload's node values (:func:`~sdelab.grids.grid_values`), the others
     the diagnostics function of their kind; the runner adds coefficients,
     and the density for ``evolve`` or workers for the others.  Absent
     optional keys are left out, so library defaults apply.
@@ -214,12 +217,8 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
     try:
         if kind == "semigroup":
             slices_shape(grid, entry["t_final"], entry["dt"])
-            f0 = build_payload(entry["payload"], dim)
-            # the contraction audit cannot fail on a payload without mass
-            if not np.any(grid_values(f0, grid)):
-                raise ValueError("payload is 0 at every node of the grid, so it "
-                                 "carries no mass on the box")
-            return {"f0": f0, "t_final": entry["t_final"], "dt": entry["dt"]}
+            u0 = grid_values(build_payload(entry["payload"], dim), grid)
+            return {"u0": u0, "t_final": entry["t_final"], "dt": entry["dt"]}
         x0 = finite_point(entry["x0"], dim)
         if kind == "uniqueness":
             variants = [_variant(v, dim, f"variants[{j}]")
@@ -256,8 +255,8 @@ class ExperimentConfig:
     """Validated experiment description.
 
     ``x0`` is the common start point of simulated paths (defaults to the box
-    center when absent from the ``sim`` section).  ``diagnostics`` entries
-    are kind-tagged parameter dicts; ``inputs[i]`` holds the checked keyword
+    center when absent from the ``sim`` section), inside any ``r_exit``.
+    ``diagnostics`` entries are kind-tagged parameter dicts; ``inputs[i]`` holds the checked keyword
     arguments of entry ``i``'s library call, built at load.  ``coefficients``
     and ``grid`` are the family and box grid the config describes, built at
     load too; what was built is not part of a config's identity.
@@ -305,6 +304,7 @@ class ExperimentConfig:
         try:
             sim = SimConfig(**sim_raw)
             sim.states_shape(grid.dim)
+            start_inside(grid.center if x0 is None else x0, sim.r_exit, "r_exit")
         except ValueError as exc:
             raise ConfigError(f"sim: {exc}") from None
 

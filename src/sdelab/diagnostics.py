@@ -43,7 +43,7 @@ from .grids import (
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
 from .semigroup import evolve, slices_shape
-from .simulate import SCHEME, SimConfig, outside_ball, simulate_ensemble
+from .simulate import SCHEME, SimConfig, simulate_ensemble, start_inside
 
 _PERMUTATIONS = 199
 _ENERGY_SUBSAMPLE = 1024
@@ -56,14 +56,6 @@ _QUAD_TIME = 64  # and its midpoint time steps
 
 class DiagnosticsError(ValueError):
     """Raised for invalid diagnostic inputs."""
-
-
-def _start_inside(x0, radius, name: str) -> None:
-    """Refuse a start the ensemble's own exit test absorbs at step 0, where
-    every path stops and the audit could not fail."""
-    if radius is not None and outside_ball(np.asarray(x0, dtype=float)[None], radius)[0]:
-        raise DiagnosticsError(f"x0 {np.asarray(x0).tolist()} is not inside the exit ball "
-                               f"({name} {radius}): every path would stop at step 0")
 
 
 # -- two-sample marginal test -------------------------------------------------
@@ -272,7 +264,7 @@ def uniqueness_configs(
     inside ``cfg.r_exit``; ``t_checks`` is a list of times after 0 that
     every variant's ensemble can keep (:func:`~sdelab.grids.kept_steps`);
     ``level`` lies in ``(0, 1)``."""
-    _start_inside(x0, cfg.r_exit, "r_exit")
+    start_inside(x0, cfg.r_exit, "r_exit", DiagnosticsError)
     if len(variants) < 2:
         raise DiagnosticsError("need at least two variants to compare")
     if not isinstance(t_checks, (list, tuple, np.ndarray)):  # the probe reads it twice
@@ -463,7 +455,7 @@ def krylov_config(
     the payloads are a non-empty list of callables, and a quadrature cell's
     volume is a positive float."""
     radius = finite_real(radius, "radius", DiagnosticsError, positive=True)
-    _start_inside(x0, radius, "radius")
+    start_inside(x0, radius, "radius", DiagnosticsError)
     if not isinstance(f_dictionary, (list, tuple)) or not f_dictionary:  # read twice
         raise DiagnosticsError("payload dictionary must be a non-empty list, "
                                f"got {f_dictionary!r}")
@@ -558,11 +550,10 @@ def feynman_kac_config(
     grid: BoxGrid, f0, x0, t_final: float, cfg: SimConfig, pde_dt: float
 ) -> tuple:
     """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
-    payload's node values, not 0 at every node, the start point, the
-    Monte-Carlo config (``t_final`` a whole number of its steps ``mc_dt``),
-    whose states numpy can represent, and the
-    once-coarsened grid of the spatial error estimate, so every node count
-    is odd."""
+    payload's node values (:func:`~sdelab.grids.grid_values`), the start
+    point, the Monte-Carlo config (``t_final`` a whole number of its steps
+    ``mc_dt``), whose states numpy can represent, and the once-coarsened
+    grid of the spatial error estimate, so every node count is odd."""
     if not isinstance(grid, BoxGrid):
         raise DiagnosticsError(f"grid must be a BoxGrid, got {type(grid).__name__}")
     x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
@@ -589,11 +580,6 @@ def feynman_kac_config(
     cfg_run = replace(cfg, t_final=float(t_final), r_exit=None)
     cfg_run.states_shape(grid.dim)
     f_vals = grid_values(f0, grid, DiagnosticsError)
-    # rho, psi and the cell volumes are positive, so this is exactly a
-    # payload without mass on the box
-    if not np.any(f_vals):
-        raise DiagnosticsError("payload is 0 at every node of the grid, so it "
-                               "carries no mass on the box")
     return f_vals, x0, cfg_run, grid.coarsen()
 
 
@@ -609,6 +595,7 @@ def feynman_kac_crosscheck(
 ) -> DiagnosticReport:
     """Cross-check ``E[f0(X_T)]`` against the parabolic solve at ``x0``.
 
+    ``f0`` is a callable of points; anything else is a :class:`DiagnosticsError`.
     The Monte-Carlo side simulates ``cfg.n_paths`` paths from ``x0`` and
     averages ``f0``, which must be finite there, at the final states; any
     configured exit radius is ignored (both sides must see the free
@@ -625,44 +612,38 @@ def feynman_kac_crosscheck(
     """
     f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt)
     dens = solve_density(c, grid.bounds, grid.n)
-    f_eval = f0.interpolate if isinstance(f0, GridField) else f0
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers, t_keep=(t_final,))
-    terminal = finite_values(f_eval(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",
+    terminal = finite_values(f0(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",
                              "at the Monte-Carlo terminal states", DiagnosticsError)
     mc = float(np.mean(terminal))
     stderr = float(np.std(terminal) / math.sqrt(len(terminal)))
     n_exploded = int(np.sum(ens.exploded))
 
-    def final_slice(dens_k, grid_k: BoxGrid, values, dt: float):
+    def final_slice(dens_k, values, dt: float):
         # only the last slice is read, so it is the only one stored
-        return evolve(dens_k, GridField(grid_k, values), t_final, dt,
-                      t_keep=(t_final,)).values[0]
+        return evolve(dens_k, values, t_final, dt, t_keep=(t_final,)).values[0]
 
-    u_fine = final_slice(dens, grid, f_vals, pde_dt)
+    u_fine = final_slice(dens, f_vals, pde_dt)
     pde = _point_value(grid, u_fine, x0)
 
-    u_half = final_slice(dens, grid, f_vals, 2.0 * pde_dt)
+    u_half = final_slice(dens, f_vals, 2.0 * pde_dt)
     temporal = abs(pde - _point_value(grid, u_half, x0))
 
     dens_c = solve_density(c, grid.bounds, grid_c.n)
     # the coarse nodes are every other fine node, bit for bit
     f_coarse = f_vals[(slice(None, None, 2),) * grid.dim]
-    u_coarse = final_slice(dens_c, grid_c, f_coarse, pde_dt)
+    u_coarse = final_slice(dens_c, f_coarse, pde_dt)
     pde_coarse = _point_value(grid_c, u_coarse, x0)
     spatial = abs(pde - pde_coarse)
 
     budget = 3.0 * (stderr + spatial + temporal)
 
     station = dens.rho.values * dens.psi * grid.trapezoid_weights()
-    if np.all(f_vals >= 0.0):
-        mass0 = float(np.sum(station * f_vals))
-        mass_t = float(np.sum(station * u_fine))
-    else:
-        u_abs = final_slice(dens, grid, np.abs(f_vals), pde_dt)
-        mass0 = float(np.sum(station * np.abs(f_vals)))
-        mass_t = float(np.sum(station * u_abs))
+    u_abs = u_fine if np.all(f_vals >= 0.0) else final_slice(dens, np.abs(f_vals), pde_dt)
+    mass0 = float(np.sum(station * np.abs(f_vals)))
+    mass_t = float(np.sum(station * u_abs))
     if mass0 <= 0.0:  # node values too small for their mass to be a float
-        raise DiagnosticsError("payload carries no mass on the box")
+        raise DiagnosticsError("payload mass on the box underflows to 0")
     leakage = 1.0 - mass_t / mass0
 
     report = DiagnosticReport(

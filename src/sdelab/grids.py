@@ -332,24 +332,32 @@ class GridField:
 
 # -- smooth compactly supported test functions --------------------------------
 
-def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
-    """Node values of a scalar datum given as a :class:`GridField` on ``grid``
-    or as a callable evaluated at the nodes, checked finite."""
-    if isinstance(f0, GridField):
-        if f0.grid.shape != grid.shape or f0.grid.bounds != grid.bounds:
-            raise error("datum lives on a different grid")
-        values = np.array(f0.values, dtype=float)
-    elif callable(f0):
-        with allocating(f"the points of {math.prod(grid.n)} nodes", grid.n + (grid.dim,),
-                        error):
-            values = np.asarray(f0(grid.points()), dtype=float)
-    else:
-        raise error("datum must be a GridField or a callable")
+def node_values(values, grid: BoxGrid, error=ValueError) -> np.ndarray:
+    """The real array ``values`` as floats, checked to hold one finite value
+    per node of ``grid``."""
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "biuf":
+        got = getattr(values, "dtype", type(values).__name__)
+        raise error(f"datum must be an array of real node values, got {got}")
+    values = values.astype(float, copy=False)
     if values.shape != grid.shape:
         raise error(f"datum has shape {values.shape} on a grid of shape {grid.shape}")
     if not np.all(np.isfinite(values)):
         raise error(f"datum is non-finite at {np.sum(~np.isfinite(values))} of "
                     f"{values.size} nodes")
+    return values
+
+
+def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
+    """:func:`node_values` of the payload callable ``f0`` at the nodes of
+    ``grid``, refused when 0 at every node."""
+    if not callable(f0):
+        raise error(f"payload must be a callable, got {type(f0).__name__}")
+    with allocating(f"the points of {math.prod(grid.n)} nodes", grid.n + (grid.dim,),
+                    error):
+        values = node_values(np.asarray(f0(grid.points())), grid, error)
+    if not np.any(values):  # rho, psi and the cell volumes are positive
+        raise error("payload is 0 at every node of the grid, so it carries no mass "
+                    "on the box")
     return values
 
 

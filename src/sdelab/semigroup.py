@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .density import DensityField
-from .grids import BoxGrid, allocating, array_shape, grid_values, kept_steps, step_count
+from .grids import BoxGrid, allocating, array_shape, kept_steps, node_values, step_count
 from .reporting import DiagnosticReport
 
 
@@ -128,18 +128,20 @@ def slices_shape(grid: BoxGrid, t_final, dt, error=ValueError) -> tuple:
 
 def evolve(
     dens: DensityField,
-    f0,
+    u0: np.ndarray,
     t_final: float,
     dt: float,
     t_keep: Sequence[float] | None = None,
 ) -> SpaceTimeField:
     """Backward-Euler solution of the weighted parabolic equation.
 
-    ``f0`` is a :class:`GridField` on the density's grid or a callable
-    evaluated at the nodes.  ``t_keep = None`` stores every time slice; a
-    sequence of increasing times stores only the slices at those times, each
-    on the step grid within the horizon (the solve is the same either way).
-    A stack that cannot be allocated is a :class:`SemigroupError`.
+    ``u0`` is an array of node values on the density's grid, checked by
+    :func:`~sdelab.grids.node_values` before anything is assembled (a
+    callable or other non-array is a :class:`SemigroupError`).
+    ``t_keep = None`` stores every time slice; a sequence of increasing
+    times stores only the slices at those times, each on the step grid
+    within the horizon (the solve is the same either way).  A stack that
+    cannot be allocated is a :class:`SemigroupError`.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -151,7 +153,7 @@ def evolve(
         steps = kept_steps(t_keep, dt, n_slices - 1, SemigroupError)
         if np.any(np.diff(steps) < 0):
             raise SemigroupError(f"t_keep {list(t_keep)} is not increasing")
-    u0 = grid_values(f0, grid, SemigroupError)
+    u0 = node_values(u0, grid, SemigroupError)
 
     S, m = _assemble_operator(dens)
 

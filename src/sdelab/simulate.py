@@ -192,6 +192,14 @@ def outside_ball(x: np.ndarray, r_exit: float) -> np.ndarray:
         return np.sqrt(squared_norm(x)) >= r_exit
 
 
+def start_inside(x0, r_exit, name: str, error=ValueError) -> None:
+    """Refuse a start :func:`outside_ball` of ``r_exit`` (called ``name``;
+    None is no ball): every path would stop at step 0, so no audit could fail."""
+    if r_exit is not None and outside_ball(np.asarray(x0, dtype=float)[None], r_exit)[0]:
+        raise error(f"x0 {np.asarray(x0).tolist()} is not inside the exit ball "
+                    f"({name} {r_exit}): every path would stop at step 0")
+
+
 def _euler_maruyama(
     c: CoefficientSet, x0: np.ndarray, ens: PathEnsemble, sl: slice
 ) -> Generator[None, np.ndarray, None]:

@@ -297,7 +297,7 @@ def test_08_discrete_scheme_properties():
     bump = SmoothBump((0.0, 0.0), 0.12)
     for name, (c, bounds) in families.items():
         dens = solve_density(c, bounds, 49)
-        u = evolve(dens, lambda x: bump(x), 0.05, 5e-3)
+        u = evolve(dens, bump(dens.grid.points()), 0.05, 5e-3)
         need(np.min(u.values) >= -1e-12, f"{name}: slice dips below 0")
         need(np.max(u.values) <= 1.0 + 1e-12, f"{name}: slice exceeds 1")
         rep = semigroup_contraction_check(u, dens)

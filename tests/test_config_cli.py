@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import stat
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 
 import sdelab.cli
 import sdelab.config
+import sdelab.diagnostics
+from sdelab import grids
 from sdelab import (
     SimConfig,
     canonical_json,
@@ -623,6 +627,7 @@ _BAD_VALUES = [
     ("diagnose", "diagnostics.1.x0=[2.6,0]"),
     ("diagnose", "diagnostics.1.x0=[0,2.5]"),
     ("diagnose", "diagnostics.2.x0=[2.0,0]"),
+    ("simulate", "sim.x0=[2.5,0]"),
     # Krylov quadrature cells whose volume overflows or underflows
     ("diagnose", "diagnostics.2.radius=1e200"),
     ("diagnose", "diagnostics.2.radius=1e-300"),
@@ -665,6 +670,51 @@ class TestInputBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists() or not os.listdir(out)
+
+    def test_simulate_start_outside_the_exit_ball_is_refused(self, tmp_path, capsys):
+        # every path stopped at step 0, so exit_fraction read 1.0, every exit
+        # quantile 0, and the run passed a clause that could not fail
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(EXAMPLE_CONFIG), "--set", "sim.x0=[10,10]",
+                   "--out", str(out), "--workers", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: sim: x0 [10.0, 10.0] is not inside the exit ball (r_exit 2.5): "
+            "every path would stop at step 0\n")
+        assert not (out / "simulate.json").exists()
+
+    def test_box_center_start_outside_the_exit_ball_is_refused(self):
+        # with no sim.x0 the paths start at the box center, here (3, 3)
+        raw = base_config(box={"bounds": [[2.0, 4.0], [2.0, 4.0]], "n": 17})
+        del raw["sim"]["x0"]
+        ExperimentConfig.from_dict(raw)
+        raw["sim"]["r_exit"] = 2.5
+        with pytest.raises(ConfigError, match=re.escape(
+                "sim: x0 [3.0, 3.0] is not inside the exit ball (r_exit 2.5)")):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("index", [0, 3], ids=["semigroup", "feynman_kac"])
+    def test_zero_payload_is_refused_by_grid_values(self, monkeypatch, index):
+        # one rule for both entry kinds: the payload check refuses it, not a
+        # second copy in the config or in the Feynman-Kac input check
+        raised = []
+
+        def recording(*args):
+            try:
+                return grids.grid_values(*args)
+            except ValueError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(sdelab.config, "grid_values", recording)
+        monkeypatch.setattr(sdelab.diagnostics, "grid_values", recording)
+        raw = json.loads(EXAMPLE_CONFIG.read_text())
+        raw["diagnostics"][index]["payload"] = {"type": "bump", "center": [2.9, 2.9],
+                                                "radius": 0.0001}
+        message = "payload is 0 at every node of the grid, so it carries no mass on the box"
+        with pytest.raises(ConfigError, match=re.escape(f"diagnostics[{index}]: {message}")):
+            ExperimentConfig.from_dict(raw)
+        assert raised == [message]
 
     def test_entry_step_off_grid_names_its_key(self, tmp_path, capsys):
         # the message named dt, the sim key, not the entry's own mc_dt
@@ -953,6 +1003,46 @@ class TestCliArtifacts:
                        for f in out.iterdir()
                        if f.suffix in (".json", ".csv") and ".sidecar." not in f.name}
             assert written == workload["digests"][0][op["label"]], op["label"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_files_take_their_mode_from_the_umask(self, tmp_path, umask):
+        # the temp files were made by mkstemp, mode 0o600 whatever the umask
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config())
+        old = os.umask(umask)
+        try:
+            assert main(["check", "--config", path, "--out", str(out)]) == 0
+            assert main(["report", "--config", path, "--out", str(out)]) == 0
+            _Emitter(str(out)).table("t", ["a"], [np.arange(3.0)])
+        finally:
+            os.umask(old)
+        modes = {f: stat.S_IMODE(os.stat(out / f).st_mode) for f in os.listdir(out)}
+        assert modes == dict.fromkeys(
+            ["check.json", "check.sidecar.json", "combined.json", "t.csv"], 0o666 & ~umask)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate cannot be encoded: the write fails part way
+        with pytest.raises(UnicodeEncodeError):
+            sdelab.cli._write_atomic(str(tmp_path / "r.json"), "ok" * 10 + "\ud800")
+        assert os.listdir(tmp_path) == []
+
+    def test_semigroup_payload_is_evaluated_once(self, tmp_path, monkeypatch):
+        # the config evaluated it at load and evolve again at the nodes
+        calls = []
+        required, optional, build = sdelab.config._PAYLOADS["bump"]
+        entry = json.loads(EXAMPLE_CONFIG.read_text())["diagnostics"][0]
+        assert entry["kind"] == "semigroup" and entry["payload"]["type"] == "bump"
+
+        def counted(spec, dim):
+            f = build(spec, dim)
+            if spec != entry["payload"]:  # the Feynman-Kac entry's bump
+                return f
+            return lambda x: calls.append(np.shape(x)) or f(x)
+
+        monkeypatch.setitem(sdelab.config._PAYLOADS, "bump", (required, optional, counted))
+        assert main(["semigroup", "--config", str(EXAMPLE_CONFIG), "--out",
+                     str(tmp_path / "out"), "--workers", "1"]) == 0
+        assert calls == [(65, 65, 2)]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))

@@ -247,7 +247,7 @@ class TestFaceSchemeReuse:
         dens = solve_density(radial2, BOX2, 17)
         assert len(built) == 1 and dens.faces is built[0]
         verify_divergence_free(dens)
-        evolve(dens, lambda x: np.ones(x.shape[:-1]), 0.02, 1e-2)
+        evolve(dens, np.ones(dens.grid.shape), 0.02, 1e-2)
         assert len(built) == 1
 
     def test_density_keeps_its_equation(self, radial2):
@@ -255,7 +255,7 @@ class TestFaceSchemeReuse:
         dens = solve_density(radial2, BOX2, 17)
         assert dens.c is radial2
         np.testing.assert_array_equal(dens.psi, _psi_weights(radial2, dens.grid))
-        u = evolve(dens, lambda x: np.ones(x.shape[:-1]), 0.02, 1e-2)
+        u = evolve(dens, np.ones(dens.grid.shape), 0.02, 1e-2)
         assert u.values.shape == (3,) + dens.grid.shape
 
 

@@ -710,19 +710,21 @@ class TestFeynmanKac:
         monkeypatch.setattr(diagnostics, "simulate_ensemble", None)
         monkeypatch.setattr(diagnostics, "solve_density", None)
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
-        for payload in (GridField(grid, values), lambda x: values):
-            with pytest.raises(DiagnosticsError, match="datum is non-finite at 1 of 4225"):
-                feynman_kac_crosscheck(brownian2, grid, payload, (0.0, 0.0), 0.5, cfg, 0.05)
+        with pytest.raises(DiagnosticsError, match="datum is non-finite at 1 of 4225"):
+            feynman_kac_crosscheck(brownian2, grid, lambda x: values, (0.0, 0.0), 0.5,
+                                   cfg, 0.05)
 
-    def test_foreign_grid_payload_rejected(self, brownian2):
+    def test_grid_field_payload_rejected(self, brownian2, monkeypatch):
+        # a payload is a callable of points; node values on the very grid
+        # were once unwrapped and interpolated at the terminal states
         grid = BoxGrid(BOUNDS4, 33)
-        other = BoxGrid(((-2.0, 2.0), (-2.0, 2.0)), 33)
-        payload = GridField(other, np.ones(other.shape))
+        payload = GridField(grid, np.ones(grid.shape))
+        monkeypatch.setattr(diagnostics, "simulate_ensemble", None)
+        monkeypatch.setattr(diagnostics, "solve_density", None)
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=100, master_seed=1)
-        with pytest.raises(DiagnosticsError, match="different grid"):
-            feynman_kac_crosscheck(
-                brownian2, grid, payload, (0.0, 0.0), 0.5, cfg, 5e-3
-            )
+        with pytest.raises(DiagnosticsError,
+                           match="^payload must be a callable, got GridField$"):
+            feynman_kac_crosscheck(brownian2, grid, payload, (0.0, 0.0), 0.5, cfg, 5e-3)
 
 
 _UNREPRESENTABLE = SimConfig(dt=0.1, t_final=0.5, n_paths=10**18, master_seed=1)

@@ -20,7 +20,6 @@ import pytest
 import sdelab.cli
 from sdelab import builtin_family
 from sdelab.density import solve_density
-from sdelab.grids import GridField
 from sdelab.semigroup import evolve
 from sdelab.simulate import SimConfig, block_normals, simulate_ensemble
 
@@ -94,7 +93,7 @@ def test_evolve_observer_reads_a_real_field():
     # times and values: 4 backward-Euler steps on a 9 x 9 grid
     c = builtin_family("brownian", 2)
     dens = solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 9)
-    u = evolve(dens, GridField(dens.grid, np.ones(dens.grid.shape)), 0.2, 0.05)
+    u = evolve(dens, np.ones(dens.grid.shape), 0.2, 0.05)
     tracer = _spans.Tracer()
     _spans._evolve(tracer, (dens, None, 0.2, 0.05), u)
     assert tracer.counts["semigroup.steps"] == 4
@@ -106,7 +105,7 @@ def test_evolve_observer_reads_a_final_slice_field():
     # observer counts the kept slices, not the steps taken
     c = builtin_family("brownian", 2)
     dens = solve_density(c, ((-2.0, 2.0), (-2.0, 2.0)), 9)
-    f0 = GridField(dens.grid, np.ones(dens.grid.shape))
+    f0 = np.ones(dens.grid.shape)
     u = evolve(dens, f0, 0.2, 0.05, t_keep=(0.2,))
     tracer = _spans.Tracer()
     _spans._evolve(tracer, (dens, f0, 0.2, 0.05), u)
