@@ -11,7 +11,8 @@ included, by building what it configures, so its owner checks it, and keeps
 what it built (the coefficients, the box grid and each entry's inputs) for
 the runners.  A diagnostics entry is checked only by its kind's library
 input check, called once on its keyword arguments, payload included (a
-semigroup entry keeps its payload's node values, the array ``evolve`` takes).
+semigroup entry keeps its payload's node values, the array ``evolve`` takes,
+and a Feynman-Kac entry the node values its check returned).
 The simulated start lies inside ``sim.r_exit``.  Sizes are checked at load
 too: every ensemble, grid and stored set of time slices a config asks for
 must have a shape numpy can represent.
@@ -208,7 +209,8 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
 
     Semigroup entries call :func:`~sdelab.semigroup.evolve` with ``u0``, the
     payload's node values (:func:`~sdelab.grids.grid_values`), the others
-    the diagnostics function of their kind; the runner adds coefficients,
+    the diagnostics function of their kind, a Feynman-Kac entry with the
+    ``f_vals`` its input check returned; the runner adds coefficients,
     and the density for ``evolve`` or workers for the others.  Absent
     optional keys are left out, so library defaults apply.
     """
@@ -244,7 +246,9 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
                       "cfg": _entry_sim(sim, entry, "mc_dt"),
                       "pde_dt": entry["pde_dt"]}
             check = feynman_kac_config
-        check(**inputs)
+        checked = check(**inputs)
+        if kind == "feynman_kac":  # the payload's node values, taken once
+            inputs["f_vals"] = checked[0]
         return inputs
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None

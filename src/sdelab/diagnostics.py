@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -38,12 +38,12 @@ from .coefficients import CoefficientSet
 from .density import solve_density
 from .grids import (
     BoxGrid, GridField, finite_point, finite_real, finite_values,
-    grid_values, kept_steps, step_count,
+    grid_values, integer, kept_steps, payload_node_values, step_count,
 )
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
 from .semigroup import evolve, slices_shape
-from .simulate import SCHEME, SimConfig, simulate_ensemble, start_inside
+from .simulate import SCHEME, SimConfig, _simulate_levels, simulate_ensemble, start_inside
 
 _PERMUTATIONS = 199
 _ENERGY_SUBSAMPLE = 1024
@@ -52,6 +52,7 @@ _HOMOGENEITY_SCALE = 3.7  # the factor each Krylov payload is rescaled by
 _HOMOGENEITY_TOL = 1e-12  # relative defect allowed of the rescaled estimate
 _QUAD_SPACE = 65  # midpoint cells per axis of the Krylov mixed-norm quadrature
 _QUAD_TIME = 64  # and its midpoint time steps
+_PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block (PW_BLOCKSIZE)
 
 
 class DiagnosticsError(ValueError):
@@ -398,14 +399,75 @@ def uniqueness_probe(
 
 # -- occupation-functional audit ----------------------------------------------
 
-def _path_integral_weights(stop: np.ndarray, dt: float, n_times: int) -> np.ndarray:
-    """Trapezoid weights per path over ``[0, stop * dt]``, shape
-    ``(len(stop), n_times)``."""
-    k = np.arange(n_times)[None, :]
-    stop = stop[:, None]
-    interior = (k > 0) & (k < stop)
-    endpoint = (stop > 0) & ((k == 0) | (k == stop))
-    return dt * interior + 0.5 * dt * endpoint
+def _pairwise_sum(n: int) -> Generator[None, np.ndarray, np.ndarray]:
+    """numpy's pairwise sum of ``n`` terms (arrays of one shape), sent one
+    at a time after ``next``; returns it.  A run of fewer than 8 terms is
+    summed in order; a run of at most ``_PAIRWISE_BLOCK`` fills 8 lanes in
+    turn, sums them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds its
+    ``n % 8`` tail in order; a longer run is split at ``n // 2`` rounded
+    down to a multiple of 8.  Only ``O(log n)`` partial sums are held."""
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - (n // 2) % 8
+        left = yield from _pairwise_sum(half)
+        return left + (yield from _pairwise_sum(n - half))
+    if n < 8:
+        total = -0.0
+        for _ in range(n):
+            total = total + (yield)
+        return total
+    r = []
+    for _ in range(8):
+        r.append(np.array((yield), dtype=float))
+    for i in range(8, n - n % 8):
+        r[i % 8] += yield
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for _ in range(n % 8):
+        total += yield
+    return total
+
+
+def _path_sum(n: int) -> Generator[np.ndarray | None, np.ndarray, None]:
+    """The sum of ``n`` terms sent one at a time after ``next``, bit for bit
+    ``np.add.reduce`` of them stacked along a contiguous last axis: ``0.0``
+    plus :func:`_pairwise_sum`.  The send of the last term returns it."""
+    total = yield from _pairwise_sum(n)
+    yield 0.0 + total
+
+
+class _PathIntegrals:
+    """The step hook of :func:`krylov_audit`'s ensemble: per path, the
+    trapezoid integral over ``[0, stop * dt]`` of each payload and of the
+    payload times ``_HOMOGENEITY_SCALE``, rows ``j`` and ``p + j`` of
+    ``sums`` for the ``j``-th of ``p`` payloads.
+
+    At state ``k`` the weights are ``dt [0 < k < stop] + dt/2 [stop > 0 and
+    (k = 0 or k = stop)]``, and ``f(x_k, t_k)``, ``t_k = k dt``, must be
+    finite for every path, stopped or not.  Each path's terms are summed in
+    the order ``np.sum`` of the whole weighted path takes (:func:`_path_sum`).
+    """
+
+    def __init__(self, payloads: Sequence[Callable], labels: list, cfg: SimConfig):
+        self._payloads = list(zip(payloads, labels))
+        self._cfg = cfg
+        self.sums = np.empty((2 * len(payloads), cfg.n_paths))
+
+    def __call__(self, sl: slice, k: int, x: np.ndarray, stop: np.ndarray) -> None:
+        dt, n_steps, p = self._cfg.dt, self._cfg.n_steps, len(self._payloads)
+        if k == 0:
+            self._sum = _path_sum(n_steps + 1)
+            next(self._sum)
+        ends = (stop > 0) & ((k == 0) | (k == stop))
+        weights = dt * ((0 < k) & (k < stop)) + 0.5 * dt * ends
+        t = np.full(len(x), k * dt)
+        terms = np.empty((2 * p, len(x)))
+        for j, (f, label) in enumerate(self._payloads):
+            vals = _payload_values(f, x, t, (len(x),), label, "on simulated paths")
+            np.multiply(weights, vals, out=terms[j])
+            np.multiply(weights, np.asarray(_HOMOGENEITY_SCALE * vals, dtype=float),
+                        out=terms[p + j])
+        total = self._sum.send(terms)
+        if k == n_steps:
+            self.sums[:, sl] = total
 
 
 def _payload_values(f: Callable, x, t, shape: tuple, label: str, where: str) -> np.ndarray:
@@ -496,27 +558,22 @@ def krylov_audit(
     finite maximum is ``meta["c_hat"]``; clause ``homogeneity[label]``
     requires the payload scaled by 3.7 to scale the estimate to a relative
     1e-12.  A norm that is not finite, or is 0 under a nonzero estimate, is
-    an error.  Payloads are integrated one row block of paths at a time.
+    an error.  The integrals are summed while the ensemble steps, so only
+    its terminal states are stored; each equals, bit for bit, ``np.sum`` of
+    the weighted payload values along the whole stored path.
     """
     x0 = finite_point(x0, c.dim, "x0", DiagnosticsError)
     cfg_run, labels = krylov_config(x0, radius, t_final, f_dictionary, cfg)
-    ens = simulate_ensemble(c, x0, cfg_run, workers=workers)
-
-    stop, n_times = ens.stop_step, len(ens.times)
+    workers = integer(workers, "workers", DiagnosticsError, minimum=1)
+    paths = _PathIntegrals(f_dictionary, labels, cfg_run)
+    ens, = _simulate_levels(c, x0, [cfg_run], [1], workers, t_keep=(cfg_run.t_final,),
+                            observe=paths)
     exit_fraction = float(np.mean(ens.exit_step >= 0))
 
     lam = _HOMOGENEITY_SCALE
     report = DiagnosticReport(check=f"krylov_audit[{c.name}]", meta={"audits": []})
-    for f, label in zip(f_dictionary, labels):
-        integrals, scaled = np.empty((2, ens.n_paths))
-        for rows in ens.row_blocks():
-            x = ens.states[rows]
-            vals = _payload_values(
-                f, x, ens.times[None, :], x.shape[:2], label, "on simulated paths"
-            )
-            weights = _path_integral_weights(stop[rows], cfg_run.dt, n_times)
-            integrals[rows] = np.sum(weights * vals, axis=1)
-            scaled[rows] = np.sum(weights * np.asarray(lam * vals, dtype=float), axis=1)
+    for j, (f, label) in enumerate(zip(f_dictionary, labels)):
+        integrals, scaled = paths.sums[j], paths.sums[len(labels) + j]
         estimate = float(np.mean(integrals))
         stderr = float(np.std(integrals) / math.sqrt(len(integrals)))
         f_norm = _mixed_norm(f, cfg_run.r_exit, cfg_run.t_final, c.dim, label)
@@ -547,13 +604,16 @@ def _point_value(grid: BoxGrid, values: np.ndarray, x0: np.ndarray) -> float:
 
 
 def feynman_kac_config(
-    grid: BoxGrid, f0, x0, t_final: float, cfg: SimConfig, pde_dt: float
+    grid: BoxGrid, f0, x0, t_final: float, cfg: SimConfig, pde_dt: float,
+    f_vals=None,
 ) -> tuple:
     """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
-    payload's node values (:func:`~sdelab.grids.grid_values`), the start
-    point, the Monte-Carlo config (``t_final`` a whole number of its steps
-    ``mc_dt``), whose states numpy can represent, and the once-coarsened
-    grid of the spatial error estimate, so every node count is odd."""
+    payload's node values (:func:`~sdelab.grids.grid_values`; ``f_vals``,
+    when given, are those this check returned before for ``f0``, checked
+    again without evaluating ``f0``), the start point, the Monte-Carlo
+    config (``t_final`` a whole number of its steps ``mc_dt``), whose states
+    numpy can represent, and the once-coarsened grid of the spatial error
+    estimate, so every node count is odd."""
     if not isinstance(grid, BoxGrid):
         raise DiagnosticsError(f"grid must be a BoxGrid, got {type(grid).__name__}")
     x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
@@ -579,7 +639,10 @@ def feynman_kac_config(
     # radius would freeze Monte-Carlo paths the PDE side keeps evolving
     cfg_run = replace(cfg, t_final=float(t_final), r_exit=None)
     cfg_run.states_shape(grid.dim)
-    f_vals = grid_values(f0, grid, DiagnosticsError)
+    if f_vals is None:
+        f_vals = grid_values(f0, grid, DiagnosticsError)
+    else:
+        f_vals = payload_node_values(f_vals, grid, DiagnosticsError)
     return f_vals, x0, cfg_run, grid.coarsen()
 
 
@@ -592,10 +655,14 @@ def feynman_kac_crosscheck(
     cfg: SimConfig,
     pde_dt: float,
     workers: int = 1,
+    f_vals=None,
 ) -> DiagnosticReport:
     """Cross-check ``E[f0(X_T)]`` against the parabolic solve at ``x0``.
 
     ``f0`` is a callable of points; anything else is a :class:`DiagnosticsError`.
+    ``f_vals`` are its node values on ``grid`` as :func:`feynman_kac_config`
+    returned them (a config load keeps them), so ``f0`` is not evaluated on
+    the grid again; when ``None`` they are computed here.
     The Monte-Carlo side simulates ``cfg.n_paths`` paths from ``x0`` and
     averages ``f0``, which must be finite there, at the final states; any
     configured exit radius is ignored (both sides must see the free
@@ -610,7 +677,8 @@ def feynman_kac_crosscheck(
     makes the comparison inconclusive; the report then fails with an
     explicit instruction to enlarge the box.
     """
-    f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt)
+    f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt,
+                                                     f_vals)
     dens = solve_density(c, grid.bounds, grid.n)
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers, t_keep=(t_final,))
     terminal = finite_values(f0(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",

@@ -347,18 +347,23 @@ def node_values(values, grid: BoxGrid, error=ValueError) -> np.ndarray:
     return values
 
 
-def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
-    """:func:`node_values` of the payload callable ``f0`` at the nodes of
-    ``grid``, refused when 0 at every node."""
-    if not callable(f0):
-        raise error(f"payload must be a callable, got {type(f0).__name__}")
-    with allocating(f"the points of {math.prod(grid.n)} nodes", grid.n + (grid.dim,),
-                    error):
-        values = node_values(np.asarray(f0(grid.points())), grid, error)
+def payload_node_values(values, grid: BoxGrid, error=ValueError) -> np.ndarray:
+    """:func:`node_values` of a payload, refused when 0 at every node."""
+    values = node_values(values, grid, error)
     if not np.any(values):  # rho, psi and the cell volumes are positive
         raise error("payload is 0 at every node of the grid, so it carries no mass "
                     "on the box")
     return values
+
+
+def grid_values(f0, grid: BoxGrid, error=ValueError) -> np.ndarray:
+    """:func:`payload_node_values` of the payload callable ``f0`` at the nodes of
+    ``grid``."""
+    if not callable(f0):
+        raise error(f"payload must be a callable, got {type(f0).__name__}")
+    with allocating(f"the points of {math.prod(grid.n)} nodes", grid.n + (grid.dim,),
+                    error):
+        return payload_node_values(np.asarray(f0(grid.points())), grid, error)
 
 
 _SMOOTH_CUTOFF = 8.0

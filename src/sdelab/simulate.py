@@ -27,9 +27,9 @@ identical ensembles.  An ensemble is a run of one level; the weak-order
 study runs several on common noise, a level of step ``r dt`` on the sums of
 ``r`` fine normals over ``sqrt(r)``.  An ensemble stores every state of the
 step grid, or only the states at the times its caller names (``t_keep``):
-the chain, the noise and the tallies are the same either way.
-Passes over a stored ensemble (path integrals) run over row blocks, so their
-temporaries stay small; every per-path result is independent of that split.
+the chain, the noise and the tallies are the same either way.  A path
+functional (the Krylov audit's integrals) is folded in while the engine
+steps, through a hook it calls at every state, so it needs no stored paths.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .rng import block_normals
 
 _BLOCK = 4096  # fixed path-block size; results must not depend on it
 _NOISE_BUDGET = 2**20  # normals per noise chunk (8 MiB); results do not depend on it
-_ROW_ELEMENTS = 2**18  # state entries per row block of a pass over an ensemble
 SCHEME = "euler_maruyama"  # the one time-stepping scheme provided
 
 
@@ -172,13 +171,6 @@ class PathEnsemble:
                                   f"{self.times.tolist()}")
         return self.states[:, kept[0], :]
 
-    def row_blocks(self) -> Iterator[slice]:
-        """Slices of consecutive paths holding about ``_ROW_ELEMENTS`` state
-        entries each: the split for passes over the whole ensemble."""
-        n, per_path = self.n_paths, self.states.shape[1] * self.states.shape[2]
-        size = max(1, _ROW_ELEMENTS // per_path)
-        return (slice(i, min(i + size, n)) for i in range(0, n, size))
-
 
 def _blocks(n_paths: int) -> list:
     """The one path-block partition: consecutive runs of ``_BLOCK`` indices."""
@@ -201,7 +193,8 @@ def start_inside(x0, r_exit, name: str, error=ValueError) -> None:
 
 
 def _euler_maruyama(
-    c: CoefficientSet, x0: np.ndarray, ens: PathEnsemble, sl: slice
+    c: CoefficientSet, x0: np.ndarray, ens: PathEnsemble, sl: slice,
+    observe: Callable | None = None,
 ) -> Generator[None, np.ndarray, None]:
     """The chain of paths ``sl`` of ``ens``, stepped by its caller: after
     ``next``, each ``send(xi_k)`` of the ``(b, m)`` normals of step ``k``
@@ -220,6 +213,13 @@ def _euler_maruyama(
     ``w == 0``).  A factor declared the identity steps with ``sqrt(w) xi``,
     a coordinate column at a time; any other factor is contracted with
     ``xi``.
+
+    ``observe``, when given, is called at every state ``k = 0 .. n_steps``
+    as ``observe(sl, k, x, stop)``, before the chain steps from it: ``x`` is
+    the ``(b, d)`` block state (to be read, not kept or written), and
+    ``stop`` each path's exit or explosion step if it is at most ``k``,
+    else ``n_steps``; so ``stop`` is :attr:`PathEnsemble.stop_step` for
+    every path that has stopped by state ``k``.
     """
     cfg, eps = ens.config, ens.occupation_eps
     states, counts = ens.states[sl], ens.occupation[:, sl]
@@ -243,6 +243,9 @@ def _euler_maruyama(
         kept = column.get(k)
         if kept is not None:
             states[:, kept] = x
+        if observe is not None:
+            stopped = np.maximum(exit_step, exploded_step)
+            observe(sl, k, x, np.where(stopped >= 0, stopped, cfg.n_steps))
         xi_k = yield
         if w is None:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -283,7 +286,7 @@ def _euler_maruyama(
 def _simulate_levels(
     c: CoefficientSet, x0: np.ndarray, levels: Sequence[SimConfig], ratios: Sequence[int],
     workers: int = 1, occupation_eps: Sequence[float] = (),
-    t_keep: Sequence[float] | None = None,
+    t_keep: Sequence[float] | None = None, observe: Callable | None = None,
 ) -> list[PathEnsemble]:
     """Step the ``levels`` of one run on common noise, finest last, the step
     of ``levels[i]`` being ``ratios[i]`` fine steps: one :class:`PathEnsemble`
@@ -293,7 +296,8 @@ def _simulate_levels(
     one level's aggregate of a chunk is held at a time.  Every ensemble
     tallies occupation below 0, ``near_degeneracy_eps`` and each of
     ``occupation_eps``, and keeps its states at ``t_keep`` (every state when
-    ``None``).
+    ``None``).  ``observe`` is the finest level's step hook (see
+    :func:`_euler_maruyama`), called block by block, state by state.
     """
     fine, d, m = levels[-1], c.dim, c.noise_dim
     n = fine.n_paths
@@ -320,7 +324,8 @@ def _simulate_levels(
     with helpers as pool:
         for idx in _blocks(n):
             b, sl = len(idx), slice(int(idx[0]), int(idx[-1]) + 1)
-            chains = [_euler_maruyama(c, x0, ens, sl) for ens in ensembles]
+            chains = [_euler_maruyama(c, x0, ens, sl) for ens in ensembles[:-1]]
+            chains.append(_euler_maruyama(c, x0, ensembles[-1], sl, observe))
             for chain in chains:
                 next(chain)  # to state 0
             per = span * max(1, _NOISE_BUDGET // (b * m * span))

@@ -553,6 +553,26 @@ class TestLibraryReturnsTheReport:
             assert self._written(out / f"{name}.json", added) == json.loads(
                 canonical_json(rep.to_dict())), name
 
+    def test_feynman_kac_payload_is_evaluated_on_its_grid_once(self, tmp_path, monkeypatch):
+        # the config load keeps the node values its check took; the audit
+        # used to evaluate the payload on the 33 x 33 grid a second time
+        shapes = []
+        required, optional, build = sdelab.config._PAYLOADS["gaussian"]
+
+        def counted(spec, dim):
+            f = build(spec, dim)
+            return lambda x: shapes.append(np.shape(x)) or f(x)
+
+        monkeypatch.setitem(sdelab.config._PAYLOADS, "gaussian", (required, optional, counted))
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        cfg["diagnostics"] = [
+            {"kind": "feynman_kac", "x0": [0.5, 0.0], "t_final": 0.1, "pde_dt": 0.01,
+             "payload": {"type": "gaussian", "center": [0.3, 0.0], "variance": 0.5},
+             "grid_n": 33},
+        ]
+        assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 0
+        assert shapes == [(33, 33, 2), (200, 2)]  # the grid, then the terminal states
+
     def test_simulate_meta_is_the_summaries(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(output_dir=str(out), family={

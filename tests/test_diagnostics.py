@@ -358,6 +358,32 @@ def _near_origin(x, t):
     return (np.linalg.norm(x, axis=-1) < 0.1).astype(float)
 
 
+_SUM_LENGTHS = [*range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257, 501, 1001]
+
+
+@pytest.mark.parametrize("n", _SUM_LENGTHS)
+def test_pairwise_sum_is_numpy_reduce_bit_for_bit(n):
+    # terms fed one at a time sum as np.add.reduce along a contiguous axis,
+    # for runs below 8, within numpy's 128-term block and split beyond it
+    rng = np.random.default_rng(n)
+    terms = rng.standard_normal((40, n)) * 10.0 ** rng.integers(-15, 15, (40, n))
+    terms[rng.random((40, n)) < 0.2] = 0.0
+    terms[rng.random((40, n)) < 0.2] = -0.0
+    terms[0] = -0.0
+    terms[1] = np.where(np.arange(n) % 2, 0.0, -0.0)
+    terms[2] = terms[3] = rng.standard_normal(n)
+    terms[3, ::3] *= -1e16  # sums that cancel, so every rounding shows
+    acc = diagnostics._path_sum(n)
+    next(acc)
+    for k in range(n - 1):
+        assert acc.send(terms[:, k]) is None
+    got, want = acc.send(terms[:, -1]), np.add.reduce(np.ascontiguousarray(terms), axis=1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if n >= 8:  # the order matters: a left-to-right sum differs somewhere
+        plain = functools.reduce(np.add, terms.T, np.zeros(40))
+        assert not np.array_equal(plain.view(np.int64), want.view(np.int64))
+
+
 class TestKrylovAudit:
     def test_zero_payload(self, brownian2):
         cfg = SimConfig(dt=2e-3, t_final=0.25, n_paths=500, master_seed=44)
@@ -422,14 +448,16 @@ class TestKrylovAudit:
         with pytest.raises(DiagnosticsError, match="shape"):
             krylov_audit(brownian2, (0.0, 0.0), 2.0, 0.1, [bad], cfg)
 
-    def test_row_blocked_integrals_equal_whole_array(self, brownian2):
-        # 2000 paths of 201 states span several row blocks; half the paths
-        # leave the ball, so the trapezoid weights stop at many steps
+    def test_streamed_integrals_equal_whole_array(self, brownian2):
+        # the integrals are summed state by state while the paths step; they
+        # equal np.sum over the whole stored paths bit for bit.  Half the
+        # paths leave the ball, so the trapezoid weights stop at many steps
         cfg = SimConfig(dt=5e-3, t_final=1.0, n_paths=2000, master_seed=21)
         payloads = [_one, _near_origin, lambda x, t: np.clip(x[..., 0] * t, -0.3, 0.3)]
         rep = krylov_audit(brownian2, (0.0, 0.0), 1.0, 1.0, payloads, cfg)
         ens = simulate_ensemble(brownian2, (0.0, 0.0), replace(cfg, r_exit=1.0))
-        assert len(list(ens.row_blocks())) > 1 and 0 < np.mean(ens.exit_step >= 0) < 1
+        assert 0 < np.mean(ens.exit_step >= 0) < 1
+        assert len(np.unique(ens.exit_step[ens.exit_step >= 0])) > 50
         k, stop = np.arange(201)[None, :], ens.stop_step[:, None]
         ends = (stop > 0) & ((k == 0) | (k == stop))
         weights = 5e-3 * ((k > 0) & (k < stop)) + 2.5e-3 * ends
@@ -443,34 +471,28 @@ class TestKrylovAudit:
             assert rep.clause(f"homogeneity[{audit['label']}]").value == gap / (
                 abs(3.7 * audit["estimate"]) + 1e-300)
 
-    def test_payload_integration_peak_memory(self, brownian2, monkeypatch):
-        # traced from the moment the audit's ensemble exists: payload values,
-        # weights and products are formed per row block, far below the states
-        built = []
+    def test_audit_peak_does_not_grow_with_the_horizon(self, brownian2):
+        # no whole paths are stored: the traced peak, ensemble included, is
+        # the same at 400 and 800 steps (4096 x 801 x 2 states would be 50 MiB)
+        peaks = []
+        for t_final in (2.0, 4.0):
+            cfg = SimConfig(dt=5e-3, t_final=t_final, n_paths=4096, master_seed=21)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                krylov_audit(brownian2, (0.0, 0.0), 10.0, t_final, [_one, _near_origin],
+                             cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        short, long = peaks
+        assert long <= 1.05 * short
+        assert short < 4096 * 401 * 2 * 8
 
-        def simulate_then_reset_peak(*args, **kwargs):
-            ens = simulate_ensemble(*args, **kwargs)
-            built.append((ens.states.nbytes, tracemalloc.get_traced_memory()[0]))
-            tracemalloc.reset_peak()
-            return ens
-
-        monkeypatch.setattr(diagnostics, "simulate_ensemble", simulate_then_reset_peak)
-        cfg = SimConfig(dt=5e-3, t_final=1.0, n_paths=8192, master_seed=21)
-        tracemalloc.start()
-        try:
-            krylov_audit(brownian2, (0.0, 0.0), 10.0, 1.0, [_one, _near_origin], cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        (states_nbytes, after_ensemble), = built
-        assert peak - after_ensemble < states_nbytes / 4
-
-    def test_non_finite_in_last_row_block_only(self, brownian2):
+    def test_non_finite_at_one_late_state_of_the_last_path(self, brownian2):
         cfg = SimConfig(dt=5e-3, t_final=0.5, n_paths=1500, master_seed=9)
         ens = simulate_ensemble(brownian2, (0.0, 0.0), replace(cfg, r_exit=10.0))
-        last = list(ens.row_blocks())[-1]
-        assert last.start > 0
-        marked = ens.states[-1, 7, 0]  # one state of the last path
+        marked = ens.states[-1, 97, 0]  # state 97 of 100 of the last path
 
         def spike(x, t):
             return np.where(x[..., 0] == marked, np.inf, 1.0)
@@ -480,8 +502,8 @@ class TestKrylovAudit:
                    "functions bounded on the ball-time window")
         with pytest.raises(DiagnosticsError, match=f"^{re.escape(message)}$"):
             krylov_audit(brownian2, (0.0, 0.0), 10.0, 0.5, [spike], cfg)
-        first_rows = spike(ens.states[: last.start], ens.times[None, :])
-        assert np.all(np.isfinite(first_rows))
+        bad = ~np.isfinite(spike(ens.states, ens.times[None, :]))
+        assert np.array_equal(np.argwhere(bad), [[1499, 97]])
 
     @pytest.mark.parametrize("x0", [(2.0, 0.0), (1.5, 0.0)])
     def test_start_outside_ball_rejected(self, brownian2, x0):
@@ -766,6 +788,7 @@ _RUN = SimConfig(dt=0.1, t_final=0.5, n_paths=10, master_seed=1)
         "krylov-generator", "krylov-number"])
 def test_untyped_argument_refused_where_it_enters(brownian2, monkeypatch, call, error, match):
     monkeypatch.setattr(diagnostics, "simulate_ensemble", None)  # no audit ensemble runs
+    monkeypatch.setattr(diagnostics, "_simulate_levels", None)
     with pytest.raises(error, match=match):
         call(brownian2)
 
@@ -784,6 +807,7 @@ def test_untyped_argument_refused_where_it_enters(brownian2, monkeypatch, call, 
 ], ids=["uniqueness", "krylov", "feynman_kac"])
 def test_horizon_off_the_entry_step_grid_refused(brownian2, monkeypatch, call, match):
     monkeypatch.setattr(diagnostics, "simulate_ensemble", None)  # no audit ensemble runs
+    monkeypatch.setattr(diagnostics, "_simulate_levels", None)
     monkeypatch.setattr(diagnostics, "solve_density", None)
     with pytest.raises(DiagnosticsError, match=match):
         call(brownian2)
