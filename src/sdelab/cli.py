@@ -189,12 +189,10 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     if cfg.sim.r_exit is not None:
         report.meta["exit"] = exit_time_stats(ens)
     terminal = ens.state_at(cfg.sim.t_final)
-    emit.table(
-        "terminal",
-        ["path"] + [f"x{k}" for k in range(ens.dim)],
-        [np.arange(ens.n_paths, dtype=float)]
-        + [terminal[:, k] for k in range(ens.dim)],
-    )
+    del ens  # the table is formatted with only the terminal states alive
+    n, dim = terminal.shape
+    emit.table("terminal", ["path"] + [f"x{k}" for k in range(dim)],
+               [range(n)] + [terminal[:, k] for k in range(dim)])
     emit.report("simulate", _finalize(report, cfg))
     print(report.summary())
     return 0 if report.passed else 1
@@ -317,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     """The one config load: ``--set``, ``--seed`` and ``--out`` go into the raw
-    mapping, then :meth:`ExperimentConfig.from_dict` checks it all."""
+    mapping, then :meth:`ExperimentConfig.from_dict` checks it all.  The
+    Feynman-Kac node values, checked there, are kept only for ``diagnose``,
+    the one subcommand that reads them."""
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -330,7 +330,11 @@ def _load_config(args) -> ExperimentConfig:
             raw["sim"]["master_seed"] = args.seed
         if args.out is not None:
             raw["output_dir"] = args.out
-    return ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(raw)
+    if args.subcommand != "diagnose":
+        for inputs in cfg.inputs:
+            inputs.pop("f_vals", None)
+    return cfg
 
 
 def main(argv=None) -> int:

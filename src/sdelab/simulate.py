@@ -10,7 +10,10 @@ Per-path tallies track discrete occupation of the degeneracy set
 (``dt * #{k < n_steps : w(X_k) = 0}``, left-endpoint rule) and of its
 ``eps``-neighbourhoods in weight value (``w(X_k) < eps``), for thresholds
 named at simulate time.  The weight ``w(X_k)`` is evaluated once per state,
-inside the step: the dispersion and every tally read that one array.  A
+inside the step: the dispersion and every tally read that one array.  The
+tallies are step counts of the smallest unsigned type that holds
+``n_steps`` (one byte a path per threshold up to 255 steps), turned into
+float64 times ``count * dt`` once, after the last block.  A
 dispersion factor that declares itself the identity steps with
 ``sqrt(w) xi``, with no d x m product.  ``occupation_profile`` and
 ``exit_time_stats`` return the plain dicts the ``simulate`` report carries.
@@ -38,7 +41,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -122,9 +125,11 @@ class PathEnsemble:
     is the first state index with ``|X| >= r_exit`` (``-1`` if never), after
     which the path is frozen; ``exploded_step`` likewise marks the first
     non-finite update (``-1`` if none), with the path frozen at its last
-    finite state.  ``occupation[j]`` holds occupation times below
-    ``occupation_eps[j]``: row 0 of ``w == 0``, row 1 of
-    ``near_degeneracy_eps``, then those asked for at simulate time.
+    finite state.  ``occupation[j]`` holds the float64 occupation times
+    below ``occupation_eps[j]``: row 0 of ``w == 0``, row 1 of
+    ``near_degeneracy_eps``, then those asked for at simulate time.  While
+    the engine steps it holds integer step counts; they become times once
+    the last block is stepped.
     """
 
     config: SimConfig
@@ -172,9 +177,11 @@ class PathEnsemble:
         return self.states[:, kept[0], :]
 
 
-def _blocks(n_paths: int) -> list:
-    """The one path-block partition: consecutive runs of ``_BLOCK`` indices."""
-    return np.split(np.arange(n_paths, dtype=np.int64), range(_BLOCK, n_paths, _BLOCK))
+def _blocks(n_paths: int) -> Iterator[np.ndarray]:
+    """The one path-block partition: consecutive runs of ``_BLOCK`` indices,
+    each made as it is reached, so no index array outlives its block."""
+    for start in range(0, n_paths, _BLOCK):
+        yield np.arange(start, min(start + _BLOCK, n_paths), dtype=np.int64)
 
 
 def outside_ball(x: np.ndarray, r_exit: float) -> np.ndarray:
@@ -209,10 +216,10 @@ def _euler_maruyama(
     The weight ``w = c.inv_weight(x)`` is evaluated once per distinct block
     state, and a frozen block reuses the weight of its frozen state.  The
     dispersion ``sqrt(w) sigma`` reads it, and ``occupation`` row ``j``
-    counts the states stepped from with ``w < occupation_eps[j]`` (row 0:
-    ``w == 0``).  A factor declared the identity steps with ``sqrt(w) xi``,
-    a coordinate column at a time; any other factor is contracted with
-    ``xi``.
+    (integer counts while the engine steps) counts the states stepped from
+    with ``w < occupation_eps[j]`` (row 0: ``w == 0``).  A factor declared
+    the identity steps with ``sqrt(w) xi``, a coordinate column at a time;
+    any other factor is contracted with ``xi``.
 
     ``observe``, when given, is called at every state ``k = 0 .. n_steps``
     as ``observe(sl, k, x, stop)``, before the chain steps from it: ``x`` is
@@ -295,9 +302,11 @@ def _simulate_levels(
     A block's fine chunks are a whole multiple of ``lcm(ratios)`` steps, and
     one level's aggregate of a chunk is held at a time.  Every ensemble
     tallies occupation below 0, ``near_degeneracy_eps`` and each of
-    ``occupation_eps``, and keeps its states at ``t_keep`` (every state when
-    ``None``).  ``observe`` is the finest level's step hook (see
-    :func:`_euler_maruyama`), called block by block, state by state.
+    ``occupation_eps``, in counts of ``np.min_scalar_type(n_steps)`` that
+    become times after the last block, and keeps its states at ``t_keep``
+    (every state when ``None``).  ``observe`` is the finest level's step
+    hook (see :func:`_euler_maruyama`), called block by block, state by
+    state.
     """
     fine, d, m = levels[-1], c.dim, c.noise_dim
     n = fine.n_paths
@@ -313,7 +322,7 @@ def _simulate_levels(
             states = np.empty(shape)
             exit_step = np.empty(n, dtype=np.int64)
             exploded_step = np.empty(n, dtype=np.int64)
-            occupation = np.zeros((len(eps), n))
+            occupation = np.zeros((len(eps), n), dtype=np.min_scalar_type(cfg.n_steps))
         if steps is None:  # only now: it is no larger than the states
             steps = np.arange(cfg.n_steps + 1)
         ensembles.append(PathEnsemble(cfg, states, steps, exit_step, exploded_step,
@@ -340,7 +349,7 @@ def _simulate_levels(
                     del agg, xi_k  # one aggregate alive at a time
                 del xi  # the next chunk is drawn with this one freed
     for ens in ensembles:
-        ens.occupation *= ens.config.dt  # counts -> occupation times
+        ens.occupation = ens.occupation * ens.config.dt  # counts -> occupation times
     return ensembles
 
 

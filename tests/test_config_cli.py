@@ -573,6 +573,17 @@ class TestLibraryReturnsTheReport:
         assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 0
         assert shapes == [(33, 33, 2), (200, 2)]  # the grid, then the terminal states
 
+    @pytest.mark.parametrize("subcommand", ["check", "simulate", "diagnose"])
+    def test_feynman_kac_node_values_are_kept_only_for_diagnose(self, subcommand):
+        # every load checks them; only diagnose reads them
+        args = sdelab.cli._build_parser().parse_args([subcommand, "--config",
+                                                      str(EXAMPLE_CONFIG)])
+        cfg = sdelab.cli._load_config(args)
+        kinds = [e["kind"] for e in cfg.diagnostics]
+        assert "feynman_kac" in kinds
+        assert ["f_vals" in inputs for inputs in cfg.inputs] == [
+            k == "feynman_kac" and subcommand == "diagnose" for k in kinds]
+
     def test_simulate_meta_is_the_summaries(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(output_dir=str(out), family={
@@ -984,6 +995,26 @@ class TestCliArtifacts:
             tracemalloc.stop()
         assert peak <= 2.5 * (tmp_path / "t.csv").stat().st_size
 
+    def test_terminal_table_is_formatted_with_only_the_terminal_states_alive(
+            self, tmp_path, monkeypatch):
+        # the ensemble is dropped and the path column is a range before the
+        # table is formatted; kept alive, its bookkeeping (six float tally
+        # rows, two int64 step arrays and a float path column) is 72 bytes a path
+        n_paths = 16384
+        traced = []
+        table = _Emitter.table
+        monkeypatch.setattr(_Emitter, "table", lambda self, *args: traced.append(
+            tracemalloc.get_traced_memory()[0]) or table(self, *args))
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(EXAMPLE_CONFIG), "--out", str(tmp_path),
+                         "--workers", "1", "--set", f"sim.n_paths={n_paths}",
+                         "--set", "sim.dt=0.05"]) == 0
+        finally:
+            tracemalloc.stop()
+        states = n_paths * 2 * 8  # the kept terminal states, two coordinates
+        assert len(traced) == 1 and traced[0] < states + 36 * n_paths
+
     @pytest.mark.parametrize("subcommand, written", [
         ("simulate", ["terminal.csv", "simulate.json", "simulate.sidecar.json"]),
         ("density", ["density.csv",
@@ -1007,11 +1038,12 @@ class TestCliArtifacts:
         main([subcommand, "--config", write_config(tmp_path, cfg)])
         assert [os.path.basename(p) for p in paths] == written
 
-    def test_verdict_outputs_match_benchmark_references(self, tmp_path):
+    @pytest.mark.parametrize("name", ["verdict", "wide_paths"])
+    def test_verdict_outputs_match_benchmark_references(self, tmp_path, name):
         # the benchmark's byte gate, run in-process: every report and table
-        # the verdict workload writes at the base seed has its recorded sha256
+        # each workload writes at the base seed has its recorded sha256
         refs = json.loads(REFERENCES.read_text())
-        workload = refs["workloads"]["verdict"]
+        workload = refs["workloads"][name]
         for op in workload["ops"]:
             out = tmp_path / op["label"]
             argv = [op["command"], "--config", str(EXAMPLE_CONFIG), "--out", str(out),

@@ -401,6 +401,17 @@ class TestOccupation:
         np.testing.assert_allclose(ens.occupation_exact, 1.0)
         np.testing.assert_array_equal(ens.states, 0.0)
 
+    @pytest.mark.parametrize("n_steps", [255, 256])
+    def test_tallies_count_every_step_of_the_horizon(self, radial2, n_steps):
+        # the chain started at the origin stays on {w = 0} at every state;
+        # 256 steps would wrap a uint8 count to 0
+        dt = 2.0**-8
+        ens = simulate_ensemble(radial2, [0.0, 0.0],
+                                _cfg(n_paths=8, dt=dt, t_final=n_steps * dt))
+        assert ens.occupation.dtype == np.float64
+        np.testing.assert_array_equal(ens.occupation_exact, n_steps / 256)
+        np.testing.assert_array_equal(ens.occupation_near, n_steps / 256)
+
     def test_origin_version_never_touches_null_set(self):
         c = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0)
         ens = simulate_ensemble(c, [0.0, 0.0], _cfg(n_paths=64, dt=1e-2))
