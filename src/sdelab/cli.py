@@ -38,6 +38,8 @@ from .simulate import exit_time_stats, occupation_profile, simulate_ensemble
 _OCCUPATION_EPS = (0.2, 0.1, 0.05, 0.025, 0.0)
 _TABLE_ROWS = 4096  # rows formatted by one % operation
 _WRITE_CHARS = 1 << 20  # characters encoded by one write
+# the diagnostics kinds a subcommand runs; the load keeps no other entry's inputs
+_KINDS = {"semigroup": ("semigroup",), "diagnose": ("uniqueness", "krylov", "feynman_kac")}
 
 
 class UsageError(ValueError):
@@ -153,7 +155,7 @@ def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
-               if e["kind"] == "semigroup"]
+               if e["kind"] in _KINDS["semigroup"]]
     if not entries:
         raise UsageError("config lists no diagnostics of kind 'semigroup'")
     c, grid = cfg.coefficients, cfg.grid
@@ -199,9 +201,8 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 
 def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
-    kinds = {"uniqueness", "krylov", "feynman_kac"}
     entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
-               if e["kind"] in kinds]
+               if e["kind"] in _KINDS["diagnose"]]
     if not entries:
         raise UsageError(
             "config lists no diagnostics of kind uniqueness/krylov/feynman_kac"
@@ -315,9 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     """The one config load: ``--set``, ``--seed`` and ``--out`` go into the raw
-    mapping, then :meth:`ExperimentConfig.from_dict` checks it all.  The
-    Feynman-Kac node values, checked there, are kept only for ``diagnose``,
-    the one subcommand that reads them."""
+    mapping, then :meth:`ExperimentConfig.from_dict` checks it all.  Every
+    entry's inputs are checked there, but kept only where the subcommand runs
+    the entry's kind, so no other command holds a payload's node values."""
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -331,9 +332,10 @@ def _load_config(args) -> ExperimentConfig:
         if args.out is not None:
             raw["output_dir"] = args.out
     cfg = ExperimentConfig.from_dict(raw)
-    if args.subcommand != "diagnose":
-        for inputs in cfg.inputs:
-            inputs.pop("f_vals", None)
+    runs = _KINDS.get(args.subcommand, ())
+    for entry, inputs in zip(cfg.diagnostics, cfg.inputs):
+        if entry["kind"] not in runs:
+            inputs.clear()
     return cfg
 
 

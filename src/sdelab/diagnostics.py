@@ -53,6 +53,7 @@ _HOMOGENEITY_TOL = 1e-12  # relative defect allowed of the rescaled estimate
 _QUAD_SPACE = 65  # midpoint cells per axis of the Krylov mixed-norm quadrature
 _QUAD_TIME = 64  # and its midpoint time steps
 _PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block (PW_BLOCKSIZE)
+_DISTANCE_ROWS = 16  # rows of the distance matrix filled per block
 
 
 class DiagnosticsError(ValueError):
@@ -97,6 +98,29 @@ def _perm_quantile(stats: np.ndarray, alpha: float) -> float:
     if k > b:
         return math.inf
     return float(np.sort(stats)[k - 1])
+
+
+def _distances(a: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of the rows of the ``(n, d)`` array ``a``,
+    bit for bit ``scipy.spatial.distance.cdist(a, a)``: per entry the squared
+    coordinate differences summed from coordinate 0 on, then the square root.
+
+    Each block of full-width rows is summed through one temporary block, so the
+    order, and with it every result, does not depend on the block size.
+    """
+    n, d = a.shape
+    dist = np.empty((n, n))
+    diff = np.empty((min(n, _DISTANCE_ROWS), n))
+    with np.errstate(over="ignore"):  # a square past the float range is inf, as in cdist
+        for start in range(0, n, _DISTANCE_ROWS):
+            rows = a[start:start + _DISTANCE_ROWS]
+            out = dist[start:start + len(rows)]
+            tmp = diff[:len(rows)]
+            np.square(np.subtract(rows[:, :1], a[:, 0], out=out), out=out)
+            for k in range(1, d):
+                np.square(np.subtract(rows[:, k:k + 1], a[:, k], out=tmp), out=tmp)
+                out += tmp
+    return np.sqrt(dist, out=dist)
 
 
 def _energy_statistic(dist: np.ndarray, n1: int) -> float:
@@ -170,11 +194,11 @@ def marginal_two_sample(x, y, level: float = 0.01) -> dict:
     values are asymptotic for sample sizes of at least 1000 and
     permutation-calibrated below that; the energy test is always
     permutation-calibrated (199 permutations, at most 1024 points subsampled
-    per sample).  Permutation and subsampling streams are seeded from
-    digests of the two samples, symmetrically, so swapping the arguments
-    changes nothing.
+    per sample).  Its distances are computed in numpy in
+    ``scipy.spatial.distance.cdist``'s order, so they are cdist's bits.
+    Permutation and subsampling streams are seeded from digests of the two
+    samples, symmetrically, so swapping the arguments changes nothing.
     """
-    from scipy.spatial.distance import cdist
     x = _marginal_sample(x, "first sample")
     y = _marginal_sample(y, "second sample")
     if x.shape[1] != y.shape[1]:
@@ -216,7 +240,7 @@ def marginal_two_sample(x, y, level: float = 0.01) -> dict:
     xs = _subsample(x, hx)
     ys = _subsample(y, hy)
     pooled = np.concatenate([xs, ys], axis=0)
-    dist = cdist(pooled, pooled)
+    dist = _distances(pooled)
     raw = _energy_statistic(dist, len(xs))
     rng = permutation_rng(derive_seed(seed, d))
     stats = _energy_perm_stats(dist, len(xs), rng, _PERMUTATIONS)

@@ -573,16 +573,17 @@ class TestLibraryReturnsTheReport:
         assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 0
         assert shapes == [(33, 33, 2), (200, 2)]  # the grid, then the terminal states
 
-    @pytest.mark.parametrize("subcommand", ["check", "simulate", "diagnose"])
-    def test_feynman_kac_node_values_are_kept_only_for_diagnose(self, subcommand):
-        # every load checks them; only diagnose reads them
+    @pytest.mark.parametrize("subcommand", ["check", "density", "semigroup", "simulate",
+                                            "diagnose", "report"])
+    def test_node_values_are_kept_only_where_read(self, subcommand):
+        # every load checks every entry; only semigroup reads u0, only diagnose f_vals
         args = sdelab.cli._build_parser().parse_args([subcommand, "--config",
                                                       str(EXAMPLE_CONFIG)])
         cfg = sdelab.cli._load_config(args)
-        kinds = [e["kind"] for e in cfg.diagnostics]
-        assert "feynman_kac" in kinds
-        assert ["f_vals" in inputs for inputs in cfg.inputs] == [
-            k == "feynman_kac" and subcommand == "diagnose" for k in kinds]
+        kept = {(e["kind"], key) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
+                for key in ("u0", "f_vals") if key in inputs}
+        assert kept == {"semigroup": {("semigroup", "u0")},
+                        "diagnose": {("feynman_kac", "f_vals")}}.get(subcommand, set())
 
     def test_simulate_meta_is_the_summaries(self, tmp_path):
         out = tmp_path / "out"
@@ -1038,23 +1039,30 @@ class TestCliArtifacts:
         main([subcommand, "--config", write_config(tmp_path, cfg)])
         assert [os.path.basename(p) for p in paths] == written
 
-    @pytest.mark.parametrize("name", ["verdict", "wide_paths"])
-    def test_verdict_outputs_match_benchmark_references(self, tmp_path, name):
+    @pytest.mark.parametrize("name, index, labels", [
+        ("verdict", 0, None),
+        ("wide_paths", 0, None),
+        # a second seed gives the two-sample tests other pooled samples
+        ("verdict", 7, {"diagnose"}),
+    ], ids=["verdict", "wide_paths", "diagnose-seed7"])
+    def test_verdict_outputs_match_benchmark_references(self, tmp_path, name, index, labels):
         # the benchmark's byte gate, run in-process: every report and table
-        # each workload writes at the base seed has its recorded sha256
+        # each workload writes at seed index ``index`` has its recorded sha256
         refs = json.loads(REFERENCES.read_text())
         workload = refs["workloads"][name]
         for op in workload["ops"]:
+            if labels is not None and op["label"] not in labels:
+                continue
             out = tmp_path / op["label"]
             argv = [op["command"], "--config", str(EXAMPLE_CONFIG), "--out", str(out),
-                    "--workers", "2", "--seed", str(refs["base_seed"])]
+                    "--workers", "2", "--seed", str(refs["base_seed"] + index)]
             for item in op["set"]:
                 argv += ["--set", item]
             assert main(argv) == 0, op["label"]
             written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                        for f in out.iterdir()
                        if f.suffix in (".json", ".csv") and ".sidecar." not in f.name}
-            assert written == workload["digests"][0][op["label"]], op["label"]
+            assert written == workload["digests"][index][op["label"]], op["label"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_files_take_their_mode_from_the_umask(self, tmp_path, umask):

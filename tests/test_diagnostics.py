@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist  # the reference only: sdelab computes distances in numpy
 
 import sdelab.diagnostics as diagnostics
 from sdelab.coefficients import (
@@ -165,6 +166,19 @@ class TestMarginalTwoSample:
             marginal_two_sample(bad, good)
         with pytest.raises(DiagnosticsError, match=message):
             marginal_two_sample(good, bad)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 2048])  # below, at and above the row block
+def test_distances_are_cdist_bit_for_bit(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    for scale in (1e-170, 1.0, 1e160):  # squares underflow, are plain, overflow to inf
+        a = rng.standard_normal((n, d)) * scale
+        a[1::5] = 0.0
+        a[3::5] = -0.0
+        got, want = diagnostics._distances(a), cdist(a, a)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), scale
+        assert np.isinf(want).any() == (scale == 1e160 and n > 1)
 
 
 class TestUniquenessProbe:

@@ -7,6 +7,7 @@ about a second.
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -88,8 +89,8 @@ _SOLVER_STACKS = ("['scipy', 'sparse'], ['scipy', 'linalg'], ['scipy', 'spatial'
 
 
 def test_cli_import_loads_no_sparse_linalg_or_spatial():
-    # only the density and PDE solves factor a matrix and only the energy
-    # test computes distances; those functions import the stacks themselves
+    # only the density and PDE solves factor a matrix, and they import the
+    # sparse stack themselves; no command loads scipy.spatial
     probe = ("import sys, sdelab.cli; print('\\n'.join(m for m in sys.modules "
              f"if m.split('.')[:2] in ({_SOLVER_STACKS})))")
     run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
@@ -117,6 +118,27 @@ assert "scipy.sparse.linalg" in stacks()
     run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_diagnose_runs_without_spatial(tmp_path):
+    # the energy test computes its distance matrix in numpy
+    config = SCRIPT_DIR / "example_config.json"
+    entries = [e for e in json.loads(config.read_text())["diagnostics"]
+               if e["kind"] == "uniqueness"]
+    probe = f"""
+import sys
+from sdelab.cli import main
+
+assert main(["diagnose", "--config", {str(config)!r}, "--out", {str(tmp_path)!r},
+             "--workers", "1", "--set", "sim.n_paths=300", "--set", "sim.dt=0.01",
+             "--set", {"diagnostics=" + json.dumps(entries)!r}]) == 0
+spatial = [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']]
+assert spatial == [], spatial
+"""
+    run = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert '"name":"energy"' in (tmp_path / "diagnose_0_uniqueness.json").read_text()
 
 
 def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
