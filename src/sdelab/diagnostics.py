@@ -53,7 +53,8 @@ _HOMOGENEITY_TOL = 1e-12  # relative defect allowed of the rescaled estimate
 _QUAD_SPACE = 65  # midpoint cells per axis of the Krylov mixed-norm quadrature
 _QUAD_TIME = 64  # and its midpoint time steps
 _PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block (PW_BLOCKSIZE)
-_DISTANCE_ROWS = 16  # rows of the distance matrix filled per block
+_PANEL = 256  # columns of the energy test's distance matrix held at a time
+_ROWS = 64  # rows of a distance panel built, or transposed, per step
 
 
 class DiagnosticsError(ValueError):
@@ -100,58 +101,97 @@ def _perm_quantile(stats: np.ndarray, alpha: float) -> float:
     return float(np.sort(stats)[k - 1])
 
 
-def _distances(a: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of the rows of the ``(n, d)`` array ``a``,
-    bit for bit ``scipy.spatial.distance.cdist(a, a)``: per entry the squared
-    coordinate differences summed from coordinate 0 on, then the square root.
+class _BlockSum:
+    """``block.sum()`` of a strided ``(rows, cols)`` block, bit for bit, from
+    its rows added in order: numpy sums ``np.getbufsize() // cols`` whole rows
+    per buffer, each buffer pairwise, and adds the buffers in order."""
 
-    Each block of full-width rows is summed through one temporary block, so the
-    order, and with it every result, does not depend on the block size.
-    """
+    def __init__(self, cols: int):
+        self._run = np.getbufsize() // cols
+        self._rows = np.empty((0, cols))
+        self._total = 0.0
+
+    def add(self, rows: np.ndarray) -> None:
+        rows = np.concatenate([self._rows, rows]) if len(self._rows) else rows
+        full = len(rows) - len(rows) % self._run
+        for start in range(0, full, self._run):
+            self._total += rows[start:start + self._run].sum()
+        self._rows = rows[full:].copy()
+
+    def sum(self) -> float:
+        return float(self._total + self._rows.sum())
+
+
+def _distance_panel(a: np.ndarray, s: int, panel: np.ndarray) -> np.ndarray:
+    """Fills ``panel``, ``(n, w)`` with rows of unit stride, with columns
+    ``s:s + w`` of the distance matrix of the rows of the ``(n, d)`` array
+    ``a``, bit for bit ``scipy.spatial.distance.cdist(a, a)[:, s:s + w]``: the
+    squared coordinate differences summed from coordinate 0 on, then the
+    square root.  Returns ``panel``."""
     n, d = a.shape
-    dist = np.empty((n, n))
-    diff = np.empty((min(n, _DISTANCE_ROWS), n))
+    e = s + panel.shape[1]
+    x = np.ascontiguousarray(a.T)  # one contiguous row per coordinate
+    squares, part = np.empty((2, min(n, _ROWS), e - s))
     with np.errstate(over="ignore"):  # a square past the float range is inf, as in cdist
-        for start in range(0, n, _DISTANCE_ROWS):
-            rows = a[start:start + _DISTANCE_ROWS]
-            out = dist[start:start + len(rows)]
-            tmp = diff[:len(rows)]
-            np.square(np.subtract(rows[:, :1], a[:, 0], out=out), out=out)
+        for start in range(0, n, _ROWS):
+            stop = min(start + _ROWS, n)
+            acc, tmp = squares[:stop - start], part[:stop - start]
+            np.copyto(acc, x[0, s:e])  # column minus row point: same squares, faster
+            acc -= x[0, start:stop, None]
+            np.square(acc, out=acc)
             for k in range(1, d):
-                np.square(np.subtract(rows[:, k:k + 1], a[:, k], out=tmp), out=tmp)
-                out += tmp
-    return np.sqrt(dist, out=dist)
+                np.copyto(tmp, x[k, s:e])
+                tmp -= x[k, start:stop, None]
+                acc += np.square(tmp, out=tmp)
+            np.sqrt(acc, out=panel[start:stop])
+    return panel
 
 
-def _energy_statistic(dist: np.ndarray, n1: int) -> float:
-    n2 = dist.shape[0] - n1
-    s_xx = float(dist[:n1, :n1].sum())
-    s_yy = float(dist[n1:, n1:].sum())
-    s_xy = float(dist[:n1, n1:].sum())
-    return 2.0 * s_xy / (n1 * n2) - s_xx / n1**2 - s_yy / n2**2
+def _energy_stats(
+    pooled: np.ndarray, n1: int, rng: np.random.Generator, b: int
+) -> tuple[float, np.ndarray]:
+    """The energy statistic of the first ``n1`` rows of ``pooled`` against
+    the rest and its ``b`` values under label permutation, bit for bit those
+    of the whole distance matrix D, which is never held.
 
-
-def _energy_perm_stats(
-    dist: np.ndarray, n1: int, rng: np.random.Generator, b: int
-) -> np.ndarray:
-    """Energy statistics under label permutation, via indicator algebra.
-
-    For a relabelling with first-group indicator z the three block sums
-    follow from ``z' D z``, ``z' D 1`` and the total, so all permutations
-    cost one matrix product instead of B matrix rebuilds.
+    For a relabelling with first-group indicator z the block sums follow
+    from ``z' D z``, ``z' D 1`` and the total, so all permutations cost one
+    product with D.  Each panel of ``_PANEL`` columns (the last takes the
+    remainder) gives its columns of ``z @ D``, whose bits a split into
+    panels that wide keeps on one BLAS thread, and, transposed ``_ROWS`` at
+    a time (D is symmetric), rows of D for ``D.sum(axis=1)`` and for the
+    raw statistic's block sums.
     """
-    n = dist.shape[0]
+    n = len(pooled)
     n2 = n - n1
-    row = dist.sum(axis=1)
-    s_tot = float(row.sum())
     z = np.zeros((b, n))
     for i in range(b):
         z[i, rng.permutation(n)[:n1]] = 1.0
-    s_xx = np.einsum("bn,bn->b", z @ dist, z)
-    t = z @ row
-    s_yy = s_tot - 2.0 * t + s_xx
-    s_xy = t - s_xx
-    return 2.0 * s_xy / (n1 * n2) - s_xx / n1**2 - s_yy / n2**2
+    zdist, row_sums = np.empty((b, n)), np.empty(n)
+    blocks = _BlockSum(n1), _BlockSum(n2), _BlockSum(n2)  # D_xx, D_xy, D_yy
+    rows = np.empty((min(n, _ROWS), n))
+    starts = range(0, n, _PANEL)[:max(1, n // _PANEL)]
+    # the last panel is the widest; a cache line of row padding keeps a
+    # column's reads off a few crowded cache sets (BLAS bits unchanged)
+    panels = np.empty((n, n - starts[-1] + 8))
+    for s, e in zip(starts, [*starts[1:], n]):
+        panel = _distance_panel(pooled, s, panels[:, :e - s])
+        np.matmul(z, panel, out=zdist[:, s:e])
+        for j in range(s, e, _ROWS):  # rows j.. of D: columns of the panel
+            r = rows[:min(_ROWS, e - j)]
+            np.copyto(r, panel[:, j - s:j - s + len(r)].T)
+            row_sums[j:j + len(r)] = r.sum(axis=1)
+            c = min(max(n1 - j, 0), len(r))
+            for block, part in zip(blocks, (r[:c, :n1], r[:c, n1:], r[c:, n1:])):
+                block.add(part)
+
+    def energy(s_xx, s_xy, s_yy):
+        return 2.0 * s_xy / (n1 * n2) - s_xx / n1**2 - s_yy / n2**2
+
+    s_tot, t = float(row_sums.sum()), z @ row_sums
+    s_xx = np.einsum("bn,bn->b", zdist, z)
+    raw = energy(*(block.sum() for block in blocks))
+    return raw, energy(s_xx, t - s_xx, s_tot - 2.0 * t + s_xx)
 
 
 def _check_level(level) -> None:
@@ -195,7 +235,9 @@ def marginal_two_sample(x, y, level: float = 0.01) -> dict:
     permutation-calibrated below that; the energy test is always
     permutation-calibrated (199 permutations, at most 1024 points subsampled
     per sample).  Its distances are computed in numpy in
-    ``scipy.spatial.distance.cdist``'s order, so they are cdist's bits.
+    ``scipy.spatial.distance.cdist``'s order, so they are cdist's bits, and
+    256 columns of the distance matrix at a time, so a test holds
+    ``O(256 n)`` floats for ``n`` pooled points, never the ``n x n`` matrix.
     Permutation and subsampling streams are seeded from digests of the two
     samples, symmetrically, so swapping the arguments changes nothing.
     """
@@ -240,10 +282,8 @@ def marginal_two_sample(x, y, level: float = 0.01) -> dict:
     xs = _subsample(x, hx)
     ys = _subsample(y, hy)
     pooled = np.concatenate([xs, ys], axis=0)
-    dist = _distances(pooled)
-    raw = _energy_statistic(dist, len(xs))
     rng = permutation_rng(derive_seed(seed, d))
-    stats = _energy_perm_stats(dist, len(xs), rng, _PERMUTATIONS)
+    raw, stats = _energy_stats(pooled, len(xs), rng, _PERMUTATIONS)
     crit = _perm_quantile(stats, alpha)
     breakdown.append({"name": "energy", "statistic": raw, "critical": crit,
                       "normalized": _normalized(raw, crit), "method": "permutation",

@@ -2,14 +2,19 @@
 variant probe, the occupation-functional audit and the MC-vs-PDE cross-check."""
 
 import functools
+import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist  # the reference only: sdelab computes distances in numpy
+from scipy.spatial.distance import cdist  # the references only: sdelab computes distances in numpy
 
 import sdelab.diagnostics as diagnostics
 from sdelab.coefficients import (
@@ -135,6 +140,17 @@ class TestMarginalTwoSample:
         assert worst["name"] == "energy"
         assert all(e["normalized"] <= 1.0 for e in res["breakdown"][:2])
 
+    def test_energy_test_never_holds_the_distance_matrix(self):
+        # 2048 pooled points: their whole distance matrix alone is 32 MiB
+        x, y = np.random.default_rng(3).standard_normal((2, 1024, 2))
+        tracemalloc.start()
+        try:
+            marginal_two_sample(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_dimension_mismatch_rejected(self, brownian2):
         b3 = builtin_family("brownian", 3)
         e1 = _ensemble(brownian2, 50, 1)
@@ -169,16 +185,105 @@ class TestMarginalTwoSample:
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 9])
-@pytest.mark.parametrize("n", [1, 15, 16, 17, 2048])  # below, at and above the row block
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 2048])  # below, at and above the row block
 def test_distances_are_cdist_bit_for_bit(n, d):
     rng = np.random.default_rng(100 * n + d)
     for scale in (1e-170, 1.0, 1e160):  # squares underflow, are plain, overflow to inf
         a = rng.standard_normal((n, d)) * scale
         a[1::5] = 0.0
         a[3::5] = -0.0
-        got, want = diagnostics._distances(a), cdist(a, a)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), scale
+        want = cdist(a, a)
+        for s, e in {(0, n), (0, min(n, 256)), (n // 2, n)}:  # any width and offset
+            panel = np.empty((n, e - s + 8))[:, :e - s]  # padded rows, as the energy test's
+            got = diagnostics._distance_panel(a, s, panel)
+            assert np.array_equal(got.view(np.uint64), want[:, s:e].view(np.uint64)), (scale, s)
         assert np.isinf(want).any() == (scale == 1e160 and n > 1)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(40, 300), (30, 1000), (25, 1023), (200, 64), (100, 100),  # several buffers
+     (3, 1000), (7, 17), (1, 5)],  # one buffer
+)
+def test_block_sum_is_numpy_sum_bit_for_bit(rows, cols):
+    # numpy sums a strided block in buffers of getbufsize() // cols whole
+    # rows, each pairwise; 300, 1000 and 1023 do not divide the buffer
+    rng = np.random.default_rng(rows * cols)
+    big = rng.standard_normal((rows, cols + 5)) * 10.0 ** rng.integers(0, 9, (rows, cols + 5))
+    big[rng.random(big.shape) < 0.1] = -0.0
+    view = big[:, 2:2 + cols]
+    acc = diagnostics._BlockSum(cols)
+    for start in range(0, rows, 7):  # batches that straddle the buffers
+        acc.add(view[start:start + 7])
+    got, want = np.float64(acc.sum()), view.sum()
+    assert got.view(np.int64) == want.view(np.int64)
+    if rows * cols > np.getbufsize():  # the order matters: a flat order differs
+        flat = np.ascontiguousarray(view).ravel()
+        runs = functools.reduce(np.add, (np.add.reduce(flat[i:i + np.getbufsize()])
+                                         for i in range(0, flat.size, np.getbufsize())), 0.0)
+        assert (np.add.reduce(flat), runs) != (want, want)
+
+
+def _energy_reference(pooled, n1, rng, b):
+    """The energy statistic of the first ``n1`` rows against the rest, and
+    its ``b`` permutation values, from the whole distance matrix."""
+    dist = cdist(pooled, pooled)
+    n = len(dist)
+    n2 = n - n1
+
+    def energy(s_xx, s_xy, s_yy):
+        return 2.0 * s_xy / (n1 * n2) - s_xx / n1**2 - s_yy / n2**2
+
+    raw = energy(float(dist[:n1, :n1].sum()), float(dist[:n1, n1:].sum()),
+                 float(dist[n1:, n1:].sum()))
+    row = dist.sum(axis=1)
+    z = np.zeros((b, n))
+    for i in range(b):
+        z[i, rng.permutation(n)[:n1]] = 1.0
+    s_xx = np.einsum("bn,bn->b", z @ dist, z)
+    t = z @ row
+    return raw, energy(s_xx, t - s_xx, float(row.sum()) - 2.0 * t + s_xx)
+
+
+def _energy_mismatches(sizes, parts=(3,)):
+    """The cases, at pooled sizes ``sizes`` split ``n // part`` against the
+    rest, whose streamed energy statistic or one of its 199 permutation
+    values differs in a bit from the whole matrix's."""
+    bad = []
+    for n, part, d in itertools.product(sizes, parts, (1, 2, 9)):
+        for scale in (1e-170, 1.0, 1e160):  # squares underflow, are plain, overflow
+            a = np.random.default_rng(31 * n + d).standard_normal((n, d)) * scale
+            n1 = max(1, n // part)
+            with np.errstate(invalid="ignore"):  # 0 * inf in the products
+                want = _energy_reference(a, n1, np.random.default_rng(n), 199)
+                got = diagnostics._energy_stats(a, n1, np.random.default_rng(n), 199)
+            bits = [np.array([raw, *stats]).view(np.uint64) for raw, stats in (want, got)]
+            if not np.array_equal(*bits):
+                bad.append((n, n1, d, scale))
+    return bad
+
+
+_ENERGY_SIZES = [2, 17, 255, 256, 511, 512, 521, 600, 1025, 1100, 1337, 2047, 2048]
+
+
+def test_energy_statistics_match_the_whole_matrix_bit_for_bit():
+    # panel edges, the 256-511 remainder, one panel and several (at 521 and
+    # 1025, 128-wide panels would move bits); on one BLAS thread, in a fresh
+    # interpreter, since at most sizes the whole product's bits depend on
+    # the thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(diagnostics.__file__).resolve().parents[1]), str(Path(__file__).parent),
+        env.get("PYTHONPATH")]))
+    probe = f"import test_diagnostics as t; print(t._energy_mismatches({_ENERGY_SIZES}))"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=600, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+def test_energy_statistics_match_the_whole_matrix_at_the_shipped_size():
+    # 1024 points per sample, the shipped configs' size, on this process's threads
+    assert _energy_mismatches([2048], parts=(2, 3)) == []
 
 
 class TestUniquenessProbe:
