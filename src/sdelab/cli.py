@@ -31,6 +31,7 @@ from .conditions import a4prime_check, min_M_on_grid, occupation_condition_route
 from .config import ConfigError, ExperimentConfig, apply_set_overrides
 from .density import solve_density, verify_divergence_free, verify_preinvariance
 from .diagnostics import feynman_kac_crosscheck, krylov_audit, uniqueness_probe
+from .grids import grid_values
 from .reporting import DiagnosticReport, canonical_json
 from .semigroup import evolve, semigroup_contraction_check
 from .simulate import exit_time_stats, occupation_profile, simulate_ensemble
@@ -38,8 +39,6 @@ from .simulate import exit_time_stats, occupation_profile, simulate_ensemble
 _OCCUPATION_EPS = (0.2, 0.1, 0.05, 0.025, 0.0)
 _TABLE_ROWS = 4096  # rows formatted by one % operation
 _WRITE_CHARS = 1 << 20  # characters encoded by one write
-# the diagnostics kinds a subcommand runs; the load keeps no other entry's inputs
-_KINDS = {"semigroup": ("semigroup",), "diagnose": ("uniqueness", "krylov", "feynman_kac")}
 
 
 class UsageError(ValueError):
@@ -155,14 +154,15 @@ def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
-               if e["kind"] in _KINDS["semigroup"]]
+               if e["kind"] == "semigroup"]
     if not entries:
         raise UsageError("config lists no diagnostics of kind 'semigroup'")
     c, grid = cfg.coefficients, cfg.grid
     dens = solve_density(c, grid.bounds, grid.n)
     ok = True
     for i, (entry, inputs) in enumerate(entries):
-        u = evolve(dens, **inputs)
+        u = evolve(dens, grid_values(inputs["payload"], grid), inputs["t_final"],
+                   inputs["dt"])
         rep = semigroup_contraction_check(u, dens)
         rep.meta["payload"] = entry["payload"]
         _grid_table(emit, f"semigroup_{i}_final", grid, "u", u.values[-1])
@@ -202,7 +202,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
 
 def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
-               if e["kind"] in _KINDS["diagnose"]]
+               if e["kind"] != "semigroup"]
     if not entries:
         raise UsageError(
             "config lists no diagnostics of kind uniqueness/krylov/feynman_kac"
@@ -316,9 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     """The one config load: ``--set``, ``--seed`` and ``--out`` go into the raw
-    mapping, then :meth:`ExperimentConfig.from_dict` checks it all.  Every
-    entry's inputs are checked there, but kept only where the subcommand runs
-    the entry's kind, so no other command holds a payload's node values."""
+    mapping, then :meth:`ExperimentConfig.from_dict` checks it all."""
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -331,12 +329,7 @@ def _load_config(args) -> ExperimentConfig:
             raw["sim"]["master_seed"] = args.seed
         if args.out is not None:
             raw["output_dir"] = args.out
-    cfg = ExperimentConfig.from_dict(raw)
-    runs = _KINDS.get(args.subcommand, ())
-    for entry, inputs in zip(cfg.diagnostics, cfg.inputs):
-        if entry["kind"] not in runs:
-            inputs.clear()
-    return cfg
+    return ExperimentConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,8 @@ one load checks every value, the top-level family and diagnostics entries
 included, by building what it configures, so its owner checks it, and keeps
 what it built (the coefficients, the box grid and each entry's inputs) for
 the runners.  A diagnostics entry is checked only by its kind's library
-input check, called once on its keyword arguments, payload included (a
-semigroup entry keeps its payload's node values, the array ``evolve`` takes,
-and a Feynman-Kac entry the node values its check returned).
+input check, called once on its keyword arguments, payload included: a load
+checks a payload on its grid and keeps only the callable.
 The simulated start lies inside ``sim.r_exit``.  Sizes are checked at load
 too: every ensemble, grid and stored set of time slices a config asks for
 must have a shape numpy can represent.
@@ -204,23 +203,24 @@ def _entry_sim(sim: SimConfig, entry: dict, key: str) -> SimConfig:
 
 
 def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict:
-    """Keyword arguments of the library call a diagnostics entry asks for,
+    """Inputs of the library call a diagnostics entry asks for,
     checked by that function's input check (faults are :class:`ConfigError`).
 
-    Semigroup entries call :func:`~sdelab.semigroup.evolve` with ``u0``, the
-    payload's node values (:func:`~sdelab.grids.grid_values`), the others
-    the diagnostics function of their kind, a Feynman-Kac entry with the
-    ``f_vals`` its input check returned; the runner adds coefficients,
-    and the density for ``evolve`` or workers for the others.  Absent
-    optional keys are left out, so library defaults apply.
+    Semigroup entries call :func:`~sdelab.semigroup.evolve`, the others the
+    diagnostics function of their kind.  A payload is checked on its grid
+    (:func:`~sdelab.grids.grid_values`) and only the callable is kept; the
+    runner adds coefficients, and the density and the payload's node values
+    for ``evolve`` or workers for the others.  Absent optional keys are left
+    out, so library defaults apply.
     """
     kind = _tagged(entry, "kind", _DIAGNOSTICS, "kind", where)
     dim = grid.dim
     try:
         if kind == "semigroup":
             slices_shape(grid, entry["t_final"], entry["dt"])
-            u0 = grid_values(build_payload(entry["payload"], dim), grid)
-            return {"u0": u0, "t_final": entry["t_final"], "dt": entry["dt"]}
+            payload = build_payload(entry["payload"], dim)
+            grid_values(payload, grid)
+            return {"payload": payload, "t_final": entry["t_final"], "dt": entry["dt"]}
         x0 = finite_point(entry["x0"], dim)
         if kind == "uniqueness":
             variants = [_variant(v, dim, f"variants[{j}]")
@@ -246,9 +246,7 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
                       "cfg": _entry_sim(sim, entry, "mc_dt"),
                       "pde_dt": entry["pde_dt"]}
             check = feynman_kac_config
-        checked = check(**inputs)
-        if kind == "feynman_kac":  # the payload's node values, taken once
-            inputs["f_vals"] = checked[0]
+        check(**inputs)
         return inputs
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -260,8 +258,8 @@ class ExperimentConfig:
 
     ``x0`` is the common start point of simulated paths (defaults to the box
     center when absent from the ``sim`` section), inside any ``r_exit``.
-    ``diagnostics`` entries are kind-tagged parameter dicts; ``inputs[i]`` holds the checked keyword
-    arguments of entry ``i``'s library call, built at load.  ``coefficients``
+    ``diagnostics`` entries are kind-tagged parameter dicts; ``inputs[i]`` holds the checked inputs
+    of entry ``i``'s library call, built at load.  ``coefficients``
     and ``grid`` are the family and box grid the config describes, built at
     load too; what was built is not part of a config's identity.
     """

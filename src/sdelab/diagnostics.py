@@ -38,7 +38,7 @@ from .coefficients import CoefficientSet
 from .density import solve_density
 from .grids import (
     BoxGrid, GridField, finite_point, finite_real, finite_values,
-    grid_values, integer, kept_steps, payload_node_values, step_count,
+    grid_values, integer, kept_steps, step_count,
 )
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
@@ -237,7 +237,9 @@ def marginal_two_sample(x, y, level: float = 0.01) -> dict:
     per sample).  Its distances are computed in numpy in
     ``scipy.spatial.distance.cdist``'s order, so they are cdist's bits, and
     256 columns of the distance matrix at a time, so a test holds
-    ``O(256 n)`` floats for ``n`` pooled points, never the ``n x n`` matrix.
+    ``O(256 n)`` floats for ``n`` pooled points, never the ``n x n`` matrix;
+    samples so spread that a distance or a sum of them would overflow are
+    refused first.
     Permutation and subsampling streams are seeded from digests of the two
     samples, symmetrically, so swapping the arguments changes nothing.
     """
@@ -282,6 +284,11 @@ def marginal_two_sample(x, y, level: float = 0.01) -> dict:
     xs = _subsample(x, hx)
     ys = _subsample(y, hy)
     pooled = np.concatenate([xs, ys], axis=0)
+    with np.errstate(over="ignore"):  # n^2 times the widest distance bounds every sum
+        bound = len(pooled)**2 * np.sqrt(np.sum(np.ptp(pooled, axis=0)**2))
+    if not np.isfinite(bound):
+        raise DiagnosticsError("samples spread too wide for the energy test: its "
+                               "distances or their sums overflow")
     rng = permutation_rng(derive_seed(seed, d))
     raw, stats = _energy_stats(pooled, len(xs), rng, _PERMUTATIONS)
     crit = _perm_quantile(stats, alpha)
@@ -669,15 +676,13 @@ def _point_value(grid: BoxGrid, values: np.ndarray, x0: np.ndarray) -> float:
 
 def feynman_kac_config(
     grid: BoxGrid, f0, x0, t_final: float, cfg: SimConfig, pde_dt: float,
-    f_vals=None,
 ) -> tuple:
     """Checked inputs of :func:`feynman_kac_crosscheck` on ``grid``: the
-    payload's node values (:func:`~sdelab.grids.grid_values`; ``f_vals``,
-    when given, are those this check returned before for ``f0``, checked
-    again without evaluating ``f0``), the start point, the Monte-Carlo
-    config (``t_final`` a whole number of its steps ``mc_dt``), whose states
-    numpy can represent, and the once-coarsened grid of the spatial error
-    estimate, so every node count is odd."""
+    payload's node values (:func:`~sdelab.grids.grid_values`), the start
+    point, the Monte-Carlo config (``t_final`` a whole number of its steps
+    ``mc_dt``), whose states numpy can represent, and the once-coarsened grid
+    of the spatial error estimate, so every node count is odd.  A config load
+    checks a payload on its grid here and keeps only the callable."""
     if not isinstance(grid, BoxGrid):
         raise DiagnosticsError(f"grid must be a BoxGrid, got {type(grid).__name__}")
     x0 = finite_point(x0, grid.dim, "x0", DiagnosticsError)
@@ -703,11 +708,7 @@ def feynman_kac_config(
     # radius would freeze Monte-Carlo paths the PDE side keeps evolving
     cfg_run = replace(cfg, t_final=float(t_final), r_exit=None)
     cfg_run.states_shape(grid.dim)
-    if f_vals is None:
-        f_vals = grid_values(f0, grid, DiagnosticsError)
-    else:
-        f_vals = payload_node_values(f_vals, grid, DiagnosticsError)
-    return f_vals, x0, cfg_run, grid.coarsen()
+    return grid_values(f0, grid, DiagnosticsError), x0, cfg_run, grid.coarsen()
 
 
 def feynman_kac_crosscheck(
@@ -719,14 +720,12 @@ def feynman_kac_crosscheck(
     cfg: SimConfig,
     pde_dt: float,
     workers: int = 1,
-    f_vals=None,
 ) -> DiagnosticReport:
     """Cross-check ``E[f0(X_T)]`` against the parabolic solve at ``x0``.
 
     ``f0`` is a callable of points; anything else is a :class:`DiagnosticsError`.
-    ``f_vals`` are its node values on ``grid`` as :func:`feynman_kac_config`
-    returned them (a config load keeps them), so ``f0`` is not evaluated on
-    the grid again; when ``None`` they are computed here.
+    Its node values on ``grid`` are evaluated here, by
+    :func:`feynman_kac_config`; a config load keeps only the callable.
     The Monte-Carlo side simulates ``cfg.n_paths`` paths from ``x0`` and
     averages ``f0``, which must be finite there, at the final states; any
     configured exit radius is ignored (both sides must see the free
@@ -741,8 +740,7 @@ def feynman_kac_crosscheck(
     makes the comparison inconclusive; the report then fails with an
     explicit instruction to enlarge the box.
     """
-    f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt,
-                                                     f_vals)
+    f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt)
     dens = solve_density(c, grid.bounds, grid.n)
     ens = simulate_ensemble(c, x0, cfg_run, workers=workers, t_keep=(t_final,))
     terminal = finite_values(f0(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",

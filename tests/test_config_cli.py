@@ -553,9 +553,10 @@ class TestLibraryReturnsTheReport:
             assert self._written(out / f"{name}.json", added) == json.loads(
                 canonical_json(rep.to_dict())), name
 
-    def test_feynman_kac_payload_is_evaluated_on_its_grid_once(self, tmp_path, monkeypatch):
-        # the config load keeps the node values its check took; the audit
-        # used to evaluate the payload on the 33 x 33 grid a second time
+    def test_feynman_kac_payload_is_evaluated_by_the_load_and_by_the_audit(
+            self, tmp_path, monkeypatch):
+        # the config load checks the payload on the 33 x 33 grid and keeps
+        # only the callable; the audit evaluates it there again
         shapes = []
         required, optional, build = sdelab.config._PAYLOADS["gaussian"]
 
@@ -571,19 +572,20 @@ class TestLibraryReturnsTheReport:
              "grid_n": 33},
         ]
         assert main(["diagnose", "--config", write_config(tmp_path, cfg)]) == 0
-        assert shapes == [(33, 33, 2), (200, 2)]  # the grid, then the terminal states
+        # the load's check, the audit's node values, then the terminal states
+        assert shapes == [(33, 33, 2), (33, 33, 2), (200, 2)]
 
     @pytest.mark.parametrize("subcommand", ["check", "density", "semigroup", "simulate",
                                             "diagnose", "report"])
-    def test_node_values_are_kept_only_where_read(self, subcommand):
-        # every load checks every entry; only semigroup reads u0, only diagnose f_vals
+    def test_no_config_load_keeps_node_values(self, subcommand):
+        # every load checks every payload on its grid and keeps the callable:
+        # the only arrays kept are start points
         args = sdelab.cli._build_parser().parse_args([subcommand, "--config",
                                                       str(EXAMPLE_CONFIG)])
         cfg = sdelab.cli._load_config(args)
-        kept = {(e["kind"], key) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
-                for key in ("u0", "f_vals") if key in inputs}
-        assert kept == {"semigroup": {("semigroup", "u0")},
-                        "diagnose": {("feynman_kac", "f_vals")}}.get(subcommand, set())
+        arrays = [v for inputs in cfg.inputs for v in inputs.values()
+                  if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape == (cfg.grid.dim,) for a in arrays)
 
     def test_simulate_meta_is_the_summaries(self, tmp_path):
         out = tmp_path / "out"
@@ -1086,8 +1088,10 @@ class TestCliArtifacts:
             sdelab.cli._write_atomic(str(tmp_path / "r.json"), "ok" * 10 + "\ud800")
         assert os.listdir(tmp_path) == []
 
-    def test_semigroup_payload_is_evaluated_once(self, tmp_path, monkeypatch):
-        # the config evaluated it at load and evolve again at the nodes
+    def test_semigroup_payload_is_evaluated_by_the_load_and_by_the_runner(
+            self, tmp_path, monkeypatch):
+        # the config load checks it on the grid and keeps only the callable;
+        # the runner evaluates it again for evolve
         calls = []
         required, optional, build = sdelab.config._PAYLOADS["bump"]
         entry = json.loads(EXAMPLE_CONFIG.read_text())["diagnostics"][0]
@@ -1102,7 +1106,7 @@ class TestCliArtifacts:
         monkeypatch.setitem(sdelab.config._PAYLOADS, "bump", (required, optional, counted))
         assert main(["semigroup", "--config", str(EXAMPLE_CONFIG), "--out",
                      str(tmp_path / "out"), "--workers", "1"]) == 0
-        assert calls == [(65, 65, 2)]
+        assert calls == [(65, 65, 2), (65, 65, 2)]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))

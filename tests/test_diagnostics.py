@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,6 +151,29 @@ class TestMarginalTwoSample:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("spread", ["five_rows_at_1e200", "both_scaled_by_1e303"])
+    def test_energy_overflow_refused(self, spread):
+        # the energy component read nan, which max over the components drops,
+        # so the test could not reject
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((500, 2)), rng.normal(3.0, 1.0, (500, 2))
+        if spread == "five_rows_at_1e200":
+            y[:5] = 1e200
+        else:
+            x, y = x * 1e303, y * 1e303
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiagnosticsError, match="spread too wide for the energy"):
+                marginal_two_sample(x, y, level=0.2)
+
+    def test_energy_statistic_finite_at_1e150(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((500, 2)), rng.normal(3.0, 1.0, (500, 2))
+        res = marginal_two_sample(x * 1e150, y * 1e150, level=0.2)
+        energy = res["breakdown"][-1]
+        assert math.isfinite(energy["statistic"]) and math.isfinite(energy["critical"])
+        assert energy["normalized"] > 1.0
 
     def test_dimension_mismatch_rejected(self, brownian2):
         b3 = builtin_family("brownian", 3)

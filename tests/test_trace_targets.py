@@ -1,16 +1,22 @@
 """The benchmark's span tracer wraps sdelab entry points by name from outside
 the package (``bench/spans.py``).  Every name it wraps must still resolve, so
 a refactor that moves or deletes one fails here, not only in a traced run.
-Nothing is wrapped: the targets are looked up statically.  Its observers read
-attributes of the results they see; they run here on small real results, so
-a result that stops holding ``states`` or slices fails here too.  Its
-counters read the arguments of the calls they wrap; the byte counter runs
-here on a real table write.
+In this process nothing is wrapped: the targets are looked up statically.
+Its observers read attributes of the results they see; they run here on
+small real results, so a result that stops holding ``states`` or slices
+fails here too.  Its counters read the arguments of the calls they wrap; the
+byte counter runs here on a real table write.  One test does wrap them, in a
+fresh interpreter, and runs the benchmark's smoke ``verdict`` ops, so every
+span key is seen to record.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,9 +29,8 @@ from sdelab.density import solve_density
 from sdelab.semigroup import evolve
 from sdelab.simulate import SimConfig, block_normals, simulate_ensemble
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-)
+_ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_spans", _ROOT / "bench" / "spans.py")
 _spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_spans)
 
@@ -126,3 +131,36 @@ def test_bytes_written_counter_sees_a_real_table(tmp_path, monkeypatch):
     columns = [np.arange(5000, dtype=float), np.linspace(-1.0, 1.0, 5000)]
     sdelab.cli._Emitter(str(tmp_path)).table("t", ["path", "x0"], columns)
     assert tracer.counts[key] == (tmp_path / "t.csv").stat().st_size
+
+
+_TRACED_VERDICT = """
+import json, sys
+import run, spans
+import sdelab.cli
+
+tracer = spans.install()
+rcs = []
+for op in run.workload_ops("verdict", smoke=True):
+    argv = [op["command"], "--config", str(run.CONFIG), "--out", sys.argv[1],
+            "--workers", str(run.WORKERS)]
+    for item in op["set"]:
+        argv += ["--set", item]
+    rcs.append(sdelab.cli.main(argv))
+print(json.dumps({"rcs": rcs, "keys": sorted({s[1] for s in tracer.spans}),
+                  "bytes": tracer.counts.get("cli.bytes_written", 0.0)}))
+"""
+
+
+def test_every_span_fires_in_a_traced_smoke_verdict(tmp_path):
+    # the tracer wraps module globals, so a runner that reached a wrapped
+    # function some other way (a table of function objects captured at
+    # import, say) would leave its layer reading 0 in every traced run
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(_ROOT / "src"), str(_ROOT / "bench")]))
+    done = subprocess.run([sys.executable, "-c", _TRACED_VERDICT, str(tmp_path)],
+                          cwd=_ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout.splitlines()[-1])
+    assert traced["rcs"] == [0, 0, 0, 0, 0]  # check, density, semigroup, simulate, diagnose
+    assert {t[2] for t in _spans.SPAN_TARGETS} <= set(traced["keys"])
+    assert traced["bytes"] > 0
