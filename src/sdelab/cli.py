@@ -125,7 +125,7 @@ def _finalize(report: DiagnosticReport, cfg: ExperimentConfig) -> dict:
 
 # -- subcommand runners -------------------------------------------------------
 
-def _run_check(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
+def _run_check(cfg: ExperimentConfig, emit: _Emitter) -> int:
     c, grid = cfg.coefficients, cfg.grid
     report = a4prime_check(c)
     resolution = min(max(grid.n), 65)
@@ -139,7 +139,7 @@ def _run_check(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     return 0 if report.passed else 1
 
 
-def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
+def _run_density(cfg: ExperimentConfig, emit: _Emitter) -> int:
     c, grid = cfg.coefficients, cfg.grid
     dens = solve_density(c, grid.bounds, grid.n)
     pre = verify_preinvariance(dens)
@@ -152,7 +152,7 @@ def _run_density(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     return 0 if (pre.passed and div.passed) else 1
 
 
-def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
+def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter) -> int:
     entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
                if e["kind"] == "semigroup"]
     if not entries:
@@ -172,11 +172,11 @@ def _run_semigroup(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     return 0 if ok else 1
 
 
-def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
+def _run_simulate(cfg: ExperimentConfig, emit: _Emitter) -> int:
     c = cfg.coefficients
     x0 = cfg.start_point()
-    ens = simulate_ensemble(c, x0, cfg.sim, workers=workers,
-                            occupation_eps=_OCCUPATION_EPS, t_keep=(cfg.sim.t_final,))
+    ens = simulate_ensemble(c, x0, cfg.sim, occupation_eps=_OCCUPATION_EPS,
+                            t_keep=(cfg.sim.t_final,))
     report = DiagnosticReport(
         check=f"simulate[{c.name}]",
         meta={"x0": list(x0), "config": cfg.sim.to_dict()},
@@ -200,7 +200,7 @@ def _run_simulate(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     return 0 if report.passed else 1
 
 
-def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
+def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter) -> int:
     entries = [(e, inputs) for e, inputs in zip(cfg.diagnostics, cfg.inputs)
                if e["kind"] != "semigroup"]
     if not entries:
@@ -212,11 +212,11 @@ def _run_diagnose(cfg: ExperimentConfig, emit: _Emitter, workers: int) -> int:
     for i, (entry, inputs) in enumerate(entries):
         kind = entry["kind"]
         if kind == "uniqueness":
-            rep = uniqueness_probe(c, workers=workers, **inputs)
+            rep = uniqueness_probe(c, **inputs)
         elif kind == "krylov":
-            rep = krylov_audit(c, workers=workers, **inputs)
+            rep = krylov_audit(c, **inputs)
         else:
-            rep = feynman_kac_crosscheck(c, workers=workers, **inputs)
+            rep = feynman_kac_crosscheck(c, **inputs)
         rep.meta["entry"] = dict(entry)
         emit.report(f"diagnose_{i}_{kind}", _finalize(rep, cfg))
         print(rep.summary())
@@ -306,9 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            default=os.cpu_count() or 1,
-            help="threads: one steps the paths, the others convert their noise "
-                 "(results are identical for any value)",
+            default=1,
+            help="accepted for old invocations and has no effect: every path is "
+                 "stepped on one thread (the flag goes with the next benchmark revision)",
         )
         p.add_argument("--seed", type=int, help="override sim.master_seed")
     return parser
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise UsageError("--workers must be at least 1")
         emit = _Emitter(cfg.output_dir)
-        return _RUNNERS[args.subcommand](cfg, emit, args.workers)
+        return _RUNNERS[args.subcommand](cfg, emit)
     except (OSError, ValueError) as exc:  # usage, config and input errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

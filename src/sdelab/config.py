@@ -209,9 +209,9 @@ def _entry_inputs(entry: Any, grid: BoxGrid, sim: SimConfig, where: str) -> dict
     Semigroup entries call :func:`~sdelab.semigroup.evolve`, the others the
     diagnostics function of their kind.  A payload is checked on its grid
     (:func:`~sdelab.grids.grid_values`) and only the callable is kept; the
-    runner adds coefficients, and the density and the payload's node values
-    for ``evolve`` or workers for the others.  Absent optional keys are left
-    out, so library defaults apply.
+    runner adds coefficients, and for ``evolve`` the density and the
+    payload's node values.  Absent optional keys are left out, so library
+    defaults apply.
     """
     kind = _tagged(entry, "kind", _DIAGNOSTICS, "kind", where)
     dim = grid.dim

@@ -37,8 +37,8 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .density import solve_density
 from .grids import (
-    BoxGrid, GridField, finite_point, finite_real, finite_values,
-    grid_values, integer, kept_steps, step_count,
+    BoxGrid, GridField, finite_point, finite_real, finite_values, grid_values, kept_steps,
+    step_count,
 )
 from .reporting import DiagnosticReport
 from .rng import derive_seed, permutation_rng
@@ -378,7 +378,6 @@ def uniqueness_probe(
     t_checks: Sequence[float],
     cfg: SimConfig,
     level: float = 0.01,
-    workers: int = 1,
 ) -> DiagnosticReport:
     """Compare fixed-time marginals across coefficient or step-size variants.
 
@@ -405,7 +404,7 @@ def uniqueness_probe(
     variant_meta = []
     for var, cfg_i in zip(variants, configs):
         c = var.c if var.c is not None else c_base
-        ens = simulate_ensemble(c, x0, cfg_i, workers=workers, t_keep=t_checks)
+        ens = simulate_ensemble(c, x0, cfg_i, t_keep=t_checks)
         marginals.append(ens.states)
         variant_meta.append(
             {
@@ -617,7 +616,6 @@ def krylov_audit(
     t_final: float,
     f_dictionary: Sequence[Callable],
     cfg: SimConfig,
-    workers: int = 1,
 ) -> DiagnosticReport:
     """Audit the path-integral bound for each payload in the dictionary.
 
@@ -635,10 +633,8 @@ def krylov_audit(
     """
     x0 = finite_point(x0, c.dim, "x0", DiagnosticsError)
     cfg_run, labels = krylov_config(x0, radius, t_final, f_dictionary, cfg)
-    workers = integer(workers, "workers", DiagnosticsError, minimum=1)
     paths = _PathIntegrals(f_dictionary, labels, cfg_run)
-    ens, = _simulate_levels(c, x0, [cfg_run], [1], workers, t_keep=(cfg_run.t_final,),
-                            observe=paths)
+    ens, = _simulate_levels(c, x0, [cfg_run], [1], t_keep=(cfg_run.t_final,), observe=paths)
     exit_fraction = float(np.mean(ens.exit_step >= 0))
 
     lam = _HOMOGENEITY_SCALE
@@ -719,7 +715,6 @@ def feynman_kac_crosscheck(
     t_final: float,
     cfg: SimConfig,
     pde_dt: float,
-    workers: int = 1,
 ) -> DiagnosticReport:
     """Cross-check ``E[f0(X_T)]`` against the parabolic solve at ``x0``.
 
@@ -742,7 +737,7 @@ def feynman_kac_crosscheck(
     """
     f_vals, x0, cfg_run, grid_c = feynman_kac_config(grid, f0, x0, t_final, cfg, pde_dt)
     dens = solve_density(c, grid.bounds, grid.n)
-    ens = simulate_ensemble(c, x0, cfg_run, workers=workers, t_keep=(t_final,))
+    ens = simulate_ensemble(c, x0, cfg_run, t_keep=(t_final,))
     terminal = finite_values(f0(ens.state_at(t_final)), (cfg_run.n_paths,), "payload",
                              "at the Monte-Carlo terminal states", DiagnosticsError)
     mc = float(np.mean(terminal))

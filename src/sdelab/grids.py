@@ -392,18 +392,22 @@ class SmoothBump:
     support edge are crushed by the Gaussian factor (~e^{-18} beyond
     ``|u| = 6``), so trapezoid sums on grids resolving the core converge to
     near machine precision.  Value, gradient and Hessian are analytic.
+    The center lists finite coordinates; ``radius`` is one finite positive
+    scale or one per axis.  Anything else is a :class:`GridError`.
     """
 
     center: tuple
     radius: tuple
 
     def __init__(self, center, radius):
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        r = np.asarray(radius, dtype=float)
-        if r.ndim == 0:
-            r = np.full(c.shape, float(r))
-        if r.shape != c.shape or np.any(r <= 0):
-            raise GridError("radius must be positive and match center shape")
+        d = len(center) if np.iterable(center) else 0
+        if not d:
+            raise GridError(f"center must list at least one coordinate, got {center!r}")
+        c = finite_point(center, d, "center", GridError)
+        r = [finite_real(v, "radius", GridError, positive=True)
+             for v in (radius if np.iterable(radius) else [radius] * d)]
+        if len(r) != d:
+            raise GridError(f"radius must list {d} values like center, got {radius!r}")
         object.__setattr__(self, "center", tuple(c))
         object.__setattr__(self, "radius", tuple(r))
 

@@ -7,7 +7,7 @@ fixed counter position ``step * m + component`` within that stream.  A raw
 word is numpy's full-range ``uint64`` draw, which is the bit generator's
 ``random_raw`` output unchanged.  Variates are produced by inverse CDF from
 open-interval uniforms ``(raw + 0.5) / 2^64``, so no endpoint can reach 0 or
-1.  Results therefore never depend on scheduling or worker partitioning.
+1.  Results therefore never depend on how paths are batched.
 
 ``path_normals`` is the definition: one fresh generator per path.
 ``block_normals`` gives the same words for many paths from one bit generator
@@ -16,8 +16,7 @@ and counter.  Each counter value yields 4 words, so a range of steps starting
 at ``first_step`` is read straight from the counter holding word
 ``first_step * m``: a block's noise can be drawn in step chunks with the same
 bits as all at once.  The tests check it against ``path_normals`` row for
-row.  The transform of raw words is elementwise, so any split of it over
-threads gives the same bits.
+row.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from scipy.special import ndtri
 
 _U64 = np.uint64
 _TWO_NEG64 = 2.0**-64  # scaling by a power of two is exact: the same bits as / 2^64
-_CHUNK = 512  # rows per conversion chunk handed to a helper; results do not depend on it
 
 
 def _as_u64(value: int, name: str) -> int:
@@ -58,31 +56,21 @@ def path_normals(master_seed: int, path_index: int, n_steps: int, m: int) -> np.
     return ndtri((raw.astype(float) + 0.5) * _TWO_NEG64)
 
 
-def _to_normals(u: np.ndarray) -> None:
-    """Raw words stored as floats -> standard normals, in place."""
-    u += 0.5
-    u *= _TWO_NEG64
-    ndtri(u, out=u)
-
-
 def block_normals(
-    master_seed: int, path_indices: np.ndarray, n_steps: int, m: int, pool=None,
-    first_step: int = 0,
+    master_seed: int, path_indices: np.ndarray, n_steps: int, m: int, first_step: int = 0,
 ) -> np.ndarray:
     """Normals of steps ``first_step .. first_step + n_steps - 1`` for a batch
     of paths, shape ``(len(path_indices), n_steps, m)``.
 
     Row ``i`` equals ``path_normals(master_seed, path_indices[i],
-    first_step + n_steps, m)[first_step:]``.  On the calling thread, one
-    Philox bit generator is re-keyed to ``(master_seed, path)`` for each
-    path, past the ``first_step * m // 4`` whole 4-word counter blocks before
-    word ``first_step * m``.  It yields the ``first_step * m % 4`` words left
+    first_step + n_steps, m)[first_step:]``.  One Philox bit generator is
+    re-keyed to ``(master_seed, path)`` for each path, past the
+    ``first_step * m // 4`` whole 4-word counter blocks before word
+    ``first_step * m``.  It yields the ``first_step * m % 4`` words left
     before that word, which are dropped, then the path's ``n_steps * m`` raw
-    words, stored as floats (the same conversion as ``astype(float)``).  The inverse CDF transform runs in
-    place, so the block holds one array.  With an executor ``pool``, each
-    filled chunk of ``_CHUNK`` rows but the last is handed to it while the
-    next one fills; a chunk no helper has started by the time the last is
-    converted is taken back and converted on the calling thread.
+    words, stored as floats (the same conversion as ``astype(float)``).  The
+    inverse CDF transform then runs on the whole block in place, so the
+    block holds one array.
     """
     n, k = len(path_indices), n_steps * m
     skip = first_step * m % 4
@@ -94,23 +82,13 @@ def block_normals(
              "state": {"counter": (first_step * m // 4, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     seed = _as_u64(master_seed, "master_seed")
-    chunk = _CHUNK if pool is not None else n
-    done, pending = 0, []
     for i, p in enumerate(_as_u64_list(path_indices, "path_index")):
         fresh["state"]["key"] = (seed, p)
         bits.state = fresh
         u[i] = bits.random_raw(skip + k)[skip:]
-        if i + 1 - done == chunk and i + 1 < n:
-            rows = u[done:i + 1]
-            pending.append((pool.submit(_to_normals, rows), rows))
-            done = i + 1
-    _to_normals(u[done:])
-    # helpers take chunks from the front of the queue, this thread from the back
-    for f, rows in reversed(pending):
-        if f.cancel():
-            _to_normals(rows)
-        else:
-            f.result()
+    u += 0.5
+    u *= _TWO_NEG64
+    ndtri(u, out=u)
     return u.reshape(n, n_steps, m)
 
 

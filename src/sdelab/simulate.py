@@ -20,13 +20,11 @@ dispersion factor that declares itself the identity steps with
 
 Paths are partitioned into fixed-size blocks; each block's states are a pure
 function of the master seed and the block's path indices.  One engine steps
-every run.  The calling thread draws a block's noise in step chunks of at
-most ``_NOISE_BUDGET`` normals, each read from its position in the paths'
-counter-based streams, and steps every level of the run through a chunk
-before it draws the next, so a block's working memory does not grow with
-``n_steps``; ``workers - 1`` helper threads only convert the noise
-(elementwise, without the GIL), so any worker count produces bitwise
-identical ensembles.  An ensemble is a run of one level; the weak-order
+every run, on the calling thread.  It draws a block's noise in step chunks
+of at most ``_NOISE_BUDGET`` normals, each read from its position in the
+paths' counter-based streams, and steps every level of the run through a
+chunk before it draws the next, so a block's working memory does not grow
+with ``n_steps``.  An ensemble is a run of one level; the weak-order
 study runs several on common noise, a level of step ``r dt`` on the sums of
 ``r`` fine normals over ``sqrt(r)``.  An ensemble stores every state of the
 step grid, or only the states at the times its caller names (``t_keep``):
@@ -38,8 +36,6 @@ steps, through a hook it calls at every state, so it needs no stored paths.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Generator, Iterator, Sequence
 
@@ -292,8 +288,8 @@ def _euler_maruyama(
 
 def _simulate_levels(
     c: CoefficientSet, x0: np.ndarray, levels: Sequence[SimConfig], ratios: Sequence[int],
-    workers: int = 1, occupation_eps: Sequence[float] = (),
-    t_keep: Sequence[float] | None = None, observe: Callable | None = None,
+    occupation_eps: Sequence[float] = (), t_keep: Sequence[float] | None = None,
+    observe: Callable | None = None,
 ) -> list[PathEnsemble]:
     """Step the ``levels`` of one run on common noise, finest last, the step
     of ``levels[i]`` being ``ratios[i]`` fine steps: one :class:`PathEnsemble`
@@ -329,40 +325,36 @@ def _simulate_levels(
                                       occupation, eps))
     span = math.lcm(*ratios)
 
-    helpers = ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
-    with helpers as pool:
-        for idx in _blocks(n):
-            b, sl = len(idx), slice(int(idx[0]), int(idx[-1]) + 1)
-            chains = [_euler_maruyama(c, x0, ens, sl) for ens in ensembles[:-1]]
-            chains.append(_euler_maruyama(c, x0, ensembles[-1], sl, observe))
-            for chain in chains:
-                next(chain)  # to state 0
-            per = span * max(1, _NOISE_BUDGET // (b * m * span))
-            for first in range(0, fine.n_steps, per):
-                shape = (b, min(per, fine.n_steps - first), m)
-                with allocating("block noise", shape, SimulationError):
-                    xi = block_normals(fine.master_seed, idx, shape[1], m, pool, first)
-                for chain, r in zip(chains, ratios):
-                    agg = xi if r == 1 else xi.reshape(b, -1, r, m).sum(axis=2) / math.sqrt(r)
-                    for xi_k in agg.transpose(1, 0, 2):
-                        chain.send(xi_k)
-                    del agg, xi_k  # one aggregate alive at a time
-                del xi  # the next chunk is drawn with this one freed
+    for idx in _blocks(n):
+        b, sl = len(idx), slice(int(idx[0]), int(idx[-1]) + 1)
+        chains = [_euler_maruyama(c, x0, ens, sl) for ens in ensembles[:-1]]
+        chains.append(_euler_maruyama(c, x0, ensembles[-1], sl, observe))
+        for chain in chains:
+            next(chain)  # to state 0
+        per = span * max(1, _NOISE_BUDGET // (b * m * span))
+        for first in range(0, fine.n_steps, per):
+            shape = (b, min(per, fine.n_steps - first), m)
+            with allocating("block noise", shape, SimulationError):
+                xi = block_normals(fine.master_seed, idx, shape[1], m, first)
+            for chain, r in zip(chains, ratios):
+                agg = xi if r == 1 else xi.reshape(b, -1, r, m).sum(axis=2) / math.sqrt(r)
+                for xi_k in agg.transpose(1, 0, 2):
+                    chain.send(xi_k)
+                del agg, xi_k  # one aggregate alive at a time
+            del xi  # the next chunk is drawn with this one freed
     for ens in ensembles:
         ens.occupation = ens.occupation * ens.config.dt  # counts -> occupation times
     return ensembles
 
 
 def simulate_ensemble(
-    c: CoefficientSet, x0, cfg: SimConfig, workers: int = 1,
-    occupation_eps: Sequence[float] = (), t_keep: Sequence[float] | None = None,
+    c: CoefficientSet, x0, cfg: SimConfig, occupation_eps: Sequence[float] = (),
+    t_keep: Sequence[float] | None = None,
 ) -> PathEnsemble:
     """Run the ensemble described by ``cfg`` from the common start ``x0``.
 
     The calling thread steps every block through its noise, drawn in step
-    chunks; ``workers - 1`` helper threads convert that noise.  The result
-    is bitwise identical for any ``workers``.
-    Exploded paths are flagged and frozen, never dropped.  The step also
+    chunks.  Exploded paths are flagged and frozen, never dropped.  The step also
     tallies occupation below each (finite, nonnegative) ``occupation_eps``,
     for :func:`occupation_profile`.
     ``t_keep = None`` stores every state of the step grid; a sequence of
@@ -370,7 +362,6 @@ def simulate_ensemble(
     lie on the step grid within the horizon, and no two on one step.
     """
     x0 = finite_point(x0, c.dim, "x0", SimulationError)
-    workers = integer(workers, "workers", SimulationError, minimum=1)
     if not np.iterable(occupation_eps):
         raise SimulationError(f"occupation_eps must be a sequence, got {occupation_eps!r}")
     for e in occupation_eps:
@@ -380,7 +371,7 @@ def simulate_ensemble(
     # exactly the ensembles a config load accepts; the noise is drawn in step
     # chunks, so only the kept states grow with n_steps
     cfg.states_shape(c.dim)
-    return _simulate_levels(c, x0, [cfg], [1], workers, occupation_eps, t_keep)[0]
+    return _simulate_levels(c, x0, [cfg], [1], occupation_eps, t_keep)[0]
 
 
 def exit_time_stats(ens: PathEnsemble) -> dict:

@@ -398,6 +398,16 @@ class TestCliExitCodes:
         path = write_config(tmp_path, base_config())
         assert main(["simulate", "--config", path, "--workers", "0"]) == 2
 
+    @pytest.mark.parametrize("workers", ["-1", "2.5", "nan", "true", "two", ""])
+    def test_malformed_workers_refused(self, tmp_path, capsys, workers):
+        # the flag has no effect, yet a value that is not a positive integer
+        # is still a usage error, and no report is written
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--workers", workers, "--out", str(out)]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unresolvable_density_grid_is_usage_error(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         out = tmp_path / "out"

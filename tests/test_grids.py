@@ -224,6 +224,17 @@ class TestInterpolationMatchesScipy:
 
 
 class TestBumpFunction:
+    @pytest.mark.parametrize("center, radius", [
+        ([], 1.0),  # no coordinate
+        ((np.nan, 0.0), 1.0),
+        ((True, 0.0), 1.0),  # a bool is not a coordinate
+        ((0.0, 0.0), np.nan),
+        ((0.0, 0.0), np.inf),
+    ])
+    def test_malformed_arguments_refused(self, center, radius):
+        with pytest.raises(GridError):
+            SmoothBump(center, radius)
+
     def test_peak_and_support(self):
         b = SmoothBump([0.5, -0.5], [1.0, 2.0])
         assert b(np.array([0.5, -0.5])) == 1.0

@@ -7,6 +7,7 @@ mean-reverting chain for the weak-order study.
 """
 
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -19,8 +20,11 @@ import pytest
 
 import sdelab.simulate
 from sdelab import builtin_family
+from sdelab.cli import main
 from sdelab.coefficients import DispersionFactor
-from sdelab.rng import _CHUNK, block_normals, derive_seed, path_normals
+from sdelab.config import build_spacetime_payload
+from sdelab.diagnostics import krylov_audit
+from sdelab.rng import block_normals, derive_seed, path_normals
 from sdelab.simulate import (
     _BLOCK,
     PathEnsemble,
@@ -94,24 +98,16 @@ class TestRng:
 
     @pytest.mark.parametrize("first_step", [0, 5])
     @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
-    def test_pooled_block_matches_per_path(self, n, m, first_step):
-        # chunks of _CHUNK filled rows convert on the helpers, the last on the
-        # calling thread; the rows are those of the block converted at once,
-        # with more threads than cores switching as often as they can
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1031])
+    def test_block_of_any_size_matches_per_path(self, n, m, first_step):
+        # every row is filled, then the whole block is converted in place at
+        # once: one row and many, even and odd counts give the same rows
         idx = 3 * np.arange(n) + 11
-        plain = block_normals(17, idx, 5, m, first_step=first_step)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                pooled = block_normals(17, idx, 5, m, pool, first_step)
-        finally:
-            sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(pooled, plain)
+        blk = block_normals(17, idx, 5, m, first_step=first_step)
+        assert blk.shape == (n, 5, m)
         for i, p in enumerate(idx):
             tail = path_normals(17, int(p), first_step + 5, m)[first_step:]
-            np.testing.assert_array_equal(pooled[i], tail)
+            np.testing.assert_array_equal(blk[i], tail)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("first_step", [0, 1, 2, 3, 5, 8])
@@ -123,21 +119,6 @@ class TestRng:
         for i, p in enumerate(idx):
             tail = path_normals(9, p, first_step + 6, m)[first_step:]
             np.testing.assert_array_equal(blk[i], tail)
-
-    def test_queued_conversions_run_on_the_calling_thread(self):
-        # the one helper is busy, so every chunk handed to it is still queued
-        # when the last rows are filled: the calling thread takes them back
-        # and converts them itself instead of waiting for the helper
-        idx = np.arange(3 * _CHUNK + 5)
-        release = threading.Event()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            busy = pool.submit(release.wait, 30)
-            try:
-                pooled = block_normals(17, idx, 5, 2, pool)
-                assert not busy.done()
-            finally:
-                release.set()
-        np.testing.assert_array_equal(pooled, block_normals(17, idx, 5, 2))
 
     def test_standard_normal_moments(self):
         z = path_normals(1, 0, 50_000, 2).ravel()
@@ -191,68 +172,80 @@ class TestEnsembleBasics:
         e2 = simulate_ensemble(ou2, [1.0, 0.0], _cfg(n_paths=128))
         np.testing.assert_array_equal(e1.states, e2.states)
 
-    def test_bitwise_determinism_any_worker_count(self, ou2):
-        cfg = _cfg(n_paths=5000, t_final=0.2, dt=1e-2)
-        e1 = simulate_ensemble(ou2, [1.0, 0.0], cfg, workers=1)
-        e3 = simulate_ensemble(ou2, [1.0, 0.0], cfg, workers=3)
-        e8 = simulate_ensemble(ou2, [1.0, 0.0], cfg, workers=8)
-        np.testing.assert_array_equal(e1.states, e3.states)
-        np.testing.assert_array_equal(e1.states, e8.states)
-        np.testing.assert_array_equal(e1.occupation_near, e8.occupation_near)
+    @pytest.mark.parametrize("block", [1, 7, 150, 300])
+    def test_bitwise_determinism_any_block_size(self, ou2, monkeypatch, block):
+        # paths are keyed one by one, so how they are split into blocks moves
+        # no bit: blocks of one path, a short last block, 150 + 150 + 1, and
+        # 300 + 1 all give the one-block ensemble; some paths exit
+        cfg = _cfg(n_paths=301, t_final=0.2, r_exit=1.5)
+        want = simulate_ensemble(ou2, [1.0, 0.0], cfg)
+        monkeypatch.setattr(sdelab.simulate, "_BLOCK", block)
+        got = simulate_ensemble(ou2, [1.0, 0.0], cfg)
+        assert np.any(want.exit_step >= 0) and not np.all(want.exit_step >= 0)
+        for name in ("states", "exit_step", "exploded_step", "occupation"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("case", ["one_block", "rotated_factor"])
     def test_bitwise_determinism_one_block_and_contraction(self, ou2, case):
-        # one block, whose chunks the helpers convert; and the general
-        # contraction of a rotated factor over three blocks
+        # one block; and the general contraction of a rotated factor over
+        # three blocks
         if case == "one_block":
             c, cfg = ou2, _cfg(n_paths=_BLOCK - 5, t_final=0.2)
         else:
             c, cfg = _rotated_factor(), _cfg(n_paths=2 * _BLOCK + 7, t_final=0.2)
-        e1, *others = [simulate_ensemble(c, [0.4, -0.2], cfg, workers=w) for w in (1, 2, 3)]
-        for e in others:
-            for name in ("states", "exit_step", "exploded_step", "occupation"):
-                np.testing.assert_array_equal(getattr(e, name), getattr(e1, name))
+        e1, e2 = [simulate_ensemble(c, [0.4, -0.2], cfg) for _ in range(2)]
+        for name in ("states", "exit_step", "exploded_step", "occupation"):
+            np.testing.assert_array_equal(getattr(e2, name), getattr(e1, name))
 
-    def test_coefficients_run_on_the_calling_thread(self, radial2):
-        # helpers only convert noise: every weight and drift evaluation, so
-        # every step of every block, runs on the thread that called
-        seen = set()
+    def test_no_thread_is_started(self, radial2, monkeypatch, tmp_path):
+        # every block is drawn, converted and stepped on the calling thread,
+        # in the library and behind the command line at any --workers value;
+        # the command line's ensembles of 600 paths are more than 512 rows
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} was started")
 
-        def record(fn):
-            def wrapped(x):
-                seen.add(threading.get_ident())
-                return fn(x)
-            return wrapped
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        simulate_ensemble(radial2, [0.3, 0.0], _cfg(n_paths=2 * _BLOCK + 7, t_final=0.1))
+        krylov_audit(radial2, (0.0, 0.0), 1.0, 0.2,
+                     [build_spacetime_payload({"type": "one"}, 2, "one")],
+                     _cfg(n_paths=200, t_final=0.2))
+        gamma2 = {"name": "radial_degenerate", "params": {"alpha": 0.25, "gamma": 2.0}}
+        raw = {
+            "format_version": 1,
+            "family": {"name": "radial_degenerate", "params": {"alpha": 0.25, "gamma": 1.0}},
+            "box": {"bounds": [[-3.0, 3.0], [-3.0, 3.0]], "n": 17},
+            "sim": {"dt": 0.01, "t_final": 0.2, "n_paths": 600, "master_seed": 7,
+                    "x0": [0.0, 0.0], "r_exit": 2.5},
+            "diagnostics": [
+                {"kind": "uniqueness", "x0": [0.0, 0.0], "t_checks": [0.2],
+                 "variants": [{"label": "gamma=1"}, {"label": "gamma=2", "family": gamma2}]},
+                {"kind": "krylov", "x0": [0.0, 0.0], "radius": 1.0, "t_final": 0.2,
+                 "payloads": [{"type": "one"}]},
+                {"kind": "feynman_kac", "x0": [0.5, 0.0], "t_final": 0.1, "pde_dt": 0.01,
+                 "payload": {"type": "gaussian", "center": [0.3, 0.0], "variance": 0.5},
+                 "grid_n": 33},
+            ],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        for sub in ("simulate", "diagnose"):
+            assert main([sub, "--config", str(path), "--workers", "2"]) in (0, 1), sub
 
-        c = dataclasses.replace(
-            radial2, drift=record(radial2.drift),
-            inv_weight=dataclasses.replace(radial2.inv_weight, fn=record(radial2.inv_weight.fn)),
-        )
-        simulate_ensemble(c, [0.3, 0.0], _cfg(n_paths=2 * _BLOCK + 7, t_final=0.1), workers=2)
-        assert seen == {threading.get_ident()}
-
-    def test_one_noise_block_alive_at_two_workers(self, radial2):
-        # 3 blocks at two workers: the calling thread steps them in turn, so
-        # the traced peak holds one block's noise and the kept states, not two
-        # blocks' noise
+    def test_one_noise_block_alive(self, radial2):
+        # 3 blocks: the calling thread steps them in turn, so the traced peak
+        # holds one block's noise and the kept states, not two blocks' noise
         cfg = _cfg(n_paths=2 * _BLOCK + 7)
         block_noise = _BLOCK * cfg.n_steps * 2 * 8
         kept = cfg.n_paths * 2 * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            simulate_ensemble(radial2, [0.3, 0.0], cfg, workers=2, t_keep=(cfg.t_final,))
+            simulate_ensemble(radial2, [0.3, 0.0], cfg, t_keep=(cfg.t_final,))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert block_noise < peak < 1.5 * block_noise + kept
-
-    @pytest.mark.parametrize("workers", [float("nan"), 2.5, True, 0, "2", None])
-    def test_bad_workers_rejected(self, brownian2, workers):
-        # one block, so a count the thread pool cannot use fails here rather
-        # than hanging a multi-block run
-        with pytest.raises(SimulationError, match="workers"):
-            simulate_ensemble(brownian2, [0.0, 0.0], _cfg(n_paths=8), workers=workers)
 
     def test_prefix_stability_in_path_count(self, ou2):
         # per-path keying: the first paths do not change when more are added
@@ -508,7 +501,7 @@ class TestFusedTallies:
     def test_tallies_equal_posthoc_weights(self, family, x0, kw, stops):
         c = builtin_family("radial_degenerate", 2, **family)
         cfg = _cfg(**{"n_paths": 300, "t_final": 0.5, "near_degeneracy_eps": 1.5, **kw})
-        ens = simulate_ensemble(c, x0, cfg, workers=2, occupation_eps=_PROFILE_EPS)
+        ens = simulate_ensemble(c, x0, cfg, occupation_eps=_PROFILE_EPS)
         stopped = ens.stop_step < cfg.n_steps
         assert {"all": stopped.all(), "none": not stopped.any(),
                 "some": 0 < stopped.sum() < cfg.n_paths}[stops]
@@ -592,7 +585,7 @@ class TestProfileMemory:
         # step took, with no pass over the states, so its traced peak is a
         # small fraction of that
         c = builtin_family("radial_degenerate", 2, alpha=0.25, gamma=1.0)
-        ens = simulate_ensemble(c, [0.3, 0.0], _cfg(n_paths=16_384, dt=5e-3), workers=2,
+        ens = simulate_ensemble(c, [0.3, 0.0], _cfg(n_paths=16_384, dt=5e-3),
                                 occupation_eps=_PROFILE_EPS)
         tracemalloc.start()
         try:
@@ -612,8 +605,7 @@ class TestKeptStates:
     """An ensemble that keeps only some steps' states holds the full
     ensemble's columns at those steps, bit for bit, with the same tallies."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_kept_columns_equal_the_full_ensemble(self, workers):
+    def test_kept_columns_equal_the_full_ensemble(self):
         # two blocks; under the cubic outward drift some paths exit the 1e150
         # ball, some jump past it to a non-finite update, and some do neither
         c = builtin_family("radial_degenerate", 2, alpha=0.25, drift="cubic_outward")
@@ -621,8 +613,8 @@ class TestKeptStates:
         t_keep = (1.0, 0.0, 0.37, 0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             full = simulate_ensemble(c, [1.0, 0.0], cfg, occupation_eps=_PROFILE_EPS)
-            kept = simulate_ensemble(c, [1.0, 0.0], cfg, workers=workers,
-                                     occupation_eps=_PROFILE_EPS, t_keep=t_keep)
+            kept = simulate_ensemble(c, [1.0, 0.0], cfg, occupation_eps=_PROFILE_EPS,
+                                     t_keep=t_keep)
         assert np.any(full.exit_step >= 0) and np.any(full.exploded)
         assert not np.all(full.stop_step < cfg.n_steps)
         steps = [100, 0, 37, 50]
@@ -691,27 +683,25 @@ class TestChunkedNoise:
         monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", n_paths * 2 * per_chunk)
         drawn = []
 
-        def record(seed, idx, n_steps, m, pool=None, first_step=0):
+        def record(seed, idx, n_steps, m, first_step=0):
             drawn.append((first_step, n_steps))
-            return block_normals(seed, idx, n_steps, m, pool, first_step)
+            return block_normals(seed, idx, n_steps, m, first_step)
 
         monkeypatch.setattr(sdelab.simulate, "block_normals", record)
         return drawn
 
     @pytest.mark.parametrize("t_keep", [None, (1.0, 0.0, 0.37)])
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("per_chunk", [1, 7])
-    def test_chunked_equals_one_chunk(self, monkeypatch, per_chunk, workers, t_keep):
-        # more than two conversion chunks of rows, so helpers convert at
-        # workers=3; 100 steps end on a short chunk of 7; under the cubic
-        # outward drift some paths exit the 1e150 ball and some explode
+    def test_chunked_equals_one_chunk(self, monkeypatch, per_chunk, t_keep):
+        # 100 steps end on a short chunk of 7; under the cubic outward drift
+        # some paths exit the 1e150 ball and some explode
         c = builtin_family("radial_degenerate", 2, alpha=0.25, drift="cubic_outward")
-        cfg = _cfg(n_paths=2 * _CHUNK + 76, r_exit=1e150, near_degeneracy_eps=1.5)
+        cfg = _cfg(n_paths=1100, r_exit=1e150, near_degeneracy_eps=1.5)
         run = dict(occupation_eps=_PROFILE_EPS, t_keep=t_keep)
         with np.errstate(over="ignore", invalid="ignore"):
             one = simulate_ensemble(c, [1.0, 0.0], cfg, **run)
             drawn = self._chunked(monkeypatch, per_chunk, cfg.n_paths)
-            chunked = simulate_ensemble(c, [1.0, 0.0], cfg, workers=workers, **run)
+            chunked = simulate_ensemble(c, [1.0, 0.0], cfg, **run)
         assert np.any(one.exit_step >= 0) and np.any(one.exploded)
         starts = list(range(0, cfg.n_steps, per_chunk))
         assert drawn == [(s, min(per_chunk, cfg.n_steps - s)) for s in starts]
@@ -723,7 +713,7 @@ class TestChunkedNoise:
         c, cfg = _rotated_factor(), _cfg(n_paths=_BLOCK + 7, t_final=0.2)
         one = simulate_ensemble(c, [0.4, -0.2], cfg)
         drawn = self._chunked(monkeypatch, 3, _BLOCK)
-        chunked = simulate_ensemble(c, [0.4, -0.2], cfg, workers=2)
+        chunked = simulate_ensemble(c, [0.4, -0.2], cfg)
         assert len(drawn) == 7 + 1  # the 7-path block fits in one chunk
         for name in ("states", "exit_step", "exploded_step", "occupation"):
             np.testing.assert_array_equal(getattr(chunked, name), getattr(one, name))
@@ -775,7 +765,7 @@ class TestLevels:
             want = simulate_ensemble(c, [1.0, 0.0], fine, **run)
             monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", _BLOCK * 2 * 8)
             got = sdelab.simulate._simulate_levels(c, np.array([1.0, 0.0]), levels, [4, 2, 1],
-                                                   workers=2, **run)[-1]
+                                                   **run)[-1]
         assert np.any(want.exit_step >= 0) and np.any(want.exploded)
         assert got.config == fine and got.occupation_eps == want.occupation_eps
         for name in ("states", "steps", "exit_step", "exploded_step", "occupation"):
@@ -915,9 +905,9 @@ class TestWeakOrder:
         monkeypatch.setattr(sdelab.simulate, "_NOISE_BUDGET", budget)
         drawn = []
 
-        def record(seed, idx, n_steps, m, pool=None, first_step=0):
+        def record(seed, idx, n_steps, m, first_step=0):
             drawn.append((len(idx), first_step, n_steps))
-            return block_normals(seed, idx, n_steps, m, pool, first_step)
+            return block_normals(seed, idx, n_steps, m, first_step)
 
         monkeypatch.setattr(sdelab.simulate, "block_normals", record)
         chunked = weak_error_study(*args, master_seed=17)

@@ -17,7 +17,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,24 +72,13 @@ def test_ensemble_observer_reads_a_snapshot_ensemble():
     assert tracer.counts["simulate.states_mb"] == 30 * 1 * 2 * 8 / 2**20
 
 
-def test_normals_observer_reads_a_pooled_block():
-    # with a helper pool block_normals still returns the whole block, chunks
-    # converted on the helper included, so the observer counts every normal
-    idx = np.arange(1100)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        xi = block_normals(5, idx, 7, 3, pool)
-    tracer = _spans.Tracer()
-    _spans._normals(tracer, (5, idx, 7, 3, pool), xi)
-    assert tracer.counts["rng.normals"] == 1100 * 7 * 3
-
-
 def test_normals_observer_reads_an_offset_chunk():
     # simulate_ensemble draws a block's noise in step chunks; a chunk that
     # starts inside the stream holds just its own steps
     idx = np.arange(40)
     xi = block_normals(5, idx, 3, 2, first_step=7)
     tracer = _spans.Tracer()
-    _spans._normals(tracer, (5, idx, 3, 2, None, 7), xi)
+    _spans._normals(tracer, (5, idx, 3, 2, 7), xi)
     assert tracer.counts["rng.normals"] == 40 * 3 * 2
 
 
